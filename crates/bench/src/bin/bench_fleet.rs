@@ -32,8 +32,10 @@
 //!   inside its window (and none of the steady cap outside it);
 //! * re-running a campaign reproduces its digest byte for byte;
 //! * normalised throughput scaling efficiency
-//!   `(t1/t8) / min(8, cores)` ≥ 0.7 (full mode; raw figures always
-//!   emitted);
+//!   `(t1/t8) / min(8, cores)` ≥ 0.7 (full mode, on a host with at least
+//!   two cores; the raw speedup is always emitted, and on one core the
+//!   efficiency is recorded as not measured — it would only restate the
+//!   speedup, and no gate on it could fail);
 //! * locality routing beats random routing on fleet cache hit rate, and
 //!   its measured words/s uplift is emitted alongside (gated > 1 in
 //!   full mode: hits skip real decompressions, so the host-side work
@@ -41,7 +43,8 @@
 
 use std::time::Instant;
 
-use uparc_bench::report::{JsonReport, Obj, Value};
+use uparc_bench::harness::Harness;
+use uparc_bench::report::{Obj, Value};
 use uparc_fleet::{
     synthetic_catalog, ChaosSpec, EmergencyWindow, Fleet, FleetConfig, FleetOutcome,
     FleetWorkloadSpec, HealthConfig, RoutePolicy,
@@ -160,30 +163,9 @@ impl Run {
     }
 }
 
-fn execute(fleet: &Fleet, spec: &FleetWorkloadSpec, label: &'static str, workers: usize) -> Run {
-    sweep::pin_workers(workers);
-    let t0 = Instant::now();
-    let outcome = fleet.run(spec).expect("feasible fleet run");
-    let wall_s = t0.elapsed().as_secs_f64();
-    sweep::unpin_workers();
-    println!(
-        "{label:<11} workers {workers}: {:>9} done in {wall_s:>7.2}s wall, hit rate {:.4}, \
-         p99 {:>9.2} us, peak {:>9.1} mW ({} violations)",
-        outcome.completed,
-        outcome.hit_rate,
-        outcome.p99_us,
-        outcome.peak_power_mw,
-        outcome.cap_violations,
-    );
-    Run {
-        label,
-        workers,
-        outcome,
-        wall_s,
-    }
-}
-
-fn execute_chaos(
+/// Runs `spec` under `chaos` (quiet for the routing runs) with the
+/// sweep pool pinned to `workers`, timing the wall clock.
+fn execute(
     fleet: &Fleet,
     spec: &FleetWorkloadSpec,
     chaos: &ChaosSpec,
@@ -194,14 +176,18 @@ fn execute_chaos(
     let t0 = Instant::now();
     let outcome = fleet
         .run_chaos(spec, chaos, &Obs::null())
-        .expect("feasible chaos run");
+        .expect("feasible fleet run");
     let wall_s = t0.elapsed().as_secs_f64();
     sweep::unpin_workers();
     println!(
-        "chaos {label:<10} workers {workers}: {:>8}/{} done in {wall_s:>6.2}s, \
-         lost {} chips, {} failovers, {} shed, {} healed, violations {}+{}",
+        "{label:<15} workers {workers}: {:>8}/{} done in {wall_s:>6.2}s, hit rate {:.4}, \
+         p99 {:>9.2} us, peak {:>9.1} mW, lost {} chips, {} failovers, {} shed, {} healed, \
+         violations {}+{}",
         outcome.completed,
         outcome.requests,
+        outcome.hit_rate,
+        outcome.p99_us,
+        outcome.peak_power_mw,
         outcome.chips_lost,
         outcome.failovers,
         outcome.shed.total(),
@@ -291,47 +277,9 @@ fn chaos_row(r: &Run) -> Value {
         .into()
 }
 
-/// Re-runs the chip-loss campaign with a recording observer and writes
-/// its Chrome-trace JSON to `path`; the export is parsed back with the
-/// in-repo JSON parser and must contain `ChipDown` instants before the
-/// file is accepted.
-fn write_trace(fleet: &Fleet, spec: &FleetWorkloadSpec, chaos: &ChaosSpec, path: &str) {
-    use std::sync::Arc;
-    use uparc_sim::obs::TraceRecorder;
-
-    let recorder = Arc::new(TraceRecorder::new());
-    let obs = Obs::recording(Arc::clone(&recorder));
-    sweep::pin_workers(1);
-    let out = fleet
-        .run_chaos(spec, chaos, &obs)
-        .expect("traced chaos run is feasible");
-    sweep::unpin_workers();
-    assert!(out.chips_lost > 0, "traced campaign killed no chip");
-
-    let trace = recorder.chrome_trace(Some(obs.metrics()));
-    let parsed = uparc_sim::obs::json::parse(&trace)
-        .unwrap_or_else(|e| panic!("trace export is not valid JSON: {e}"));
-    let events = parsed
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .expect("trace has a traceEvents array");
-    assert!(!events.is_empty(), "traced campaign produced no events");
-    assert!(
-        trace.contains("ChipDown"),
-        "trace is missing ChipDown instants"
-    );
-
-    std::fs::write(path, &trace).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!(
-        "trace written: {path} ({} events, {} bytes)",
-        events.len(),
-        trace.len()
-    );
-}
-
 fn main() {
-    let args = uparc_bench::args::BenchArgs::parse();
-    let (smoke, trace_path) = (args.smoke, args.trace);
+    let h = Harness::new("fleet", 2);
+    let smoke = h.smoke;
     let s = scale(smoke);
 
     println!(
@@ -372,10 +320,11 @@ fn main() {
         seed: SEED,
     };
 
-    let rand1 = execute(&random, &spec, "random", 1);
-    let rand8 = execute(&random, &spec, "random", 8);
-    let loc1 = execute(&locality, &spec, "locality", 1);
-    let loc8 = execute(&locality, &spec, "locality", 8);
+    let quiet = ChaosSpec::quiet();
+    let rand1 = execute(&random, &spec, &quiet, "random", 1);
+    let rand8 = execute(&random, &spec, &quiet, "random", 8);
+    let loc1 = execute(&locality, &spec, &quiet, "locality", 1);
+    let loc8 = execute(&locality, &spec, &quiet, "locality", 8);
 
     // ---- acceptance gates --------------------------------------------
     for r in [&rand1, &rand8, &loc1, &loc8] {
@@ -425,19 +374,27 @@ fn main() {
     );
 
     // Throughput scaling 1 → 8 workers, normalised by what the host can
-    // actually parallelise (raw figures are in the report either way).
+    // actually parallelise (the raw speedup is in the report either way).
+    // One core cannot run workers in parallel, so there is no scaling to
+    // measure there.
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let speedup = rand1.wall_s / rand8.wall_s;
-    let scaling_efficiency = speedup / cores.min(8) as f64;
-    println!(
-        "scaling: {speedup:.2}x speedup on {cores} core(s) -> efficiency {scaling_efficiency:.2}"
-    );
-    if !smoke {
-        assert!(
-            scaling_efficiency >= 0.7,
-            "scaling efficiency {scaling_efficiency:.2} below 0.7 ({speedup:.2}x on {cores} cores)"
+    let scaling = if cores >= 2 {
+        let scaling_efficiency = speedup / cores.min(8) as f64;
+        println!(
+            "scaling: {speedup:.2}x speedup on {cores} cores -> efficiency {scaling_efficiency:.2}"
         );
-    }
+        if !smoke {
+            assert!(
+                scaling_efficiency >= 0.7,
+                "scaling efficiency {scaling_efficiency:.2} below 0.7 ({speedup:.2}x on {cores} cores)"
+            );
+        }
+        Value::fixed(scaling_efficiency, 3)
+    } else {
+        println!("scaling: {speedup:.2}x speedup on 1 core -> efficiency not measured");
+        Value::from("not measured")
+    };
 
     // Locality uplift vs random at the same worker count.
     let hit_uplift = loc8.outcome.hit_rate - rand8.outcome.hit_rate;
@@ -471,10 +428,11 @@ fn main() {
     };
     let horizon = SimTime::from_fs(s.chaos_requests * s.mean_gap.as_fs());
     let cells = chaos_cells(&s, horizon);
+    println!("chaos grid: {} campaigns", cells.len());
     let mut chaos_runs: Vec<(Run, Run)> = Vec::new();
     for (label, chaos) in &cells {
-        let one = execute_chaos(&chaos_fleet, &chaos_spec, chaos, label, 1);
-        let eight = execute_chaos(&chaos_fleet, &chaos_spec, chaos, label, 8);
+        let one = execute(&chaos_fleet, &chaos_spec, chaos, label, 1);
+        let eight = execute(&chaos_fleet, &chaos_spec, chaos, label, 8);
         chaos_runs.push((one, eight));
     }
 
@@ -540,19 +498,27 @@ fn main() {
         emergency_cell.peak_power_mw
     );
     // Rerun reproducibility: the same campaign again, byte for byte.
-    let rerun = execute_chaos(&chaos_fleet, &chaos_spec, &cells[1].1, "chip_loss_rerun", 8);
+    let rerun = execute(&chaos_fleet, &chaos_spec, &cells[1].1, "chip_loss_rerun", 8);
     assert_eq!(
         rerun.outcome.render(),
         loss_cell.render(),
         "chip-loss campaign is not reproducible"
     );
 
-    if let Some(path) = &trace_path {
-        write_trace(&chaos_fleet, &chaos_spec, &cells[1].1, path);
-    }
+    // The chip-loss campaign again, observed: the trace must show the
+    // chip deaths.
+    h.trace("chip-loss campaign", &["ChipDown"], |obs| {
+        sweep::pin_workers(1);
+        let out = chaos_fleet
+            .run_chaos(&chaos_spec, &cells[1].1, obs)
+            .expect("traced chaos run is feasible");
+        sweep::unpin_workers();
+        assert!(out.chips_lost > 0, "traced campaign killed no chip");
+        0
+    });
 
-    let report = JsonReport::new("uparc-bench-fleet", 2)
-        .field("smoke", smoke)
+    let report = h
+        .report()
         .field(
             "fleet",
             Obj::new()
@@ -592,7 +558,7 @@ fn main() {
                 .field("render_identical_locality", true)
                 .field("cap_violations_total", 0u64)
                 .field("speedup_1_to_8", Value::fixed(speedup, 3))
-                .field("scaling_efficiency", Value::fixed(scaling_efficiency, 3))
+                .field("scaling_efficiency", scaling)
                 .field("hit_rate_locality", Value::fixed(loc8.outcome.hit_rate, 6))
                 .field("hit_rate_random", Value::fixed(rand8.outcome.hit_rate, 6))
                 .field("wall_words_per_sec_uplift", Value::fixed(words_uplift, 3))
@@ -606,7 +572,18 @@ fn main() {
                 .field("emergency_cap_violations", 0u64),
         );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    std::fs::write(path, report.render()).expect("write BENCH_fleet.json");
-    println!("report written: {path}");
+    h.write(
+        &report.render(),
+        &[
+            "\"render_identical_random\": true",
+            "\"render_identical_locality\": true",
+            "\"cap_violations_total\": 0",
+            "\"wall_words_per_sec_uplift\"",
+            "\"chaos_accounting_exact\": true",
+            "\"chaos_render_identical\": true",
+            "\"chip_loss_reproducible\": true",
+            "\"emergency_cap_violations\": 0",
+            "\"campaign\": \"chip_loss\"",
+        ],
+    );
 }

@@ -24,12 +24,14 @@
 //!   25% larger than defrag-off on every (churn, policy) pair;
 //! * the report is byte-identical across two same-seed runs.
 
-use uparc_bench::report::{JsonReport, Obj, Value};
+use uparc_bench::harness::{render_twice, Harness};
+use uparc_bench::report::{Obj, Value};
 use uparc_fpga::alloc::FitPolicy;
 use uparc_fpga::device::Geometry;
 use uparc_fpga::{Device, Family};
 use uparc_place::churn::ChurnSpec;
 use uparc_place::sim::{run_churn, ChurnOutcome, PlacementConfig};
+use uparc_sim::obs::Obs;
 use uparc_sim::time::SimTime;
 
 /// Workload seed; the determinism gate reruns the grid with the same one.
@@ -83,7 +85,7 @@ fn churns(smoke: bool) -> Vec<(&'static str, ChurnSpec)> {
     ]
 }
 
-fn run_cell(spec: &ChurnSpec, policy: FitPolicy, defrag: bool) -> ChurnOutcome {
+fn run_cell(spec: &ChurnSpec, policy: FitPolicy, defrag: bool, obs: &Obs) -> ChurnOutcome {
     run_churn(
         spec,
         SEED,
@@ -92,6 +94,7 @@ fn run_cell(spec: &ChurnSpec, policy: FitPolicy, defrag: bool) -> ChurnOutcome {
             policy,
             defrag,
             verify_moves: true,
+            obs: obs.clone(),
             ..PlacementConfig::default()
         },
     )
@@ -135,7 +138,8 @@ fn cell_row(c: &Cell) -> Value {
 
 /// Runs the full grid and renders the report. Called twice; both renders
 /// must be byte-identical.
-fn render_report(smoke: bool) -> (String, Vec<Cell>) {
+fn render_report(h: &Harness) -> (String, Vec<Cell>) {
+    let smoke = h.smoke;
     let mut cells = Vec::new();
     for (churn, spec) in churns(smoke) {
         for policy in [FitPolicy::FirstFit, FitPolicy::BestFit] {
@@ -144,42 +148,42 @@ fn render_report(smoke: bool) -> (String, Vec<Cell>) {
                     churn,
                     policy,
                     defrag,
-                    out: run_cell(&spec, policy, defrag),
+                    out: run_cell(&spec, policy, defrag, &Obs::null()),
                 });
             }
         }
     }
 
-    // Defrag uplift per (churn, policy) pair: how much more largest-free
-    // capacity the defragmenter leaves at end of churn.
-    let mut uplift_rows: Vec<Value> = Vec::new();
-    for (churn, _) in churns(smoke) {
-        for policy in [FitPolicy::FirstFit, FitPolicy::BestFit] {
-            let find = |defrag: bool| {
-                cells
-                    .iter()
-                    .find(|c| c.churn == churn && c.policy == policy && c.defrag == defrag)
-                    .expect("cell exists")
-            };
-            let (off, on) = (find(false), find(true));
-            let uplift = f64::from(on.out.final_frag.largest_free)
-                / f64::from(off.out.final_frag.largest_free.max(1));
-            uplift_rows.push(
-                Obj::new()
-                    .field("churn", churn)
-                    .field("policy", policy.label())
-                    .field("largest_free_off", off.out.final_frag.largest_free)
-                    .field("largest_free_on", on.out.final_frag.largest_free)
-                    .field("uplift", Value::fixed(uplift, 3))
-                    .into(),
+    // Defrag uplift per (churn, policy) pair — the cells above come in
+    // (defrag off, defrag on) pairs: how much more largest-free capacity
+    // the defragmenter leaves at end of churn. Gated on both renders.
+    let uplift_rows: Vec<Value> = cells
+        .chunks(2)
+        .map(|pair| {
+            let (churn, policy) = (pair[0].churn, pair[0].policy.label());
+            let off = pair[0].out.final_frag.largest_free;
+            let on = pair[1].out.final_frag.largest_free;
+            assert!(
+                f64::from(on) >= UPLIFT_GATE * f64::from(off),
+                "{churn}/{policy}: defrag-on largest free {on} < {UPLIFT_GATE}x defrag-off {off}"
             );
-        }
-    }
+            Obj::new()
+                .field("churn", churn)
+                .field("policy", policy)
+                .field("largest_free_off", off)
+                .field("largest_free_on", on)
+                .field(
+                    "uplift",
+                    Value::fixed(f64::from(on) / f64::from(off.max(1)), 3),
+                )
+                .into()
+        })
+        .collect();
 
     let device = arena_device();
     let specs = churns(smoke);
-    let report = JsonReport::new("uparc-bench-placement", 1)
-        .field("smoke", smoke)
+    let report = h
+        .report()
         .field(
             "arena",
             Obj::new()
@@ -203,61 +207,10 @@ fn render_report(smoke: bool) -> (String, Vec<Cell>) {
     (report.render(), cells)
 }
 
-/// Reruns one defrag-on cell with a recording observer, writes its
-/// Chrome-trace JSON to `path`, and prints the flame summary.
-fn write_trace(smoke: bool, path: &str) {
-    use std::sync::Arc;
-    use uparc_sim::obs::{Obs, TraceRecorder};
-
-    let recorder = Arc::new(TraceRecorder::new());
-    let obs = Obs::recording(Arc::clone(&recorder));
-    let (_, spec) = churns(smoke).remove(1);
-    let out = run_churn(
-        &spec,
-        SEED,
-        PlacementConfig {
-            device: arena_device(),
-            policy: FitPolicy::FirstFit,
-            defrag: true,
-            verify_moves: true,
-            obs: obs.clone(),
-            ..PlacementConfig::default()
-        },
-    );
-
-    let trace = recorder.chrome_trace(Some(obs.metrics()));
-    let parsed = uparc_sim::obs::json::parse(&trace)
-        .unwrap_or_else(|e| panic!("trace export is not valid JSON: {e}"));
-    let events = parsed
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .expect("trace has a traceEvents array");
-    assert!(
-        trace.contains("\"name\":\"Relocate\""),
-        "observed run produced no Relocate spans"
-    );
-    assert!(
-        events.len() as u64 > u64::from(out.moves),
-        "trace carries fewer events ({}) than moves ({})",
-        events.len(),
-        out.moves
-    );
-
-    std::fs::write(path, &trace).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!(
-        "trace written: {path} ({} events, {} bytes)",
-        events.len(),
-        trace.len()
-    );
-    println!("--- flame summary (observed defrag-on cell) ---");
-    print!("{}", recorder.flame_summary());
-}
-
 fn main() {
-    let args = uparc_bench::args::BenchArgs::parse();
-    let (smoke, trace_path) = (args.smoke, args.trace);
+    let h = Harness::new("placement", 1);
 
-    let (rendered, cells) = render_report(smoke);
+    let (rendered, cells) = render_twice(|| render_report(&h));
     for c in &cells {
         let o = &c.out;
         println!(
@@ -300,31 +253,22 @@ fn main() {
             assert_eq!(o.icap_defrag, SimTime::ZERO, "{tag}: defrag time leaked");
         }
     }
-    for (churn, _) in churns(smoke) {
-        for policy in [FitPolicy::FirstFit, FitPolicy::BestFit] {
-            let largest = |defrag: bool| {
-                cells
-                    .iter()
-                    .find(|c| c.churn == churn && c.policy == policy && c.defrag == defrag)
-                    .map(|c| c.out.final_frag.largest_free)
-                    .expect("cell exists")
-            };
-            let (off, on) = (largest(false), largest(true));
-            assert!(
-                f64::from(on) >= UPLIFT_GATE * f64::from(off),
-                "{churn}/{}: defrag-on largest free {on} < {UPLIFT_GATE}x defrag-off {off}",
-                policy.label()
-            );
-        }
-    }
-    let (rerendered, _) = render_report(smoke);
-    assert_eq!(rendered, rerendered, "same-seed rerun changed the report");
 
-    if let Some(trace) = trace_path {
-        write_trace(smoke, &trace);
-    }
+    // The dense first-fit defrag-on cell again, observed: the trace must
+    // carry Relocate spans and more events than the cell made moves.
+    h.trace("observed defrag-on cell", &["Relocate"], |obs| {
+        let (_, spec) = churns(h.smoke).remove(1);
+        run_cell(&spec, FitPolicy::FirstFit, true, obs).moves as usize
+    });
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_placement.json");
-    std::fs::write(path, &rendered).expect("write BENCH_placement.json");
-    println!("report written: {path}");
+    h.write(
+        &rendered,
+        &[
+            "\"relocation_identical\": true",
+            "\"overlaps\": 0",
+            "\"defrag_uplift\"",
+            "\"rejected_trapped\"",
+            "\"contiguity\"",
+        ],
+    );
 }

@@ -23,7 +23,8 @@
 //!   over-temperature dispatches;
 //! * the report is byte-identical across two same-seed runs.
 
-use uparc_bench::report::{JsonReport, Obj, Value};
+use uparc_bench::harness::{render_twice, Harness};
+use uparc_bench::report::{Obj, Value};
 use uparc_bitstream::builder::PartialBitstream;
 use uparc_bitstream::synth::SynthProfile;
 use uparc_fpga::Device;
@@ -108,15 +109,10 @@ fn cell_config(cap: Option<f64>, dvfs: bool, thermal: bool) -> ServiceConfig {
     }
 }
 
-fn run_cell(
-    catalog: &Catalog,
-    cap: Option<f64>,
-    dvfs: bool,
-    thermal: bool,
-    smoke: bool,
-) -> ServiceSummary {
-    let service = Service::new(catalog.clone(), cell_config(cap, dvfs, thermal));
-    let requests = grid_spec(smoke).generate(SEED, service.catalog());
+/// Serves `spec`'s seeded request stream under `config`.
+fn serve(catalog: &Catalog, config: ServiceConfig, spec: &WorkloadSpec) -> ServiceSummary {
+    let service = Service::new(catalog.clone(), config);
+    let requests = spec.generate(SEED, service.catalog());
     service.run(&requests).summary()
 }
 
@@ -177,14 +173,15 @@ fn fig7_rows() -> Vec<Value> {
 /// report. Called twice; both renders must be byte-identical.
 #[allow(clippy::type_complexity)]
 fn render_report(
+    h: &Harness,
     catalog: &Catalog,
-    smoke: bool,
 ) -> (String, Vec<(Option<f64>, bool, bool, ServiceSummary)>) {
+    let smoke = h.smoke;
     let mut cells = Vec::new();
     for cap in CAPS {
         for dvfs in [false, true] {
             for thermal in [false, true] {
-                let s = run_cell(catalog, cap, dvfs, thermal, smoke);
+                let s = serve(catalog, cell_config(cap, dvfs, thermal), &grid_spec(smoke));
                 cells.push((cap, dvfs, thermal, s));
             }
         }
@@ -193,14 +190,16 @@ fn render_report(
     // Sustained-load thermal scenario: full-duty metronome, DVFS on,
     // governor on, no chip-level cap — the junction limit is the only
     // thing holding the draw down.
-    let thermal_service = Service::new(catalog.clone(), cell_config(None, true, true));
-    let thermal_reqs = sustained_spec(smoke).generate(SEED, thermal_service.catalog());
-    let th = thermal_service.run(&thermal_reqs).summary();
+    let th = serve(
+        catalog,
+        cell_config(None, true, true),
+        &sustained_spec(smoke),
+    );
 
     let spec = grid_spec(smoke);
     let tcfg = ThermalConfig::default();
-    let report = JsonReport::new("uparc-bench-power", 1)
-        .field("smoke", smoke)
+    let report = h
+        .report()
         .field(
             "workload",
             Obj::new()
@@ -249,61 +248,11 @@ fn render_report(
     (report.render(), cells)
 }
 
-/// Runs one fully observed DVFS+thermal cell, writes its Chrome-trace
-/// JSON to `path`, and checks the export carries the power events.
-fn write_trace(catalog: &Catalog, smoke: bool, path: &str) {
-    use std::sync::Arc;
-    use uparc_serve::obs::{Obs, TraceRecorder};
-
-    let recorder = Arc::new(TraceRecorder::new());
-    let obs = Obs::recording(Arc::clone(&recorder));
-    let service = Service::new(
-        catalog.clone(),
-        ServiceConfig {
-            obs: obs.clone(),
-            ..cell_config(Some(GATE_CAP_MW), true, true)
-        },
-    );
-    let requests = sustained_spec(smoke).generate(SEED, service.catalog());
-    let summary = service.run(&requests).summary();
-
-    let trace = recorder.chrome_trace(Some(obs.metrics()));
-    let parsed = uparc_sim::obs::json::parse(&trace)
-        .unwrap_or_else(|e| panic!("trace export is not valid JSON: {e}"));
-    let events = parsed
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .expect("trace has a traceEvents array");
-    let has = |name: &str| {
-        events
-            .iter()
-            .any(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
-    };
-    assert!(has("Vf"), "trace carries no Vf rail-ramp spans");
-    assert!(has("Thermal"), "trace carries no Thermal verdicts");
-    assert!(
-        events.len() > summary.completed,
-        "trace carries fewer events ({}) than completed requests ({})",
-        events.len(),
-        summary.completed
-    );
-
-    std::fs::write(path, &trace).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!(
-        "trace written: {path} ({} events, {} bytes)",
-        events.len(),
-        trace.len()
-    );
-    println!("--- flame summary (observed dvfs+thermal cell) ---");
-    print!("{}", recorder.flame_summary());
-}
-
 fn main() {
-    let args = uparc_bench::args::BenchArgs::parse();
-    let (smoke, trace_path) = (args.smoke, args.trace);
+    let h = Harness::new("power", 1);
     let catalog = build_catalog();
 
-    let (rendered, cells) = render_report(&catalog, smoke);
+    let (rendered, cells) = render_twice(|| render_report(&h, &catalog));
     for (cap, dvfs, thermal, s) in &cells {
         println!(
             "cap {:>5} mW {:<9} thermal {:<5}: {:>3} done, {:>8.3} uJ/req, peak {:>6.1} mW, {} throttles, {} violations",
@@ -322,7 +271,7 @@ fn main() {
     for (cap, dvfs, thermal, s) in &cells {
         assert_eq!(
             s.completed + s.rejected + s.failed,
-            grid_spec(smoke).requests,
+            grid_spec(h.smoke).requests,
             "cap {} {} thermal {}: requests unaccounted for",
             cap_label(*cap),
             mode_label(*dvfs),
@@ -376,14 +325,23 @@ fn main() {
         fo.mean_energy_uj
     );
 
-    let (rerendered, _) = render_report(&catalog, smoke);
-    assert_eq!(rendered, rerendered, "same-seed rerun changed the report");
+    // One fully observed DVFS+thermal cell under sustained load: the
+    // trace must carry the rail ramps and governor verdicts.
+    h.trace("observed dvfs+thermal cell", &["Vf", "Thermal"], |obs| {
+        let config = ServiceConfig {
+            obs: obs.clone(),
+            ..cell_config(Some(GATE_CAP_MW), true, true)
+        };
+        serve(&catalog, config, &sustained_spec(h.smoke)).completed
+    });
 
-    if let Some(trace) = trace_path {
-        write_trace(&catalog, smoke, &trace);
-    }
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_power.json");
-    std::fs::write(path, &rendered).expect("write BENCH_power.json");
-    println!("report written: {path}");
+    h.write(
+        &rendered,
+        &[
+            "\"fig7_anchor\"",
+            "\"exact\": true",
+            "\"thermal_scenario\"",
+            "\"overtemp_dispatches\": 0",
+        ],
+    );
 }

@@ -7,7 +7,8 @@
 //! Everything in the JSON derives from the *simulated* system — fault
 //! plans are expanded from seeds, times are simulated times — so the same
 //! invocation always produces a byte-identical report (the `--smoke` flag
-//! shrinks the grid, not the determinism).
+//! shrinks the grid, not the determinism); the harness runs the whole
+//! campaign twice and asserts it.
 //!
 //! Run with `cargo run --release -p uparc-bench --bin bench_resilience`;
 //! pass `--smoke` for the seconds-scale CI variant, and `--trace <path>`
@@ -17,8 +18,8 @@
 //! leaves any recoverable-by-design fault unrecovered — that is the CI
 //! gate.
 
-use uparc_bench::report::{JsonReport, Obj, Value};
-use uparc_bench::sweep;
+use uparc_bench::harness::{render_twice, Harness};
+use uparc_bench::report::{Obj, Value};
 use uparc_bitstream::builder::PartialBitstream;
 use uparc_bitstream::synth::SynthProfile;
 use uparc_controllers::farm::Farm;
@@ -27,7 +28,10 @@ use uparc_core::recovery::RecoveryPolicy;
 use uparc_core::uparc::{Mode, UParc};
 use uparc_core::UparcError;
 use uparc_fpga::Device;
-use uparc_sim::fault::{substream, FaultInjector, FaultKind, FaultPlan, FaultRates, FaultSpace};
+use uparc_sim::fault::{FaultInjector, FaultKind, FaultPlan, FaultRates, FaultSpace};
+use uparc_sim::obs::Obs;
+use uparc_sim::rng::{splitmix64, substream};
+use uparc_sim::sweep;
 use uparc_sim::time::{Frequency, SimTime};
 
 /// The protected partition every scenario reconfigures.
@@ -61,14 +65,8 @@ fn campaign_seed(rate_idx: usize, policy_idx: usize, s: u64) -> u64 {
     )
 }
 
-/// splitmix64 step, for deriving per-seed fault coordinates.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// Fault rates of the campaign grid.
+const RATES: [u32; 3] = [0, 1, 3];
 
 /// The three policies of the campaign. The healing policies get extra
 /// attempt headroom over the library defaults: at fault rate 3 a single
@@ -125,7 +123,7 @@ struct SingleRow {
     policy: &'static str,
     seed: u64,
     ok: bool,
-    error: String,
+    error: &'static str,
     attempts: u32,
     actions: Vec<&'static str>,
     extra_time_us: f64,
@@ -154,8 +152,7 @@ fn single_fault_cell(
     // The compressed datapath caps CLK_2 at 255 MHz; CRC transients need
     // the overclocked regime, everything else runs at the headline clock.
     let mhz = if compressed { 200.0 } else { 362.5 };
-    let mut rng = seed ^ 0x05EE_D0FF_A017_u64;
-    let r = splitmix64(&mut rng);
+    let r = splitmix64(seed ^ 0x05EE_D0FF_A017);
 
     // SEUs must strike *after* the partition is written to be observable;
     // a dry no-fault run pins the (deterministic) end-of-transfer instant.
@@ -215,43 +212,42 @@ fn single_fault_cell(
     }
 
     let outcome = policy.reconfigure(&mut sys, &bs, mode);
-    let log = sys.detach_fault_injector().expect("attached above");
-    let log = log.log();
-    let (applied, detected, recovered) = (
+    let (applied, detected, recovered) =
+        tally(&sys.detach_fault_injector().expect("attached above"));
+    let mut row = SingleRow {
+        class,
+        policy: policy_name,
+        seed,
+        ok: outcome.is_ok(),
+        error: "",
+        attempts: 0,
+        actions: Vec::new(),
+        extra_time_us: 0.0,
+        extra_energy_uj: 0.0,
+        applied,
+        detected,
+        recovered,
+    };
+    match outcome {
+        Ok(rec) => {
+            row.attempts = rec.attempts;
+            row.actions = rec.actions.iter().map(|a| a.label()).collect();
+            row.extra_time_us = rec.extra_time.as_secs_f64() * 1e6;
+            row.extra_energy_uj = rec.extra_energy_uj;
+        }
+        Err(e) => row.error = error_label(&e),
+    }
+    row
+}
+
+/// `(applied, detected, recovered)` fault counts of an injector's log.
+fn tally(injector: &FaultInjector) -> (usize, usize, usize) {
+    let log = injector.log();
+    (
         log.len(),
         log.iter().filter(|f| f.detected).count(),
         log.iter().filter(|f| f.recovered).count(),
-    );
-    match outcome {
-        Ok(rec) => SingleRow {
-            class,
-            policy: policy_name,
-            seed,
-            ok: true,
-            error: String::new(),
-            attempts: rec.attempts,
-            actions: rec.actions.iter().map(|a| a.label()).collect(),
-            extra_time_us: rec.extra_time.as_secs_f64() * 1e6,
-            extra_energy_uj: rec.extra_energy_uj,
-            applied,
-            detected,
-            recovered,
-        },
-        Err(e) => SingleRow {
-            class,
-            policy: policy_name,
-            seed,
-            ok: false,
-            error: error_label(&e).to_string(),
-            attempts: 0,
-            actions: Vec::new(),
-            extra_time_us: 0.0,
-            extra_energy_uj: 0.0,
-            applied,
-            detected,
-            recovered,
-        },
-    }
+    )
 }
 
 /// Stable short name for a propagated error (JSON field).
@@ -291,7 +287,7 @@ fn campaign_cell(
     policy_name: &'static str,
     policy: &RecoveryPolicy,
     seed: u64,
-    obs: &uparc_core::obs::Obs,
+    obs: &Obs,
 ) -> CampaignRow {
     let device = Device::xc5vsx50t();
     let mut sys = system(&device, 362.5);
@@ -350,11 +346,7 @@ fn campaign_cell(
         sys.advance_idle(SimTime::from_us(500));
     }
     let inj = sys.detach_fault_injector().expect("attached above");
-    let (applied, detected, recovered) = (
-        inj.log().len(),
-        inj.log().iter().filter(|f| f.detected).count(),
-        inj.log().iter().filter(|f| f.recovered).count(),
-    );
+    let (applied, detected, recovered) = tally(&inj);
     CampaignRow {
         rate,
         policy: policy_name,
@@ -402,57 +394,59 @@ fn farm_cell(class: &'static str, seed: u64) -> FarmRow {
     }
     ctrl.attach_fault_injector(inj);
     let ok = ctrl.reconfigure(&bs).is_ok();
-    let inj = ctrl.detach_fault_injector().expect("attached above");
+    let (applied, _, recovered) = tally(&ctrl.detach_fault_injector().expect("attached above"));
     FarmRow {
         class,
         ok,
-        applied: inj.log().len(),
-        recovered: inj.log().iter().filter(|f| f.recovered).count(),
+        applied,
+        recovered,
     }
 }
 
-/// Reruns the hardest campaign cell (rate 3, full policy) with a
-/// recording observer and writes the Chrome-trace JSON to `path`; the
-/// export is parsed back with the in-repo JSON parser before the file is
-/// accepted, and the flamegraph-style summary is printed.
-fn write_trace(path: &str) {
-    use std::sync::Arc;
-    use uparc_core::obs::{Obs, TraceRecorder};
-
-    let recorder = Arc::new(TraceRecorder::new());
-    let obs = Obs::recording(Arc::clone(&recorder));
-    let policy = RecoveryPolicy {
-        max_attempts: 10,
-        ..RecoveryPolicy::default()
-    };
-    // Rate 3 (index 2), full policy (index 2), first seed — the same
-    // cell the campaign grid runs, so the trace matches a grid row.
-    let row = campaign_cell(3, "full", &policy, campaign_seed(2, 2, 0), &obs);
-    assert_eq!(row.rounds_ok, row.rounds, "traced cell left rounds broken");
-
-    let trace = recorder.chrome_trace(Some(obs.metrics()));
-    let parsed = uparc_sim::obs::json::parse(&trace)
-        .unwrap_or_else(|e| panic!("trace export is not valid JSON: {e}"));
-    let events = parsed
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .expect("trace has a traceEvents array");
-    assert!(!events.is_empty(), "traced campaign produced no events");
-
-    std::fs::write(path, &trace).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!(
-        "trace written: {path} ({} events, {} bytes)",
-        events.len(),
-        trace.len()
-    );
-    println!("--- flame summary (rate-3 full-policy campaign) ---");
-    print!("{}", recorder.flame_summary());
+/// Campaign totals of one (rate, policy) group of seeds.
+struct Aggregate {
+    rounds: u32,
+    rounds_ok: u32,
+    applied: usize,
+    detected: usize,
+    recovered: usize,
+    mttr_us: f64,
 }
 
-fn main() {
-    let args = uparc_bench::args::BenchArgs::parse();
-    let (smoke, trace_path) = (args.smoke, args.trace);
-    let seeds_per_cell: u64 = if smoke { 2 } else { 6 };
+fn aggregate(rows: &[CampaignRow], rate: u32, policy: &str) -> Aggregate {
+    let rows: Vec<&CampaignRow> = rows
+        .iter()
+        .filter(|r| r.rate == rate && r.policy == policy)
+        .collect();
+    let healed: u32 = rows.iter().map(|r| r.healed_rounds).sum();
+    Aggregate {
+        rounds: rows.iter().map(|r| r.rounds).sum(),
+        rounds_ok: rows.iter().map(|r| r.rounds_ok).sum(),
+        applied: rows.iter().map(|r| r.applied).sum(),
+        detected: rows.iter().map(|r| r.detected).sum(),
+        recovered: rows.iter().map(|r| r.recovered).sum(),
+        mttr_us: if healed > 0 {
+            rows.iter()
+                .map(|r| r.mttr_us * f64::from(r.healed_rounds))
+                .sum::<f64>()
+                / f64::from(healed)
+        } else {
+            0.0
+        },
+    }
+}
+
+/// Every table of one run: single faults, the campaign grid, FaRM.
+struct Tables {
+    single: Vec<SingleRow>,
+    campaign: Vec<CampaignRow>,
+    farm: Vec<FarmRow>,
+}
+
+/// Runs every table and renders the report. Called twice; both renders
+/// must be byte-identical.
+fn render_report(h: &Harness) -> (String, Tables) {
+    let seeds_per_cell: u64 = if h.smoke { 2 } else { 6 };
     let policies = policies();
 
     // ---- Per-class single-fault table --------------------------------
@@ -464,35 +458,143 @@ fn main() {
             }
         }
     }
-    let single_rows = sweep::parallel_map(&single_cells, |(class, pname, policy, seed)| {
+    let single = sweep::parallel_map(&single_cells, |(class, pname, policy, seed)| {
         single_fault_cell(class, pname, policy, *seed)
     });
 
     // ---- Fault-rate × policy campaign grid ---------------------------
-    let rates: &[u32] = &[0, 1, 3];
     let mut campaign_cells: Vec<(u32, &'static str, RecoveryPolicy, u64)> = Vec::new();
-    for (ri, &rate) in rates.iter().enumerate() {
+    for (ri, &rate) in RATES.iter().enumerate() {
         for (pi, (pname, policy)) in policies.iter().enumerate() {
             for s in 0..seeds_per_cell {
                 campaign_cells.push((rate, pname, policy.clone(), campaign_seed(ri, pi, s)));
             }
         }
     }
-    let campaign_rows = sweep::parallel_map(&campaign_cells, |(rate, pname, policy, seed)| {
-        campaign_cell(*rate, pname, policy, *seed, &uparc_core::obs::Obs::null())
+    let campaign = sweep::parallel_map(&campaign_cells, |(rate, pname, policy, seed)| {
+        campaign_cell(*rate, pname, policy, *seed, &Obs::null())
     });
 
     // ---- FaRM baseline ------------------------------------------------
-    let farm_rows: Vec<FarmRow> = ["staged_flip_raw", "crc_transient"]
+    let farm: Vec<FarmRow> = ["staged_flip_raw", "crc_transient"]
         .iter()
         .enumerate()
         .map(|(i, &c)| farm_cell(c, substream(BENCH_SEED, LANE_FARM, i as u64)))
         .collect();
 
+    let mut aggregates: Vec<Value> = Vec::new();
+    for rate in RATES {
+        for (pname, _) in &policies {
+            let a = aggregate(&campaign, rate, pname);
+            aggregates.push(
+                Obj::new()
+                    .field("rate", rate)
+                    .field("policy", *pname)
+                    .field(
+                        "completion_rate",
+                        Value::fixed(f64::from(a.rounds_ok) / f64::from(a.rounds.max(1)), 4),
+                    )
+                    .field(
+                        "detection_coverage",
+                        Value::fixed(a.detected as f64 / (a.applied.max(1)) as f64, 4),
+                    )
+                    .field(
+                        "recovery_coverage",
+                        Value::fixed(a.recovered as f64 / (a.detected.max(1)) as f64, 4),
+                    )
+                    .field("mttr_us", Value::fixed(a.mttr_us, 3))
+                    .into(),
+            );
+        }
+    }
+
+    let report = h
+        .report()
+        .field("seeds_per_cell", seeds_per_cell)
+        .field(
+            "partition",
+            Obj::new().field("far", FAR).field("frames", FRAMES),
+        )
+        .field(
+            "single_fault",
+            single
+                .iter()
+                .map(|r| {
+                    Obj::new()
+                        .field("class", r.class)
+                        .field("policy", r.policy)
+                        .field("seed", r.seed)
+                        .field("ok", r.ok)
+                        .field("error", r.error)
+                        .field("attempts", r.attempts)
+                        .field(
+                            "actions",
+                            r.actions.iter().map(|&a| a.into()).collect::<Vec<Value>>(),
+                        )
+                        .field("extra_time_us", Value::fixed(r.extra_time_us, 3))
+                        .field("extra_energy_uj", Value::fixed(r.extra_energy_uj, 3))
+                        .field("faults_applied", r.applied)
+                        .field("detected", r.detected)
+                        .field("recovered", r.recovered)
+                        .into()
+                })
+                .collect::<Vec<Value>>(),
+        )
+        .field(
+            "campaign",
+            campaign
+                .iter()
+                .map(|r| {
+                    Obj::new()
+                        .field("rate", r.rate)
+                        .field("policy", r.policy)
+                        .field("seed", r.seed)
+                        .field("rounds", r.rounds)
+                        .field("rounds_ok", r.rounds_ok)
+                        .field("healed_rounds", r.healed_rounds)
+                        .field("attempts", r.attempts)
+                        .field("faults_applied", r.applied)
+                        .field("detected", r.detected)
+                        .field("recovered", r.recovered)
+                        .field("pending_left", r.pending_left)
+                        .field("mttr_us", Value::fixed(r.mttr_us, 3))
+                        .field("extra_energy_uj", Value::fixed(r.extra_energy_uj, 3))
+                        .into()
+                })
+                .collect::<Vec<Value>>(),
+        )
+        .field("aggregates", aggregates)
+        .field(
+            "farm_baseline",
+            farm.iter()
+                .map(|r| {
+                    Obj::new()
+                        .field("class", r.class)
+                        .field("ok", r.ok)
+                        .field("faults_applied", r.applied)
+                        .field("recovered", r.recovered)
+                        .into()
+                })
+                .collect::<Vec<Value>>(),
+        );
+    (
+        report.render(),
+        Tables {
+            single,
+            campaign,
+            farm,
+        },
+    )
+}
+
+fn main() {
+    let h = Harness::new("resilience", 2);
+    let (rendered, t) = render_twice(|| render_report(&h));
+
     // ---- Acceptance gates (always on, smoke included) ----------------
     // 1. The full policy recovers every recoverable-by-design single
     //    fault, with nonzero-but-bounded overhead.
-    for row in single_rows.iter().filter(|r| r.policy == "full") {
+    for row in t.single.iter().filter(|r| r.policy == "full") {
         assert!(
             row.ok,
             "full policy failed recoverable class {} (seed {}): {}",
@@ -520,7 +622,8 @@ fn main() {
         }
     }
     // 2. The baseline policy does nothing: a clean run has zero overhead.
-    for row in single_rows
+    for row in t
+        .single
         .iter()
         .filter(|r| r.policy == "none" && r.class == "none")
     {
@@ -528,7 +631,7 @@ fn main() {
     }
     // 3. Full-policy campaigns complete every round — no
     //    unrecovered-but-recoverable fault at any rate (the CI gate).
-    for row in campaign_rows.iter().filter(|r| r.policy == "full") {
+    for row in t.campaign.iter().filter(|r| r.policy == "full") {
         assert_eq!(
             row.rounds_ok, row.rounds,
             "full policy left rounds unrecovered at rate {} seed {}",
@@ -536,157 +639,43 @@ fn main() {
         );
     }
     // 4. FaRM has no recovery: injected faults fail the call.
-    for row in &farm_rows {
+    for row in &t.farm {
         assert!(!row.ok, "farm baseline unexpectedly absorbed {}", row.class);
         assert_eq!(row.recovered, 0);
     }
 
     // ---- Console summary ---------------------------------------------
+    let policies = policies();
     for (pname, _) in &policies {
-        let rows: Vec<&SingleRow> = single_rows
+        let rows: Vec<&SingleRow> = t
+            .single
             .iter()
             .filter(|r| r.policy == *pname && r.class != "none")
             .collect();
         let ok = rows.iter().filter(|r| r.ok).count();
         println!("single-fault [{pname:>5}]: {ok}/{} recovered", rows.len());
     }
-    for &rate in rates {
+    for rate in RATES {
         for (pname, _) in &policies {
-            let rows: Vec<&CampaignRow> = campaign_rows
-                .iter()
-                .filter(|r| r.rate == rate && r.policy == *pname)
-                .collect();
-            let total_rounds: u32 = rows.iter().map(|r| r.rounds).sum();
-            let ok_rounds: u32 = rows.iter().map(|r| r.rounds_ok).sum();
-            let applied: usize = rows.iter().map(|r| r.applied).sum();
-            let detected: usize = rows.iter().map(|r| r.detected).sum();
+            let a = aggregate(&t.campaign, rate, pname);
             println!(
-                "campaign rate {rate} [{pname:>5}]: {ok_rounds}/{total_rounds} rounds ok, \
-                 {detected}/{applied} faults detected"
+                "campaign rate {rate} [{pname:>5}]: {}/{} rounds ok, {}/{} faults detected",
+                a.rounds_ok, a.rounds, a.detected, a.applied
             );
         }
     }
 
-    // ---- JSON report --------------------------------------------------
-    let mut aggregates: Vec<Value> = Vec::new();
-    for &rate in rates {
-        for (pname, _) in &policies {
-            let rows: Vec<&CampaignRow> = campaign_rows
-                .iter()
-                .filter(|r| r.rate == rate && r.policy == *pname)
-                .collect();
-            let total_rounds: u32 = rows.iter().map(|r| r.rounds).sum();
-            let ok_rounds: u32 = rows.iter().map(|r| r.rounds_ok).sum();
-            let applied: usize = rows.iter().map(|r| r.applied).sum();
-            let detected: usize = rows.iter().map(|r| r.detected).sum();
-            let recovered: usize = rows.iter().map(|r| r.recovered).sum();
-            let healed: u32 = rows.iter().map(|r| r.healed_rounds).sum();
-            let mttr_us = if healed > 0 {
-                rows.iter()
-                    .map(|r| r.mttr_us * f64::from(r.healed_rounds))
-                    .sum::<f64>()
-                    / f64::from(healed)
-            } else {
-                0.0
-            };
-            aggregates.push(
-                Obj::new()
-                    .field("rate", rate)
-                    .field("policy", *pname)
-                    .field(
-                        "completion_rate",
-                        Value::fixed(f64::from(ok_rounds) / f64::from(total_rounds.max(1)), 4),
-                    )
-                    .field(
-                        "detection_coverage",
-                        Value::fixed(detected as f64 / (applied.max(1)) as f64, 4),
-                    )
-                    .field(
-                        "recovery_coverage",
-                        Value::fixed(recovered as f64 / (detected.max(1)) as f64, 4),
-                    )
-                    .field("mttr_us", Value::fixed(mttr_us, 3))
-                    .into(),
-            );
-        }
-    }
+    // The hardest campaign cell — rate 3 (index 2), full policy (index
+    // 2), first seed — observed, so the trace matches a grid row.
+    h.trace("rate-3 full-policy campaign", &[], |obs| {
+        let policy = RecoveryPolicy {
+            max_attempts: 10,
+            ..RecoveryPolicy::default()
+        };
+        let row = campaign_cell(3, "full", &policy, campaign_seed(2, 2, 0), obs);
+        assert_eq!(row.rounds_ok, row.rounds, "traced cell left rounds broken");
+        0
+    });
 
-    let report = JsonReport::new("uparc-bench-resilience", 2)
-        .field("smoke", smoke)
-        .field("seeds_per_cell", seeds_per_cell)
-        .field(
-            "partition",
-            Obj::new().field("far", FAR).field("frames", FRAMES),
-        )
-        .field(
-            "single_fault",
-            single_rows
-                .iter()
-                .map(|r| {
-                    Obj::new()
-                        .field("class", r.class)
-                        .field("policy", r.policy)
-                        .field("seed", r.seed)
-                        .field("ok", r.ok)
-                        .field("error", r.error.as_str())
-                        .field("attempts", r.attempts)
-                        .field(
-                            "actions",
-                            r.actions.iter().map(|&a| a.into()).collect::<Vec<Value>>(),
-                        )
-                        .field("extra_time_us", Value::fixed(r.extra_time_us, 3))
-                        .field("extra_energy_uj", Value::fixed(r.extra_energy_uj, 3))
-                        .field("faults_applied", r.applied)
-                        .field("detected", r.detected)
-                        .field("recovered", r.recovered)
-                        .into()
-                })
-                .collect::<Vec<Value>>(),
-        )
-        .field(
-            "campaign",
-            campaign_rows
-                .iter()
-                .map(|r| {
-                    Obj::new()
-                        .field("rate", r.rate)
-                        .field("policy", r.policy)
-                        .field("seed", r.seed)
-                        .field("rounds", r.rounds)
-                        .field("rounds_ok", r.rounds_ok)
-                        .field("healed_rounds", r.healed_rounds)
-                        .field("attempts", r.attempts)
-                        .field("faults_applied", r.applied)
-                        .field("detected", r.detected)
-                        .field("recovered", r.recovered)
-                        .field("pending_left", r.pending_left)
-                        .field("mttr_us", Value::fixed(r.mttr_us, 3))
-                        .field("extra_energy_uj", Value::fixed(r.extra_energy_uj, 3))
-                        .into()
-                })
-                .collect::<Vec<Value>>(),
-        )
-        .field("aggregates", aggregates)
-        .field(
-            "farm_baseline",
-            farm_rows
-                .iter()
-                .map(|r| {
-                    Obj::new()
-                        .field("class", r.class)
-                        .field("ok", r.ok)
-                        .field("faults_applied", r.applied)
-                        .field("recovered", r.recovered)
-                        .into()
-                })
-                .collect::<Vec<Value>>(),
-        );
-
-    if let Some(trace) = trace_path {
-        write_trace(&trace);
-    }
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_resilience.json");
-    report.write(path).expect("write BENCH_resilience.json");
-    println!("report written: {path}");
+    h.write(&rendered, &[]);
 }

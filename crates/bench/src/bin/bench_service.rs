@@ -20,7 +20,8 @@
 //! * EDF misses no more deadlines than FIFO on any cell;
 //! * the report is byte-identical across two same-seed runs.
 
-use uparc_bench::report::{JsonReport, Obj, Value};
+use uparc_bench::harness::{render_twice, Harness};
+use uparc_bench::report::{Obj, Value};
 use uparc_bitstream::builder::PartialBitstream;
 use uparc_bitstream::synth::SynthProfile;
 use uparc_fpga::Device;
@@ -30,6 +31,7 @@ use uparc_serve::request::BitstreamId;
 use uparc_serve::scheduler::Policy;
 use uparc_serve::service::{Service, ServiceConfig};
 use uparc_serve::workload::{ArrivalPattern, WorkloadSpec};
+use uparc_sim::obs::Obs;
 use uparc_sim::time::SimTime;
 
 /// Workload seed; the determinism gate reruns the grid with the same one.
@@ -74,16 +76,24 @@ fn grid_spec(smoke: bool) -> WorkloadSpec {
     }
 }
 
-fn run_cell(catalog: &Catalog, policy: Policy, cap: Option<f64>, smoke: bool) -> ServiceSummary {
+/// Serves `spec`'s seeded request stream under `policy` and `cap`.
+fn serve(
+    catalog: &Catalog,
+    policy: Policy,
+    cap: Option<f64>,
+    spec: &WorkloadSpec,
+    obs: &Obs,
+) -> ServiceSummary {
     let service = Service::new(
         catalog.clone(),
         ServiceConfig {
             policy,
             power_cap_mw: cap.unwrap_or(f64::INFINITY),
+            obs: obs.clone(),
             ..ServiceConfig::default()
         },
     );
-    let requests = grid_spec(smoke).generate(SEED, service.catalog());
+    let requests = spec.generate(SEED, service.catalog());
     service.run(&requests).summary()
 }
 
@@ -113,13 +123,14 @@ fn summary_row(policy: Policy, cap: Option<f64>, s: &ServiceSummary) -> Value {
 /// Runs the full grid plus the arrival-pattern sweep and renders the
 /// report. Called twice; both renders must be byte-identical.
 fn render_report(
+    h: &Harness,
     catalog: &Catalog,
-    smoke: bool,
 ) -> (String, Vec<(Policy, Option<f64>, ServiceSummary)>) {
+    let smoke = h.smoke;
     let mut cells = Vec::new();
     for cap in CAPS {
         for policy in Policy::ALL {
-            let s = run_cell(catalog, policy, cap, smoke);
+            let s = serve(catalog, policy, cap, &grid_spec(smoke), &Obs::null());
             cells.push((policy, cap, s));
         }
     }
@@ -138,20 +149,17 @@ fn render_report(
     ];
     let mut pattern_rows: Vec<Value> = Vec::new();
     for (name, pattern) in patterns {
-        let service = Service::new(
-            catalog.clone(),
-            ServiceConfig {
-                policy: Policy::PowerGreedy,
-                power_cap_mw: 700.0,
-                ..ServiceConfig::default()
-            },
-        );
         let spec = WorkloadSpec {
             pattern,
             ..grid_spec(smoke)
         };
-        let requests = spec.generate(SEED, service.catalog());
-        let s = service.run(&requests).summary();
+        let s = serve(
+            catalog,
+            Policy::PowerGreedy,
+            Some(700.0),
+            &spec,
+            &Obs::null(),
+        );
         assert_eq!(s.cap_violations, 0, "pattern {name}: cap violated");
         pattern_rows.push(
             Obj::new()
@@ -167,8 +175,8 @@ fn render_report(
     }
 
     let spec = grid_spec(smoke);
-    let report = JsonReport::new("uparc-bench-service", 1)
-        .field("smoke", smoke)
+    let report = h
+        .report()
         .field(
             "workload",
             Obj::new()
@@ -193,58 +201,11 @@ fn render_report(
     (report.render(), cells)
 }
 
-/// Runs one fully observed power-greedy cell, writes its Chrome-trace
-/// JSON to `path`, and prints the flamegraph-style summary. The export is
-/// validated by parsing it back with the in-repo JSON parser and checking
-/// the trace actually carries events.
-fn write_trace(catalog: &Catalog, smoke: bool, path: &str) {
-    use std::sync::Arc;
-    use uparc_serve::obs::{Obs, TraceRecorder};
-
-    let recorder = Arc::new(TraceRecorder::new());
-    let obs = Obs::recording(Arc::clone(&recorder));
-    let service = Service::new(
-        catalog.clone(),
-        ServiceConfig {
-            policy: Policy::PowerGreedy,
-            power_cap_mw: 700.0,
-            obs: obs.clone(),
-            ..ServiceConfig::default()
-        },
-    );
-    let requests = grid_spec(smoke).generate(SEED, service.catalog());
-    let summary = service.run(&requests).summary();
-
-    let trace = recorder.chrome_trace(Some(obs.metrics()));
-    let parsed = uparc_sim::obs::json::parse(&trace)
-        .unwrap_or_else(|e| panic!("trace export is not valid JSON: {e}"));
-    let events = parsed
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .expect("trace has a traceEvents array");
-    assert!(
-        events.len() > summary.completed,
-        "trace carries fewer events ({}) than completed requests ({})",
-        events.len(),
-        summary.completed
-    );
-
-    std::fs::write(path, &trace).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!(
-        "trace written: {path} ({} events, {} bytes)",
-        events.len(),
-        trace.len()
-    );
-    println!("--- flame summary (observed power-greedy cell) ---");
-    print!("{}", recorder.flame_summary());
-}
-
 fn main() {
-    let args = uparc_bench::args::BenchArgs::parse();
-    let (smoke, trace_path) = (args.smoke, args.trace);
+    let h = Harness::new("service", 1);
     let catalog = build_catalog();
 
-    let (rendered, cells) = render_report(&catalog, smoke);
+    let (rendered, cells) = render_twice(|| render_report(&h, &catalog));
     for (policy, cap, s) in &cells {
         println!(
             "{:<13} cap {:>5} mW: {:>3} done, {:>2} miss, p95 {:>9.1} us, peak {:>6.1} mW, {} violations",
@@ -262,7 +223,7 @@ fn main() {
     for (policy, cap, s) in &cells {
         assert_eq!(
             s.completed + s.rejected + s.failed,
-            grid_spec(smoke).requests,
+            grid_spec(h.smoke).requests,
             "{} cap {}: requests unaccounted for",
             policy.label(),
             cap_label(*cap)
@@ -297,14 +258,13 @@ fn main() {
             cap_label(cap)
         );
     }
-    let (rerendered, _) = render_report(&catalog, smoke);
-    assert_eq!(rendered, rerendered, "same-seed rerun changed the report");
 
-    if let Some(trace) = trace_path {
-        write_trace(&catalog, smoke, &trace);
-    }
+    // One fully observed power-greedy cell: the trace must carry more
+    // events than the cell completed requests.
+    h.trace("observed power-greedy cell", &[], |obs| {
+        let spec = grid_spec(h.smoke);
+        serve(&catalog, Policy::PowerGreedy, Some(700.0), &spec, obs).completed
+    });
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    std::fs::write(path, &rendered).expect("write BENCH_service.json");
-    println!("report written: {path}");
+    h.write(&rendered, &[]);
 }

@@ -13,8 +13,8 @@
 use std::any::Any;
 use std::time::Instant;
 
-use uparc_bench::report::{JsonReport, Obj, Value};
-use uparc_bench::sweep;
+use uparc_bench::harness::Harness;
+use uparc_bench::report::{Obj, Value};
 use uparc_bitstream::builder::PartialBitstream;
 use uparc_bitstream::synth::SynthProfile;
 use uparc_compress::parallel::BlockCodec;
@@ -24,6 +24,7 @@ use uparc_core::uparc::{Mode, UParc};
 use uparc_fpga::{Device, Icap};
 use uparc_sim::engine::{Context, Engine, Process, ProcessId};
 use uparc_sim::queue::EventQueue;
+use uparc_sim::sweep;
 use uparc_sim::time::{Frequency, SimTime};
 
 /// Event-queue ops/s recorded by PR 1's `BinaryHeap` kernel on this same
@@ -106,7 +107,8 @@ fn best_of<F: FnMut()>(reps: usize, items: u64, mut f: F) -> Measured {
 }
 
 fn main() {
-    let smoke = uparc_bench::args::BenchArgs::parse().smoke;
+    let h = Harness::new("throughput", 4);
+    let smoke = h.smoke;
     let reps = if smoke { 2 } else { 5 };
     let device = Device::xc5vsx50t();
     let profile = SynthProfile::dense();
@@ -493,8 +495,8 @@ fn main() {
 
     // ---- JSON report --------------------------------------------------
     let queue_speedup = queue.per_sec() / QUEUE_BASELINE_OPS_PER_SEC;
-    let report = JsonReport::new("uparc-bench-throughput", 4)
-        .field("smoke", smoke)
+    let report = h
+        .report()
         .field(
             "icap",
             Obj::new()
@@ -609,25 +611,15 @@ fn main() {
                 ),
         );
 
-    // Rendering is deterministic: two renders of the same report are
-    // byte-identical, and the file on disk is exactly the render.
-    let rendered = report.render();
-    assert_eq!(rendered, report.render(), "nondeterministic JSON render");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
-    report.write(path).expect("write BENCH_throughput.json");
-    let on_disk = std::fs::read_to_string(path).expect("read back BENCH_throughput.json");
-    assert_eq!(on_disk, rendered, "written report diverges from render");
-    println!("report written: {path}");
-
-    // The v4 schema fields the CI smoke run keys on must exist in every
-    // variant, smoke included.
-    for key in [
-        "\"streaming_words_per_sec\"",
-        "\"parallel_encode\"",
-        "\"obs_overhead_raw\"",
-    ] {
-        assert!(rendered.contains(key), "report lost the {key} field");
-    }
+    // The v4 fields must exist in every variant, smoke included.
+    h.write(
+        &report.render(),
+        &[
+            "\"streaming_words_per_sec\"",
+            "\"parallel_encode\"",
+            "\"obs_overhead_raw\"",
+        ],
+    );
 
     // Acceptance gates (full-size workloads only): the batched ICAP path
     // must hold PR 1's 5x floor, the calendar queue must be at least 3x

@@ -10,11 +10,12 @@
 //!
 //! Run with `cargo run --release -p uparc-bench --bin figure5`.
 
-use uparc_bench::{sweep, Report};
+use uparc_bench::Report;
 use uparc_bitstream::builder::PartialBitstream;
 use uparc_bitstream::synth::SynthProfile;
 use uparc_core::uparc::{Mode, UParc};
 use uparc_fpga::Device;
+use uparc_sim::sweep;
 use uparc_sim::time::Frequency;
 
 /// The size axis of Fig. 5, in KB.

@@ -10,12 +10,13 @@
 //!
 //! Run with `cargo run --release -p uparc-bench --bin figure7`.
 
-use uparc_bench::{sweep, vs_paper, Report};
+use uparc_bench::{vs_paper, Report};
 use uparc_bitstream::builder::PartialBitstream;
 use uparc_bitstream::synth::SynthProfile;
 use uparc_core::uparc::{Mode, UParc};
 use uparc_fpga::Device;
 use uparc_sim::power::calib;
+use uparc_sim::sweep;
 use uparc_sim::time::{Frequency, SimTime};
 use uparc_sim::trace::Oscilloscope;
 

@@ -8,11 +8,12 @@
 //!
 //! Run with `cargo run --release -p uparc-bench --bin table1`.
 
-use uparc_bench::{sweep, vs_paper, Report};
+use uparc_bench::{vs_paper, Report};
 use uparc_bitstream::builder::PartialBitstream;
 use uparc_bitstream::synth::SynthProfile;
 use uparc_compress::{Algorithm, Ratio};
 use uparc_fpga::Device;
+use uparc_sim::sweep;
 
 /// The evaluated partial-bitstream sizes in bytes (spanning the Fig. 5 size
 /// axis: small filters to the 247 KB maximum the 256 KB BRAM can hold raw).

@@ -3,14 +3,14 @@
 //! Each table/figure of the paper is regenerated by one binary in
 //! `src/bin/` (see DESIGN.md §4 for the experiment index). This library
 //! holds the shared report formatting: aligned tables and paper-vs-measured
-//! comparison rows.
+//! comparison rows, the byte-stable JSON writer ([`report`]) and the
+//! [`harness`] every `bench_*` regression binary runs through.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
+pub mod harness;
 pub mod report;
-pub mod sweep;
 
 /// A simple fixed-width table printer for harness output.
 #[derive(Debug, Clone)]

@@ -150,12 +150,6 @@ impl From<usize> for Value {
     }
 }
 
-impl From<i64> for Value {
-    fn from(n: i64) -> Value {
-        Value::Num(n.to_string())
-    }
-}
-
 impl From<&str> for Value {
     fn from(s: &str) -> Value {
         Value::Str(s.to_owned())
@@ -231,15 +225,6 @@ impl JsonReport {
         Value::Obj(self.root.fields.clone()).render_into(&mut out, 0);
         out.push('\n');
         out
-    }
-
-    /// Renders and writes the report to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.render())
     }
 }
 

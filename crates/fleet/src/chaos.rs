@@ -7,14 +7,14 @@
 //! [`EmergencyWindow`]s that cut the rack cap mid-run.
 //!
 //! Every per-chip schedule is a pure function of `(seed, chip)` through
-//! [`uparc_sim::fault::substream`] sub-stream derivation: chip *c*'s
+//! [`uparc_sim::rng::substream`] sub-stream derivation: chip *c*'s
 //! fate never depends on how many other chips the fleet has, so a
 //! campaign is invariant to chip count and shard decomposition
 //! (`tests/fleet.rs` pins this). Per-request fault coordinates come from
 //! a further `(chip, request index)` sub-stream, so replaying any slice
 //! of the request space reproduces the same faults.
 
-use uparc_sim::fault::substream;
+use uparc_sim::rng::substream;
 use uparc_sim::time::SimTime;
 
 use crate::budget::EmergencyWindow;

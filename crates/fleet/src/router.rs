@@ -29,10 +29,11 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 use uparc_serve::request::BitstreamId;
 use uparc_sim::obs::{EventKind, Obs};
+use uparc_sim::rng::{splitmix64, GOLDEN};
 use uparc_sim::time::SimTime;
 
 use crate::health::{ChipState, HealthTimeline};
-use crate::workload::{splitmix64, FleetRequest, GOLDEN};
+use crate::workload::FleetRequest;
 
 /// How the fleet assigns requests to chips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,19 +12,8 @@
 use std::ops::Range;
 
 use uparc_serve::request::BitstreamId;
+use uparc_sim::rng::{splitmix64, GOLDEN};
 use uparc_sim::time::SimTime;
-
-/// Weyl increment of the splitmix64 generator.
-pub(crate) const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// One splitmix64 output for state `x` (stateless finalizer).
-#[must_use]
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(GOLDEN);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// One request of the fleet stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,13 +4,13 @@
 //! A churn trace is a sequence of tenant arrivals, each asking for a
 //! contiguous frame window and (for transient tenants) holding it for a
 //! residency time before departing. Expansion is pure: every per-tenant
-//! draw comes from its own [`uparc_sim::fault::substream`] lane, so
+//! draw comes from its own [`uparc_sim::rng::substream`] lane, so
 //! tenant *i*'s size, gap, residency and payload are functions of
 //! `(seed, i)` alone — growing the trace or reordering the grid never
 //! shifts another tenant's draws (the same invariance the fault and
 //! fleet campaigns pin).
 
-use uparc_sim::fault::substream;
+use uparc_sim::rng::substream;
 use uparc_sim::time::SimTime;
 
 /// Sub-stream lanes, one per independent per-tenant draw.

@@ -19,8 +19,8 @@ use uparc_fpga::Device;
 use uparc_serve::dynamic::{DynamicCatalog, PlacementError};
 use uparc_serve::request::BitstreamId;
 use uparc_sim::engine::{Context, Engine, Process};
-use uparc_sim::fault::substream;
 use uparc_sim::obs::{EventKind, Obs};
+use uparc_sim::rng::substream;
 use uparc_sim::time::{Frequency, SimTime};
 
 use crate::churn::{Arrival, ChurnSpec, LANE_PAYLOAD};

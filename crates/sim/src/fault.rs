@@ -16,6 +16,7 @@
 //! maps them onto its own address spaces. Everything is reproducible from
 //! the seed — no wall-clock, no global RNG.
 
+use crate::rng;
 use crate::time::SimTime;
 
 /// One kind of injectable hardware fault.
@@ -151,35 +152,6 @@ pub struct FaultPlan {
     faults: Vec<ScheduledFault>,
 }
 
-/// splitmix64 step — the same tiny generator used elsewhere in the
-/// workspace; keeps `uparc-sim` dependency-free.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Derives an independent sub-stream seed from a campaign seed.
-///
-/// Campaign grids must never derive per-cell seeds from a flat running
-/// counter: appending a chip (or a policy, or a seed replicate) would
-/// shift every later cell's fault sequence and invalidate comparisons
-/// across runs. `substream` is instead a pure splitmix64 mix of
-/// `(seed, lane, index)` — `lane` names the grid axis (chip faults,
-/// campaign cells, …), `index` the position along it — so sub-stream
-/// *k*'s faults are a function of *k* alone, no matter how many other
-/// sub-streams exist. `tests/fleet.rs` pins this chip-count invariance
-/// for fleet chaos plans.
-#[must_use]
-pub fn substream(seed: u64, lane: u64, index: u64) -> u64 {
-    let mut state = seed
-        ^ lane.wrapping_mul(0xA076_1D64_78BD_642F)
-        ^ (index.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    splitmix64(&mut state)
-}
-
 impl FaultPlan {
     /// Expands `seed` into a schedule of [`FaultRates::total`] faults with
     /// locations drawn from `space` and times uniform over `[0, horizon)`.
@@ -188,16 +160,16 @@ impl FaultPlan {
     /// always yields the identical plan, byte for byte.
     #[must_use]
     pub fn generate(seed: u64, space: &FaultSpace, rates: &FaultRates, horizon: SimTime) -> Self {
-        let mut rng = seed ^ 0xA076_1D64_78BD_642F;
+        let mut state = seed ^ 0xA076_1D64_78BD_642F;
         let span = horizon.as_fs().max(1);
-        let at = |rng: &mut u64| SimTime::from_fs(splitmix64(rng) % span);
+        let at = |state: &mut u64| SimTime::from_fs(rng::next(state) % span);
         let mut faults = Vec::with_capacity(rates.total() as usize);
         let frames = space.frames.max(1);
         let frame_words = space.frame_words.max(1);
         let staged_words = space.staged_words.max(1);
         for _ in 0..rates.config_seu {
-            let t = at(&mut rng);
-            let r = splitmix64(&mut rng);
+            let t = at(&mut state);
+            let r = rng::next(&mut state);
             faults.push(ScheduledFault {
                 at: t,
                 kind: FaultKind::ConfigSeu {
@@ -208,8 +180,8 @@ impl FaultPlan {
             });
         }
         for _ in 0..rates.parity_seu {
-            let t = at(&mut rng);
-            let r = splitmix64(&mut rng);
+            let t = at(&mut state);
+            let r = rng::next(&mut state);
             faults.push(ScheduledFault {
                 at: t,
                 kind: FaultKind::ParitySeu {
@@ -219,8 +191,8 @@ impl FaultPlan {
             });
         }
         for _ in 0..rates.staged_flip {
-            let t = at(&mut rng);
-            let r = splitmix64(&mut rng);
+            let t = at(&mut state);
+            let r = rng::next(&mut state);
             faults.push(ScheduledFault {
                 at: t,
                 kind: FaultKind::StagedFlip {
@@ -230,8 +202,8 @@ impl FaultPlan {
             });
         }
         for _ in 0..rates.transfer_stall {
-            let t = at(&mut rng);
-            let r = splitmix64(&mut rng);
+            let t = at(&mut state);
+            let r = rng::next(&mut state);
             let range = MAX_STALL_CYCLES - MIN_STALL_CYCLES;
             faults.push(ScheduledFault {
                 at: t,
@@ -241,14 +213,14 @@ impl FaultPlan {
             });
         }
         for _ in 0..rates.crc_transient {
-            let t = at(&mut rng);
+            let t = at(&mut state);
             faults.push(ScheduledFault {
                 at: t,
                 kind: FaultKind::CrcTransient,
             });
         }
         for _ in 0..rates.retune_lock_failure {
-            let t = at(&mut rng);
+            let t = at(&mut state);
             faults.push(ScheduledFault {
                 at: t,
                 kind: FaultKind::RetuneLockFailure,
@@ -391,6 +363,7 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::substream;
 
     #[test]
     fn substreams_are_pure_and_lane_separated() {

@@ -27,6 +27,8 @@
 //!   the [`fault::FaultInjector`] that dispenses SEUs, staged-stream flips,
 //!   transfer stalls, transient CRC corruptions and DCM lock failures for
 //!   resilience campaigns.
+//! * [`rng`] — splitmix64, stateless and sequential, plus the
+//!   [`rng::substream`] seed derivation every seeded generator shares.
 //! * [`trace`] — step-wise power traces with exact energy integration and an
 //!   oscilloscope/shunt-resistor front-end model ([`trace::Oscilloscope`]).
 //! * [`obs`] — structured observability: typed spans/instants recorded
@@ -90,6 +92,7 @@ pub mod fault;
 pub mod obs;
 pub mod power;
 pub mod queue;
+pub mod rng;
 pub mod stats;
 pub mod sweep;
 pub mod time;

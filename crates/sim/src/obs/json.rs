@@ -2,9 +2,9 @@
 //! exports in-repo.
 //!
 //! The repository is built offline with no third-party crates, so the
-//! round-trip check demanded of `bench_service --trace` ("the emitted
-//! file is valid Chrome `trace_event` JSON") is done with this small
-//! recursive-descent parser instead of serde. It accepts strict JSON
+//! round-trip check every `bench_* --trace` export passes before it is
+//! written ("the emitted file is valid Chrome `trace_event` JSON") is
+//! done with this small recursive-descent parser instead of serde. It accepts strict JSON
 //! (RFC 8259): objects, arrays, strings with escapes, numbers, booleans
 //! and null — no comments, no trailing commas.
 //!
