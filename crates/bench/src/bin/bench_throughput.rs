@@ -3,14 +3,13 @@
 //! fast path vs the per-cycle reference), each compression codec (encode
 //! and decode), the end-to-end reconfiguration pipeline (raw and
 //! compressed mode), the simulator event queue, and a kernel section
-//! (engine dispatch rate, a sharded scenario grid, and the decompressed-
-//! bitstream cache).
+//! (event-loop dispatch rate on a relay ring, a sharded scenario grid, and
+//! the decompressed-bitstream cache).
 //!
 //! Run with `cargo run --release -p uparc-bench --bin bench_throughput`;
 //! pass `--smoke` for a seconds-scale CI variant (small workloads, fewer
 //! repetitions — same JSON shape).
 
-use std::any::Any;
 use std::time::Instant;
 
 use uparc_bench::harness::Harness;
@@ -22,7 +21,6 @@ use uparc_compress::{Algorithm, Ratio};
 use uparc_core::schedule::{run_schedule, ReconfigTask, Strategy};
 use uparc_core::uparc::{Mode, UParc};
 use uparc_fpga::{Device, Icap};
-use uparc_sim::engine::{Context, Engine, Process, ProcessId};
 use uparc_sim::queue::EventQueue;
 use uparc_sim::sweep;
 use uparc_sim::time::{Frequency, SimTime};
@@ -31,53 +29,29 @@ use uparc_sim::time::{Frequency, SimTime};
 /// 200k-event workload — the floor the calendar queue is measured against.
 const QUEUE_BASELINE_OPS_PER_SEC: f64 = 12_792_958.0;
 
-/// One relay in the engine benchmark's token ring: forwards a hop counter
-/// to the next relay with a data-dependent delay, sprinkling in
-/// same-instant self-sends so batched delta-cycle dispatch is exercised.
-struct Relay {
-    next: Option<ProcessId>,
-    received: u64,
-}
-
-impl Process<u64> for Relay {
-    fn handle(&mut self, ctx: &mut Context<'_, u64>, hops: u64) {
-        self.received += 1;
+/// Runs a token ring of `relays` relays seeded with `tokens` staggered
+/// tokens of `hops` hops each, as one event loop over one queue, and
+/// returns the number of events handled. An event is `(relay, hops)`:
+/// the relay forwards the token to its successor with a data-dependent
+/// delay, sprinkling in same-instant self-sends so delta cycles are
+/// exercised.
+fn ring_events(relays: usize, tokens: u64, hops: u64) -> u64 {
+    let mut q = EventQueue::new();
+    for t in 0..tokens {
+        q.schedule(SimTime::from_ns(t * 13), ((t as usize * 7) % relays, hops));
+    }
+    let mut events = 0;
+    while let Some((_, (relay, hops))) = q.pop() {
+        events += 1;
         if hops > 0 {
-            if let Some(next) = self.next {
-                let delay = SimTime::from_ns(1 + (hops * 7919) % 1000);
-                ctx.send_in(delay, next, hops - 1);
-                if hops.is_multiple_of(8) {
-                    ctx.send_now(ctx.self_id(), 0);
-                }
+            let delay = SimTime::from_ns(1 + (hops * 7919) % 1000);
+            q.schedule_in(delay, ((relay + 1) % relays, hops - 1));
+            if hops.is_multiple_of(8) {
+                q.schedule_in(SimTime::ZERO, (relay, 0));
             }
         }
     }
-}
-
-/// Builds a ring of `relays` token-passing processes seeded with `tokens`
-/// staggered tokens of `hops` hops each.
-fn ring_engine(relays: usize, tokens: u64, hops: u64) -> Engine<u64> {
-    let mut engine = Engine::new();
-    let ids: Vec<ProcessId> = (0..relays)
-        .map(|_| {
-            engine.spawn(Box::new(Relay {
-                next: None,
-                received: 0,
-            }))
-        })
-        .collect();
-    for (i, &id) in ids.iter().enumerate() {
-        let next = ids[(i + 1) % ids.len()];
-        let relay: &mut Relay = (engine.process_mut(id) as &mut dyn Any)
-            .downcast_mut()
-            .expect("concrete relay");
-        relay.next = Some(next);
-    }
-    for t in 0..tokens {
-        let at = SimTime::from_ns(t * 13);
-        engine.schedule(at, ids[(t as usize * 7) % ids.len()], hops);
-    }
-    engine
+    events
 }
 
 /// One measured throughput sample.
@@ -375,23 +349,18 @@ fn main() {
     });
     println!("event queue: {:.1} Mops/s", queue.per_sec() / 1e6);
 
-    // ---- Kernel: engine dispatch rate on a token ring -----------------
+    // ---- Kernel: event-loop dispatch rate on a token ring -------------
     let (relays, tokens, hops) = if smoke { (16, 8, 500) } else { (64, 32, 5_000) };
     // One untimed run pins the deterministic event count.
-    let engine_events = {
-        let mut engine = ring_engine(relays, tokens, hops);
-        engine.run();
-        engine.dispatched()
-    };
-    let engine_m = best_of(reps, engine_events, || {
-        let mut engine = ring_engine(relays, tokens, hops);
-        engine.run();
-        assert_eq!(engine.dispatched(), engine_events, "nondeterministic run");
+    let ring_count = ring_events(relays, tokens, hops);
+    let ring_m = best_of(reps, ring_count, || {
+        let events = ring_events(relays, tokens, hops);
+        assert_eq!(events, ring_count, "nondeterministic run");
     });
     println!(
-        "engine: {} events over {relays} relays at {:.2} Mevents/s",
-        engine_events,
-        engine_m.per_sec() / 1e6
+        "relay ring: {} events over {relays} relays at {:.2} Mevents/s",
+        ring_count,
+        ring_m.per_sec() / 1e6
     );
 
     // ---- Kernel: sharded scenario grid --------------------------------
@@ -410,11 +379,7 @@ fn main() {
     let shard_events = |cells: &&[(usize, u64, u64)]| -> u64 {
         cells
             .iter()
-            .map(|&(relays, tokens, hops)| {
-                let mut engine = ring_engine(relays, tokens, hops);
-                engine.run();
-                engine.dispatched()
-            })
+            .map(|&(relays, tokens, hops)| ring_events(relays, tokens, hops))
             .sum()
     };
     let grid_expected: u64 = grid_shards.iter().map(&shard_events).sum();
@@ -581,12 +546,14 @@ fn main() {
         .field(
             "kernel",
             Obj::new()
+                // Stable report keys: `engine` is the relay ring and
+                // `processes` its relay count.
                 .field(
                     "engine",
                     Obj::new()
                         .field("processes", relays)
-                        .field("events", engine_events)
-                        .field("events_per_sec", Value::fixed(engine_m.per_sec(), 0)),
+                        .field("events", ring_count)
+                        .field("events_per_sec", Value::fixed(ring_m.per_sec(), 0)),
                 )
                 .field(
                     "scenario_grid",

@@ -19,10 +19,10 @@
 //! searches (rail, frequency) pairs — path power scales as `C·V²·f`,
 //! undervolted rails cap the clock, and switching rails charges the
 //! regulator settle into both the predicted time and the predicted
-//! energy. [`PowerAwarePolicy::plan_constrained`] is the same search
-//! pinned to the nominal rail with the analytic (pre-DVFS) power model,
-//! and stays bit-identical to the original frequency-only planner (see
-//! `POWER.md` for the methodology and the regression anchors).
+//! energy. A [`VfQuery::frequency_only`] query pins the same search to the
+//! nominal rail with the analytic (pre-DVFS) power model, and stays
+//! bit-identical to the original frequency-only planner (see `POWER.md`
+//! for the methodology and the regression anchors).
 
 use crate::error::UparcError;
 use crate::manager::ManagerConfig;
@@ -60,7 +60,7 @@ pub struct FrequencyPlan {
     pub predicted_energy_uj: f64,
 }
 
-/// A multi-constraint operating-point query for [`PowerAwarePolicy::plan_constrained`].
+/// The frequency-axis constraints of a [`VfQuery`].
 ///
 /// Online schedulers (the `uparc-serve` admission/dispatch layer) pick an
 /// operating point under *several* constraints at once: a hardware or
@@ -97,9 +97,8 @@ pub struct VfQuery {
     /// falls back to the lowest-voltage (coolest) rail.
     pub max_volts: Option<f64>,
     /// Pin the search to the nominal rail and the analytic (pre-DVFS)
-    /// `c·f` power model. This is what [`PowerAwarePolicy::plan_constrained`]
-    /// sets, and it makes the 2-D machinery degenerate bit-exactly to the
-    /// original frequency-only planner.
+    /// `c·f` power model. This makes the 2-D machinery degenerate
+    /// bit-exactly to the original frequency-only planner.
     pub frequency_only: bool,
 }
 
@@ -142,22 +141,6 @@ pub struct VfPlan {
     pub predicted_power_mw: f64,
     /// Predicted above-idle energy, µJ, ramp cost included.
     pub predicted_energy_uj: f64,
-}
-
-impl VfPlan {
-    /// The frequency-axis view of this plan, for callers that predate the
-    /// voltage axis. Settle is already folded into `predicted_time` and
-    /// `predicted_energy_uj` (both are zero-settle-identical for plans
-    /// produced by a [`VfQuery::frequency_only`] query).
-    #[must_use]
-    pub fn frequency_plan(&self) -> FrequencyPlan {
-        FrequencyPlan {
-            frequency: self.frequency,
-            predicted_time: self.predicted_time,
-            predicted_power_mw: self.predicted_power_mw,
-            predicted_energy_uj: self.predicted_energy_uj,
-        }
-    }
 }
 
 /// The frequency-selection policy for UPaRC_i (raw staging).
@@ -392,36 +375,14 @@ impl PowerAwarePolicy {
         }
     }
 
-    /// Selects an operating point under *all* the constraints of `q` at
-    /// once. The selection rule is power-aware (§V): among the admissible
-    /// grid points, prefer the **slowest clock that still meets the
-    /// deadline** (lowest power); when no admissible point meets the
-    /// deadline — or no deadline is given — return the **fastest**
-    /// admissible point (best effort; the caller decides whether a
-    /// predicted miss is dispatched or deferred).
-    ///
-    /// # Errors
-    ///
-    /// * [`UparcError::BudgetInfeasible`] — `power_cap_mw` is below every
-    ///   grid point (the floor reported is the cheapest point after the
-    ///   frequency filter).
-    /// * [`UparcError::EnergyBudgetInfeasible`] — `energy_budget_uj` is
-    ///   below the minimum achievable energy for this size.
-    /// * [`UparcError::Frequency`] — `max_frequency` is below the whole
-    ///   grid (no synthesisable point under the ceiling).
-    pub fn plan_constrained(&self, q: &PlanQuery) -> Result<FrequencyPlan, UparcError> {
-        self.plan_vf(&VfQuery::frequency_only(*q))
-            .map(|p| p.frequency_plan())
-    }
-
     /// Every admissible (V, f) operating point for `q`, sorted by the
     /// planner's best-effort preference: fastest first (settle included),
     /// ties broken towards the higher clock, then the lower power, then
     /// the lower voltage.
     ///
-    /// The frontier applies the same constraint cascade as
-    /// [`PowerAwarePolicy::plan_constrained`] — frequency ceiling, power
-    /// cap, energy budget — pointwise over the 2-D grid. Undervolted
+    /// The frontier applies the constraint cascade of a [`PlanQuery`] —
+    /// frequency ceiling, power cap, energy budget — pointwise over the
+    /// 2-D grid. Undervolted
     /// rails drop their above-`fmax` clocks; a thermal `max_volts` that
     /// excludes every rail falls back to the lowest-voltage rail rather
     /// than refusing to plan (a throttled lane must still be able to cool
@@ -429,8 +390,16 @@ impl PowerAwarePolicy {
     ///
     /// # Errors
     ///
-    /// Same typed infeasibilities as [`PowerAwarePolicy::plan_constrained`]:
-    /// the frontier is never returned empty.
+    /// * [`UparcError::BudgetInfeasible`] — `power_cap_mw` is below every
+    ///   point (the floor reported is the cheapest point after the
+    ///   frequency filter).
+    /// * [`UparcError::EnergyBudgetInfeasible`] — `energy_budget_uj` is
+    ///   below the minimum achievable energy for this size.
+    /// * [`UparcError::Frequency`] — `max_frequency` is below the whole
+    ///   grid (no synthesisable point under the ceiling), or every rail's
+    ///   `fmax` is.
+    ///
+    /// The frontier is never returned empty.
     pub fn frontier(&self, q: &VfQuery) -> Result<Vec<VfPlan>, UparcError> {
         let measured = !q.frequency_only && self.vf.measured_overhead();
         let grid = self.frequency_grid();
@@ -575,9 +544,7 @@ impl PowerAwarePolicy {
     }
 
     /// Selects a (V, f) operating point under all the constraints of `q`
-    /// at once — the 2-D generalisation of
-    /// [`PowerAwarePolicy::plan_constrained`], with ramp costs charged
-    /// into the plan.
+    /// at once, with ramp costs charged into the plan.
     ///
     /// The selection rule is power-aware (§V): among the admissible
     /// points that **meet the deadline** (regulator settle included),
@@ -593,7 +560,7 @@ impl PowerAwarePolicy {
     ///
     /// # Errors
     ///
-    /// Same typed infeasibilities as [`PowerAwarePolicy::plan_constrained`].
+    /// The typed infeasibilities of [`PowerAwarePolicy::frontier`].
     pub fn plan_vf(&self, q: &VfQuery) -> Result<VfPlan, UparcError> {
         let plans = self.frontier(q)?;
         if let Some(deadline) = q.base.deadline {
@@ -612,72 +579,6 @@ impl PowerAwarePolicy {
             }
         }
         Ok(plans[0])
-    }
-
-    /// The original frequency-only `plan_constrained`, kept verbatim as
-    /// the regression reference for the DVFS rework: the property suite
-    /// pins [`PowerAwarePolicy::plan_constrained`] (now a nominal-rail
-    /// [`PowerAwarePolicy::plan_vf`]) bit-identical to this body on every
-    /// query, including the typed error payloads.
-    ///
-    /// # Errors
-    ///
-    /// Same typed infeasibilities as [`PowerAwarePolicy::plan_constrained`].
-    pub fn plan_constrained_reference(&self, q: &PlanQuery) -> Result<FrequencyPlan, UparcError> {
-        let grid = self.frequency_grid();
-        let ceiling: Vec<Frequency> = match q.max_frequency {
-            Some(max) => grid.iter().copied().filter(|&f| f <= max).collect(),
-            None => grid,
-        };
-        let Some(&floor_f) = ceiling.first() else {
-            return Err(UparcError::Frequency {
-                requested: q.max_frequency.expect("unfiltered grid is never empty"),
-                max: q.max_frequency.expect("checked above"),
-                limited_by: "dcm grid",
-            });
-        };
-        let powered: Vec<Frequency> = match q.power_cap_mw {
-            Some(cap) => ceiling
-                .iter()
-                .copied()
-                .filter(|&f| self.predicted_power_mw(f) <= cap)
-                .collect(),
-            None => ceiling,
-        };
-        if powered.is_empty() {
-            return Err(UparcError::BudgetInfeasible {
-                budget_mw: q.power_cap_mw.expect("emptied by the power filter"),
-                floor_mw: self.predicted_power_mw(floor_f),
-            });
-        }
-        let admissible: Vec<Frequency> = match q.energy_budget_uj {
-            Some(budget) => powered
-                .iter()
-                .copied()
-                .filter(|&f| self.predicted_energy_uj(q.bytes, f) <= budget)
-                .collect(),
-            None => powered.clone(),
-        };
-        if admissible.is_empty() {
-            let floor_uj = powered
-                .iter()
-                .map(|&f| self.predicted_energy_uj(q.bytes, f))
-                .fold(f64::INFINITY, f64::min);
-            return Err(UparcError::EnergyBudgetInfeasible {
-                budget_uj: q.energy_budget_uj.expect("emptied by the energy filter"),
-                floor_uj,
-            });
-        }
-        let chosen = q
-            .deadline
-            .and_then(|d| {
-                admissible
-                    .iter()
-                    .copied()
-                    .find(|&f| self.predicted_time(q.bytes, f) <= d)
-            })
-            .unwrap_or_else(|| *admissible.last().expect("checked non-empty"));
-        Ok(self.plan_at(q.bytes, chosen))
     }
 }
 
@@ -814,7 +715,7 @@ mod tests {
             deadline: Some(SimTime::from_us(600)),
             ..PlanQuery::default()
         };
-        let plan = p.plan_constrained(&q).unwrap();
+        let plan = p.plan_vf(&VfQuery::frequency_only(q)).unwrap();
         let reference = p
             .plan(Constraint::Deadline(SimTime::from_us(600)), BYTES)
             .unwrap();
@@ -826,7 +727,7 @@ mod tests {
             max_frequency: Some(Frequency::from_mhz(255.0)),
             ..PlanQuery::default()
         };
-        let plan = p.plan_constrained(&q).unwrap();
+        let plan = p.plan_vf(&VfQuery::frequency_only(q)).unwrap();
         assert!(plan.frequency <= Frequency::from_mhz(255.0));
 
         // A power cap excludes fast points even when the deadline wants
@@ -837,7 +738,7 @@ mod tests {
             power_cap_mw: Some(260.0),
             ..PlanQuery::default()
         };
-        let plan = p.plan_constrained(&q).unwrap();
+        let plan = p.plan_vf(&VfQuery::frequency_only(q)).unwrap();
         assert!(plan.predicted_power_mw <= 260.0);
         assert!(plan.frequency <= Frequency::from_mhz(106.0));
     }
@@ -851,7 +752,7 @@ mod tests {
             ..PlanQuery::default()
         };
         assert!(matches!(
-            p.plan_constrained(&q),
+            p.plan_vf(&VfQuery::frequency_only(q)),
             Err(UparcError::BudgetInfeasible { .. })
         ));
 
@@ -860,7 +761,7 @@ mod tests {
             energy_budget_uj: Some(1.0),
             ..PlanQuery::default()
         };
-        match p.plan_constrained(&q) {
+        match p.plan_vf(&VfQuery::frequency_only(q)) {
             Err(UparcError::EnergyBudgetInfeasible { floor_uj, .. }) => {
                 assert!(floor_uj > 1.0, "{floor_uj}");
             }
@@ -873,59 +774,9 @@ mod tests {
             ..PlanQuery::default()
         };
         assert!(matches!(
-            p.plan_constrained(&q),
+            p.plan_vf(&VfQuery::frequency_only(q)),
             Err(UparcError::Frequency { .. })
         ));
-    }
-
-    #[test]
-    fn plan_constrained_is_bit_identical_to_the_reference() {
-        let p = policy();
-        let caps = [None, Some(100.0), Some(260.0), Some(420.0)];
-        let deadlines = [
-            None,
-            Some(SimTime::from_us(200)),
-            Some(SimTime::from_us(600)),
-        ];
-        let ceilings = [
-            None,
-            Some(Frequency::from_mhz(255.0)),
-            Some(Frequency::from_mhz(1.0)),
-        ];
-        let energies = [None, Some(1.0), Some(50.0), Some(1e9)];
-        for cap in caps {
-            for deadline in deadlines {
-                for ceiling in ceilings {
-                    for energy in energies {
-                        let q = PlanQuery {
-                            bytes: BYTES,
-                            max_frequency: ceiling,
-                            deadline,
-                            power_cap_mw: cap,
-                            energy_budget_uj: energy,
-                        };
-                        match (p.plan_constrained(&q), p.plan_constrained_reference(&q)) {
-                            (Ok(a), Ok(b)) => {
-                                assert_eq!(a.frequency, b.frequency, "{q:?}");
-                                assert_eq!(a.predicted_time, b.predicted_time, "{q:?}");
-                                assert_eq!(
-                                    a.predicted_power_mw.to_bits(),
-                                    b.predicted_power_mw.to_bits(),
-                                    "{q:?}"
-                                );
-                                assert_eq!(
-                                    a.predicted_energy_uj.to_bits(),
-                                    b.predicted_energy_uj.to_bits(),
-                                    "{q:?}"
-                                );
-                            }
-                            (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
-                            (a, b) => panic!("divergence on {q:?}: {a:?} vs {b:?}"),
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -937,7 +788,7 @@ mod tests {
             ..PlanQuery::default()
         };
         let dvfs = p.plan_vf(&VfQuery::new(base)).unwrap();
-        let freq_only = p.plan_constrained(&base).unwrap();
+        let freq_only = p.plan_vf(&VfQuery::frequency_only(base)).unwrap();
         // 330 mW admits ≈169 MHz at nominal voltage (analytic model) but
         // ≈184 MHz on the 0.9 V rail — the 2-D search must find it.
         assert!(dvfs.volts < calib::V_NOM_V, "{dvfs:?}");

@@ -3,12 +3,140 @@
 //! randomized queries rather than the unit tests' fixed sweeps.
 
 use proptest::prelude::*;
-use uparc_core::policy::{PlanQuery, PowerAwarePolicy, VfQuery};
+use uparc_core::policy::{FrequencyPlan, PlanQuery, PowerAwarePolicy, VfQuery};
+use uparc_core::UparcError;
 use uparc_fpga::Family;
 use uparc_sim::time::{Frequency, SimTime};
 
 fn planner() -> PowerAwarePolicy {
     PowerAwarePolicy::paper_setup(Family::Virtex5)
+}
+
+/// The pre-DVFS frequency-only planner, kept verbatim as the regression
+/// reference for the (V, f) rework: a [`VfQuery::frequency_only`] plan
+/// must be bit-identical to this body on every query, typed error
+/// payloads included.
+fn plan_constrained_reference(
+    p: &PowerAwarePolicy,
+    q: &PlanQuery,
+) -> Result<FrequencyPlan, UparcError> {
+    let plan_at = |f: Frequency| FrequencyPlan {
+        frequency: f,
+        predicted_time: p.predicted_time(q.bytes, f),
+        predicted_power_mw: p.predicted_power_mw(f),
+        predicted_energy_uj: p.predicted_energy_uj(q.bytes, f),
+    };
+    let grid = p.frequency_grid();
+    let ceiling: Vec<Frequency> = match q.max_frequency {
+        Some(max) => grid.iter().copied().filter(|&f| f <= max).collect(),
+        None => grid,
+    };
+    let Some(&floor_f) = ceiling.first() else {
+        return Err(UparcError::Frequency {
+            requested: q.max_frequency.expect("unfiltered grid is never empty"),
+            max: q.max_frequency.expect("checked above"),
+            limited_by: "dcm grid",
+        });
+    };
+    let powered: Vec<Frequency> = match q.power_cap_mw {
+        Some(cap) => ceiling
+            .iter()
+            .copied()
+            .filter(|&f| p.predicted_power_mw(f) <= cap)
+            .collect(),
+        None => ceiling,
+    };
+    if powered.is_empty() {
+        return Err(UparcError::BudgetInfeasible {
+            budget_mw: q.power_cap_mw.expect("emptied by the power filter"),
+            floor_mw: p.predicted_power_mw(floor_f),
+        });
+    }
+    let admissible: Vec<Frequency> = match q.energy_budget_uj {
+        Some(budget) => powered
+            .iter()
+            .copied()
+            .filter(|&f| p.predicted_energy_uj(q.bytes, f) <= budget)
+            .collect(),
+        None => powered.clone(),
+    };
+    if admissible.is_empty() {
+        let floor_uj = powered
+            .iter()
+            .map(|&f| p.predicted_energy_uj(q.bytes, f))
+            .fold(f64::INFINITY, f64::min);
+        return Err(UparcError::EnergyBudgetInfeasible {
+            budget_uj: q.energy_budget_uj.expect("emptied by the energy filter"),
+            floor_uj,
+        });
+    }
+    let chosen = q
+        .deadline
+        .and_then(|d| {
+            admissible
+                .iter()
+                .copied()
+                .find(|&f| p.predicted_time(q.bytes, f) <= d)
+        })
+        .unwrap_or_else(|| *admissible.last().expect("checked non-empty"));
+    Ok(plan_at(chosen))
+}
+
+/// Compares the frequency-only (V, f) plan for `q` with the reference:
+/// frequencies, float bit patterns and typed errors alike.
+fn check_against_reference(p: &PowerAwarePolicy, q: PlanQuery) -> Result<(), String> {
+    match (
+        p.plan_vf(&VfQuery::frequency_only(q)),
+        plan_constrained_reference(p, &q),
+    ) {
+        (Ok(got), Ok(want))
+            if got.frequency == want.frequency
+                && got.predicted_time == want.predicted_time
+                && got.predicted_power_mw.to_bits() == want.predicted_power_mw.to_bits()
+                && got.predicted_energy_uj.to_bits() == want.predicted_energy_uj.to_bits() =>
+        {
+            Ok(())
+        }
+        (Err(got), Err(want)) if format!("{got:?}") == format!("{want:?}") => Ok(()),
+        (got, want) => Err(format!(
+            "divergence on {q:?}: got {got:?}, reference {want:?}"
+        )),
+    }
+}
+
+/// The backward-compat pin on a fixed grid of queries that reaches every
+/// typed error and both selection rules.
+#[test]
+fn plan_constrained_is_bit_identical_to_the_reference() {
+    let p = planner();
+    let caps = [None, Some(100.0), Some(260.0), Some(420.0)];
+    let deadlines = [
+        None,
+        Some(SimTime::from_us(200)),
+        Some(SimTime::from_us(600)),
+    ];
+    let ceilings = [
+        None,
+        Some(Frequency::from_mhz(255.0)),
+        Some(Frequency::from_mhz(1.0)),
+    ];
+    let energies = [None, Some(1.0), Some(50.0), Some(1e9)];
+    for cap in caps {
+        for deadline in deadlines {
+            for ceiling in ceilings {
+                for energy in energies {
+                    let q = PlanQuery {
+                        bytes: 216_500,
+                        max_frequency: ceiling,
+                        deadline,
+                        power_cap_mw: cap,
+                        energy_budget_uj: energy,
+                    };
+                    check_against_reference(&p, q).unwrap();
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -108,10 +236,10 @@ proptest! {
         }
     }
 
-    /// The backward-compat pin, randomized: `plan_constrained` (now a
-    /// frequency-only (V, f) search on the nominal rail) is bit-identical
-    /// to the retained pre-DVFS reference implementation — frequencies,
-    /// float payloads, and typed errors alike.
+    /// The backward-compat pin, randomized: a frequency-only (V, f)
+    /// search on the nominal rail is bit-identical to the retained pre-DVFS
+    /// reference implementation — frequencies, float payloads, and typed
+    /// errors alike.
     #[test]
     fn plan_constrained_matches_the_pre_dvfs_reference(
         bytes in 1usize..400_000,
@@ -123,7 +251,6 @@ proptest! {
         cap in prop_oneof![Just(None), (100.0f64..700.0).prop_map(Some)],
         budget in prop_oneof![Just(None), (1.0f64..2_000.0).prop_map(Some)],
     ) {
-        let p = planner();
         let q = PlanQuery {
             bytes,
             max_frequency: ceiling,
@@ -131,25 +258,6 @@ proptest! {
             power_cap_mw: cap,
             energy_budget_uj: budget,
         };
-        match (p.plan_constrained(&q), p.plan_constrained_reference(&q)) {
-            (Ok(got), Ok(want)) => {
-                prop_assert_eq!(got.frequency, want.frequency);
-                prop_assert_eq!(got.predicted_time, want.predicted_time);
-                prop_assert_eq!(
-                    got.predicted_power_mw.to_bits(),
-                    want.predicted_power_mw.to_bits()
-                );
-                prop_assert_eq!(
-                    got.predicted_energy_uj.to_bits(),
-                    want.predicted_energy_uj.to_bits()
-                );
-            }
-            (Err(got), Err(want)) => {
-                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
-            }
-            (got, want) => {
-                return Err(format!("divergence: got {got:?}, reference {want:?}").into());
-            }
-        }
+        check_against_reference(&planner(), q)?;
     }
 }

@@ -1,7 +1,7 @@
 //! Hierarchical rack-level power budgeting.
 //!
 //! The single-chip scheduler already plans under a per-chip cap via
-//! `PowerAwarePolicy::plan_constrained`-style residual budgets. At rack
+//! residual budgets handed to `PowerAwarePolicy::plan_vf`. At rack
 //! scale the cap is a *rack* number: this module decomposes it into
 //! per-chip caps, once per deterministic rebalance epoch, proportionally
 //! to the demand the router assigned to each chip in that epoch.

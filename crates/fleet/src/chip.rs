@@ -106,8 +106,6 @@ pub struct ChipOutcome {
     pub words: u64,
     /// Above-idle energy across all dispatches, µJ.
     pub energy_uj: f64,
-    /// Sum of all service times (chip busy time).
-    pub busy: SimTime,
     /// When the last dispatch finished.
     pub finish: SimTime,
     /// Arrival-to-finish latency of steady (fault-free, never-orphaned)
@@ -183,7 +181,6 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
         decompressed_bytes: 0,
         words: 0,
         energy_uj: 0.0,
-        busy: SimTime::ZERO,
         finish: SimTime::ZERO,
         latency_us: LogHistogram::new(),
         degraded_latency_us: LogHistogram::new(),
@@ -347,7 +344,6 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
             continue;
         }
         out.words += facts.words;
-        out.busy += finish.saturating_sub(start);
         out.freq_mix[idx] += 1;
         let latency = finish.saturating_sub(req.arrival).as_us_f64();
         if faulted || q.retries > 0 {

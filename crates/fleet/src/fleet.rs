@@ -404,12 +404,9 @@ impl Fleet {
     ///
     /// # Errors
     ///
+    /// [`FleetError::EmptyWorkload`] if `spec.requests` is zero, and
     /// [`FleetError::InfeasibleRackCap`] if the rack cap cannot fund
     /// every chip's idle plus the dynamic floor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec.requests` is zero.
     pub fn run(&self, spec: &FleetWorkloadSpec) -> Result<FleetOutcome, FleetError> {
         self.run_chaos(spec, &ChaosSpec::quiet(), &Obs::null())
     }
@@ -423,21 +420,24 @@ impl Fleet {
     ///
     /// # Errors
     ///
+    /// [`FleetError::EmptyWorkload`] if `spec.requests` is zero, and
     /// [`FleetError::InfeasibleRackCap`] if any epoch's effective cap
     /// cannot fund the surviving chips' idle plus dynamic floor.
     ///
     /// # Panics
     ///
-    /// Panics if `spec.requests` is zero, or if the accounting identity
-    /// `completed + shed == requests` (every request exactly once) is
-    /// violated — that assertion is the chaos layer's core guarantee.
+    /// Panics if the accounting identity `completed + shed == requests`
+    /// (every request exactly once) is violated — that assertion is the
+    /// chaos layer's core guarantee.
     pub fn run_chaos(
         &self,
         spec: &FleetWorkloadSpec,
         chaos: &ChaosSpec,
         obs: &Obs,
     ) -> Result<FleetOutcome, FleetError> {
-        assert!(spec.requests > 0, "empty workload");
+        if spec.requests == 0 {
+            return Err(FleetError::EmptyWorkload);
+        }
         let ids = self.catalog.ids();
         let chips = self.config.chips;
         let epoch_fs = self.config.epoch.as_fs().max(1);

@@ -92,6 +92,8 @@ pub enum FleetError {
     /// No synthesizable frequency survives the fleet's operating range
     /// (`min_frequency` up to the datapath ceiling).
     NoAdmissibleFrequency,
+    /// The workload holds no requests to route.
+    EmptyWorkload,
 }
 
 impl std::fmt::Display for FleetError {
@@ -110,6 +112,7 @@ impl std::fmt::Display for FleetError {
             FleetError::NoAdmissibleFrequency => {
                 write!(f, "no synthesizable frequency in the fleet operating range")
             }
+            FleetError::EmptyWorkload => write!(f, "workload holds no requests"),
         }
     }
 }

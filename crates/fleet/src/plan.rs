@@ -1,7 +1,7 @@
 //! Calibrated operating-point tables.
 //!
-//! `PowerAwarePolicy::plan_constrained` rebuilds the DCM frequency grid
-//! and re-derives time/power/energy predictions on every call — fine for
+//! `PowerAwarePolicy::plan_vf` rebuilds the DCM frequency grid and
+//! re-derives time/power/energy predictions on every call — fine for
 //! hundreds of requests, ruinous for millions. This module hoists all of
 //! that out of the dispatch path: the grid is built once, per-frequency
 //! power is tabulated once, and per bitstream *shape* (raw size ×
@@ -9,7 +9,8 @@
 //! grid frequency with a real cycle-accurate [`UParc`] dispatch (retune +
 //! preload + transfer), not predicted. Selecting an operating point for
 //! a request is then a binary search over the power table — and a test
-//! pins the selection against `plan_constrained` for the same query.
+//! pins the selection against a frequency-only `plan_vf` for the same
+//! query.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

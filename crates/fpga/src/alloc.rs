@@ -101,7 +101,7 @@ impl std::error::Error for AllocError {}
 ///
 /// `histogram[k]` counts free blocks whose size `s` satisfies
 /// `2^k <= s < 2^(k+1)` (bucket 31 also absorbs anything larger).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FragStats {
     /// Sum of all free block sizes, frames.
     pub total_free: u32,

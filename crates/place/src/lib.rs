@@ -14,7 +14,7 @@
 //!   count-invariant;
 //! * [`defrag`] — the sliding-compaction planner: one move at a time,
 //!   foreground work always preempts it;
-//! * [`sim`] — the event-engine run loop tying them to
+//! * [`sim`] — the event-queue run loop tying them to
 //!   [`uparc_serve::dynamic::DynamicCatalog`]: admission consults the
 //!   allocator, loads and moves share one ICAP's time, and every move,
 //!   pass and rejection lands in the observability taxonomy

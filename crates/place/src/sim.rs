@@ -1,7 +1,7 @@
 //! The event-driven placement simulation: churn in, fragmentation out.
 //!
-//! One [`uparc_sim::engine::Engine`] process owns a
-//! [`DynamicCatalog`] and a single ICAP's time budget. Foreground work
+//! One loop drains a [`uparc_sim::queue::EventQueue`] into a state that
+//! owns a [`DynamicCatalog`] and a single ICAP's time budget. Foreground work
 //! (tenant loads) always wins the port; the [`Defragmenter`] only gets
 //! cycles when the port is idle and no load is queued — the "idle ICAP
 //! bandwidth" budget the paper's controller leaves on the table between
@@ -18,8 +18,8 @@ use uparc_fpga::alloc::{FitPolicy, FragStats};
 use uparc_fpga::Device;
 use uparc_serve::dynamic::{DynamicCatalog, PlacementError};
 use uparc_serve::request::BitstreamId;
-use uparc_sim::engine::{Context, Engine, Process};
 use uparc_sim::obs::{EventKind, Obs};
+use uparc_sim::queue::EventQueue;
 use uparc_sim::rng::substream;
 use uparc_sim::time::{Frequency, SimTime};
 
@@ -60,7 +60,7 @@ impl Default for PlacementConfig {
 }
 
 /// What a churn run did and where it left the frame space.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnOutcome {
     /// Tenant arrivals offered.
     pub arrivals: u32,
@@ -107,7 +107,7 @@ enum PlaceEv {
     IcapDone,
 }
 
-struct PlaceProcess {
+struct PlaceState {
     catalog: DynamicCatalog,
     device: Device,
     arrivals: Vec<Arrival>,
@@ -134,7 +134,7 @@ pub fn run_churn(spec: &ChurnSpec, seed: u64, config: PlacementConfig) -> ChurnO
     let freq = config
         .icap_frequency
         .unwrap_or_else(|| config.device.family().icap_spec_frequency());
-    let process = PlaceProcess {
+    let mut state = PlaceState {
         catalog: DynamicCatalog::new(config.device.clone(), config.policy),
         device: config.device,
         seed,
@@ -147,61 +147,49 @@ pub fn run_churn(spec: &ChurnSpec, seed: u64, config: PlacementConfig) -> ChurnO
         pass: None,
         out: ChurnOutcome {
             arrivals: arrivals.len() as u32,
-            placed: 0,
-            rejected: 0,
-            rejected_trapped: 0,
-            departed: 0,
-            moves: 0,
-            moved_frames: 0,
-            compact_passes: 0,
-            verified_moves: 0,
-            verify_failures: 0,
-            invariant_violations: 0,
-            live_at_end: 0,
-            live_frames: 0,
-            final_frag: FragStats {
-                total_free: 0,
-                largest_free: 0,
-                free_blocks: 0,
-                histogram: [0; 32],
-            },
-            icap_busy: SimTime::ZERO,
-            icap_defrag: SimTime::ZERO,
-            makespan: SimTime::ZERO,
+            ..ChurnOutcome::default()
         },
         arrivals,
     };
 
-    let schedule: Vec<(SimTime, u32)> = process
-        .arrivals
-        .iter()
-        .enumerate()
-        .map(|(i, a)| (a.at, i as u32))
-        .collect();
-    let mut engine: Engine<PlaceEv> = Engine::new();
-    let id = engine.spawn(Box::new(process));
-    for (at, i) in schedule {
-        engine.schedule(at, id, PlaceEv::Arrive(i));
+    let mut q = EventQueue::new();
+    for (i, a) in state.arrivals.iter().enumerate() {
+        q.schedule(a.at, PlaceEv::Arrive(i as u32));
     }
-    engine.run();
+    while let Some((_, event)) = q.pop() {
+        state.handle(&mut q, event);
+    }
 
-    let boxed: Box<dyn std::any::Any> = engine.despawn(id);
-    let mut process = boxed
-        .downcast::<PlaceProcess>()
-        .expect("despawned the process we spawned");
-    process.out.makespan = engine.now();
-    process.out.live_at_end = process.catalog.len() as u32;
-    process.out.live_frames = process
+    state.out.makespan = q.now();
+    state.out.live_at_end = state.catalog.len() as u32;
+    state.out.live_frames = state
         .catalog
         .iter()
         .map(|(_, img)| img.window().end - img.window().start)
         .sum();
-    process.out.final_frag = process.catalog.frag_stats();
-    process.check();
-    process.out.clone()
+    state.out.final_frag = state.catalog.frag_stats();
+    state.check();
+    state.out
 }
 
-impl PlaceProcess {
+impl PlaceState {
+    /// Reacts to one event, starting whatever ICAP work it unblocks.
+    fn handle(&mut self, q: &mut EventQueue<PlaceEv>, event: PlaceEv) {
+        match event {
+            PlaceEv::Arrive(i) => self.queue.push_back(i),
+            PlaceEv::Depart(tenant) => {
+                self.catalog
+                    .unload(BitstreamId(tenant))
+                    .expect("departing tenants are live");
+                self.obs.count("place.frees", 1);
+                self.out.departed += 1;
+                self.check();
+            }
+            PlaceEv::IcapDone => self.busy = false,
+        }
+        self.pump(q);
+    }
+
     fn check(&mut self) {
         if let Err(violation) = self.catalog.check_invariants() {
             self.out.invariant_violations += 1;
@@ -218,22 +206,22 @@ impl PlaceProcess {
 
     /// Starts the next piece of ICAP work, foreground loads first, then
     /// (when idle and enabled) one defragmentation move.
-    fn pump(&mut self, ctx: &mut Context<'_, PlaceEv>) {
+    fn pump(&mut self, q: &mut EventQueue<PlaceEv>) {
         while !self.busy {
             if let Some(i) = self.queue.pop_front() {
-                self.admit(ctx, i);
+                self.admit(q, i);
                 continue;
             }
-            if !self.step_defrag(ctx) {
+            if !self.step_defrag(q) {
                 break;
             }
         }
     }
 
-    fn admit(&mut self, ctx: &mut Context<'_, PlaceEv>, index: u32) {
+    fn admit(&mut self, q: &mut EventQueue<PlaceEv>, index: u32) {
         let arrival = self.arrivals[index as usize].clone();
         let image = self.tenant_image(&arrival);
-        let now = ctx.now();
+        let now = q.now();
         match self.catalog.load(BitstreamId(arrival.tenant), &image) {
             Ok(_window) => {
                 let placed = self
@@ -255,9 +243,9 @@ impl PlaceProcess {
                 self.out.placed += 1;
                 self.out.icap_busy += dt;
                 self.busy = true;
-                ctx.send_in(dt, ctx.self_id(), PlaceEv::IcapDone);
+                q.schedule_in(dt, PlaceEv::IcapDone);
                 if let Some(hold) = arrival.hold {
-                    ctx.send_in(dt + hold, ctx.self_id(), PlaceEv::Depart(arrival.tenant));
+                    q.schedule_in(dt + hold, PlaceEv::Depart(arrival.tenant));
                 }
             }
             Err(err @ PlacementError::NoCapacity { .. }) => {
@@ -289,11 +277,11 @@ impl PlaceProcess {
 
     /// Performs one defragmentation move if the planner finds one.
     /// Returns whether a move was started.
-    fn step_defrag(&mut self, ctx: &mut Context<'_, PlaceEv>) -> bool {
+    fn step_defrag(&mut self, q: &mut EventQueue<PlaceEv>) -> bool {
         let Some(defrag) = self.defrag else {
             return false;
         };
-        let now = ctx.now();
+        let now = q.now();
         let Some(plan) = defrag.plan(&self.catalog) else {
             // Pass complete: report what compaction recovered.
             if let Some((moves, largest_before)) = self.pass.take() {
@@ -356,33 +344,9 @@ impl PlaceProcess {
             *moves += 1;
         }
         self.busy = true;
-        ctx.send_in(dt, ctx.self_id(), PlaceEv::IcapDone);
+        q.schedule_in(dt, PlaceEv::IcapDone);
         self.check();
         true
-    }
-}
-
-impl Process<PlaceEv> for PlaceProcess {
-    fn handle(&mut self, ctx: &mut Context<'_, PlaceEv>, event: PlaceEv) {
-        match event {
-            PlaceEv::Arrive(i) => {
-                self.queue.push_back(i);
-                self.pump(ctx);
-            }
-            PlaceEv::Depart(tenant) => {
-                self.catalog
-                    .unload(BitstreamId(tenant))
-                    .expect("departing tenants are live");
-                self.obs.count("place.frees", 1);
-                self.out.departed += 1;
-                self.check();
-                self.pump(ctx);
-            }
-            PlaceEv::IcapDone => {
-                self.busy = false;
-                self.pump(ctx);
-            }
-        }
     }
 }
 

@@ -23,11 +23,11 @@
 //! * [`workload`] — seeded, reproducible open-loop arrival processes
 //!   (uniform / bursty / diurnal) over the inventory;
 //! * [`service`] — the service itself: per-region run queues driven by
-//!   the `uparc-sim` event engine, one [`uparc_core::UParc`] controller
-//!   bank per region, operating points chosen through
-//!   [`uparc_core::policy::PowerAwarePolicy::plan_constrained`], and the
-//!   self-healing [`uparc_core::recovery::RecoveryPolicy`] wrapped around
-//!   every dispatch;
+//!   one loop over a [`uparc_sim::queue::EventQueue`], one
+//!   [`uparc_core::UParc`] controller bank per region, operating points
+//!   chosen through [`uparc_core::policy::PowerAwarePolicy::plan_vf`], and
+//!   the self-healing [`uparc_core::recovery::RecoveryPolicy`] wrapped
+//!   around every dispatch;
 //! * [`metrics`] — per-request completion records, the scheduler's power
 //!   envelope, and latency/miss-rate/energy summaries.
 //!

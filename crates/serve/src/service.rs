@@ -1,17 +1,16 @@
 //! The reconfiguration service: admission, per-region dispatch, and the
 //! power-budgeted event loop.
 //!
-//! One [`Service::run`] executes one request trace to completion on the
-//! `uparc-sim` event engine. Each region gets its own [`UParc`]
-//! controller lane and run queue; arrivals pass the admission checks or
-//! are rejected with a typed [`AdmissionError`], and every time a lane
-//! frees up the configured [`Policy`] picks the next request. Operating
-//! points come from [`PowerAwarePolicy::plan_constrained`], so
-//! [`Policy::PowerGreedy`] can hold the summed draw of concurrent
-//! reconfigurations under a chip-level cap, and every dispatch goes
-//! through the self-healing [`RecoveryPolicy`].
+//! One [`Service::run`] executes one request trace to completion by
+//! draining a single [`EventQueue`] of arrivals and lane completions.
+//! Each region gets its own [`UParc`] controller lane and run queue;
+//! arrivals pass the admission checks or are rejected with a typed
+//! [`AdmissionError`], and every time a lane frees up the configured
+//! [`Policy`] picks the next request. Operating points come from
+//! [`PowerAwarePolicy::plan_vf`], so [`Policy::PowerGreedy`] can hold the
+//! summed draw of concurrent reconfigurations under a chip-level cap, and
+//! every dispatch goes through the self-healing [`RecoveryPolicy`].
 
-use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
 use uparc_core::manager::ManagerConfig;
@@ -19,9 +18,9 @@ use uparc_core::policy::{PlanQuery, PowerAwarePolicy, VfPlan, VfQuery};
 use uparc_core::recovery::RecoveryPolicy;
 use uparc_core::uparc::COMPRESSED_MODE_MAX;
 use uparc_core::{UParc, UparcError};
-use uparc_sim::engine::{Context, Engine, Process};
 use uparc_sim::obs::{EventKind, Obs};
 use uparc_sim::power::{calib, VfTable};
+use uparc_sim::queue::EventQueue;
 use uparc_sim::time::{Frequency, SimTime};
 
 use crate::catalog::Catalog;
@@ -247,46 +246,36 @@ impl Service {
             .collect();
         let region_count = self.catalog.region_count();
         let node = LaneTemp::new(&self.config.thermal.unwrap_or_default());
-        let mut engine: Engine<Ev> = Engine::new();
-        let proc = ServeProcess {
-            requests: requests.to_vec(),
-            catalog: self.catalog.clone(),
-            planner: self.planner.clone(),
+        let mut state = ServeState {
+            requests,
+            catalog: &self.catalog,
+            planner: &self.planner,
+            config: &self.config,
             ests,
             lanes,
             queues: vec![VecDeque::new(); region_count],
             busy: vec![None; region_count],
-            policy: self.config.policy,
-            cap_mw: self.config.power_cap_mw,
-            queue_capacity: self.config.queue_capacity,
-            recovery: self.config.recovery.clone(),
-            vf: self.config.vf.clone(),
-            thermal: self.config.thermal,
             temps: vec![node; region_count],
             throttle_state: vec![false; region_count],
             current_f: vec![None; region_count],
             rails: vec![self.planner.vf_table().nominal_index(); region_count],
             metrics: ServiceMetrics::default(),
-            obs: self.config.obs.clone(),
         };
-        let id = engine.spawn(Box::new(proc));
+        let mut q = EventQueue::new();
         for (i, r) in requests.iter().enumerate() {
-            engine.schedule(r.arrival, id, Ev::Arrive(i));
+            q.schedule(r.arrival, Ev::Arrive(i));
         }
-        engine.run();
-        let makespan = engine.now();
-        let boxed: Box<dyn Any> = engine.despawn(id);
-        let proc = boxed
-            .downcast::<ServeProcess>()
-            .expect("despawned the process we spawned");
-        let mut metrics = proc.metrics;
-        metrics.makespan = makespan;
-        metrics.unserved = proc.queues.iter().map(VecDeque::len).sum();
+        while let Some((_, event)) = q.pop() {
+            state.handle(&mut q, event);
+        }
+        let mut metrics = state.metrics;
+        metrics.makespan = q.now();
+        metrics.unserved = state.queues.iter().map(VecDeque::len).sum();
         metrics
     }
 }
 
-/// Events of the service process.
+/// Events of one service run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Request `i` of the trace arrives.
@@ -295,25 +284,21 @@ enum Ev {
     Done { lane: usize },
 }
 
-/// The single event-engine process driving all lanes.
-struct ServeProcess {
-    requests: Vec<ReconfigRequest>,
-    catalog: Catalog,
-    planner: PowerAwarePolicy,
+/// The state of one run: every lane, queue and meter the event
+/// handlers read and update.
+struct ServeState<'a> {
+    requests: &'a [ReconfigRequest],
+    catalog: &'a Catalog,
+    planner: &'a PowerAwarePolicy,
+    /// Policy, cap, queue capacity, recovery, DVFS table, thermal model
+    /// and the scheduler-level observability handle (lanes carry their
+    /// own region-tagged copies).
+    config: &'a ServiceConfig,
     ests: BTreeMap<BitstreamId, Est>,
     lanes: Vec<UParc>,
     queues: Vec<VecDeque<Queued>>,
     /// Per-lane draw above static idle while busy, in milliwatts.
     busy: Vec<Option<f64>>,
-    policy: Policy,
-    cap_mw: f64,
-    queue_capacity: usize,
-    recovery: RecoveryPolicy,
-    /// DVFS operating-point table; `None` pins dispatch to the nominal
-    /// rail and the pre-DVFS analytic planner.
-    vf: Option<VfTable>,
-    /// Thermal model and governor; `None` disables thermal accounting.
-    thermal: Option<ThermalConfig>,
     /// Per-lane RC thermal node (only advanced when `thermal` is set).
     temps: Vec<LaneTemp>,
     /// Per-lane governor hysteresis state.
@@ -326,39 +311,33 @@ struct ServeProcess {
     /// The rail each lane's core supply currently sits on.
     rails: Vec<usize>,
     metrics: ServiceMetrics,
-    /// Scheduler-level observability (admission verdicts, cap samples);
-    /// lanes carry their own region-tagged copies.
-    obs: Obs,
 }
 
-impl Process<Ev> for ServeProcess {
-    fn handle(&mut self, ctx: &mut Context<'_, Ev>, event: Ev) {
+impl ServeState<'_> {
+    /// Reacts to one event, then offers every idle lane its queue.
+    fn handle(&mut self, q: &mut EventQueue<Ev>, event: Ev) {
+        let now = q.now();
         match event {
             Ev::Arrive(i) => {
-                let now = ctx.now();
-                match self.admit(i, now) {
+                let req = &self.requests[i];
+                let verdict = self.admit(i, now);
+                let outcome = verdict.as_ref().map_or_else(|e| e.label(), |_| "admitted");
+                self.config.obs.instant(
+                    now,
+                    EventKind::Admission {
+                        outcome,
+                        request: req.id.0,
+                    },
+                );
+                match verdict {
                     Ok(queued) => {
-                        self.obs.instant(
-                            now,
-                            EventKind::Admission {
-                                outcome: "admitted",
-                                request: self.requests[i].id.0,
-                            },
-                        );
-                        self.obs.count("serve.admitted", 1);
-                        self.queues[self.requests[i].region.0].push_back(queued);
+                        self.config.obs.count("serve.admitted", 1);
+                        self.queues[req.region.0].push_back(queued);
                     }
                     Err(reason) => {
-                        self.obs.instant(
-                            now,
-                            EventKind::Admission {
-                                outcome: reason.label(),
-                                request: self.requests[i].id.0,
-                            },
-                        );
-                        self.obs.count("serve.rejected", 1);
+                        self.config.obs.count("serve.rejected", 1);
                         self.metrics.rejections.push(Rejection {
-                            id: self.requests[i].id,
+                            id: req.id,
                             at: now,
                             reason,
                         });
@@ -367,14 +346,12 @@ impl Process<Ev> for ServeProcess {
             }
             Ev::Done { lane } => {
                 self.busy[lane] = None;
-                self.sample_power(ctx.now());
+                self.sample_power(now);
             }
         }
-        self.dispatch_idle_lanes(ctx);
+        self.dispatch_idle_lanes(q);
     }
-}
 
-impl ServeProcess {
     /// Runs the admission checks for request `i` arriving at `now`.
     fn admit(&self, i: usize, now: SimTime) -> Result<Queued, AdmissionError> {
         let req = &self.requests[i];
@@ -391,10 +368,10 @@ impl ServeProcess {
                 actual: entry.region(),
             });
         }
-        if self.queues[req.region.0].len() >= self.queue_capacity {
+        if self.queues[req.region.0].len() >= self.config.queue_capacity {
             return Err(AdmissionError::QueueFull {
                 region: req.region,
-                capacity: self.queue_capacity,
+                capacity: self.config.queue_capacity,
             });
         }
         let est = self.ests[&req.bitstream];
@@ -410,7 +387,7 @@ impl ServeProcess {
             } else {
                 est.service_fastest
             };
-            let settle = self.vf.as_ref().map_or(SimTime::ZERO, |vf| {
+            let settle = self.config.vf.as_ref().map_or(SimTime::ZERO, |vf| {
                 vf.settle(self.rails[req.region.0], vf.nominal_index())
             });
             let earliest_finish = now + base + settle;
@@ -438,16 +415,16 @@ impl ServeProcess {
         // PowerGreedy never dispatches above the cap, so a request that
         // cannot fit even with every other lane idle would starve in the
         // queue forever — reject it up front instead.
-        if self.policy == Policy::PowerGreedy && self.cap_mw.is_finite() {
+        if self.config.policy == Policy::PowerGreedy && self.config.power_cap_mw.is_finite() {
             let q = PlanQuery {
                 bytes: entry.raw_bytes(),
                 max_frequency: est.ceiling,
-                power_cap_mw: Some(self.cap_mw - est.extra_draw_mw),
+                power_cap_mw: Some(self.config.power_cap_mw - est.extra_draw_mw),
                 ..PlanQuery::default()
             };
             if let Err(UparcError::BudgetInfeasible { floor_mw, .. }) = self.dry_plan(q) {
                 return Err(AdmissionError::PowerInfeasible {
-                    cap_mw: self.cap_mw,
+                    cap_mw: self.config.power_cap_mw,
                     floor_mw: floor_mw + est.extra_draw_mw,
                 });
             }
@@ -464,7 +441,7 @@ impl ServeProcess {
     /// when DVFS is configured, the pinned frequency-only search
     /// otherwise.
     fn dry_plan(&self, q: PlanQuery) -> Result<VfPlan, UparcError> {
-        if self.vf.is_some() {
+        if self.config.vf.is_some() {
             self.planner.plan_vf(&VfQuery::new(q))
         } else {
             self.planner.plan_vf(&VfQuery::frequency_only(q))
@@ -472,16 +449,16 @@ impl ServeProcess {
     }
 
     /// Offers every idle lane its queue, in region order.
-    fn dispatch_idle_lanes(&mut self, ctx: &mut Context<'_, Ev>) {
+    fn dispatch_idle_lanes(&mut self, q: &mut EventQueue<Ev>) {
         for lane in 0..self.lanes.len() {
             if self.busy[lane].is_some() || self.queues[lane].is_empty() {
                 continue;
             }
-            let now = ctx.now();
-            let order = candidate_order(self.policy, &self.queues[lane], now);
+            let now = q.now();
+            let order = candidate_order(self.config.policy, &self.queues[lane], now);
             for pos in order {
                 if let Some((plan, throttled, temp_c)) = self.plan_for(lane, pos, now) {
-                    self.dispatch(ctx, lane, pos, plan, throttled, temp_c);
+                    self.dispatch(q, lane, pos, plan, throttled, temp_c);
                     break;
                 }
             }
@@ -516,20 +493,20 @@ impl ServeProcess {
         // operating point the residual power budget allows. Stretching
         // jobs toward their deadlines would save energy per request but
         // starves the queue under load.
-        if self.policy == Policy::PowerGreedy && self.cap_mw.is_finite() {
+        if self.config.policy == Policy::PowerGreedy && self.config.power_cap_mw.is_finite() {
             let others: f64 = self.busy.iter().flatten().sum();
-            q.power_cap_mw = Some(self.cap_mw - others - est.extra_draw_mw);
+            q.power_cap_mw = Some(self.config.power_cap_mw - others - est.extra_draw_mw);
         }
         // Without a VfTable the governor still runs, but can only demote
         // the clock; with one it demotes whole (V, f) points.
-        let mut vq = if self.vf.is_some() {
+        let mut vq = if self.config.vf.is_some() {
             let mut vq = VfQuery::new(q);
             vq.current_rail = Some(self.rails[lane]);
             vq
         } else {
             VfQuery::frequency_only(q)
         };
-        let Some(tcfg) = self.thermal else {
+        let Some(tcfg) = self.config.thermal else {
             return Some((self.planner.plan_vf(&vq).ok()?, false, 0.0));
         };
         let temp = self.temps[lane].temp_at(&tcfg, now);
@@ -573,26 +550,22 @@ impl ServeProcess {
     /// operating point.
     fn dispatch(
         &mut self,
-        ctx: &mut Context<'_, Ev>,
+        q: &mut EventQueue<Ev>,
         lane: usize,
         pos: usize,
         plan: VfPlan,
         throttled: bool,
         temp_c: f64,
     ) {
-        let now = ctx.now();
+        let now = q.now();
         let queued = self.queues[lane]
             .remove(pos)
             .expect("position from candidate_order");
         let req = self.requests[queued.req];
-        let entry = self
-            .catalog
-            .entry(req.bitstream)
-            .expect("admitted request")
-            .clone();
+        let entry = self.catalog.entry(req.bitstream).expect("admitted request");
         let est = self.ests[&req.bitstream];
-        if let Some(tcfg) = self.thermal {
-            self.obs.instant(
+        if let Some(tcfg) = self.config.thermal {
+            self.config.obs.instant(
                 now,
                 EventKind::Thermal {
                     temp_c,
@@ -602,12 +575,12 @@ impl ServeProcess {
             );
             if throttled {
                 self.metrics.thermal_throttles += 1;
-                self.obs.count("thermal.throttles", 1);
+                self.config.obs.count("thermal.throttles", 1);
             }
         }
         let uparc = &mut self.lanes[lane];
         uparc.advance_idle(now.saturating_sub(uparc.now()));
-        if self.vf.is_some() {
+        if self.config.vf.is_some() {
             // Ramp the lane's core rail to the planned voltage; the
             // controller charges the regulator settle into the dispatch.
             let _settle = uparc.set_core_voltage(plan.volts);
@@ -621,6 +594,7 @@ impl ServeProcess {
             .begin(now, EventKind::Dispatch { request: req.id.0 });
         let outcome = match uparc.set_reconfiguration_frequency(plan.frequency) {
             Ok(_) => self
+                .config
                 .recovery
                 .reconfigure(uparc, entry.bitstream(), entry.mode()),
             Err(e) => Err(e),
@@ -631,15 +605,16 @@ impl ServeProcess {
         match outcome {
             Ok(rr) => {
                 let missed = req.deadline.is_some_and(|d| finished > d);
-                self.obs.count("serve.completions", 1);
-                self.obs.observe(
+                self.config.obs.count("serve.completions", 1);
+                self.config.obs.observe(
                     "serve.latency_us",
                     finished.saturating_sub(req.arrival).as_us_f64(),
                 );
-                self.obs
+                self.config
+                    .obs
                     .observe("serve.energy_uj", rr.report.energy_uj + rr.extra_energy_uj);
                 if missed {
-                    self.obs.count("serve.deadline_misses", 1);
+                    self.config.obs.count("serve.deadline_misses", 1);
                 }
                 self.metrics.completions.push(Completion {
                     id: req.id,
@@ -660,7 +635,7 @@ impl ServeProcess {
                 self.current_f[lane] = Some(rr.report.frequency);
             }
             Err(e) => {
-                self.obs.count("serve.failures", 1);
+                self.config.obs.count("serve.failures", 1);
                 self.metrics.failures.push(Failure {
                     id: req.id,
                     at: finished,
@@ -671,33 +646,33 @@ impl ServeProcess {
         }
         let draw_mw = plan.predicted_power_mw - calib::V6_IDLE_MW + est.extra_draw_mw;
         self.busy[lane] = Some(draw_mw);
-        if let Some(tcfg) = self.thermal {
+        if let Some(tcfg) = self.config.thermal {
             let end_c = self.temps[lane].apply(&tcfg, now, finished, draw_mw / 1e3);
             self.metrics.peak_temp_c = self.metrics.peak_temp_c.max(end_c);
-            self.obs.gauge("thermal.temp_c", end_c);
+            self.config.obs.gauge("thermal.temp_c", end_c);
             if end_c > tcfg.limit_c + 1e-9 {
                 self.metrics.overtemp_dispatches += 1;
-                self.obs.count("thermal.overtemp", 1);
+                self.config.obs.count("thermal.overtemp", 1);
             }
         }
         self.sample_power(now);
-        ctx.send_in(wait, ctx.self_id(), Ev::Done { lane });
+        q.schedule_in(wait, Ev::Done { lane });
     }
 
     /// Records the summed draw at a scheduling instant and counts cap
     /// violations. Static idle is chip-level, so it is counted once.
     fn sample_power(&mut self, at: SimTime) {
         let total_mw = calib::V6_IDLE_MW + self.busy.iter().flatten().sum::<f64>();
-        self.obs.instant(
+        self.config.obs.instant(
             at,
             EventKind::CapSample {
                 total_mw,
-                cap_mw: self.cap_mw,
+                cap_mw: self.config.power_cap_mw,
             },
         );
-        self.obs.gauge("serve.power_mw", total_mw);
+        self.config.obs.gauge("serve.power_mw", total_mw);
         self.metrics.power.push(PowerSample { at, total_mw });
-        if total_mw > self.cap_mw + CAP_EPSILON_MW {
+        if total_mw > self.config.power_cap_mw + CAP_EPSILON_MW {
             self.metrics.cap_violations += 1;
         }
     }
@@ -706,6 +681,7 @@ impl ServeProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::ServiceSummary;
     use crate::request::{Priority, ReconfigRequest, RequestId};
     use crate::workload::{ArrivalPattern, WorkloadSpec};
     use uparc_bitstream::builder::PartialBitstream;
@@ -925,5 +901,96 @@ mod tests {
         assert_eq!(m.rejections.len(), 2);
         assert_eq!(m.rejections[0].reason.label(), "unknown-bitstream");
         assert_eq!(m.rejections[1].reason.label(), "region-mismatch");
+    }
+
+    /// `(request id, finished in fs)` of every completion of the pinned run,
+    /// in completion order.
+    const PINNED_FINISHED: [(u64, u64); 29] = [
+        (0, 1_547_572_940_997),
+        (1, 2_595_145_881_994),
+        (3, 3_411_189_411_265),
+        (5, 4_458_762_352_262),
+        (6, 5_506_335_293_259),
+        (7, 6_671_775_293_258),
+        (11, 7_837_215_293_257),
+        (14, 9_002_655_293_256),
+        (8, 10_168_095_293_255),
+        (19, 11_333_535_293_254),
+        (20, 12_498_975_293_253),
+        (18, 13_664_415_293_252),
+        (16, 14_829_855_293_251),
+        (23, 15_995_295_293_250),
+        (30, 17_160_735_293_249),
+        (31, 18_326_175_293_248),
+        (28, 19_491_615_293_247),
+        (24, 20_657_055_293_246),
+        (29, 21_822_495_293_245),
+        (15, 22_987_935_293_244),
+        (22, 24_153_375_293_243),
+        (10, 24_969_418_822_514),
+        (4, 25_785_462_351_785),
+        (2, 26_601_505_881_056),
+        (9, 27_417_549_410_327),
+        (13, 28_233_592_939_598),
+        (12, 29_141_318_653_883),
+        (17, 30_049_044_368_168),
+        (21, 30_956_770_082_453),
+    ];
+
+    /// One `PowerGreedy` run under a cap with DVFS and the thermal governor,
+    /// pinned to the exact values the event loop produces. A rerun of the
+    /// same code cannot catch a changed event order; these constants can.
+    #[test]
+    fn power_greedy_dvfs_thermal_run_is_pinned() {
+        let service = Service::new(
+            large_two_region_catalog(),
+            ServiceConfig {
+                policy: Policy::PowerGreedy,
+                power_cap_mw: 420.0,
+                queue_capacity: 8,
+                vf: Some(VfTable::voltune_virtex6()),
+                thermal: Some(ThermalConfig::default()),
+                ..ServiceConfig::default()
+            },
+        );
+        let spec = WorkloadSpec {
+            requests: 32,
+            mean_gap: SimTime::from_us(500),
+            pattern: ArrivalPattern::Sustained,
+            deadline_slack_us: Some((1_000, 8_000)),
+            energy_budget_uj: None,
+        };
+        let m = service.run(&spec.generate(23, service.catalog()));
+        let finished: Vec<(u64, u64)> = m
+            .completions
+            .iter()
+            .map(|c| (c.id.0, c.finished.as_fs()))
+            .collect();
+        assert_eq!(finished, PINNED_FINISHED);
+        assert_eq!(m.makespan, SimTime::from_fs(30_956_770_082_453));
+        assert_eq!(m.thermal_throttles, 19);
+        assert_eq!(
+            m.summary(),
+            ServiceSummary {
+                completed: 29,
+                rejected: 3,
+                failed: 0,
+                throughput_rps: 936.790_237_571_905_4,
+                p50_latency_us: 4864.0,
+                p95_latency_us: 23_654.399_999_999_998,
+                p99_latency_us: 24_801.28,
+                degraded_completed: 0,
+                p99_steady_latency_us: 24_801.28,
+                p99_degraded_latency_us: 0.0,
+                deadline_misses: 18,
+                deadline_miss_rate: 0.620_689_655_172_413_8,
+                mean_energy_uj: 98.256_144_819_982_85,
+                peak_power_mw: 419.285_714_37,
+                cap_violations: 0,
+                thermal_throttles: 19,
+                overtemp_dispatches: 0,
+                peak_temp_c: 84.913_996_612_525_01,
+            }
+        );
     }
 }

@@ -3,8 +3,8 @@
 //! The UPaRC paper (Bonamy et al., DATE 2012) evaluates a hardware
 //! reconfiguration controller on real Virtex-5/Virtex-6 boards. This crate
 //! provides the laptop-scale substitute: a deterministic, multi-clock-domain,
-//! cycle-accurate simulation substrate with an analytic power model calibrated
-//! against the paper's shunt-resistor measurements.
+//! cycle-accurate simulation substrate with a power model calibrated against
+//! the paper's shunt-resistor measurements.
 //!
 //! The crate is deliberately generic — it knows nothing about FPGAs. It
 //! provides:
@@ -15,14 +15,12 @@
 //!   and multi-rate edge merging ([`clock::MultiClock`]), the substrate for
 //!   dynamic frequency scaling (DyCloGen in the paper).
 //! * [`queue`] — a deterministic discrete-event queue ([`queue::EventQueue`]),
-//!   a calendar-queue/timer-wheel hybrid with O(1) amortised operations,
-//!   batch scheduling and whole-instant draining.
-//! * [`engine`] — a process-based discrete-event kernel on top of it
-//!   ([`engine::Engine`]) with a slab process table and batched
-//!   same-instant dispatch, for asynchronous system-level scenarios.
-//! * [`power`] — component-based power model (static + `mW/MHz` dynamic
-//!   contributions with clock gating), plus the calibration constants fitted
-//!   to the paper's Figure 7 in [`power::calib`].
+//!   a calendar-queue/timer-wheel hybrid with O(1) amortised operations;
+//!   event-driven simulations are a loop that drains one queue.
+//! * [`power`] — the calibration constants fitted to the paper's Figure 7
+//!   ([`power::calib`]), the (V, f) reconfiguration power curve
+//!   ([`power::reconfiguration_power_vf_mw`]) and the voltage-rail table
+//!   ([`power::VfTable`]).
 //! * [`fault`] — seeded deterministic fault plans ([`fault::FaultPlan`]) and
 //!   the [`fault::FaultInjector`] that dispenses SEUs, staged-stream flips,
 //!   transfer stalls, transient CRC corruptions and DCM lock failures for
@@ -52,8 +50,8 @@
 //!           |                |                |
 //!           v                v                v
 //!      +---------+      +---------+      +----------+
-//!      | engine  |      |  power  |      |   obs    |  spans/metrics
-//!      | + queue |      | + trace |      | recorder |  -> Chrome JSON,
+//!      |  queue  |      |  power  |      |   obs    |  spans/metrics
+//!      |         |      | + trace |      | recorder |  -> Chrome JSON,
 //!      +---------+      +---------+      +----------+     flamegraph
 //!           |                |                |
 //!           +----------------+----------------+
@@ -66,28 +64,25 @@
 //! # Example
 //!
 //! Reconfiguring 216.5 KB at 100 MHz through a 32-bit port takes 554 µs of
-//! simulated time; with the paper's calibrated power model that costs about
-//! 259 mW while active:
+//! simulated time; at nominal voltage the calibrated power curve draws
+//! exactly Fig. 7's measured 259 mW while active:
 //!
 //! ```
 //! use uparc_sim::time::{Frequency, SimTime};
-//! use uparc_sim::power::{calib, PowerModel};
+//! use uparc_sim::power::{calib, reconfiguration_power_vf_mw};
 //!
 //! let f = Frequency::from_mhz(100.0);
 //! let words = 216_500 / 4 * 4 / 4; // 216.5 KB as 32-bit words
 //! let t = f.time_of_cycles(words as u64);
 //! assert!(t > SimTime::from_us(540) && t < SimTime::from_us(560));
 //!
-//! let model = PowerModel::virtex6_calibrated();
-//! let p = model.reconfiguration_power_mw(f);
-//! assert!((p - 259.0).abs() / 259.0 < 0.10); // within 10% of Fig. 7
+//! assert_eq!(reconfiguration_power_vf_mw(calib::V_NOM_V, f), 259.0);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod engine;
 pub mod fault;
 pub mod obs;
 pub mod power;
@@ -100,7 +95,6 @@ pub mod trace;
 
 pub use clock::{ClockDomain, ClockId, MultiClock};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultRates, FaultRecord, FaultSpace};
-pub use power::{ComponentId, PowerModel};
 pub use queue::EventQueue;
 pub use time::{Frequency, SimTime};
 pub use trace::{Oscilloscope, PowerTrace};

@@ -1,10 +1,10 @@
-//! Component-based analytic power model, calibrated to the paper.
+//! The power model, calibrated to the paper.
 //!
 //! Classically (paper §V) FPGA core power splits into *static* power
 //! (leakage; voltage- and device-dependent) and *dynamic* power (switching;
 //! proportional to `α·C·V²·f`). At fixed core voltage the dynamic term of a
-//! component reduces to a per-component coefficient in **mW/MHz** times its
-//! clock frequency, gated by its activity (the EN signal in UReC).
+//! component reduces to a coefficient in **mW/MHz** times its clock
+//! frequency, gated by its activity (the EN signal in UReC).
 //!
 //! The [`calib`] module carries the constants fitted to the paper's measured
 //! operating points (Figure 7 and the §V energy comparison); the analytic
@@ -21,7 +21,6 @@
 //! `POWER.md`.
 
 use crate::time::{Frequency, SimTime};
-use std::fmt;
 
 /// Calibration constants for the Virtex-6 (ML605) measurement setup.
 ///
@@ -322,281 +321,9 @@ pub fn reconfiguration_power_vf_mw(volts: f64, freq: Frequency) -> f64 {
     base + scale * (calib::fig7_measured_mw(freq.as_mhz()) - base)
 }
 
-/// Identifier of a component registered in a [`PowerModel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ComponentId(usize);
-
-#[derive(Debug, Clone)]
-struct Component {
-    name: String,
-    static_mw: f64,
-    dyn_mw_per_mhz: f64,
-    freq: Option<Frequency>,
-    active: bool,
-}
-
-impl Component {
-    fn power_mw(&self) -> f64 {
-        let dynamic = if self.active {
-            self.freq.map_or(0.0, |f| self.dyn_mw_per_mhz * f.as_mhz())
-        } else {
-            0.0
-        };
-        self.static_mw + dynamic
-    }
-}
-
-/// An additive per-component power model.
-///
-/// Components contribute a constant static term plus, while *active* and
-/// clocked, `coefficient · frequency`. Gating a component (EN deasserted)
-/// removes its dynamic term — exactly the power-saving mechanism UReC applies
-/// to the BRAM and ICAP after reconfiguration completes.
-///
-/// # Example
-///
-/// ```
-/// use uparc_sim::power::PowerModel;
-/// use uparc_sim::time::Frequency;
-///
-/// let mut model = PowerModel::new();
-/// let idle = model.add_static("idle", 53.0);
-/// let path = model.add_dynamic("reconfig-path", 1.09);
-/// model.set_frequency(path, Frequency::from_mhz(300.0));
-/// model.set_active(path, true);
-/// assert!((model.total_mw() - (53.0 + 327.0)).abs() < 1e-9);
-/// model.set_active(path, false); // EN off
-/// assert!((model.total_mw() - 53.0).abs() < 1e-9);
-/// # let _ = idle;
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PowerModel {
-    components: Vec<Component>,
-}
-
-impl PowerModel {
-    /// Creates an empty model.
-    #[must_use]
-    pub fn new() -> Self {
-        PowerModel::default()
-    }
-
-    /// The calibrated Virtex-6/ML605 model of the paper's measurement setup:
-    /// idle floor, manager, reconfiguration path and decompressor components.
-    ///
-    /// Use [`PowerModel::find`] to look the pre-registered components up
-    /// by name and drive them.
-    #[must_use]
-    pub fn virtex6_calibrated() -> Self {
-        let mut m = PowerModel::new();
-        m.add_static("idle", calib::V6_IDLE_MW);
-        m.add_dynamic("manager", 0.92); // 92 mW at its fixed 100 MHz clock
-        m.add_dynamic("reconfig-path", calib::RECONFIG_PATH_MW_PER_MHZ);
-        m.add_dynamic("decompressor", calib::DECOMPRESSOR_MW_PER_MHZ);
-        m.add_dynamic("preload-path", calib::PRELOAD_PATH_MW_PER_MHZ);
-        m
-    }
-
-    /// Registers a component with only a static contribution. Returns its id.
-    pub fn add_static(&mut self, name: &str, static_mw: f64) -> ComponentId {
-        self.add_component(name, static_mw, 0.0)
-    }
-
-    /// Registers a purely dynamic component (`mw_per_mhz` coefficient),
-    /// initially inactive and unclocked. Returns its id.
-    pub fn add_dynamic(&mut self, name: &str, mw_per_mhz: f64) -> ComponentId {
-        self.add_component(name, 0.0, mw_per_mhz)
-    }
-
-    /// Registers a component with both static and dynamic contributions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either coefficient is negative or non-finite.
-    pub fn add_component(
-        &mut self,
-        name: &str,
-        static_mw: f64,
-        dyn_mw_per_mhz: f64,
-    ) -> ComponentId {
-        assert!(
-            static_mw.is_finite() && static_mw >= 0.0,
-            "static power must be finite and non-negative"
-        );
-        assert!(
-            dyn_mw_per_mhz.is_finite() && dyn_mw_per_mhz >= 0.0,
-            "dynamic coefficient must be finite and non-negative"
-        );
-        self.components.push(Component {
-            name: name.to_owned(),
-            static_mw,
-            dyn_mw_per_mhz,
-            freq: None,
-            active: false,
-        });
-        ComponentId(self.components.len() - 1)
-    }
-
-    /// Looks a component up by name.
-    #[must_use]
-    pub fn find(&self, name: &str) -> Option<ComponentId> {
-        self.components
-            .iter()
-            .position(|c| c.name == name)
-            .map(ComponentId)
-    }
-
-    /// Sets a component's clock frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this model.
-    pub fn set_frequency(&mut self, id: ComponentId, freq: Frequency) {
-        self.components[id.0].freq = Some(freq);
-    }
-
-    /// Activates or gates a component's dynamic power.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this model.
-    pub fn set_active(&mut self, id: ComponentId, active: bool) {
-        self.components[id.0].active = active;
-    }
-
-    /// Instantaneous total power in milliwatts.
-    #[must_use]
-    pub fn total_mw(&self) -> f64 {
-        self.components.iter().map(Component::power_mw).sum()
-    }
-
-    /// Instantaneous power of one component in milliwatts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this model.
-    #[must_use]
-    pub fn component_mw(&self, id: ComponentId) -> f64 {
-        self.components[id.0].power_mw()
-    }
-
-    /// Closed-form total core power while UPaRC reconfigures at `freq` with
-    /// the MicroBlaze manager in active wait — the quantity plotted in Fig. 7.
-    #[must_use]
-    pub fn reconfiguration_power_mw(&self, freq: Frequency) -> f64 {
-        calib::V6_IDLE_MW
-            + calib::MANAGER_ACTIVE_WAIT_MW
-            + calib::RECONFIG_PATH_MW_PER_MHZ * freq.as_mhz()
-    }
-}
-
-impl fmt::Display for PowerModel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "PowerModel ({:.1} mW total):", self.total_mw())?;
-        for c in &self.components {
-            writeln!(
-                f,
-                "  {:<16} static {:>6.1} mW, dyn {:>5.2} mW/MHz, {} {}",
-                c.name,
-                c.static_mw,
-                c.dyn_mw_per_mhz,
-                if c.active { "active" } else { "gated" },
-                c.freq
-                    .map_or_else(|| "unclocked".to_owned(), |x| x.to_string()),
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Integrates power over simulated time into energy.
-///
-/// The meter assumes power is a step function: it holds the last reported
-/// power level until the next [`PowerMeter::advance`].
-///
-/// # Example
-///
-/// ```
-/// use uparc_sim::power::PowerMeter;
-/// use uparc_sim::time::SimTime;
-///
-/// let mut meter = PowerMeter::new();
-/// meter.set_power(SimTime::ZERO, 100.0);          // 100 mW
-/// meter.advance(SimTime::from_ms(2));             // for 2 ms
-/// assert!((meter.energy_uj() - 200.0).abs() < 1e-9); // = 200 µJ
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PowerMeter {
-    energy_uj: f64,
-    last_time: SimTime,
-    power_mw: f64,
-}
-
-impl PowerMeter {
-    /// Creates a meter at time zero with zero power.
-    #[must_use]
-    pub fn new() -> Self {
-        PowerMeter::default()
-    }
-
-    /// Integrates up to `to` at the current power level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` precedes the meter's current time.
-    pub fn advance(&mut self, to: SimTime) {
-        assert!(to >= self.last_time, "power meter cannot run backwards");
-        let dt = (to - self.last_time).as_secs_f64();
-        self.energy_uj += self.power_mw * dt * 1e3; // mW * s = mJ; *1e3 = µJ
-        self.last_time = to;
-    }
-
-    /// Integrates up to `at`, then switches to a new power level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` precedes the meter's current time.
-    pub fn set_power(&mut self, at: SimTime, power_mw: f64) {
-        self.advance(at);
-        self.power_mw = power_mw;
-    }
-
-    /// Accumulated energy in microjoules.
-    #[must_use]
-    pub fn energy_uj(&self) -> f64 {
-        self.energy_uj
-    }
-
-    /// Accumulated energy in millijoules.
-    #[must_use]
-    pub fn energy_mj(&self) -> f64 {
-        self.energy_uj / 1e3
-    }
-
-    /// The meter's current time.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.last_time
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn calibrated_model_matches_fig7_within_10_percent() {
-        let model = PowerModel::virtex6_calibrated();
-        for (mhz, measured) in calib::FIG7_POINTS {
-            let predicted = model.reconfiguration_power_mw(Frequency::from_mhz(mhz));
-            let err = (predicted - measured).abs() / measured;
-            assert!(
-                err < 0.10,
-                "{mhz} MHz: predicted {predicted:.1} mW vs measured {measured} mW ({:.1}% off)",
-                err * 100.0
-            );
-        }
-    }
 
     #[test]
     fn measured_curve_is_exact_at_every_anchor() {
@@ -694,75 +421,12 @@ mod tests {
     }
 
     #[test]
-    fn gating_removes_dynamic_power() {
-        let mut m = PowerModel::new();
-        let c = m.add_component("x", 10.0, 2.0);
-        m.set_frequency(c, Frequency::from_mhz(100.0));
-        assert!(
-            (m.total_mw() - 10.0).abs() < 1e-12,
-            "inactive => static only"
-        );
-        m.set_active(c, true);
-        assert!((m.total_mw() - 210.0).abs() < 1e-12);
-        m.set_active(c, false);
-        assert!((m.total_mw() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dynamic_power_scales_linearly_with_frequency() {
-        let mut m = PowerModel::new();
-        let c = m.add_dynamic("p", 1.09);
-        m.set_active(c, true);
-        m.set_frequency(c, Frequency::from_mhz(50.0));
-        let p50 = m.total_mw();
-        m.set_frequency(c, Frequency::from_mhz(200.0));
-        let p200 = m.total_mw();
-        assert!((p200 / p50 - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn find_returns_registered_components() {
-        let m = PowerModel::virtex6_calibrated();
-        assert!(m.find("idle").is_some());
-        assert!(m.find("manager").is_some());
-        assert!(m.find("reconfig-path").is_some());
-        assert!(m.find("decompressor").is_some());
-        assert!(m.find("nonexistent").is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_static_power_rejected() {
-        let mut m = PowerModel::new();
-        m.add_static("bad", -1.0);
-    }
-
-    #[test]
-    fn meter_integrates_step_function() {
-        let mut meter = PowerMeter::new();
-        meter.set_power(SimTime::ZERO, 183.0);
-        meter.set_power(SimTime::from_ms(1), 53.0); // 1 ms at 183 mW
-        meter.advance(SimTime::from_ms(2)); // 1 ms at 53 mW
-        assert!((meter.energy_uj() - (183.0 + 53.0)).abs() < 1e-9);
-        assert_eq!(meter.now(), SimTime::from_ms(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "backwards")]
-    fn meter_rejects_time_reversal() {
-        let mut meter = PowerMeter::new();
-        meter.advance(SimTime::from_ms(1));
-        meter.advance(SimTime::from_us(1));
-    }
-
-    #[test]
     fn fig7_energy_decreases_with_frequency() {
         // Paper §V: with an actively-waiting manager, higher reconfiguration
         // frequency takes less time, so total energy decreases.
-        let model = PowerModel::virtex6_calibrated();
         let mut last = f64::INFINITY;
         for (mhz, us) in calib::FIG7_TIMES_US {
-            let p = model.reconfiguration_power_mw(Frequency::from_mhz(mhz));
+            let p = reconfiguration_power_vf_mw(calib::V_NOM_V, Frequency::from_mhz(mhz));
             let e = p * us; // nJ-scale proportional
             assert!(e < last, "energy must decrease with frequency");
             last = e;

@@ -1,9 +1,15 @@
 //! A deterministic discrete-event queue.
 //!
-//! Generic over the event payload so each system model (UPaRC, the baseline
-//! controllers, the schedulers in the examples) can define its own event
-//! vocabulary. Events at equal times pop in insertion order (FIFO), which
-//! keeps simulations reproducible.
+//! Generic over the event payload so each system model can define its own
+//! event vocabulary. Events at equal times pop in insertion order (FIFO),
+//! which keeps simulations reproducible.
+//!
+//! A simulation is a plain loop over one queue: schedule the initial
+//! events, then `while let Some((_, ev)) = q.pop() { state.handle(&mut q,
+//! ev) }`, with handlers scheduling follow-ups through
+//! [`EventQueue::schedule_in`]. [`EventQueue::now`] after the drain is
+//! the time of the last event (the makespan). The service and churn
+//! simulations in `uparc-serve` and `uparc-place` run this way.
 //!
 //! # Implementation: a hierarchical calendar queue
 //!
@@ -213,18 +219,6 @@ impl<E> EventQueue<E> {
         self.schedule(at, event);
     }
 
-    /// Schedules a batch of `(time, event)` pairs in iteration order
-    /// (equal-time events keep that order when popped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any time lies in the simulation past.
-    pub fn schedule_batch<I: IntoIterator<Item = (SimTime, E)>>(&mut self, batch: I) {
-        for (at, event) in batch {
-            self.schedule(at, event);
-        }
-    }
-
     /// Pops the earliest event, advancing [`EventQueue::now`] to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.current.pop()?;
@@ -234,26 +228,6 @@ impl<E> EventQueue<E> {
             self.refill();
         }
         Some((entry.time, entry.event))
-    }
-
-    /// Drains *all* events at the earliest pending timestamp into `out`
-    /// (in FIFO order), advancing [`EventQueue::now`] to that time; returns
-    /// the timestamp, or `None` if the queue is empty.
-    ///
-    /// `out` is appended to, not cleared — pass a reusable buffer for
-    /// allocation-free batch dispatch.
-    pub fn pop_instant(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        let at = self.peek_time()?;
-        while self.current.last().is_some_and(|e| e.time == at) {
-            let entry = self.current.pop().expect("checked last");
-            self.len -= 1;
-            out.push(entry.event);
-            if self.current.is_empty() {
-                self.refill();
-            }
-        }
-        self.now = at;
-        Some(at)
     }
 
     /// Peeks at the time of the earliest pending event.
@@ -440,38 +414,6 @@ mod tests {
                 assert!(w[0].1 < w[1].1, "FIFO tie order violated: {w:?}");
             }
         }
-    }
-
-    #[test]
-    fn pop_instant_drains_one_timestamp() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_ns(7);
-        q.schedule(t, 1);
-        q.schedule(SimTime::from_ns(9), 99);
-        q.schedule(t, 2);
-        q.schedule(t, 3);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_instant(&mut out), Some(t));
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(q.now(), t);
-        assert_eq!(q.len(), 1);
-        out.clear();
-        assert_eq!(q.pop_instant(&mut out), Some(SimTime::from_ns(9)));
-        assert_eq!(out, vec![99]);
-        out.clear();
-        assert_eq!(q.pop_instant(&mut out), None);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn schedule_batch_keeps_fifo_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_us(1);
-        q.schedule(t, 0);
-        q.schedule_batch((1..5).map(|i| (t, i)));
-        q.schedule_batch([(SimTime::from_ns(10), 100)]);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![100, 0, 1, 2, 3, 4]);
     }
 
     #[test]

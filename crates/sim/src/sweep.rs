@@ -103,7 +103,7 @@ pub fn worker_count(items: usize) -> usize {
 ///
 /// Sharding is purely positional — independent of core count and of
 /// `UPARC_SWEEP_THREADS` — so a grid dispatched shard-by-shard (e.g. one
-/// engine scenario per shard) is decomposed identically on every host.
+/// event-loop scenario per shard) is decomposed identically on every host.
 ///
 /// # Panics
 ///

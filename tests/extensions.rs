@@ -1,6 +1,5 @@
 //! Integration tests for the extension features: SEU scrubbing, sample
-//! screening, floorplanning, and the DES engine driving a reconfiguration
-//! scenario.
+//! screening and floorplanning.
 
 use uparc_repro::bitstream::builder::PartialBitstream;
 use uparc_repro::bitstream::synth::SynthProfile;
@@ -10,8 +9,7 @@ use uparc_repro::core::uparc::{Mode, UParc};
 use uparc_repro::fpga::floorplan::Floorplan;
 use uparc_repro::fpga::variation::SampleLot;
 use uparc_repro::fpga::{Device, Family};
-use uparc_repro::sim::engine::{Context, Engine, Process, ProcessId};
-use uparc_repro::sim::time::{Frequency, SimTime};
+use uparc_repro::sim::time::Frequency;
 
 #[test]
 fn scrubbing_protects_a_floorplanned_partition() {
@@ -76,100 +74,4 @@ fn synthetic_profiles_have_distinct_statistics() {
     // Run mass ordering: sparse blankest.
     assert!(sparse.runs.very_long > dense.runs.very_long);
     assert!(noise.runs.very_long < 0.01);
-}
-
-/// A requester/controller pair on the DES engine: the requester fires
-/// module-swap requests; the controller process owns a `UParc` and serves
-/// them, replying with the measured latency.
-#[derive(Debug, Clone, PartialEq)]
-enum Ev {
-    Swap(u32),
-    Done(SimTime),
-}
-
-struct ControllerProc {
-    sys: UParc,
-    served: Vec<SimTime>,
-    requester: Option<ProcessId>,
-}
-
-impl Process<Ev> for ControllerProc {
-    fn handle(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
-        match ev {
-            Ev::Swap(seed) => {
-                let device = self.sys.device().clone();
-                let payload = SynthProfile::dense().generate(&device, 0, 200, u64::from(seed));
-                let bs = PartialBitstream::build(&device, 0, &payload);
-                let r = self
-                    .sys
-                    .reconfigure_bitstream(&bs, Mode::Raw)
-                    .expect("swap");
-                let latency = r.elapsed();
-                self.served.push(latency);
-                if let Some(req) = self.requester {
-                    ctx.send_in(latency, req, Ev::Done(latency));
-                }
-            }
-            Ev::Done(_) => {}
-        }
-    }
-}
-
-struct RequesterProc {
-    controller: Option<ProcessId>,
-    remaining: u32,
-    completions: u32,
-}
-
-impl Process<Ev> for RequesterProc {
-    fn handle(&mut self, ctx: &mut Context<'_, Ev>, ev: Ev) {
-        if let Ev::Done(_) = ev {
-            self.completions += 1;
-            if self.remaining > 0 {
-                self.remaining -= 1;
-                let ctrl = self.controller.expect("wired");
-                ctx.send_in(SimTime::from_us(500), ctrl, Ev::Swap(self.remaining));
-            }
-        }
-    }
-}
-
-#[test]
-fn engine_drives_an_asynchronous_swap_pipeline() {
-    let mut sys = UParc::builder(Device::xc5vsx50t()).build().expect("build");
-    sys.set_reconfiguration_frequency(Frequency::from_mhz(300.0))
-        .expect("tune");
-
-    let mut engine = Engine::new();
-    let requester = engine.spawn(Box::new(RequesterProc {
-        controller: None,
-        remaining: 4,
-        completions: 0,
-    }));
-    let controller = engine.spawn(Box::new(ControllerProc {
-        sys,
-        served: Vec::new(),
-        requester: Some(requester),
-    }));
-    // Wire the requester now that the controller's id exists.
-    let req: &mut RequesterProc = (engine.process_mut(requester) as &mut dyn std::any::Any)
-        .downcast_mut()
-        .expect("concrete type");
-    req.controller = Some(controller);
-
-    engine.schedule(SimTime::ZERO, controller, Ev::Swap(5));
-    engine.run();
-
-    // 5 swaps total: the initial one plus 4 chained by the requester.
-    let ctrl: &ControllerProc = (engine.process(controller) as &dyn std::any::Any)
-        .downcast_ref()
-        .expect("concrete type");
-    assert_eq!(ctrl.served.len(), 5);
-    assert_eq!(ctrl.sys.icap().frames_committed(), 5 * 200);
-    let req: &RequesterProc = (engine.process(requester) as &dyn std::any::Any)
-        .downcast_ref()
-        .expect("concrete type");
-    assert_eq!(req.completions, 5);
-    // The engine's clock advanced through the 500 µs gaps + swap latencies.
-    assert!(engine.now() > SimTime::from_ms(2));
 }

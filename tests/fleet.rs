@@ -1,14 +1,15 @@
 //! Integration tests of the `uparc-fleet` rack-scale serving stack:
 //! workload sharding determinism, router tie-breaks, worker-count
 //! identity of a full fleet run, equivalence of the calibrated
-//! operating-point tables against `PowerAwarePolicy::plan_constrained`,
-//! and the chaos layer (chip loss, failover accounting, power
-//! emergencies, graceful degradation).
+//! operating-point tables against the frequency-only
+//! `PowerAwarePolicy::plan_vf`, the empty-workload error, and the chaos
+//! layer (chip loss, failover accounting, power emergencies, graceful
+//! degradation).
 
-use uparc_repro::core::policy::{PlanQuery, PowerAwarePolicy};
+use uparc_repro::core::policy::{PlanQuery, PowerAwarePolicy, VfQuery};
 use uparc_repro::fleet::{
-    synthetic_catalog, ChaosSpec, EmergencyWindow, Fleet, FleetConfig, FleetWorkloadSpec,
-    HealthConfig, PlanTables, RoutePolicy,
+    synthetic_catalog, ChaosSpec, EmergencyWindow, Fleet, FleetConfig, FleetError,
+    FleetWorkloadSpec, HealthConfig, PlanTables, RoutePolicy,
 };
 use uparc_repro::serve::request::BitstreamId;
 use uparc_repro::sim::obs::{EventKind, Obs, TraceRecorder};
@@ -140,7 +141,7 @@ fn locality_routing_beats_random_on_hit_rate() {
 }
 
 /// The calibrated table's cap-constrained selection picks the same
-/// frequency as the reference planner's `plan_constrained` for caps that
+/// frequency as the planner's frequency-only `plan_vf` for caps that
 /// land between grid points.
 #[test]
 fn plan_tables_match_plan_constrained() {
@@ -166,12 +167,12 @@ fn plan_tables_match_plan_constrained() {
             .map_or(p_i + 10.0, |&f| planner.predicted_power_mw(f));
         let cap = (p_i + p_next) / 2.0 + extra;
         let picked = tables.select(id, cap);
-        let reference = planner.plan_constrained(&PlanQuery {
+        let reference = planner.plan_vf(&VfQuery::frequency_only(PlanQuery {
             bytes: entry.raw_bytes(),
             max_frequency: facts.key.is_some().then(|| Frequency::from_mhz(255.0)),
             power_cap_mw: Some(cap - extra),
             ..PlanQuery::default()
-        });
+        }));
         match (picked, reference) {
             (Some(idx), Ok(plan)) => {
                 assert_eq!(
@@ -424,4 +425,14 @@ fn infeasible_rack_cap_is_rejected() {
     let err = fleet.run(&small_spec(10)).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("rack cap"), "unexpected error: {msg}");
+}
+
+/// An empty workload is a typed error, not a panic.
+#[test]
+fn empty_workload_is_a_typed_error() {
+    let catalog = synthetic_catalog(4, 12, 5);
+    let fleet = Fleet::new(catalog, small_config(4, RoutePolicy::Random { seed: 1 })).unwrap();
+    let err = fleet.run(&small_spec(0)).unwrap_err();
+    assert_eq!(err, FleetError::EmptyWorkload);
+    assert_eq!(err.to_string(), "workload holds no requests");
 }

@@ -6,15 +6,16 @@ use std::sync::Arc;
 
 use uparc_repro::bitstream::builder::PartialBitstream;
 use uparc_repro::bitstream::synth::SynthProfile;
-use uparc_repro::fpga::alloc::FitPolicy;
+use uparc_repro::fpga::alloc::{FitPolicy, FragStats};
 use uparc_repro::fpga::device::Geometry;
 use uparc_repro::fpga::{Device, Family, Icap};
 use uparc_repro::place::churn::ChurnSpec;
 use uparc_repro::place::defrag::Defragmenter;
-use uparc_repro::place::sim::{run_churn, PlacementConfig};
+use uparc_repro::place::sim::{run_churn, ChurnOutcome, PlacementConfig};
 use uparc_repro::serve::dynamic::{DynamicCatalog, PlacementError};
 use uparc_repro::serve::request::BitstreamId;
 use uparc_repro::sim::obs::{Obs, TraceRecorder};
+use uparc_repro::sim::time::SimTime;
 
 fn arena(frames_minor: u32) -> Device {
     let geometry = Geometry {
@@ -149,4 +150,59 @@ fn churn_simulation_emits_placement_taxonomy() {
     assert!(trace.contains("\"name\":\"Compact\""));
     assert!(trace.contains("\"cat\":\"place\""));
     uparc_repro::sim::obs::json::parse(&trace).expect("trace export parses");
+}
+
+/// One churn run with background defrag, pinned to the exact outcome the
+/// event loop produces: admissions, trapped-capacity rejections,
+/// departures, relocation moves and passes, ICAP time, makespan and the
+/// final fragmentation. A rerun of the same code cannot catch a changed
+/// event order; these constants can.
+#[test]
+fn defrag_churn_run_is_pinned() {
+    let spec = ChurnSpec {
+        tenants: 150,
+        mean_gap: SimTime::from_us(400),
+        mean_hold: SimTime::from_ms(8),
+        frames_min: 6,
+        frames_max: 30,
+        pinned_permille: 150,
+    };
+    let out = run_churn(
+        &spec,
+        3,
+        PlacementConfig {
+            device: arena(200),
+            defrag: true,
+            ..PlacementConfig::default()
+        },
+    );
+    let mut histogram = [0u32; 32];
+    histogram[6] = 1;
+    assert_eq!(
+        out,
+        ChurnOutcome {
+            arrivals: 150,
+            placed: 63,
+            rejected: 87,
+            rejected_trapped: 1,
+            departed: 53,
+            moves: 281,
+            moved_frames: 3935,
+            compact_passes: 50,
+            verified_moves: 0,
+            verify_failures: 0,
+            invariant_violations: 0,
+            live_at_end: 10,
+            live_frames: 123,
+            final_frag: FragStats {
+                total_free: 77,
+                largest_free: 77,
+                free_blocks: 1,
+                histogram,
+            },
+            icap_busy: SimTime::from_fs(3_725_930_000_000),
+            icap_defrag: SimTime::from_fs(3_333_480_000_000),
+            makespan: SimTime::from_fs(67_050_512_153_123),
+        }
+    );
 }

@@ -2,10 +2,10 @@
 //!
 //! The calendar-queue [`EventQueue`] replaced a plain binary heap and must
 //! be observationally identical to it: events pop in nondecreasing time
-//! order, ties break in schedule (FIFO) order, `pop_instant` drains exactly
-//! one timestamp, and scheduling into the past panics. These tests drive
-//! the queue and a `BinaryHeap`-based reference model with the same
-//! randomized op sequences and compare every observable at every step.
+//! order, ties break in schedule (FIFO) order, and scheduling into the
+//! past panics. These tests drive the queue and a `BinaryHeap`-based
+//! reference model with the same randomized op sequences and compare
+//! every observable at every step.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,18 +38,6 @@ impl HeapReference {
         Some((t, e))
     }
 
-    fn pop_instant(&mut self, out: &mut Vec<u32>) -> Option<SimTime> {
-        let Reverse((at, _, _)) = *self.heap.peek()?;
-        while let Some(&Reverse((t, _, _))) = self.heap.peek() {
-            if t != at {
-                break;
-            }
-            out.push(self.heap.pop().expect("peeked").0 .2);
-        }
-        self.now = at;
-        Some(at)
-    }
-
     fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|&Reverse((t, _, _))| t)
     }
@@ -63,7 +51,6 @@ enum Op {
     /// Schedule a burst at one instant, stressing FIFO among ties.
     ScheduleBurst(u64, u8),
     Pop,
-    PopInstant,
 }
 
 /// Offsets cluster small so ties and near-ties are common, with an
@@ -82,7 +69,6 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
         offset_strategy().prop_map(Op::Schedule),
         (offset_strategy(), 2u8..8).prop_map(|(o, n)| Op::ScheduleBurst(o, n)),
         Just(Op::Pop),
-        Just(Op::PopInstant),
     ];
     proptest::collection::vec(op, 0..400)
 }
@@ -114,14 +100,6 @@ proptest! {
                 }
                 Op::Pop => {
                     prop_assert_eq!(q.pop(), model.pop(), "pop diverged at op {}", i);
-                }
-                Op::PopInstant => {
-                    let mut got = Vec::new();
-                    let mut want = Vec::new();
-                    let gt = q.pop_instant(&mut got);
-                    let wt = model.pop_instant(&mut want);
-                    prop_assert_eq!(gt, wt, "pop_instant time diverged at op {}", i);
-                    prop_assert_eq!(&got, &want, "pop_instant batch diverged at op {}", i);
                 }
             }
             prop_assert_eq!(q.len(), model.heap.len(), "len diverged at op {}", i);
