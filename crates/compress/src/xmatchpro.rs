@@ -88,9 +88,9 @@ impl XMatchPro {
 
     /// Reference encoder: the original token-at-a-time loop with
     /// per-field bit writes. Exists to pin the fused-write fast path in
-    /// [`Codec::compress`] byte-for-byte (see `tests/proptest_fastpath.rs`).
-    #[must_use]
-    pub fn compress_reference(&self, input: &[u8]) -> Vec<u8> {
+    /// [`Codec::compress`] byte-for-byte (see the tests below).
+    #[cfg(test)]
+    fn compress_reference(&self, input: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(input.len() / 2 + 8);
         out.extend_from_slice(&(input.len() as u32).to_le_bytes());
         let mut w = BitWriter::with_capacity(input.len() / 2);
@@ -147,12 +147,10 @@ impl XMatchPro {
 
     /// Reference decoder: the original field-at-a-time loop with byte-wise
     /// run replication. Exists to pin the batched fast path in
-    /// [`Codec::decompress`] (see `tests/proptest_fastpath.rs`).
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Codec::decompress`], at the same tokens.
-    pub fn decompress_reference(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
+    /// [`Codec::decompress`] (see the tests below); returns exactly the
+    /// errors of [`Codec::decompress`], at the same tokens.
+    #[cfg(test)]
+    fn decompress_reference(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
         if input.len() < 4 {
             return Err(CodecError::Truncated);
         }

@@ -8,10 +8,10 @@
 //! ```
 //!
 //! The analytic model (`max(fetch, decompress, intake)`) captures the
-//! steady state; this module simulates the pipeline edge by edge over a
-//! merged two-domain clock ([`uparc_sim::clock::MultiClock`]), including
-//! FIFO warm-up, backpressure and stall accounting — so the reported
-//! transfer time *is* the cycle count, not a formula.
+//! steady state; this module simulates the pipeline edge by edge over the
+//! merged CLK_2/CLK_3 edge stream, including FIFO warm-up, backpressure
+//! and stall accounting — so the reported transfer time *is* the cycle
+//! count, not a formula.
 //!
 //! The decompressor's data-dependent burstiness is smoothed into its mean
 //! expansion rate (output words per input word over the whole image) with
@@ -20,8 +20,7 @@
 //! and this simulation agree to within the warm-up time (asserted by the
 //! tests and by `UParc` itself in debug builds).
 
-use uparc_sim::clock::{ClockDomain, MultiClock};
-use uparc_sim::time::{Frequency, SimTime};
+use uparc_sim::time::{Frequency, SimTime, FS_PER_SEC};
 
 /// FIFO depth on each side of the decompressor (words).
 pub const FIFO_DEPTH: usize = 16;
@@ -59,21 +58,23 @@ pub struct PipelineRun {
     pub max_words_per_cycle: u32,
 }
 
-/// Femtoseconds per second — [`uparc_sim::time`]'s base unit, restated here
-/// for the fast edge generator (pinned against `time_of_cycles` by tests).
-const FS_PER_SEC: u64 = 1_000_000_000_000_000;
+/// One rising edge of the merged two-domain clock.
+enum Edge {
+    /// A CLK_2 edge, at this many femtoseconds.
+    Clk2(u64),
+    /// A CLK_3 edge (its time never reaches the statistics).
+    Clk3,
+}
 
 impl PipelineRun {
     /// Simulates the pipeline, returning its stall statistics.
     ///
-    /// Edge-exact fast path: instead of merging edges through
-    /// [`MultiClock`] (a heap-less but per-call scan with 128-bit division
-    /// on every edge), both domains' edge times are generated with an
-    /// incremental Bresenham accumulator — `floor(k · FS / f)` maintained
-    /// by one add and one conditional carry per edge — and ties break
-    /// toward CLK_2 exactly like `MultiClock`'s id order. The state machine
-    /// body is identical to [`PipelineRun::simulate_reference`], so the
-    /// returned statistics are equal field for field (pinned by tests).
+    /// Both domains' edge times come from an incremental Bresenham
+    /// accumulator — `floor(k · FS / f)` maintained by one add and one
+    /// conditional carry per edge, exactly the value
+    /// `Frequency::time_of_cycles(k)` returns — and simultaneous edges
+    /// dispatch CLK_2 first. The tests pin this stepper field for field
+    /// against edges computed with `time_of_cycles` directly.
     ///
     /// # Panics
     ///
@@ -81,128 +82,42 @@ impl PipelineRun {
     /// pipeline) or `max_words_per_cycle` is zero.
     #[must_use]
     pub fn simulate(&self) -> PipelineStats {
-        assert!(self.output_words > 0, "empty transfer");
-        assert!(self.max_words_per_cycle > 0, "decompressor must emit");
         let f2 = self.clk2.as_hz();
         let f3 = self.clk3.as_hz();
         // Per-edge time step, split into whole femtoseconds and remainder:
-        // clk edge k lands at floor(k · FS / f), so each edge advances the
-        // time by `q` fs plus a carry whenever the remainder accumulator
-        // wraps — exactly the value `Frequency::time_of_cycles(k)` returns.
+        // each edge advances the time by `q` fs plus a carry whenever the
+        // remainder accumulator wraps.
         let (q2, r2) = (FS_PER_SEC / f2, FS_PER_SEC % f2);
         let (q3, r3) = (FS_PER_SEC / f3, FS_PER_SEC % f3);
         let (mut t2, mut a2) = (q2, r2); // next CLK_2 edge: time, remainder
         let (mut t3, mut a3) = (q3, r3); // next CLK_3 edge: time, remainder
-
-        // Mean expansion rate, as a rational accumulator (out per in).
-        let rate_num = self.output_words;
-        let rate_den = self.input_words.max(1);
-
-        let mut in_fifo = 0usize; // compressed words buffered
-        let mut out_fifo = 0usize; // decompressed words buffered
-        let mut fetched = 0u64;
-        let mut emitted = 0u64;
-        let mut consumed = 0u64;
-        // Fractional output credit, scaled by rate_den.
-        let mut credit = 0u64;
-
-        let mut stats = PipelineStats {
-            clk2_cycles: 0,
-            clk3_cycles: 0,
-            icap_starved_cycles: 0,
-            decomp_starved_cycles: 0,
-            decomp_blocked_cycles: 0,
-            elapsed: SimTime::ZERO,
-        };
-
-        while consumed < self.output_words {
-            // Simultaneous edges dispatch CLK_2 first (MultiClock id order).
+        self.run_edges(|| {
             if t2 <= t3 {
-                stats.clk2_cycles += 1;
-                // UReC fetch side: one BRAM word into the input FIFO.
-                if fetched < self.input_words && in_fifo < FIFO_DEPTH {
-                    fetched += 1;
-                    in_fifo += 1;
-                }
-                // ICAP intake side: one word per cycle when available.
-                if out_fifo > 0 {
-                    out_fifo -= 1;
-                    consumed += 1;
-                    if consumed == self.output_words {
-                        stats.elapsed = SimTime::from_fs(t2);
-                        break;
-                    }
-                } else {
-                    stats.icap_starved_cycles += 1;
-                }
+                let edge = Edge::Clk2(t2);
                 t2 += q2;
                 a2 += r2;
                 if a2 >= f2 {
                     t2 += 1;
                     a2 -= f2;
                 }
+                edge
             } else {
-                stats.clk3_cycles += 1;
-                // Decompressor: consume input when credit is low, emit up
-                // to the hardware cap while credit and FIFO space allow.
-                let mut did_work = false;
-                if in_fifo > 0 && credit < rate_num {
-                    in_fifo -= 1;
-                    credit += rate_num;
-                    did_work = true;
-                } else if in_fifo == 0 && fetched < self.input_words {
-                    stats.decomp_starved_cycles += 1;
-                }
-                let mut burst = 0u32;
-                while credit >= rate_den
-                    && out_fifo < FIFO_DEPTH
-                    && burst < self.max_words_per_cycle
-                    && emitted < self.output_words
-                {
-                    credit -= rate_den;
-                    out_fifo += 1;
-                    emitted += 1;
-                    burst += 1;
-                }
-                // Account tail credit: everything fetched but the division
-                // left less than one word of credit at the end.
-                if fetched == self.input_words
-                    && emitted < self.output_words
-                    && in_fifo == 0
-                    && credit < rate_den
-                {
-                    // Flush rounding remainder (≤1 word over a whole image).
-                    credit = rate_den;
-                }
-                if burst == 0 && !did_work && out_fifo >= FIFO_DEPTH {
-                    stats.decomp_blocked_cycles += 1;
-                }
                 t3 += q3;
                 a3 += r3;
                 if a3 >= f3 {
                     t3 += 1;
                     a3 -= f3;
                 }
+                Edge::Clk3
             }
-        }
-        stats
+        })
     }
 
-    /// Simulates the pipeline through [`MultiClock`]'s general edge merger
-    /// — the reference implementation [`PipelineRun::simulate`] is pinned
-    /// against (DESIGN §7: every fast path keeps its bit-exact reference).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `output_words` is zero (an empty transfer has no
-    /// pipeline) or `max_words_per_cycle` is zero.
-    #[must_use]
-    pub fn simulate_reference(&self) -> PipelineStats {
+    /// The FIFO state machine, driven by `next_edge` until the last
+    /// output word enters the ICAP.
+    fn run_edges(&self, mut next_edge: impl FnMut() -> Edge) -> PipelineStats {
         assert!(self.output_words > 0, "empty transfer");
         assert!(self.max_words_per_cycle > 0, "decompressor must emit");
-        let mut mc = MultiClock::new();
-        let clk2 = mc.add(ClockDomain::new(self.clk2));
-        let _clk3 = mc.add(ClockDomain::new(self.clk3));
 
         // Mean expansion rate, as a rational accumulator (out per in).
         let rate_num = self.output_words;
@@ -226,8 +141,7 @@ impl PipelineRun {
         };
 
         while consumed < self.output_words {
-            let (t, id) = mc.next_edge().expect("both domains enabled");
-            if id == clk2 {
+            if let Edge::Clk2(t) = next_edge() {
                 stats.clk2_cycles += 1;
                 // UReC fetch side: one BRAM word into the input FIFO.
                 if fetched < self.input_words && in_fifo < FIFO_DEPTH {
@@ -239,7 +153,7 @@ impl PipelineRun {
                     out_fifo -= 1;
                     consumed += 1;
                     if consumed == self.output_words {
-                        stats.elapsed = t;
+                        stats.elapsed = SimTime::from_fs(t);
                         break;
                     }
                 } else {
@@ -416,8 +330,25 @@ mod tests {
         }
     }
 
+    /// The reference edge source: edge `k` of each domain at
+    /// `time_of_cycles(k)`, ties to CLK_2 — the 128-bit arithmetic the
+    /// Bresenham stepper in [`PipelineRun::simulate`] must reproduce.
+    fn simulate_by_time_of_cycles(r: &PipelineRun) -> PipelineStats {
+        let (mut k2, mut k3) = (1u64, 1u64);
+        r.run_edges(|| {
+            let t2 = r.clk2.time_of_cycles(k2);
+            if t2 <= r.clk3.time_of_cycles(k3) {
+                k2 += 1;
+                Edge::Clk2(t2.as_fs())
+            } else {
+                k3 += 1;
+                Edge::Clk3
+            }
+        })
+    }
+
     #[test]
-    fn fast_simulation_equals_the_multiclock_reference() {
+    fn bresenham_edges_equal_time_of_cycles_edges() {
         // Field-for-field equality, across bottleneck regimes, co-prime
         // clock pairs (where floor rounding and tie-breaks matter most),
         // and degenerate sizes.
@@ -443,7 +374,7 @@ mod tests {
             };
             assert_eq!(
                 r.simulate(),
-                r.simulate_reference(),
+                simulate_by_time_of_cycles(&r),
                 "({inp},{out},{f2},{f3},{wpc})"
             );
         }

@@ -13,7 +13,6 @@
 //! query.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use uparc_core::cache::CacheKey;
 use uparc_core::manager::ManagerConfig;
@@ -21,7 +20,7 @@ use uparc_core::policy::PowerAwarePolicy;
 use uparc_core::uparc::{codec_id, UParc, COMPRESSED_MODE_MAX};
 use uparc_serve::catalog::Catalog;
 use uparc_serve::request::BitstreamId;
-use uparc_sim::power::{calib, VfTable};
+use uparc_sim::power::calib;
 use uparc_sim::time::{Frequency, SimTime};
 
 use crate::FleetError;
@@ -58,20 +57,14 @@ struct GroupTable {
 
 /// The fleet's precomputed planning tables.
 ///
-/// Each index is one *(V, f)* operating point. For the frequency-only
-/// [`PlanTables::build`] every point sits on the nominal rail; for
-/// [`PlanTables::build_vf`] the points are the Pareto frontier of the
-/// rail × grid product — strictly ascending in both power and
-/// frequency, so the binary-search cap admission of
-/// [`PlanTables::select`] keeps working unchanged and automatically
-/// picks undervolted points when they buy clock under a tight cap.
+/// Each index is one operating point on the nominal rail: a grid
+/// frequency and its predicted power, both strictly ascending, so
+/// [`PlanTables::select`]'s cap admission is a binary search.
 #[derive(Debug, Clone)]
 pub struct PlanTables {
     /// Synthesizable CLK_2 targets in the fleet operating range,
     /// ascending.
     grid: Vec<Frequency>,
-    /// Core voltage per grid index (all nominal for [`PlanTables::build`]).
-    volts: Vec<f64>,
     /// Total core power (idle included, decompressor excluded) per grid
     /// index — strictly ascending, so cap admission is a binary search.
     power_mw: Vec<f64>,
@@ -98,66 +91,26 @@ impl PlanTables {
         planner: &PowerAwarePolicy,
         min_frequency: Frequency,
     ) -> Result<Self, FleetError> {
-        // The single-rail table pins the analytic power model, so these
-        // tables are bit-identical to the pre-DVFS construction.
-        Self::build_vf(catalog, planner, min_frequency, &VfTable::nominal_only())
-    }
-
-    /// Builds tables over the Pareto frontier of `vf`'s rails crossed
-    /// with the DCM grid.
-    ///
-    /// Per grid frequency the cheapest rail that admits it (lowest
-    /// voltage with `fmax` at or above it) is kept; the surviving points
-    /// are sorted by power and pruned to a strictly ascending
-    /// power-and-frequency frontier. Spending more power therefore
-    /// always buys a faster point, which is exactly the invariant
-    /// [`PlanTables::select`]'s binary search needs. Rail ramps are not
-    /// charged into these coarse rack-planning tables; the per-chip
-    /// dispatch paths account for them.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PlanTables::build`].
-    pub fn build_vf(
-        catalog: &Catalog,
-        planner: &PowerAwarePolicy,
-        min_frequency: Frequency,
-        vf: &VfTable,
-    ) -> Result<Self, FleetError> {
         if catalog.is_empty() {
             return Err(FleetError::EmptyCatalog);
         }
-        let planner = planner.clone().with_vf_table(vf.clone());
-        let mut points: Vec<(f64, Frequency, f64)> = planner
+        let grid: Vec<Frequency> = planner
             .frequency_grid()
             .into_iter()
             .filter(|&f| f >= min_frequency)
-            .filter_map(|f| {
-                let rail = vf.rails().iter().find(|r| r.fmax.is_none_or(|m| f <= m))?;
-                Some((rail.volts, f, planner.predicted_power_vf_mw(rail.volts, f)))
-            })
             .collect();
-        points.sort_by(|a, b| a.2.total_cmp(&b.2).then(a.1.cmp(&b.1)));
-        let mut grid = Vec::new();
-        let mut volts = Vec::new();
-        let mut power_mw = Vec::new();
-        for (v, f, p) in points {
-            if grid.last().is_some_and(|&g| f <= g) || power_mw.last().is_some_and(|&q| p <= q) {
-                continue;
-            }
-            grid.push(f);
-            volts.push(v);
-            power_mw.push(p);
-        }
         if grid.is_empty() {
             return Err(FleetError::NoAdmissibleFrequency);
         }
+        let power_mw = grid
+            .iter()
+            .map(|&f| planner.predicted_power_mw(f))
+            .collect();
         let manager_mhz = ManagerConfig::default().clock.as_mhz();
         let codec = codec_id(catalog.algorithm());
 
         let mut tables = PlanTables {
             grid,
-            volts,
             power_mw,
             groups: Vec::new(),
             entries: BTreeMap::new(),
@@ -190,8 +143,6 @@ impl PlanTables {
                         let f = tables.grid[i];
                         // A fresh scratch controller per point: no DCM
                         // relock residue, no warm decompressed cache.
-                        // Voltage does not change the cycle count, so
-                        // the latency measurement is rail-independent.
                         let mut scratch = UParc::builder(catalog.device().clone())
                             .bram_bytes(catalog.bram_bytes())
                             .decompressor(catalog.algorithm())
@@ -207,12 +158,8 @@ impl PlanTables {
                         let measured = scratch.now();
                         service.push(measured);
                         energy_uj.push(
-                            planner.predicted_energy_vf_uj(
-                                entry.raw_bytes(),
-                                tables.volts[i],
-                                f,
-                                SimTime::ZERO,
-                            ) + extra_draw_mw * measured.as_secs_f64() * 1e3,
+                            planner.predicted_energy_uj(entry.raw_bytes(), f)
+                                + extra_draw_mw * measured.as_secs_f64() * 1e3,
                         );
                     }
                     let g = tables.groups.len();
@@ -309,13 +256,6 @@ impl PlanTables {
         self.grid[idx]
     }
 
-    /// The core voltage at grid index `idx` (nominal for tables built
-    /// with [`PlanTables::build`]).
-    #[must_use]
-    pub fn volts_at(&self, idx: usize) -> f64 {
-        self.volts[idx]
-    }
-
     /// The per-chip above-idle power floor: the draw of the slowest grid
     /// point plus the largest decompressor surcharge any entry needs.
     /// A chip whose cap funds idle + this floor can always dispatch.
@@ -334,21 +274,6 @@ impl PlanTables {
     pub fn mean_service_estimate(&self) -> SimTime {
         let g = &self.groups[0];
         g.service[g.admissible / 2]
-    }
-
-    /// An owned copy of the decompressed image of `id` (compressed
-    /// staging only). Used by tests; the chip loop decompresses inline.
-    #[must_use]
-    pub fn decompress_image(&self, catalog: &Catalog, id: BitstreamId) -> Option<Arc<Vec<u8>>> {
-        let entry = catalog.entry(id)?;
-        let packed = entry.packed_bytes()?;
-        Some(Arc::new(
-            catalog
-                .algorithm()
-                .codec()
-                .decompress(packed)
-                .expect("staged payload round-trips"),
-        ))
     }
 }
 
@@ -370,7 +295,6 @@ mod tests {
             .collect();
         assert_eq!(tables.grid(), expected.as_slice());
         for (i, &f) in expected.iter().enumerate() {
-            assert_eq!(tables.volts_at(i), calib::V_NOM_V);
             // Bit-identical to the analytic model the pre-DVFS tables
             // were built from.
             assert_eq!(
@@ -378,39 +302,5 @@ mod tests {
                 planner.predicted_power_mw(f).to_bits()
             );
         }
-    }
-
-    #[test]
-    fn vf_frontier_trades_voltage_for_clock_under_a_tight_cap() {
-        let catalog = synthetic_catalog(2, 40, 9);
-        let planner = PowerAwarePolicy::paper_setup(catalog.device().family());
-        let min = Frequency::from_mhz(50.0);
-        let nominal = PlanTables::build(&catalog, &planner, min).unwrap();
-        let dvfs =
-            PlanTables::build_vf(&catalog, &planner, min, &VfTable::voltune_virtex6()).unwrap();
-        // The frontier is strictly ascending in both axes — the
-        // invariant `select`'s binary search rests on.
-        for w in dvfs.grid.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-        for w in dvfs.power_mw.windows(2) {
-            assert!(w[0] < w[1]);
-        }
-        assert!(
-            dvfs.volts.iter().any(|&v| v < calib::V_NOM_V),
-            "the frontier must keep undervolted points"
-        );
-        // Under a cap that forces the nominal tables well below the
-        // datapath ceiling, the undervolted frontier buys a faster
-        // operating point without exceeding the cap.
-        let id = BitstreamId(1);
-        let cap = 430.0;
-        let slow = nominal.select(id, cap).expect("cap admits a point");
-        let fast = dvfs.select(id, cap).expect("cap admits a point");
-        assert!(dvfs.frequency(fast) > nominal.frequency(slow));
-        assert!(dvfs.volts_at(fast) < calib::V_NOM_V);
-        assert!(dvfs.power_mw[fast] + dvfs.groups[dvfs.facts(id).group].extra_draw_mw <= cap);
-        // Faster point, same image: the dispatch also finishes sooner.
-        assert!(dvfs.service(id, fast) < nominal.service(id, slow));
     }
 }

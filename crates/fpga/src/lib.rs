@@ -75,7 +75,6 @@ pub mod device;
 pub mod ecc;
 pub mod error;
 pub mod family;
-pub mod far;
 pub mod floorplan;
 pub mod format;
 pub mod icap;

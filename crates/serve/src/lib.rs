@@ -114,7 +114,7 @@ pub use workload::WorkloadSpec;
 /// spans.
 pub mod obs {
     pub use uparc_sim::obs::{
-        chrome_trace, flame_summary, EventKind, Histogram, Metrics, MetricsSnapshot, NullRecorder,
-        Obs, Recorder, SpanId, TraceEvent, TraceRecorder,
+        chrome_trace, flame_summary, EventKind, Metrics, MetricsSnapshot, NullRecorder, Obs,
+        Recorder, SpanId, TraceEvent, TraceRecorder,
     };
 }

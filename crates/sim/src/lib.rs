@@ -2,18 +2,15 @@
 //!
 //! The UPaRC paper (Bonamy et al., DATE 2012) evaluates a hardware
 //! reconfiguration controller on real Virtex-5/Virtex-6 boards. This crate
-//! provides the laptop-scale substitute: a deterministic, multi-clock-domain,
-//! cycle-accurate simulation substrate with a power model calibrated against
-//! the paper's shunt-resistor measurements.
+//! provides the laptop-scale substitute: a deterministic, cycle-accurate
+//! simulation substrate with a power model calibrated against the paper's
+//! shunt-resistor measurements.
 //!
 //! The crate is deliberately generic — it knows nothing about FPGAs. It
 //! provides:
 //!
 //! * [`time`] — femtosecond-resolution simulation time ([`SimTime`]) and
 //!   exact frequency/period arithmetic ([`Frequency`]).
-//! * [`clock`] — runtime-retunable clock domains ([`clock::ClockDomain`])
-//!   and multi-rate edge merging ([`clock::MultiClock`]), the substrate for
-//!   dynamic frequency scaling (DyCloGen in the paper).
 //! * [`queue`] — a deterministic discrete-event queue ([`queue::EventQueue`]),
 //!   a calendar-queue/timer-wheel hybrid with O(1) amortised operations;
 //!   event-driven simulations are a loop that drains one queue.
@@ -32,7 +29,10 @@
 //! * [`obs`] — structured observability: typed spans/instants recorded
 //!   through the cheap [`obs::Obs`] handle, a deterministic metrics
 //!   registry, and Chrome-trace / flamegraph exporters.
-//! * [`stats`] — small statistics helpers used by the benchmark harnesses.
+//! * [`stats`] — the mergeable log₂ latency histogram
+//!   ([`stats::LogHistogram`]) every layer and the [`obs`] metrics registry
+//!   record into, and the exact sorted-vector percentile it is checked
+//!   against.
 //! * [`sweep`] — a std-only scoped-thread parallel map and deterministic
 //!   positional sharding, shared by the experiment harnesses and the
 //!   block-parallel encoders.
@@ -82,7 +82,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod fault;
 pub mod obs;
 pub mod power;
@@ -93,7 +92,6 @@ pub mod sweep;
 pub mod time;
 pub mod trace;
 
-pub use clock::{ClockDomain, ClockId, MultiClock};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultRates, FaultRecord, FaultSpace};
 pub use queue::EventQueue;
 pub use time::{Frequency, SimTime};

@@ -42,8 +42,9 @@
 //!   run does no formatting, no locking and no allocation
 //!   (`bench_throughput` gates the overhead at ≤2%).
 //! * **Determinism** — recorders stamp [`SimTime`] (never wall clock),
-//!   span ids are assigned monotonically, histogram buckets are exact
-//!   log₂ buckets, and exporters format floats with fixed precision, so
+//!   span ids are assigned monotonically, histograms bucket on exact
+//!   float exponent and mantissa bits, and exporters format floats with
+//!   fixed precision, so
 //!   identical seeds produce byte-identical exports.
 //!
 //! # Example
@@ -74,7 +75,7 @@ mod recorder;
 
 pub use event::{EventKind, SpanId, TraceEvent};
 pub use export::{chrome_trace, flame_summary};
-pub use metrics::{Histogram, Metrics, MetricsSnapshot};
+pub use metrics::{Metrics, MetricsSnapshot};
 pub use recorder::{NullRecorder, Recorder, TraceRecorder};
 
 use crate::time::SimTime;

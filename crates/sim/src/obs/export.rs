@@ -278,9 +278,9 @@ pub fn chrome_trace(events: &[TraceEvent], dropped: u64, metrics: Option<&Metric
                 "\"{}\":{{\"count\":{},\"mean\":{},\"min\":{},\"max\":{},\"p99_le\":{}}}",
                 escape_json(name),
                 h.count(),
-                json_f64(h.mean()),
-                json_f64(if h.count() == 0 { 0.0 } else { h.min() }),
-                json_f64(if h.count() == 0 { 0.0 } else { h.max() }),
+                json_f64(h.mean().unwrap_or(0.0)),
+                json_f64(h.min().unwrap_or(0.0)),
+                json_f64(h.max().unwrap_or(0.0)),
                 json_f64(h.quantile_upper_bound(0.99)),
             );
         }

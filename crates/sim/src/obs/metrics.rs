@@ -1,135 +1,11 @@
-//! The metrics registry: named counters, gauges, and log₂-bucketed
-//! histograms with deterministic snapshots.
+//! The metrics registry: named counters, gauges, and histograms with
+//! deterministic snapshots. Histograms are [`LogHistogram`]s, the same
+//! mergeable log₂ histogram every layer reports latencies through.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Number of histogram buckets: one per possible f64 magnitude class we
-/// care about (values spanning 2⁻³² … 2³¹), plus underflow at index 0.
-const BUCKETS: usize = 64;
-
-/// A fixed-shape, log₂-bucketed histogram.
-///
-/// Bucket `i` (for `i >= 1`) holds values `v` with
-/// `2^(i-33) <= v < 2^(i-32)`; bucket 0 holds everything below `2⁻³²`
-/// (including zero and negatives). The shape is fixed and the bucketing
-/// exact (float exponent extraction, no transcendental math), so two runs
-/// that observe the same values produce identical histograms — a
-/// requirement for byte-stable exports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    fn bucket_index(value: f64) -> usize {
-        if value.is_nan() || value < f64::MIN_POSITIVE {
-            // Zero, negatives, NaN: underflow bucket.
-            return 0;
-        }
-        // IEEE-754 unbiased exponent: floor(log2(value)) for normals.
-        let exp = ((value.to_bits() >> 52) & 0x7ff) as i64 - 1023;
-        (exp + 33).clamp(0, BUCKETS as i64 - 1) as usize
-    }
-
-    /// Records one value.
-    pub fn observe(&mut self, value: f64) {
-        self.buckets[Histogram::bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        if value < self.min {
-            self.min = value;
-        }
-        if value > self.max {
-            self.max = value;
-        }
-    }
-
-    /// Number of recorded values.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded values.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of recorded values (0.0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest recorded value (+∞ when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest recorded value (−∞ when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// An upper bound on the `q`-quantile (0.0–1.0), read off the bucket
-    /// boundaries: the result is the inclusive upper edge of the bucket
-    /// the quantile falls in, so it is within 2× of the true value.
-    #[must_use]
-    pub fn quantile_upper_bound(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                if i == 0 {
-                    return 0.0;
-                }
-                // Upper edge of bucket i: 2^(i-32).
-                return (2.0f64).powi(i as i32 - 32);
-            }
-        }
-        self.max
-    }
-
-    /// The raw bucket counts (index → values in `[2^(i-33), 2^(i-32))`).
-    #[must_use]
-    pub fn buckets(&self) -> &[u64; BUCKETS] {
-        &self.buckets
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram::new()
-    }
-}
+use crate::stats::LogHistogram;
 
 /// Registry state behind the mutex. `BTreeMap` keeps iteration order
 /// deterministic (sorted by name) for snapshots and renders.
@@ -137,7 +13,7 @@ impl Default for Histogram {
 struct MetricsInner {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    histograms: BTreeMap<String, LogHistogram>,
 }
 
 /// A registry of named counters, gauges, and histograms.
@@ -232,7 +108,7 @@ pub struct MetricsSnapshot {
     /// Gauge name → last written value.
     pub gauges: BTreeMap<String, f64>,
     /// Histogram name → distribution.
-    pub histograms: BTreeMap<String, Histogram>,
+    pub histograms: BTreeMap<String, LogHistogram>,
 }
 
 impl MetricsSnapshot {
@@ -264,9 +140,9 @@ impl MetricsSnapshot {
             out.push_str(&format!(
                 "{name:<width$}  count={} mean={:.6} min={:.6} max={:.6} p99<={:.6}\n",
                 h.count(),
-                h.mean(),
-                if h.count() == 0 { 0.0 } else { h.min() },
-                if h.count() == 0 { 0.0 } else { h.max() },
+                h.mean().unwrap_or(0.0),
+                h.min().unwrap_or(0.0),
+                h.max().unwrap_or(0.0),
                 h.quantile_upper_bound(0.99),
             ));
         }
@@ -295,35 +171,6 @@ mod tests {
         m.gauge("g", 1.0);
         m.gauge("g", 7.5);
         assert_eq!(m.snapshot().gauges["g"], 7.5);
-    }
-
-    #[test]
-    fn histogram_buckets_are_exact_log2() {
-        let mut h = Histogram::new();
-        h.observe(1.0); // exponent 0 → bucket 33
-        h.observe(1.5); // same bucket
-        h.observe(2.0); // bucket 34
-        h.observe(0.0); // underflow bucket 0
-        assert_eq!(h.buckets()[33], 2);
-        assert_eq!(h.buckets()[34], 1);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.min(), 0.0);
-        assert_eq!(h.max(), 2.0);
-    }
-
-    #[test]
-    fn histogram_quantile_bound_brackets_true_value() {
-        let mut h = Histogram::new();
-        for v in [1.0, 2.0, 4.0, 8.0, 1000.0] {
-            h.observe(v);
-        }
-        let p99 = h.quantile_upper_bound(0.99);
-        assert!(p99 >= 1000.0, "p99 bound {p99} below max sample");
-        assert!(p99 <= 2000.0, "p99 bound {p99} looser than 2x");
-        // True p50 is 4.0; its bucket is [4, 8), so the bound is 8.
-        let p50 = h.quantile_upper_bound(0.5);
-        assert!((4.0..=8.0).contains(&p50), "p50 bound {p50}");
     }
 
     #[test]

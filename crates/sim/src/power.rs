@@ -421,6 +421,28 @@ mod tests {
     }
 
     #[test]
+    fn analytic_curve_is_the_least_squares_fit_of_fig7() {
+        // DESIGN §3: the analytic `P_base + c·f` is the least-squares line
+        // through the four Fig. 7 anchors (closed-form simple regression).
+        let pts = calib::FIG7_POINTS;
+        let n = pts.len() as f64;
+        let mx = pts.iter().map(|p| p.0).sum::<f64>() / n;
+        let my = pts.iter().map(|p| p.1).sum::<f64>() / n;
+        let sxx: f64 = pts.iter().map(|p| (p.0 - mx).powi(2)).sum();
+        let sxy: f64 = pts.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
+        let slope = sxy / sxx;
+        let intercept = my - slope * mx;
+        assert!(
+            (slope - calib::RECONFIG_PATH_MW_PER_MHZ).abs() < 5e-3,
+            "slope {slope}"
+        );
+        assert!(
+            (intercept - calib::analytic_base_mw()).abs() < 0.5,
+            "intercept {intercept}"
+        );
+    }
+
+    #[test]
     fn fig7_energy_decreases_with_frequency() {
         // Paper §V: with an actively-waiting manager, higher reconfiguration
         // frequency takes less time, so total energy decreases.

@@ -1,36 +1,7 @@
-//! Small statistics helpers for the benchmark harnesses.
-//!
-//! The table/figure harnesses report means, spreads and fitted slopes (e.g.
-//! the mW/MHz regression used to calibrate the power model). Nothing here is
-//! FPGA-specific.
-
-/// Arithmetic mean. Returns `None` for an empty slice.
-#[must_use]
-pub fn mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() {
-        None
-    } else {
-        Some(xs.iter().sum::<f64>() / xs.len() as f64)
-    }
-}
-
-/// Population standard deviation. Returns `None` for an empty slice.
-#[must_use]
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    let var = xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64;
-    Some(var.sqrt())
-}
-
-/// Geometric mean. Returns `None` if empty or any element is non-positive.
-#[must_use]
-pub fn geo_mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = xs.iter().map(|x| x.ln()).sum();
-    Some((log_sum / xs.len() as f64).exp())
-}
+//! Streaming statistics: [`LogHistogram`], the mergeable log₂ histogram
+//! every layer records latencies into (the [`crate::obs`] metrics registry
+//! included), and the exact sorted-vector [`percentile`] it is checked
+//! against. Nothing here is FPGA-specific.
 
 /// Linear-interpolated percentile (`p` in `[0, 100]`). Returns `None` for an
 /// empty slice.
@@ -61,7 +32,7 @@ pub const LOG_HISTOGRAM_BUCKETS: usize = 1 + 64 * SUB_BUCKETS;
 const SUB_BUCKETS: usize = 8;
 
 /// Lowest bucketed exponent: values below `2^-33` fall into the underflow
-/// bucket. Mirrors the span of the exact-log₂ histogram in `obs::Metrics`.
+/// bucket.
 const MIN_EXP: i64 = -33;
 
 /// Streaming, mergeable log₂ histogram with 8 mantissa sub-buckets per
@@ -69,9 +40,10 @@ const MIN_EXP: i64 = -33;
 ///
 /// This is the fixed-footprint replacement for `sort`-based
 /// [`percentile`]: recording is O(1) (an IEEE-754 exponent/mantissa
-/// extraction, same idiom as the exact-log₂ histograms in `obs::Metrics`),
-/// the footprint is O(buckets) (≈4 KB) regardless of how many values are
-/// observed, and two histograms [`merge`](Self::merge) by element-wise
+/// extraction, no transcendental math, so identical inputs give
+/// identical histograms and byte-stable exports), the footprint is
+/// O(buckets) (≈4 KB) regardless of how many values are observed, and
+/// two histograms [`merge`](Self::merge) by element-wise
 /// addition — so per-shard histograms recorded in parallel combine into a
 /// fleet-wide summary without ever materialising a latency vector.
 ///
@@ -246,55 +218,33 @@ impl LogHistogram {
         }
         Some(self.max)
     }
-}
 
-/// Least-squares fit of `y = intercept + slope·x`.
-///
-/// Returns `None` for fewer than two points or zero variance in `x`.
-#[must_use]
-pub fn linear_fit(points: &[(f64, f64)]) -> Option<LinearFit> {
-    if points.len() < 2 {
-        return None;
-    }
-    let n = points.len() as f64;
-    let mx = points.iter().map(|p| p.0).sum::<f64>() / n;
-    let my = points.iter().map(|p| p.1).sum::<f64>() / n;
-    let sxx: f64 = points.iter().map(|p| (p.0 - mx).powi(2)).sum();
-    if sxx == 0.0 {
-        return None;
-    }
-    let sxy: f64 = points.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
-    let slope = sxy / sxx;
-    let intercept = my - slope * mx;
-    let syy: f64 = points.iter().map(|p| (p.1 - my).powi(2)).sum();
-    let r2 = if syy == 0.0 {
-        1.0
-    } else {
-        (sxy * sxy) / (sxx * syy)
-    };
-    Some(LinearFit {
-        slope,
-        intercept,
-        r2,
-    })
-}
-
-/// Result of [`linear_fit`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearFit {
-    /// Fitted slope.
-    pub slope: f64,
-    /// Fitted intercept.
-    pub intercept: f64,
-    /// Coefficient of determination in `[0, 1]`.
-    pub r2: f64,
-}
-
-impl LinearFit {
-    /// Evaluates the fitted line at `x`.
+    /// An upper bound on the `q`-quantile (`q` clamped to `[0, 1]`), read
+    /// off whole power-of-two decades: the result is the exclusive upper
+    /// edge `2^(e+1)` of the decade `[2^e, 2^(e+1))` holding the
+    /// rank-`⌈q·count⌉` value, so it is within 2× of the true value. Values
+    /// below `2^-32` report 0.0, as does an empty histogram; values at or
+    /// above `2^31` clamp into the top decade and report `2^31`. This is
+    /// the `p99<=` / `p99_le` figure the [`crate::obs`] metrics exports
+    /// print.
     #[must_use]
-    pub fn eval(&self, x: f64) -> f64 {
-        self.intercept + self.slope * x
+    pub fn quantile_upper_bound(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        // The underflow bucket shares the lowest decade's 0.0 answer.
+        let mut seen = self.buckets[0];
+        for (decade, subs) in self.buckets[1..].chunks_exact(SUB_BUCKETS).enumerate() {
+            seen += subs.iter().sum::<u64>();
+            if seen >= rank {
+                if decade == 0 {
+                    return 0.0;
+                }
+                return 2f64.powi(decade as i32 + MIN_EXP as i32 + 1);
+            }
+        }
+        self.max
     }
 }
 
@@ -303,48 +253,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std_dev() {
-        assert_eq!(mean(&[]), None);
-        assert_eq!(mean(&[2.0, 4.0]), Some(3.0));
-        assert_eq!(std_dev(&[5.0, 5.0, 5.0]), Some(0.0));
-        let sd = std_dev(&[2.0, 4.0]).unwrap();
-        assert!((sd - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geo_mean_basic() {
-        assert_eq!(geo_mean(&[]), None);
-        assert_eq!(geo_mean(&[1.0, -1.0]), None);
-        let g = geo_mean(&[1.0, 4.0]).unwrap();
-        assert!((g - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn percentile_interpolates() {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(percentile(&xs, 0.0), Some(1.0));
         assert_eq!(percentile(&xs, 100.0), Some(4.0));
         assert_eq!(percentile(&xs, 50.0), Some(2.5));
         assert_eq!(percentile(&[], 50.0), None);
-    }
-
-    #[test]
-    fn linear_fit_recovers_fig7_calibration() {
-        // The exact fit used for the power calibration in DESIGN.md §3.
-        let pts = [
-            (50.0, 183.0),
-            (100.0, 259.0),
-            (200.0, 394.0),
-            (300.0, 453.0),
-        ];
-        let fit = linear_fit(&pts).unwrap();
-        assert!((fit.slope - 1.0925).abs() < 1e-3, "slope {}", fit.slope);
-        assert!(
-            (fit.intercept - 144.7).abs() < 0.5,
-            "intercept {}",
-            fit.intercept
-        );
-        assert!(fit.r2 > 0.95, "r2 {}", fit.r2);
     }
 
     #[test]
@@ -450,11 +364,16 @@ mod tests {
     }
 
     #[test]
-    fn linear_fit_degenerate_cases() {
-        assert!(linear_fit(&[(1.0, 1.0)]).is_none());
-        assert!(linear_fit(&[(1.0, 1.0), (1.0, 2.0)]).is_none());
-        let exact = linear_fit(&[(0.0, 1.0), (1.0, 3.0)]).unwrap();
-        assert!((exact.eval(2.0) - 5.0).abs() < 1e-12);
-        assert!((exact.r2 - 1.0).abs() < 1e-12);
+    fn histogram_quantile_bound_brackets_true_value() {
+        let mut h = LogHistogram::new();
+        for v in [1.0, 2.0, 4.0, 8.0, 1000.0] {
+            h.observe(v);
+        }
+        let p99 = h.quantile_upper_bound(0.99);
+        assert!(p99 >= 1000.0, "p99 bound {p99} below max sample");
+        assert!(p99 <= 2000.0, "p99 bound {p99} looser than 2x");
+        // True p50 is 4.0; its decade is [4, 8), so the bound is 8.
+        let p50 = h.quantile_upper_bound(0.5);
+        assert!((4.0..=8.0).contains(&p50), "p50 bound {p50}");
     }
 }

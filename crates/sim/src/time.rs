@@ -251,8 +251,7 @@ impl Frequency {
     ///
     /// # Panics
     ///
-    /// Panics if `hz` is zero — a stopped clock is expressed by gating, not
-    /// by a zero frequency.
+    /// Panics if `hz` is zero — a stopped clock has no period.
     #[must_use]
     pub fn from_hz(hz: u64) -> Self {
         assert!(hz > 0, "frequency must be non-zero");
@@ -343,63 +342,6 @@ impl fmt::Display for Frequency {
             write!(f, "{:.3} kHz", self.0 as f64 / 1e3)
         } else {
             write!(f, "{} Hz", self.0)
-        }
-    }
-}
-
-/// Bytes-per-second bandwidth helper built on exact time math.
-///
-/// The paper reports bandwidths in MB/s (decimal megabytes); this helper
-/// centralises the convention.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
-pub struct Bandwidth(f64);
-
-impl Bandwidth {
-    /// Computes the effective bandwidth of moving `bytes` in `elapsed` time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elapsed` is zero.
-    #[must_use]
-    pub fn from_transfer(bytes: u64, elapsed: SimTime) -> Self {
-        assert!(
-            !elapsed.is_zero(),
-            "cannot compute bandwidth over zero time"
-        );
-        Bandwidth(bytes as f64 / elapsed.as_secs_f64())
-    }
-
-    /// Creates a bandwidth from decimal megabytes per second.
-    #[must_use]
-    pub fn from_mb_per_s(mb: f64) -> Self {
-        Bandwidth(mb * 1e6)
-    }
-
-    /// Bandwidth in bytes per second.
-    #[must_use]
-    pub fn as_bytes_per_s(self) -> f64 {
-        self.0
-    }
-
-    /// Bandwidth in decimal megabytes per second (the paper's unit).
-    #[must_use]
-    pub fn as_mb_per_s(self) -> f64 {
-        self.0 / 1e6
-    }
-
-    /// Bandwidth in decimal gigabytes per second.
-    #[must_use]
-    pub fn as_gb_per_s(self) -> f64 {
-        self.0 / 1e9
-    }
-}
-
-impl fmt::Display for Bandwidth {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 >= 1e9 {
-            write!(f, "{:.3} GB/s", self.as_gb_per_s())
-        } else {
-            write!(f, "{:.1} MB/s", self.as_mb_per_s())
         }
     }
 }
@@ -499,32 +441,6 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn frequency_zero_rejected() {
         let _ = Frequency::from_hz(0);
-    }
-
-    #[test]
-    fn bandwidth_from_transfer() {
-        // 4 bytes per 10ns cycle = 400 MB/s.
-        let bw = Bandwidth::from_transfer(4_000, SimTime::from_us(10));
-        assert!((bw.as_mb_per_s() - 400.0).abs() < 1e-9);
-        assert_eq!(format!("{bw}"), "400.0 MB/s");
-        let fast = Bandwidth::from_mb_per_s(1433.0);
-        assert_eq!(format!("{fast}"), "1.433 GB/s");
-    }
-
-    #[test]
-    fn bandwidth_theoretical_icap_numbers() {
-        // Theoretical ICAP bandwidth = 4 bytes x f. Check the paper's rows.
-        let cases = [(100.0, 400.0), (200.0, 800.0), (362.5, 1450.0)];
-        for (mhz, mbs) in cases {
-            let f = Frequency::from_mhz(mhz);
-            let t = f.time_of_cycles(1_000_000);
-            let bw = Bandwidth::from_transfer(4_000_000, t);
-            assert!(
-                (bw.as_mb_per_s() - mbs).abs() < 0.01,
-                "{mhz} MHz -> {}",
-                bw.as_mb_per_s()
-            );
-        }
     }
 }
 

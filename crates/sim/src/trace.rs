@@ -8,7 +8,6 @@
 //! regenerated.
 
 use crate::time::SimTime;
-use std::fmt::Write as _;
 
 /// A step-wise power waveform: the power level holds between samples.
 ///
@@ -174,29 +173,13 @@ impl PowerTrace {
         }
         total
     }
-
-    /// Renders the trace as `time_us,power_mw` CSV (header included).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("time_us,power_mw\n");
-        for &(t, p) in &self.steps {
-            let _ = writeln!(s, "{:.4},{:.3}", t.as_us_f64(), p);
-        }
-        if let Some(end) = self.end {
-            if let Some(&(_, p)) = self.steps.last() {
-                let _ = writeln!(s, "{:.4},{:.3}", end.as_us_f64(), p);
-            }
-        }
-        s
-    }
 }
 
 /// The ML605 measurement chain of Fig. 6: shunt resistor, precision current
 /// amplifier and digital oscilloscope sampling at a fixed rate.
 ///
 /// Given an ideal [`PowerTrace`] it produces `(time, sampled power)` points,
-/// converting through core voltage → current → shunt voltage and back, so
-/// quantisation of the amplifier can be modeled if desired.
+/// converting through core voltage → current → shunt voltage and back.
 #[derive(Debug, Clone)]
 pub struct Oscilloscope {
     /// Core supply voltage (V). The paper runs the default 1.0 V.
@@ -207,8 +190,6 @@ pub struct Oscilloscope {
     gain: f64,
     /// Sample interval.
     sample_period: SimTime,
-    /// ADC quantisation: `(bits, full-scale volts)`; `None` = ideal.
-    adc: Option<(u32, f64)>,
 }
 
 impl Oscilloscope {
@@ -221,23 +202,7 @@ impl Oscilloscope {
             shunt_ohm: 0.005,
             gain: 100.0,
             sample_period: SimTime::from_us(1),
-            adc: None,
         }
-    }
-
-    /// Models the scope's ADC: `bits` of resolution over `full_scale`
-    /// volts at the amplifier output. Samples then show the quantisation
-    /// staircase a real capture has.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ bits ≤ 24` and `full_scale > 0`.
-    #[must_use]
-    pub fn with_adc(mut self, bits: u32, full_scale: f64) -> Self {
-        assert!((1..=24).contains(&bits), "adc resolution out of range");
-        assert!(full_scale > 0.0, "full scale must be positive");
-        self.adc = Some((bits, full_scale));
-        self
     }
 
     /// Overrides the sample period.
@@ -284,12 +249,7 @@ impl Oscilloscope {
         while t <= end {
             if let Some(p) = trace.power_at(t) {
                 // Through the chain and back: voltage → current → power.
-                let mut v = self.scope_voltage(p);
-                if let Some((bits, full_scale)) = self.adc {
-                    let levels = f64::from(1u32 << bits);
-                    let lsb = full_scale / levels;
-                    v = (v / lsb).round().clamp(0.0, levels) * lsb;
-                }
+                let v = self.scope_voltage(p);
                 let i = v / self.gain / self.shunt_ohm;
                 out.push((t, i * self.vcc * 1e3));
             }
@@ -389,15 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_contains_all_steps() {
-        let tr = fig7_like_trace();
-        let csv = tr.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "time_us,power_mw");
-        assert_eq!(lines.len(), 1 + tr.steps().len() + 1);
-    }
-
-    #[test]
     fn oscilloscope_round_trips_power() {
         let tr = fig7_like_trace();
         let scope = Oscilloscope::ml605().with_sample_period(SimTime::from_us(10));
@@ -418,33 +369,6 @@ mod tests {
         // 453 mW at 1.0 V = 453 mA; through 5 mΩ = 2.265 mV; ×100 = 226.5 mV.
         assert!((scope.current_a(453.0) - 0.453).abs() < 1e-12);
         assert!((scope.scope_voltage(453.0) - 0.2265).abs() < 1e-12);
-    }
-
-    #[test]
-    fn adc_quantisation_error_is_bounded_by_one_lsb() {
-        let tr = fig7_like_trace();
-        // 8-bit ADC over 1 V at the amplifier output: LSB = 3.9 mV, which
-        // maps back to 1 LSB / (gain · shunt) · vcc = 7.8 mW of power.
-        let scope = Oscilloscope::ml605()
-            .with_sample_period(SimTime::from_us(10))
-            .with_adc(8, 1.0);
-        let lsb_power_mw = 1.0 / 256.0 / (100.0 * 0.005) * 1.0 * 1e3;
-        for (t, p) in scope.sample(&tr) {
-            let ideal = tr.power_at(t).unwrap();
-            assert!(
-                (p - ideal).abs() <= lsb_power_mw / 2.0 + 1e-9,
-                "at {t}: {p} vs {ideal}"
-            );
-        }
-        // And a coarse ADC really quantises (staircase ≠ ideal somewhere).
-        let coarse = Oscilloscope::ml605()
-            .with_sample_period(SimTime::from_us(10))
-            .with_adc(4, 1.0);
-        let any_off = coarse
-            .sample(&tr)
-            .iter()
-            .any(|&(t, p)| (p - tr.power_at(t).unwrap()).abs() > 1.0);
-        assert!(any_off, "4-bit quantisation must be visible");
     }
 
     #[test]
