@@ -22,9 +22,8 @@
 //! corresponding profile, calibrated so the seven codecs land near Table I
 //! (measured values are recorded in EXPERIMENTS.md).
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use uparc_fpga::device::Device;
+use uparc_sim::rng::Xoshiro256;
 
 /// Content-statistics profile for the generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,12 +104,12 @@ impl SynthProfile {
         let fw = device.family().frame_words();
         let templates = self.template_bank(fw, seed);
         let mut out = Vec::with_capacity(frames as usize * fw);
-        let mut vary_rng = StdRng::seed_from_u64(seed ^ 0x5EED_0F0F ^ u64::from(far));
+        let mut vary_rng = Xoshiro256::seed_from_u64(seed ^ 0x5EED_0F0F ^ u64::from(far));
         for i in 0..frames {
             let t = &templates[(far + i) as usize % templates.len()];
             for &w in t {
-                if self.variation > 0.0 && vary_rng.random::<f64>() < self.variation {
-                    out.push(vary_rng.random::<u32>());
+                if self.variation > 0.0 && vary_rng.unit_f64() < self.variation {
+                    out.push(vary_rng.next_u64() as u32);
                 } else {
                     out.push(w);
                 }
@@ -129,7 +128,7 @@ impl SynthProfile {
     }
 
     fn template_bank(&self, frame_words: usize, seed: u64) -> Vec<Vec<u32>> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256::seed_from_u64(seed);
         let total = self.template_count.max(1) * frame_words;
         let mut stream = Vec::with_capacity(total);
         // The fractions are *word-mass* targets; regions have different mean
@@ -149,26 +148,26 @@ impl SynthProfile {
         // a 1 KB hardware LZ77 window. This is the Table I Zip-vs-LZ77 gap.
         let mut motifs: Vec<Vec<u32>> = Vec::new();
         while stream.len() < total {
-            let roll: f64 = rng.random();
+            let roll = rng.unit_f64();
             if roll < p_blank {
                 // Blank run with geometric-ish length around the mean.
-                let len = 1 + rng.random_range(0..self.zero_run_words.max(1) * 2);
+                let len = 1 + rng.below(self.zero_run_words.max(1) as u64 * 2) as usize;
                 stream.extend(std::iter::repeat_n(0u32, len));
             } else if roll < p_blank + p_sparse {
                 // Sparse-structured burst — half the time a replayed motif.
-                if !motifs.is_empty() && rng.random::<f64>() < 0.5 {
-                    let idx = rng.random_range(0..motifs.len());
+                if !motifs.is_empty() && rng.unit_f64() < 0.5 {
+                    let idx = rng.below(motifs.len() as u64) as usize;
                     let m = motifs[idx].clone();
                     stream.extend_from_slice(&m);
                 } else {
-                    let len = 2 + rng.random_range(0..12);
+                    let len = 2 + rng.below(12) as usize;
                     // Configuration columns repeat words back-to-back;
                     // word-level runs are what FaRM's word-RLE feeds on.
                     let mut burst: Vec<u32> = Vec::with_capacity(len * 2);
                     for _ in 0..len {
                         let w = self.sparse_word(&mut rng);
-                        let reps = if rng.random::<f64>() < 0.35 {
-                            1 + rng.random_range(0..3usize)
+                        let reps = if rng.unit_f64() < 0.35 {
+                            1 + rng.below(3)
                         } else {
                             1
                         };
@@ -182,13 +181,13 @@ impl SynthProfile {
             } else {
                 // Dense burst (LUT contents) — replicated logic reuses its
                 // LUT init data too, though less often.
-                if !motifs.is_empty() && rng.random::<f64>() < 0.35 {
-                    let idx = rng.random_range(0..motifs.len());
+                if !motifs.is_empty() && rng.unit_f64() < 0.35 {
+                    let idx = rng.below(motifs.len() as u64) as usize;
                     let m = motifs[idx].clone();
                     stream.extend_from_slice(&m);
                 } else {
-                    let len = 1 + rng.random_range(0..6);
-                    let burst: Vec<u32> = (0..len).map(|_| rng.random::<u32>()).collect();
+                    let len = 1 + rng.below(6);
+                    let burst: Vec<u32> = (0..len).map(|_| rng.next_u64() as u32).collect();
                     stream.extend_from_slice(&burst);
                     motifs.push(burst);
                 }
@@ -198,26 +197,26 @@ impl SynthProfile {
         stream.chunks(frame_words).map(<[u32]>::to_vec).collect()
     }
 
-    fn sparse_word(&self, rng: &mut StdRng) -> u32 {
+    fn sparse_word(&self, rng: &mut Xoshiro256) -> u32 {
         let k = self.sparse_alphabet.max(1);
         // Biased pick from the small alphabet (min of two uniforms).
-        let pick = |rng: &mut StdRng| {
-            let idx = rng.random_range(0..u32::from(k)) as u8;
-            let idx = idx.min(rng.random_range(0..u32::from(k)) as u8);
+        let pick = |rng: &mut Xoshiro256| {
+            let idx = rng.below(u64::from(k)) as u8;
+            let idx = idx.min(rng.below(u64::from(k)) as u8);
             idx.wrapping_mul(37).wrapping_add(1)
         };
         let mut bytes = [0u8; 4];
-        if rng.random::<f64>() < 0.55 {
+        if rng.unit_f64() < 0.55 {
             // Repeated-byte configuration pattern (0xAAAAAAAA-style) —
             // these give RLE its byte-level runs inside dense content.
             let c = pick(rng);
             bytes = [c; 4];
-            if rng.random::<f64>() < self.sparse_zero_prob * 0.4 {
-                bytes[rng.random_range(0..4usize)] = 0;
+            if rng.unit_f64() < self.sparse_zero_prob * 0.4 {
+                bytes[rng.below(4) as usize] = 0;
             }
         } else {
             for b in &mut bytes {
-                if rng.random::<f64>() >= self.sparse_zero_prob {
+                if rng.unit_f64() >= self.sparse_zero_prob {
                     *b = pick(rng);
                 }
             }

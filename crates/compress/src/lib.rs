@@ -107,10 +107,6 @@ pub trait Codec {
     /// Opens a resumable [`stream::StreamDecoder`] over `input`, for
     /// pipelines that overlap decompression with the ICAP transfer.
     ///
-    /// The default implementation decodes everything eagerly and streams
-    /// the result out ([`stream::OneShot`]); the Table I codecs override
-    /// it with genuinely incremental decoders.
-    ///
     /// # Errors
     ///
     /// [`CodecError`] if the stream header is truncated or corrupt.
@@ -119,9 +115,7 @@ pub trait Codec {
     fn stream_decoder<'a>(
         &self,
         input: &'a [u8],
-    ) -> Result<Box<dyn stream::StreamDecoder + 'a>, CodecError> {
-        Ok(Box::new(stream::OneShot::new(self.decompress(input)?)))
-    }
+    ) -> Result<Box<dyn stream::StreamDecoder + 'a>, CodecError>;
 }
 
 /// The seven algorithms of Table I.

@@ -66,9 +66,8 @@ impl Lz77 {
     /// deflate-like codec, which entropy-codes the same token stream.
     ///
     /// Candidate matches are extended eight bytes per step (XOR +
-    /// `trailing_zeros`); [`Self::tokenize_reference`] runs the same
-    /// finder with byte-at-a-time extension and produces an identical
-    /// token stream (enforced by `tests/proptest_fastpath.rs`), so the
+    /// `trailing_zeros`). This module's property tests pin the token
+    /// stream to the same finder with byte-at-a-time extension, so the
     /// compression ratio cannot regress.
     #[must_use]
     pub fn tokenize(&self, input: &[u8]) -> Vec<Token> {
@@ -77,8 +76,8 @@ impl Lz77 {
 
     /// Reference tokenisation: identical finder, byte-at-a-time match
     /// extension. Exists to pin [`Self::tokenize`] in equivalence tests.
-    #[must_use]
-    pub fn tokenize_reference(&self, input: &[u8]) -> Vec<Token> {
+    #[cfg(test)]
+    fn tokenize_reference(&self, input: &[u8]) -> Vec<Token> {
         self.tokenize_impl(input, true)
     }
 
@@ -465,5 +464,40 @@ mod tests {
     #[should_panic(expected = "offset bits")]
     fn absurd_geometry_rejected() {
         let _ = Lz77::with_geometry(30, 6);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn lz_input_strategy() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..2048),
+            // Low-entropy, match-rich data (bitstream-like).
+            proptest::collection::vec(prop_oneof![Just(0u8), 1u8..6], 0..3072),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn word_at_a_time_lz77_matches_byte_at_a_time(data in lz_input_strategy()) {
+            for lz in [Lz77::hardware(), Lz77::with_geometry(6, 4), Lz77::with_geometry(12, 8)] {
+                let fast = lz.tokenize(&data);
+                let slow = lz.tokenize_reference(&data);
+                prop_assert_eq!(&fast, &slow, "token streams diverge");
+            }
+        }
+
+        #[test]
+        fn lz77_round_trips_at_every_geometry(data in lz_input_strategy()) {
+            for lz in [Lz77::hardware(), Lz77::with_geometry(6, 4), Lz77::with_geometry(12, 8)] {
+                let packed = lz.compress(&data);
+                prop_assert_eq!(lz.decompress(&packed).expect("decompress"), data.clone());
+            }
+        }
     }
 }

@@ -15,18 +15,18 @@
 //! hand the *same* buffer to every call and never mutate the decoded
 //! prefix in between.
 //!
-//! Every codec's one-shot [`Codec::decompress`] is the streaming decoder
-//! run with an unbounded budget, so there is exactly one decode loop per
-//! codec and the chunked path cannot drift from the one-shot path; the
-//! equivalence over arbitrary chunk splits is additionally pinned by
-//! property tests (`tests/proptest_fastpath.rs`).
+//! Every codec's one-shot [`Codec::decompress`](crate::Codec::decompress)
+//! is the streaming decoder run with an unbounded budget, so there is
+//! exactly one decode loop per codec and the chunked path cannot drift
+//! from the one-shot path; the equivalence over arbitrary chunk splits is
+//! additionally pinned by property tests (`tests/proptest_fastpath.rs`).
 
-use crate::{Codec, CodecError};
+use crate::CodecError;
 
 /// A resumable decompressor over one compressed stream.
 ///
-/// Obtained from [`Codec::stream_decoder`]. See the [module docs](self)
-/// for the output-buffer contract.
+/// Obtained from [`Codec::stream_decoder`](crate::Codec::stream_decoder).
+/// See the [module docs](self) for the output-buffer contract.
 pub trait StreamDecoder {
     /// Decodes and appends at least `budget` more bytes to `out`, unless
     /// the stream finishes first. May overshoot the budget by at most one
@@ -55,44 +55,6 @@ pub trait StreamDecoder {
     fn total_len(&self) -> usize;
 }
 
-/// Fallback [`StreamDecoder`] that decodes everything up front and hands
-/// it out in budgeted slices.
-///
-/// This is what [`Codec::stream_decoder`]'s default implementation wraps
-/// around [`Codec::decompress`]: correct for any codec, but without the
-/// decode/transfer overlap a native streaming implementation provides.
-/// All seven Table I codecs override the default.
-#[derive(Debug)]
-pub struct OneShot {
-    data: Vec<u8>,
-    cursor: usize,
-}
-
-impl OneShot {
-    /// Wraps fully-decoded output.
-    #[must_use]
-    pub fn new(data: Vec<u8>) -> Self {
-        OneShot { data, cursor: 0 }
-    }
-}
-
-impl StreamDecoder for OneShot {
-    fn decode_into(&mut self, out: &mut Vec<u8>, budget: usize) -> Result<usize, CodecError> {
-        let take = budget.min(self.data.len() - self.cursor);
-        out.extend_from_slice(&self.data[self.cursor..self.cursor + take]);
-        self.cursor += take;
-        Ok(take)
-    }
-
-    fn is_finished(&self) -> bool {
-        self.cursor == self.data.len()
-    }
-
-    fn total_len(&self) -> usize {
-        self.data.len()
-    }
-}
-
 /// Runs `dec` to completion into a fresh buffer (the shared one-shot
 /// decompression harness the codecs' `decompress` impls use).
 pub(crate) fn drain(mut dec: impl StreamDecoder) -> Result<Vec<u8>, CodecError> {
@@ -103,49 +65,28 @@ pub(crate) fn drain(mut dec: impl StreamDecoder) -> Result<Vec<u8>, CodecError> 
     Ok(out)
 }
 
-/// Decodes `input` through `codec`'s streaming decoder in chunks of
-/// `budget` bytes (a test/bench helper mirroring how the pipeline drives
-/// decoders).
-///
-/// # Errors
-///
-/// Whatever the codec's decoder raises.
-pub fn decode_chunked(
-    codec: &dyn Codec,
-    input: &[u8],
-    budget: usize,
-) -> Result<Vec<u8>, CodecError> {
-    let mut dec = codec.stream_decoder(input)?;
-    let mut out = Vec::with_capacity(dec.total_len());
-    while !dec.is_finished() {
-        dec.decode_into(&mut out, budget)?;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, Codec};
 
-    #[test]
-    fn one_shot_slices_by_budget() {
-        let mut dec = OneShot::new((0u8..100).collect());
-        assert_eq!(dec.total_len(), 100);
-        let mut out = Vec::new();
-        let mut calls = 0;
+    /// Decodes `input` through `codec`'s streaming decoder in chunks of
+    /// `budget` bytes, the way the pipeline drives decoders.
+    fn decode_chunked(
+        codec: &dyn Codec,
+        input: &[u8],
+        budget: usize,
+    ) -> Result<Vec<u8>, CodecError> {
+        let mut dec = codec.stream_decoder(input)?;
+        let mut out = Vec::with_capacity(dec.total_len());
         while !dec.is_finished() {
-            let got = dec.decode_into(&mut out, 7).unwrap();
-            assert!(got > 0 && got <= 7);
-            calls += 1;
+            dec.decode_into(&mut out, budget)?;
         }
-        assert_eq!(out, (0u8..100).collect::<Vec<_>>());
-        assert_eq!(calls, 15); // ceil(100 / 7)
-        assert_eq!(dec.decode_into(&mut out, 7).unwrap(), 0);
+        Ok(out)
     }
 
     #[test]
     fn chunked_equals_one_shot_for_every_algorithm() {
-        use crate::Algorithm;
         let mut data = Vec::new();
         for i in 0u32..5000 {
             data.extend_from_slice(&(i % 23).to_le_bytes());

@@ -280,8 +280,9 @@ impl Icap {
     /// frame-at-a-time straight from the input slice (slicing-by-5 CRC, no
     /// per-word buffering). Packet headers and non-FDRI payloads take the
     /// exact per-word path. State evolution — including the state left
-    /// behind by the first error — is bit-exact with
-    /// [`Icap::write_words_reference`].
+    /// behind by the first error — is bit-exact with calling
+    /// [`Icap::write_word`] once per word (pinned by this module's unit
+    /// tests and `tests/proptest_fastpath.rs`).
     ///
     /// # Errors
     ///
@@ -317,20 +318,6 @@ impl Icap {
             }
             self.write_word(words[i])?;
             i += 1;
-        }
-        Ok(())
-    }
-
-    /// Per-cycle reference for [`Icap::write_words`] — one
-    /// [`Icap::write_word`] call per word. Kept for equivalence tests and
-    /// the throughput benchmark baseline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first protocol error (see [`Icap::write_word`]).
-    pub fn write_words_reference(&mut self, words: &[u32]) -> Result<(), FpgaError> {
-        for &w in words {
-            self.write_word(w)?;
         }
         Ok(())
     }
@@ -816,7 +803,8 @@ mod tests {
         for words in &variants {
             let mut fast = icap();
             let mut slow = icap();
-            assert_eq!(fast.write_words(words), slow.write_words_reference(words));
+            let per_word = words.iter().try_for_each(|&w| slow.write_word(w));
+            assert_eq!(fast.write_words(words), per_word);
             assert_observably_equal(&fast, &slow);
             for i in 0..3 {
                 assert_eq!(

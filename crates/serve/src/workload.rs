@@ -6,7 +6,7 @@
 //! actually matter. Generation is fully determined by `(spec, seed,
 //! catalog)` — same inputs, byte-identical request trace.
 
-use rand::{RngExt, SeedableRng, StdRng};
+use uparc_sim::rng::Xoshiro256;
 use uparc_sim::time::SimTime;
 
 use crate::catalog::Catalog;
@@ -77,17 +77,17 @@ impl WorkloadSpec {
     pub fn generate(&self, seed: u64, catalog: &Catalog) -> Vec<ReconfigRequest> {
         let ids = catalog.ids();
         assert!(!ids.is_empty(), "workload needs a non-empty catalog");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Xoshiro256::seed_from_u64(seed);
         let mean_fs = self.mean_gap.as_secs_f64() * 1e15;
         let mut now_fs: f64 = 0.0;
         let mut out = Vec::with_capacity(self.requests);
         for i in 0..self.requests {
             let gap_fs = match self.pattern {
-                ArrivalPattern::Uniform => rng.random::<f64>() * 2.0 * mean_fs,
+                ArrivalPattern::Uniform => rng.unit_f64() * 2.0 * mean_fs,
                 ArrivalPattern::Bursty { burst } => {
                     assert!(burst >= 1, "burst size must be >= 1");
                     if i % burst == 0 {
-                        rng.random::<f64>() * 2.0 * mean_fs * burst as f64
+                        rng.unit_f64() * 2.0 * mean_fs * burst as f64
                     } else {
                         0.0
                     }
@@ -98,28 +98,24 @@ impl WorkloadSpec {
                     // Triangular load profile: gap factor 0.5 at the
                     // crest (phase 0.5), 2.0 at the troughs (phase 0/1).
                     let factor = 0.5 + 3.0 * (phase - 0.5).abs();
-                    rng.random::<f64>() * 2.0 * mean_fs * factor
+                    rng.unit_f64() * 2.0 * mean_fs * factor
                 }
                 ArrivalPattern::Sustained => mean_fs,
             };
             now_fs += gap_fs;
             let arrival = SimTime::from_secs_f64(now_fs * 1e-15);
-            let bitstream = ids[rng.random_range(0..ids.len())];
+            let bitstream = ids[rng.below(ids.len() as u64) as usize];
             let region = catalog
                 .entry(bitstream)
                 .expect("id came from the catalog")
                 .region();
-            let priority = match rng.random_range(0..10u32) {
+            let priority = match rng.below(10) {
                 0..=5 => Priority::Normal,
                 6..=7 => Priority::High,
                 _ => Priority::Low,
             };
             let deadline = self.deadline_slack_us.map(|(lo, hi)| {
-                let slack = if hi > lo {
-                    rng.random_range(lo..hi)
-                } else {
-                    lo
-                };
+                let slack = if hi > lo { lo + rng.below(hi - lo) } else { lo };
                 arrival + SimTime::from_us(slack)
             });
             out.push(ReconfigRequest {

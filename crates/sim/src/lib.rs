@@ -22,8 +22,9 @@
 //!   the [`fault::FaultInjector`] that dispenses SEUs, staged-stream flips,
 //!   transfer stalls, transient CRC corruptions and DCM lock failures for
 //!   resilience campaigns.
-//! * [`rng`] — splitmix64, stateless and sequential, plus the
-//!   [`rng::substream`] seed derivation every seeded generator shares.
+//! * [`rng`] — the seeded generators: splitmix64, stateless and
+//!   sequential, with the [`rng::substream`] seed derivation, and
+//!   [`rng::Xoshiro256`] for the synthetic payload and request streams.
 //! * [`trace`] — step-wise power traces with exact energy integration and an
 //!   oscilloscope/shunt-resistor front-end model ([`trace::Oscilloscope`]).
 //! * [`obs`] — structured observability: typed spans/instants recorded

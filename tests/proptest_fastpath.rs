@@ -5,12 +5,10 @@
 //! errors at the same positions. These tests enforce that contract on
 //! randomized inputs:
 //!
-//! * batched [`Icap::write_words`] ≡ the per-cycle reference, on
+//! * batched [`Icap::write_words`] ≡ one [`Icap::write_word`] per word, on
 //!   well-formed, corrupted, truncated and off-device streams, under any
 //!   chunking of the input;
 //! * the two-level-LUT Huffman decoder ≡ the bit-at-a-time reference;
-//! * the word-at-a-time LZ77 match extension ≡ byte-at-a-time extension
-//!   (identical token streams, so the compression ratio cannot regress);
 //! * every codec's incremental [`StreamDecoder`] ≡ one-shot `decompress`,
 //!   under arbitrary per-call budgets;
 //! * [`BlockCodec`] frames are byte-identical across worker counts, and
@@ -19,9 +17,8 @@
 use proptest::prelude::*;
 use uparc_repro::compress::bitio::{BitReader, BitWriter};
 use uparc_repro::compress::huffman::{canonical_codes, code_lengths, CanonicalDecoder};
-use uparc_repro::compress::lz77::Lz77;
 use uparc_repro::compress::parallel::BlockCodec;
-use uparc_repro::compress::{Algorithm, Codec};
+use uparc_repro::compress::Algorithm;
 use uparc_repro::fpga::format::{
     type1, type2, Command, ConfigCrc, ConfigRegister, Opcode, DUMMY_WORD, NOOP, SYNC_WORD,
 };
@@ -126,7 +123,7 @@ proptest! {
         let mut fast = Icap::new(dev.clone());
         let mut slow = Icap::new(dev);
         let fr = fast.write_words(&words);
-        let sr = slow.write_words_reference(&words);
+        let sr = words.iter().try_for_each(|&w| slow.write_word(w));
         prop_assert_eq!(
             fr.map_err(|e| e.to_string()),
             sr.map_err(|e| e.to_string()),
@@ -207,37 +204,6 @@ proptest! {
             prop_assert_eq!(s, expect, "reference wrong at {}", i);
             prop_assert_eq!(f, expect, "fast path wrong at {}", i);
             prop_assert_eq!(slow.remaining(), fast.remaining(), "cursor split at {}", i);
-        }
-    }
-}
-
-// ---------------------------------------------------------------- LZ77 --
-
-fn lz_input_strategy() -> impl Strategy<Value = Vec<u8>> {
-    prop_oneof![
-        proptest::collection::vec(any::<u8>(), 0..2048),
-        // Low-entropy, match-rich data (bitstream-like).
-        proptest::collection::vec(prop_oneof![Just(0u8), 1u8..6], 0..3072),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn word_at_a_time_lz77_matches_byte_at_a_time(data in lz_input_strategy()) {
-        for lz in [Lz77::hardware(), Lz77::with_geometry(6, 4), Lz77::with_geometry(12, 8)] {
-            let fast = lz.tokenize(&data);
-            let slow = lz.tokenize_reference(&data);
-            prop_assert_eq!(&fast, &slow, "token streams diverge");
-        }
-    }
-
-    #[test]
-    fn lz77_round_trips_at_every_geometry(data in lz_input_strategy()) {
-        for lz in [Lz77::hardware(), Lz77::with_geometry(6, 4), Lz77::with_geometry(12, 8)] {
-            let packed = lz.compress(&data);
-            prop_assert_eq!(lz.decompress(&packed).expect("decompress"), data.clone());
         }
     }
 }
