@@ -321,6 +321,7 @@ mod tests {
             "fleet",
             "placement",
             "power",
+            "paper",
         ] {
             let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));

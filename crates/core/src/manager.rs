@@ -14,7 +14,7 @@
 //!   burning ~92 mW above idle for the whole reconfiguration, which is why
 //!   measured energy *decreases* with frequency. An event-driven manager
 //!   (`active_wait = false`) removes that term — the paper's suggested fix,
-//!   exercised by the `ablation_manager` bench.
+//!   exercised by the `ablation_manager` section of `uparc_bench::paper`.
 
 use crate::error::UparcError;
 use uparc_bitstream::bitfile::BitFile;
