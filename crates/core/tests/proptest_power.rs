@@ -1,11 +1,14 @@
 //! Property tests for the (V, f) planner: cap monotonicity, ramp-cost
 //! sanity, and the frequency-only backward-compatibility pin, over
-//! randomized queries rather than the unit tests' fixed sweeps.
+//! randomized queries rather than the unit tests' fixed sweeps, plus
+//! exact folds of every `plan_vf` and `plan` outcome over fixed grids.
 
 use proptest::prelude::*;
-use uparc_core::policy::{FrequencyPlan, PlanQuery, PowerAwarePolicy, VfQuery};
+use uparc_core::manager::ManagerConfig;
+use uparc_core::policy::{Constraint, FrequencyPlan, PlanQuery, PowerAwarePolicy, VfPlan, VfQuery};
 use uparc_core::UparcError;
 use uparc_fpga::Family;
+use uparc_sim::power::VfTable;
 use uparc_sim::time::{Frequency, SimTime};
 
 fn planner() -> PowerAwarePolicy {
@@ -133,6 +136,201 @@ fn plan_constrained_is_bit_identical_to_the_reference() {
                         energy_budget_uj: energy,
                     };
                     check_against_reference(&p, q).unwrap();
+                }
+            }
+        }
+    }
+}
+
+/// FNV-1a over 64-bit words: an exact digest of a sequence of planner
+/// outcomes. A moved operating point, one changed bit of a prediction or
+/// a different error payload changes it.
+fn fold(h: &mut u64, word: u64) {
+    *h = (*h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+}
+
+const FOLD_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds the typed error's `Debug` text (payload floats included) and
+/// returns its variant name for the coverage tally.
+fn fold_error(h: &mut u64, e: &UparcError) -> String {
+    let text = format!("{e:?}");
+    for b in text.bytes() {
+        fold(h, u64::from(b));
+    }
+    text.split([' ', '{']).next().unwrap_or_default().to_owned()
+}
+
+/// Folds one plan's operating point and predictions, `rail` and `volts`
+/// included.
+fn fold_vf_plan(h: &mut u64, p: &VfPlan) {
+    for w in [
+        p.rail as u64,
+        p.volts.to_bits(),
+        p.frequency.as_hz(),
+        p.settle.as_fs(),
+        p.predicted_time.as_fs(),
+        p.predicted_power_mw.to_bits(),
+        p.predicted_energy_uj.to_bits(),
+    ] {
+        fold(h, w);
+    }
+}
+
+/// Both families × both manager modes, on the default (V, f) table.
+fn policies() -> Vec<PowerAwarePolicy> {
+    let mut out = Vec::new();
+    for family in [Family::Virtex5, Family::Virtex6] {
+        for active_wait in [true, false] {
+            let manager = ManagerConfig {
+                active_wait,
+                ..ManagerConfig::default()
+            };
+            out.push(PowerAwarePolicy::new(
+                family,
+                Frequency::from_mhz(100.0),
+                manager,
+            ));
+        }
+    }
+    out
+}
+
+/// Frequency-axis queries whose caps, deadlines, ceilings and energy
+/// budgets reach every typed error and both selection rules.
+fn base_queries() -> Vec<PlanQuery> {
+    let mut out = Vec::new();
+    for power_cap_mw in [None, Some(50.0), Some(260.0), Some(330.0)] {
+        for deadline in [
+            None,
+            Some(SimTime::from_us(50)),
+            Some(SimTime::from_us(600)),
+        ] {
+            for max_frequency in [None, Some(1.0), Some(255.0)] {
+                for energy_budget_uj in [None, Some(1.0), Some(50.0), Some(90.0)] {
+                    out.push(PlanQuery {
+                        bytes: 216_500,
+                        max_frequency: max_frequency.map(Frequency::from_mhz),
+                        deadline,
+                        power_cap_mw,
+                        energy_budget_uj,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Pins every `plan_vf` outcome — rail, clock, settle, time, power and
+/// energy bits, or the typed error's payload — over a fixed grid of
+/// 2-D queries. Recompute the digest only for a change meant to move
+/// the planner.
+#[test]
+fn plan_vf_outcomes_are_pinned() {
+    let mut h = FOLD_SEED;
+    let mut kinds = std::collections::BTreeMap::<String, usize>::new();
+    for p in policies() {
+        for base in base_queries() {
+            for current_rail in [None, Some(0), Some(2)] {
+                for max_volts in [None, Some(0.87), Some(0.5)] {
+                    let q = VfQuery {
+                        current_rail,
+                        max_volts,
+                        ..VfQuery::new(base)
+                    };
+                    let kind = match p.plan_vf(&q) {
+                        Ok(plan) => {
+                            fold_vf_plan(&mut h, &plan);
+                            "Ok".to_owned()
+                        }
+                        Err(e) => fold_error(&mut h, &e),
+                    };
+                    *kinds.entry(kind).or_default() += 1;
+                }
+            }
+        }
+    }
+    let tally = format!("{kinds:?}");
+    assert_eq!(
+        tally,
+        r#"{"BudgetInfeasible": 864, "EnergyBudgetInfeasible": 972, "Frequency": 1728, "Ok": 1620}"#,
+        "every typed error and the success path are reached"
+    );
+    assert_eq!(h, 0x0c51_b3e0_0cd8_53dd, "plan_vf digest {h:#018x}");
+}
+
+/// Pins every `plan(Constraint)` outcome — clock, time, power and energy
+/// bits, or the typed error's payload — for all four constraints.
+#[test]
+fn plan_outcomes_are_pinned() {
+    let mut h = FOLD_SEED;
+    let mut kinds = std::collections::BTreeMap::<String, usize>::new();
+    let mut constraints = vec![Constraint::MinEnergy, Constraint::MaxThroughput];
+    for us in [50, 150, 200, 600, 5_000] {
+        constraints.push(Constraint::Deadline(SimTime::from_us(us)));
+    }
+    for mw in [50.0, 100.0, 183.0, 260.0, 330.0, 1e6] {
+        constraints.push(Constraint::PowerBudget { mw });
+    }
+    for p in policies() {
+        for bytes in [1, 6_600, 216_500, 400_000] {
+            for &c in &constraints {
+                let kind = match p.plan(c, bytes) {
+                    Ok(plan) => {
+                        for w in [
+                            plan.frequency.as_hz(),
+                            plan.predicted_time.as_fs(),
+                            plan.predicted_power_mw.to_bits(),
+                            plan.predicted_energy_uj.to_bits(),
+                        ] {
+                            fold(&mut h, w);
+                        }
+                        "Ok".to_owned()
+                    }
+                    Err(e) => fold_error(&mut h, &e),
+                };
+                *kinds.entry(kind).or_default() += 1;
+            }
+        }
+    }
+    assert_eq!(
+        format!("{kinds:?}"),
+        r#"{"BudgetInfeasible": 24, "DeadlineInfeasible": 20, "Ok": 164}"#
+    );
+    assert_eq!(h, 0xbb83_7d4d_7b78_562e, "plan digest {h:#018x}");
+}
+
+/// `ServiceConfig { vf: None }` plans on the nominal-only table: a 2-D
+/// query there must equal the frequency-only query on the default table
+/// in every field but the rail index.
+#[test]
+fn nominal_only_table_equals_the_frequency_only_query() {
+    for p in policies() {
+        let nominal = p.clone().with_vf_table(VfTable::nominal_only());
+        for base in base_queries() {
+            for current_rail in [None, Some(0)] {
+                for max_volts in [None, Some(0.5)] {
+                    let q = VfQuery {
+                        current_rail,
+                        max_volts,
+                        ..VfQuery::new(base)
+                    };
+                    match (
+                        nominal.plan_vf(&q),
+                        p.plan_vf(&VfQuery::frequency_only(base)),
+                    ) {
+                        (Ok(mut got), Ok(want)) => {
+                            assert_eq!(got.rail, 0);
+                            got.rail = want.rail;
+                            let (mut a, mut b) = (FOLD_SEED, FOLD_SEED);
+                            fold_vf_plan(&mut a, &got);
+                            fold_vf_plan(&mut b, &want);
+                            assert_eq!(a, b, "{q:?}: {got:?} vs {want:?}");
+                        }
+                        (Err(got), Err(want)) => assert_eq!(got, want, "{q:?}"),
+                        (got, want) => panic!("{q:?}: {got:?} vs {want:?}"),
+                    }
                 }
             }
         }

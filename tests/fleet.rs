@@ -192,6 +192,71 @@ fn plan_tables_match_plan_constrained() {
     }
 }
 
+/// Pins a small fleet's simulated outcome — completions, cache and
+/// routing counts, energy, latency, peak power, the frequency mix and the
+/// image-fold checksum — for one quiet locality run and one chip-loss
+/// run. `PlanTables` tabulates the power and energy these digests sum,
+/// so a change to the planner's numbers fails here. Recompute the
+/// strings only for a change meant to move the fleet.
+#[test]
+fn fleet_outcome_digests_are_pinned() {
+    let catalog = synthetic_catalog(24, 12, 29);
+    let locality = RoutePolicy::Locality {
+        spill_window: SimTime::from_us(5),
+    };
+    let spec = small_spec(1500);
+    // A cap tight enough that chips trade clock for headroom, so the
+    // digest carries a frequency mix rather than one ceiling clock.
+    let mut config = small_config(6, locality);
+    config.rack_cap_mw = 6.0 * 420.0;
+    let quiet = Fleet::new(catalog.clone(), config)
+        .unwrap()
+        .run(&spec)
+        .unwrap();
+    assert_eq!(
+        quiet.render(),
+        "\
+requests=1500 chips=6 completed=1500\n\
+cache: hits=1393 misses=107 evictions=0 hit_rate=0.928667 decompressed_bytes=218708\n\
+route: warm=1393 cold=24 spills=83\n\
+sim: words=768000 makespan_us=4294.608 words_per_sec=178828901.2 energy_uj=6435.299\n\
+latency_us: p50=1849.962 p95=3502.557 p99=3697.005 p999=3697.005\n\
+power: peak_mw=2518.999 cap_mw=2520.000 violations=0 violations_emergency=0\n\
+balance: min_chip=250 max_chip=250 mean_freq_mhz=86.85 checksum=cabfc4c104369dce\n\
+chaos: chips_lost=0 quarantines=0 failovers=0 completed_failover=0\n\
+shed: total=0 queue_full=0 no_live_chip=0 retries_exhausted=0 dispatch_failed=0\n\
+recovery: faulted=0 healed=0 faults_applied=0 extra_time_us=0.000 extra_energy_uj=0.000\n\
+degraded: completed=0 p99_steady_us=3697.005 p99_degraded_us=0.000\n\
+"
+    );
+    let chaos = ChaosSpec {
+        seed: 0xC4A05,
+        horizon: SimTime::from_us(300),
+        loss_permille: 220,
+        ..ChaosSpec::quiet()
+    };
+    let lossy = Fleet::new(catalog, small_config(8, locality))
+        .unwrap()
+        .run_chaos(&spec, &chaos, &Obs::null())
+        .unwrap();
+    assert_eq!(
+        lossy.render(),
+        "\
+requests=1500 chips=8 completed=1500\n\
+cache: hits=1371 misses=130 evictions=0 hit_rate=0.913391 decompressed_bytes=265720\n\
+route: warm=1409 cold=24 spills=110\n\
+sim: words=768000 makespan_us=2825.319 words_per_sec=271827665.3 energy_uj=4865.372\n\
+latency_us: p50=1103.812 p95=2138.913 p99=2227.716 p999=2227.716\n\
+power: peak_mw=4819.636 cap_mw=5600.000 violations=0 violations_emergency=0\n\
+balance: min_chip=12 max_chip=213 mean_freq_mhz=254.48 checksum=0eb9abb4ca77ff61\n\
+chaos: chips_lost=1 quarantines=0 failovers=43 completed_failover=43\n\
+shed: total=0 queue_full=0 no_live_chip=0 retries_exhausted=0 dispatch_failed=0\n\
+recovery: faulted=0 healed=0 faults_applied=0 extra_time_us=0.000 extra_energy_uj=0.000\n\
+degraded: completed=43 p99_steady_us=2227.716 p99_degraded_us=769.512\n\
+"
+    );
+}
+
 /// A chip-loss campaign keeps the accounting identity exact: every
 /// request is completed (possibly after failover) or shed with a typed
 /// reason, nothing lost, nothing double-served — and a single-digit
