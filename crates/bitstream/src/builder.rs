@@ -210,12 +210,6 @@ impl PartialBitstream {
         &self.words
     }
 
-    /// Consumes the bitstream, returning the word stream.
-    #[must_use]
-    pub fn into_words(self) -> Vec<u32> {
-        self.words
-    }
-
     /// Starting frame address.
     #[must_use]
     pub fn far(&self) -> u32 {

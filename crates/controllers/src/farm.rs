@@ -15,7 +15,6 @@ use crate::{
 use uparc_bitstream::builder::{bytes_to_words, PartialBitstream};
 use uparc_compress::rle::Rle;
 use uparc_compress::Codec;
-use uparc_core::cache::{CacheKey, CacheStats, DecompCache};
 use uparc_fpga::{Device, Icap};
 use uparc_sim::fault::{FaultInjector, FaultKind};
 use uparc_sim::power::calib;
@@ -32,7 +31,6 @@ pub struct Farm {
     clock: Frequency,
     compression: bool,
     setup_cycles: u64,
-    cache: DecompCache,
     injector: Option<FaultInjector>,
 }
 
@@ -47,7 +45,6 @@ impl Farm {
             clock: Frequency::from_mhz(200.0),
             compression: false,
             setup_cycles: 240,
-            cache: DecompCache::new(0),
             injector: None,
         }
     }
@@ -64,22 +61,6 @@ impl Farm {
     #[must_use]
     pub fn compression(&self) -> bool {
         self.compression
-    }
-
-    /// Enables a host-side cache of decoded RLE payloads (`budget` bytes;
-    /// see [`uparc_core::cache::DecompCache`]): repeated swaps of the same
-    /// bitstream skip re-decoding. Simulated timing is unaffected — FaRM's
-    /// inline decoder always runs at one output word per cycle.
-    #[must_use]
-    pub fn with_cache(mut self, budget: usize) -> Self {
-        self.cache = DecompCache::new(budget);
-        self
-    }
-
-    /// Hit/miss/eviction counters of the host-side decode cache.
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Attaches a fault injector. FaRM has no simulated clock of its own,
@@ -113,20 +94,14 @@ impl ReconfigController for Farm {
             let rle = Rle::new();
             let packed = rle.compress(&raw);
             // The hardware decoder's output is what reaches the ICAP —
-            // model it faithfully by actually decompressing. RLE is
-            // deterministic and lossless, so a packed payload already
-            // decoded (and verified) once can skip the re-decode.
-            let key = CacheKey::of(0, &packed);
-            if self.cache.get(&key).is_none() {
-                let unpacked = rle
-                    .decompress(&packed)
-                    .map_err(|e| ControllerError::Compression(e.to_string()))?;
-                if unpacked != raw {
-                    return Err(ControllerError::Compression(
-                        "rle round-trip mismatch".into(),
-                    ));
-                }
-                self.cache.insert(key, std::sync::Arc::new(unpacked));
+            // model it faithfully by actually decompressing.
+            let unpacked = rle
+                .decompress(&packed)
+                .map_err(|e| ControllerError::Compression(e.to_string()))?;
+            if unpacked != raw {
+                return Err(ControllerError::Compression(
+                    "rle round-trip mismatch".into(),
+                ));
             }
             packed.len()
         } else {
@@ -237,27 +212,6 @@ mod tests {
         let mut xps = crate::xps_hwicap::XpsHwicap::new(device);
         let rx = xps.reconfigure(&bs).unwrap();
         assert!(rf.bandwidth_mb_s() > 50.0 * rx.bandwidth_mb_s());
-    }
-
-    #[test]
-    fn decode_cache_leaves_reports_identical_and_counts_hits() {
-        let device = Device::xc5vsx50t();
-        let bs = bitstream(&device, 500);
-        let mut plain = Farm::new(device.clone()).with_compression();
-        let mut cached = Farm::new(device)
-            .with_compression()
-            .with_cache(8 * 1024 * 1024);
-        for _ in 0..3 {
-            let a = plain.reconfigure(&bs).unwrap();
-            let b = cached.reconfigure(&bs).unwrap();
-            assert_eq!(a.elapsed, b.elapsed);
-            assert_eq!(a.stored_bytes, b.stored_bytes);
-            assert_eq!(a.energy_uj, b.energy_uj);
-        }
-        assert_eq!(plain.cache_stats(), CacheStats::default());
-        let stats = cached.cache_stats();
-        assert_eq!(stats.misses, 1, "{stats:?}");
-        assert_eq!(stats.hits, 2, "{stats:?}");
     }
 
     #[test]

@@ -28,12 +28,6 @@ impl CompactFlash {
         }
     }
 
-    /// Sustained read bandwidth in bytes/second.
-    #[must_use]
-    pub fn read_bandwidth(&self) -> f64 {
-        self.read_bw
-    }
-
     /// Time to fetch `bytes` from the card.
     #[must_use]
     pub fn fetch_time(&self, bytes: usize) -> SimTime {

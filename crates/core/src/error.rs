@@ -59,6 +59,13 @@ pub enum UparcError {
         /// The minimum achievable energy in µJ.
         floor_uj: f64,
     },
+    /// A (V, f) query names a current rail the planner's table lacks.
+    UnknownRail {
+        /// The requested rail index.
+        rail: usize,
+        /// How many rails the table has.
+        rails: usize,
+    },
     /// No streaming hardware decompressor exists for the algorithm.
     NoHardwareDecompressor {
         /// Name of the algorithm.
@@ -122,6 +129,9 @@ impl std::fmt::Display for UparcError {
                 floor_uj,
             } => {
                 write!(f, "energy budget {budget_uj} uJ below floor {floor_uj} uJ")
+            }
+            UparcError::UnknownRail { rail, rails } => {
+                write!(f, "rail {rail} is not in the {rails}-rail (V, f) table")
             }
             UparcError::NoHardwareDecompressor { algorithm } => {
                 write!(f, "no streaming hardware decompressor for {algorithm}")

@@ -20,7 +20,7 @@
 //!   search.
 
 use crate::error::UparcError;
-use crate::policy::{FrequencyPlan, PowerAwarePolicy};
+use crate::policy::{Constraint, PowerAwarePolicy, VfPlan};
 use uparc_sim::time::SimTime;
 
 /// One application phase: a module swap plus its execution window.
@@ -50,7 +50,7 @@ impl AppPhase {
 #[derive(Debug, Clone)]
 pub struct GlobalPlan {
     /// `(phase name, operating point)` in order.
-    pub per_phase: Vec<(String, FrequencyPlan)>,
+    pub per_phase: Vec<(String, VfPlan)>,
     /// Peak reconfiguration power across phases, mW.
     pub peak_power_mw: f64,
     /// Total application time (swaps + executions).
@@ -81,22 +81,15 @@ impl GlobalOptimizer {
     /// Evaluates the plan in which every phase runs at its fastest clock
     /// with power at most `cap_mw`.
     fn plan_under_cap(&self, phases: &[AppPhase], cap_mw: f64) -> Option<GlobalPlan> {
-        let grid = self.policy.frequency_grid();
-        let f = grid
-            .iter()
-            .rev()
-            .find(|&&f| self.policy.predicted_power_mw(f) <= cap_mw)?;
         let mut per_phase = Vec::with_capacity(phases.len());
         let mut total_time = SimTime::ZERO;
         let mut total_energy = 0.0;
         let mut peak: f64 = 0.0;
         for p in phases {
-            let plan = FrequencyPlan {
-                frequency: *f,
-                predicted_time: self.policy.predicted_time(p.bitstream_bytes, *f),
-                predicted_power_mw: self.policy.predicted_power_mw(*f),
-                predicted_energy_uj: self.policy.predicted_energy_uj(p.bitstream_bytes, *f),
-            };
+            let plan = self
+                .policy
+                .plan(Constraint::PowerBudget { mw: cap_mw }, p.bitstream_bytes)
+                .ok()?;
             total_time += plan.predicted_time + p.execution;
             total_energy += plan.predicted_energy_uj;
             peak = peak.max(plan.predicted_power_mw);

@@ -14,21 +14,21 @@
 //!   path term and the slowest clock wins (§V's closing discussion);
 //! * [`Constraint::MaxThroughput`] — the 362.5 MHz headline point.
 //!
-//! Since the DVFS extension the grid is two-dimensional: every policy
-//! carries a [`VfTable`] of voltage rails, and [`PowerAwarePolicy::plan_vf`]
-//! searches (rail, frequency) pairs — path power scales as `C·V²·f`,
-//! undervolted rails cap the clock, and switching rails charges the
-//! regulator settle into both the predicted time and the predicted
-//! energy. A [`VfQuery::frequency_only`] query pins the same search to the
-//! nominal rail with the analytic (pre-DVFS) power model, and stays
-//! bit-identical to the original frequency-only planner (see `POWER.md`
-//! for the methodology and the regression anchors).
+//! One search answers every question: [`PowerAwarePolicy::plan_vf`] makes
+//! a single pass over the (rail, frequency) points of the policy's
+//! [`VfTable`] — path power scales as `C·V²·f`, undervolted rails cap the
+//! clock, and switching rails charges the regulator settle into both the
+//! predicted time and the predicted energy. [`PowerAwarePolicy::plan`] is
+//! the paper's 1-D view of it: a [`VfQuery::frequency_only`] query, which
+//! pins the search to the nominal rail with the analytic (pre-DVFS) power
+//! model and stays bit-identical to the original frequency-only planner
+//! (see `POWER.md` for the methodology and the regression anchors).
 
 use crate::error::UparcError;
-use crate::manager::ManagerConfig;
+use crate::manager::{Manager, ManagerConfig};
 use uparc_fpga::dcm::DcmConstraints;
 use uparc_fpga::family::Family;
-use uparc_sim::power::{calib, VfTable};
+use uparc_sim::power::{self, calib, VfTable};
 use uparc_sim::time::{Frequency, SimTime};
 
 /// A run-time constraint on a reconfiguration.
@@ -45,19 +45,6 @@ pub enum Constraint {
     MinEnergy,
     /// Minimise reconfiguration time.
     MaxThroughput,
-}
-
-/// A selected operating point with its predictions.
-#[derive(Debug, Clone, Copy)]
-pub struct FrequencyPlan {
-    /// The CLK_2 target to hand to DyCloGen.
-    pub frequency: Frequency,
-    /// Predicted Start→Finish latency.
-    pub predicted_time: SimTime,
-    /// Predicted total core power during the transfer, mW.
-    pub predicted_power_mw: f64,
-    /// Predicted above-idle energy, µJ.
-    pub predicted_energy_uj: f64,
 }
 
 /// The frequency-axis constraints of a [`VfQuery`].
@@ -148,7 +135,7 @@ pub struct VfPlan {
 pub struct PowerAwarePolicy {
     family: Family,
     fin: Frequency,
-    manager: ManagerConfig,
+    manager: Manager,
     vf: VfTable,
 }
 
@@ -163,7 +150,7 @@ impl PowerAwarePolicy {
         PowerAwarePolicy {
             family,
             fin,
-            manager,
+            manager: Manager::with_config(manager),
             vf: VfTable::voltune_virtex6(),
         }
     }
@@ -214,337 +201,110 @@ impl PowerAwarePolicy {
     /// Predicted Start→Finish latency for `bytes` of raw bitstream at `f`.
     #[must_use]
     pub fn predicted_time(&self, bytes: usize, f: Frequency) -> SimTime {
-        let control = self
-            .manager
-            .clock
-            .time_of_cycles(self.manager.control_overhead_cycles);
         // Mode word + one word per cycle.
         let words = (bytes as u64).div_ceil(4) + 1;
-        control + f.time_of_cycles(words)
+        self.manager.control_overhead() + f.time_of_cycles(words)
     }
 
-    /// Predicted total core power during the transfer at `f`, mW.
+    /// Predicted total core power during the transfer at `f` on the
+    /// nominal rail (analytic model), mW.
     #[must_use]
     pub fn predicted_power_mw(&self, f: Frequency) -> f64 {
-        let wait = if self.manager.active_wait {
-            calib::MANAGER_ACTIVE_WAIT_MW
-        } else {
-            calib::MANAGER_IDLE_MW
-        };
-        calib::V6_IDLE_MW + wait + calib::RECONFIG_PATH_MW_PER_MHZ * f.as_mhz()
+        self.power_mw(calib::V_NOM_V, f, false)
     }
 
-    /// Predicted above-idle energy for `bytes` at `f`, µJ.
+    /// Predicted above-idle energy for `bytes` at `f` on the nominal rail
+    /// (analytic model), µJ.
     #[must_use]
     pub fn predicted_energy_uj(&self, bytes: usize, f: Frequency) -> f64 {
-        let control = self
-            .manager
-            .clock
-            .time_of_cycles(self.manager.control_overhead_cycles);
+        self.energy_uj(bytes, f, self.predicted_power_mw(f), SimTime::ZERO)
+    }
+
+    /// The steady above-idle draw the planner charges for the hardware
+    /// decompressor during a compressed transfer, mW: the decompressor
+    /// at the manager's clock on the nominal rail.
+    #[must_use]
+    pub fn decompressor_draw_mw(&self) -> f64 {
+        power::decompressor_power_mw(calib::V_NOM_V, self.manager.config().clock)
+    }
+
+    /// Total core power at an arbitrary (V, f) point, mW
+    /// ([`power::core_power_mw`] with this policy's manager).
+    fn power_mw(&self, volts: f64, f: Frequency, measured: bool) -> f64 {
+        power::core_power_mw(volts, self.manager.wait_power_mw(), f, measured)
+    }
+
+    /// Above-idle energy of a transfer of `bytes` at clock `f` drawing
+    /// `power_mw` in total, µJ, with the regulator `settle` charged at the
+    /// manager's active-wait draw (the manager spins while the rail
+    /// ramps, exactly as during a DCM relock).
+    fn energy_uj(&self, bytes: usize, f: Frequency, power_mw: f64, settle: SimTime) -> f64 {
+        let control = self.manager.control_overhead();
         let words = (bytes as u64).div_ceil(4) + 1;
         let transfer = f.time_of_cycles(words);
         calib::MANAGER_ACTIVE_WAIT_MW * control.as_secs_f64() * 1e3
-            + (self.predicted_power_mw(f) - calib::V6_IDLE_MW) * transfer.as_secs_f64() * 1e3
-    }
-
-    /// Total core power at an arbitrary (V, f) point, mW.
-    ///
-    /// `measured` selects the Nafkha-&-Louet measured-overhead curve
-    /// (interpolating the Fig. 7 totals, exact at the four anchors) over
-    /// the analytic `c·f` model; the path term scales as `(v / V_nom)²`
-    /// either way. On the nominal rail with the measured model this *is*
-    /// the measured curve, bit-exactly.
-    fn power_point_mw(&self, volts: f64, f: Frequency, measured: bool) -> f64 {
-        let wait = if self.manager.active_wait {
-            calib::MANAGER_ACTIVE_WAIT_MW
-        } else {
-            calib::MANAGER_IDLE_MW
-        };
-        let base = calib::V6_IDLE_MW + wait;
-        let r = volts / calib::V_NOM_V;
-        let scale = r * r;
-        if measured {
-            if scale == 1.0 && self.manager.active_wait {
-                // Fig. 7 measured an actively-waiting manager at nominal
-                // voltage; return the measured total without a base/path
-                // round-trip so the anchors stay exact.
-                return calib::fig7_measured_mw(f.as_mhz());
-            }
-            base + scale * (calib::fig7_measured_mw(f.as_mhz()) - calib::analytic_base_mw())
-        } else {
-            base + scale * (calib::RECONFIG_PATH_MW_PER_MHZ * f.as_mhz())
-        }
-    }
-
-    /// Above-idle energy at an arbitrary (V, f) point, µJ, with the
-    /// regulator `settle` charged at the manager's active-wait draw (the
-    /// manager spins while the rail ramps, exactly as during a DCM
-    /// relock).
-    fn energy_point_uj(
-        &self,
-        bytes: usize,
-        volts: f64,
-        f: Frequency,
-        settle: SimTime,
-        measured: bool,
-    ) -> f64 {
-        let control = self
-            .manager
-            .clock
-            .time_of_cycles(self.manager.control_overhead_cycles);
-        let words = (bytes as u64).div_ceil(4) + 1;
-        let transfer = f.time_of_cycles(words);
-        calib::MANAGER_ACTIVE_WAIT_MW * control.as_secs_f64() * 1e3
-            + (self.power_point_mw(volts, f, measured) - calib::V6_IDLE_MW)
-                * transfer.as_secs_f64()
-                * 1e3
+            + (power_mw - calib::V6_IDLE_MW) * transfer.as_secs_f64() * 1e3
             + calib::MANAGER_ACTIVE_WAIT_MW * settle.as_secs_f64() * 1e3
     }
 
-    /// Predicted total core power during a transfer at voltage `volts`
-    /// and clock `f`, mW, under the policy table's power model.
-    #[must_use]
-    pub fn predicted_power_vf_mw(&self, volts: f64, f: Frequency) -> f64 {
-        self.power_point_mw(volts, f, self.vf.measured_overhead())
-    }
-
-    /// Predicted above-idle energy for `bytes` at (`volts`, `f`) with a
-    /// regulator `settle` charged in, µJ.
-    #[must_use]
-    pub fn predicted_energy_vf_uj(
-        &self,
-        bytes: usize,
-        volts: f64,
-        f: Frequency,
-        settle: SimTime,
-    ) -> f64 {
-        self.energy_point_uj(bytes, volts, f, settle, self.vf.measured_overhead())
-    }
-
-    fn plan_at(&self, bytes: usize, f: Frequency) -> FrequencyPlan {
-        FrequencyPlan {
-            frequency: f,
-            predicted_time: self.predicted_time(bytes, f),
-            predicted_power_mw: self.predicted_power_mw(f),
-            predicted_energy_uj: self.predicted_energy_uj(bytes, f),
-        }
-    }
-
     /// Selects the operating point for `constraint` on a raw bitstream of
-    /// `bytes`.
+    /// `bytes`: the paper's 1-D view of [`PowerAwarePolicy::plan_vf`].
+    /// Deadline, power-budget and throughput constraints are
+    /// [`VfQuery::frequency_only`] queries; the minimum-energy point is a
+    /// scan of the grid that resolves ties to the slowest clock.
     ///
     /// # Errors
     ///
     /// [`UparcError::DeadlineInfeasible`] / [`UparcError::BudgetInfeasible`]
     /// when no grid point satisfies the constraint.
-    pub fn plan(&self, constraint: Constraint, bytes: usize) -> Result<FrequencyPlan, UparcError> {
-        let grid = self.frequency_grid();
-        let fastest = *grid.last().expect("grid is never empty");
+    pub fn plan(&self, constraint: Constraint, bytes: usize) -> Result<VfPlan, UparcError> {
+        let mut q = PlanQuery {
+            bytes,
+            ..PlanQuery::default()
+        };
         match constraint {
-            Constraint::MaxThroughput => Ok(self.plan_at(bytes, fastest)),
-            Constraint::Deadline(deadline) => grid
-                .iter()
-                .find(|&&f| self.predicted_time(bytes, f) <= deadline)
-                .map(|&f| self.plan_at(bytes, f))
-                .ok_or_else(|| UparcError::DeadlineInfeasible {
-                    deadline,
-                    best: self.predicted_time(bytes, fastest),
-                }),
-            Constraint::PowerBudget { mw } => grid
-                .iter()
-                .rev()
-                .find(|&&f| self.predicted_power_mw(f) <= mw)
-                .map(|&f| self.plan_at(bytes, f))
-                .ok_or_else(|| UparcError::BudgetInfeasible {
-                    budget_mw: mw,
-                    floor_mw: self.predicted_power_mw(grid[0]),
-                }),
+            Constraint::MaxThroughput => {}
+            Constraint::Deadline(deadline) => q.deadline = Some(deadline),
+            Constraint::PowerBudget { mw } => q.power_cap_mw = Some(mw),
             Constraint::MinEnergy => {
                 // Ties (the event-driven manager makes energy flat in
                 // frequency) resolve to the *slowest* clock: same energy,
-                // lower peak power.
-                let mut best = self.plan_at(bytes, grid[0]);
+                // lower peak power. The fastest point at or below the
+                // winner is the winner itself.
+                let grid = self.frequency_grid();
+                let mut best = (grid[0], self.predicted_energy_uj(bytes, grid[0]));
                 for &f in &grid[1..] {
-                    let plan = self.plan_at(bytes, f);
-                    if plan.predicted_energy_uj < best.predicted_energy_uj - 1e-9 {
-                        best = plan;
+                    let uj = self.predicted_energy_uj(bytes, f);
+                    if uj < best.1 - 1e-9 {
+                        best = (f, uj);
                     }
                 }
-                Ok(best)
+                q.max_frequency = Some(best.0);
             }
         }
-    }
-
-    /// Every admissible (V, f) operating point for `q`, sorted by the
-    /// planner's best-effort preference: fastest first (settle included),
-    /// ties broken towards the higher clock, then the lower power, then
-    /// the lower voltage.
-    ///
-    /// The frontier applies the constraint cascade of a [`PlanQuery`] —
-    /// frequency ceiling, power cap, energy budget — pointwise over the
-    /// 2-D grid. Undervolted
-    /// rails drop their above-`fmax` clocks; a thermal `max_volts` that
-    /// excludes every rail falls back to the lowest-voltage rail rather
-    /// than refusing to plan (a throttled lane must still be able to cool
-    /// down at the cheapest point).
-    ///
-    /// # Errors
-    ///
-    /// * [`UparcError::BudgetInfeasible`] — `power_cap_mw` is below every
-    ///   point (the floor reported is the cheapest point after the
-    ///   frequency filter).
-    /// * [`UparcError::EnergyBudgetInfeasible`] — `energy_budget_uj` is
-    ///   below the minimum achievable energy for this size.
-    /// * [`UparcError::Frequency`] — `max_frequency` is below the whole
-    ///   grid (no synthesisable point under the ceiling), or every rail's
-    ///   `fmax` is.
-    ///
-    /// The frontier is never returned empty.
-    pub fn frontier(&self, q: &VfQuery) -> Result<Vec<VfPlan>, UparcError> {
-        let measured = !q.frequency_only && self.vf.measured_overhead();
-        let grid = self.frequency_grid();
-        let ceiling: Vec<Frequency> = match q.base.max_frequency {
-            Some(max) => grid.iter().copied().filter(|&f| f <= max).collect(),
-            None => grid,
-        };
-        if ceiling.is_empty() {
-            return Err(UparcError::Frequency {
-                requested: q
-                    .base
-                    .max_frequency
-                    .expect("unfiltered grid is never empty"),
-                max: q.base.max_frequency.expect("checked above"),
-                limited_by: "dcm grid",
-            });
-        }
-        let rails: Vec<usize> = if q.frequency_only {
-            vec![self.vf.nominal_index()]
-        } else {
-            let allowed: Vec<usize> = (0..self.vf.rails().len())
-                .filter(|&i| {
-                    q.max_volts
-                        .is_none_or(|limit| self.vf.rails()[i].volts <= limit)
+        let plan = self.plan_vf(&VfQuery::frequency_only(q))?;
+        match constraint {
+            Constraint::Deadline(deadline) if plan.predicted_time > deadline => {
+                Err(UparcError::DeadlineInfeasible {
+                    deadline,
+                    best: plan.predicted_time,
                 })
-                .collect();
-            if allowed.is_empty() {
-                // Thermal demotion past the table: coolest rail wins.
-                let coolest = (0..self.vf.rails().len())
-                    .min_by(|&a, &b| {
-                        self.vf.rails()[a]
-                            .volts
-                            .total_cmp(&self.vf.rails()[b].volts)
-                    })
-                    .expect("tables always carry the nominal rail");
-                vec![coolest]
-            } else {
-                allowed
             }
-        };
-        let mut points: Vec<(usize, Frequency)> = Vec::new();
-        for &rail in &rails {
-            let fmax = self.vf.rails()[rail].fmax;
-            for &f in &ceiling {
-                if fmax.is_none_or(|cap| f <= cap) {
-                    points.push((rail, f));
-                }
-            }
+            _ => Ok(plan),
         }
-        if points.is_empty() {
-            // Every candidate rail's fmax sits below the whole (ceilinged)
-            // grid — only possible with a custom table that excludes the
-            // unconstrained nominal rail.
-            return Err(UparcError::Frequency {
-                requested: ceiling[0],
-                max: self.vf.rails()[rails[0]].fmax.unwrap_or(ceiling[0]),
-                limited_by: "vf rail fmax",
-            });
-        }
-        let settle_of = |rail: usize| -> SimTime {
-            if q.frequency_only {
-                SimTime::ZERO
-            } else {
-                q.current_rail
-                    .map_or(SimTime::ZERO, |from| self.vf.settle(from, rail))
-            }
-        };
-        let capped: Vec<(usize, Frequency)> = match q.base.power_cap_mw {
-            Some(cap) => points
-                .iter()
-                .copied()
-                .filter(|&(rail, f)| {
-                    self.power_point_mw(self.vf.rails()[rail].volts, f, measured) <= cap
-                })
-                .collect(),
-            None => points.clone(),
-        };
-        if capped.is_empty() {
-            let floor_mw = points
-                .iter()
-                .map(|&(rail, f)| self.power_point_mw(self.vf.rails()[rail].volts, f, measured))
-                .fold(f64::INFINITY, f64::min);
-            return Err(UparcError::BudgetInfeasible {
-                budget_mw: q.base.power_cap_mw.expect("emptied by the power filter"),
-                floor_mw,
-            });
-        }
-        let energy_of = |rail: usize, f: Frequency| -> f64 {
-            self.energy_point_uj(
-                q.base.bytes,
-                self.vf.rails()[rail].volts,
-                f,
-                settle_of(rail),
-                measured,
-            )
-        };
-        let admissible: Vec<(usize, Frequency)> = match q.base.energy_budget_uj {
-            Some(budget) => capped
-                .iter()
-                .copied()
-                .filter(|&(rail, f)| energy_of(rail, f) <= budget)
-                .collect(),
-            None => capped.clone(),
-        };
-        if admissible.is_empty() {
-            let floor_uj = capped
-                .iter()
-                .map(|&(rail, f)| energy_of(rail, f))
-                .fold(f64::INFINITY, f64::min);
-            return Err(UparcError::EnergyBudgetInfeasible {
-                budget_uj: q
-                    .base
-                    .energy_budget_uj
-                    .expect("emptied by the energy filter"),
-                floor_uj,
-            });
-        }
-        let mut plans: Vec<VfPlan> = admissible
-            .into_iter()
-            .map(|(rail, f)| {
-                let volts = self.vf.rails()[rail].volts;
-                let settle = settle_of(rail);
-                VfPlan {
-                    rail,
-                    volts,
-                    frequency: f,
-                    settle,
-                    predicted_time: settle + self.predicted_time(q.base.bytes, f),
-                    predicted_power_mw: self.power_point_mw(volts, f, measured),
-                    predicted_energy_uj: energy_of(rail, f),
-                }
-            })
-            .collect();
-        plans.sort_by(|a, b| {
-            a.predicted_time
-                .cmp(&b.predicted_time)
-                .then(b.frequency.cmp(&a.frequency))
-                .then(a.predicted_power_mw.total_cmp(&b.predicted_power_mw))
-                .then(a.volts.total_cmp(&b.volts))
-        });
-        Ok(plans)
     }
 
     /// Selects a (V, f) operating point under all the constraints of `q`
     /// at once, with ramp costs charged into the plan.
+    ///
+    /// One pass over the admissible (rail, f) points applies the
+    /// constraint cascade of a [`PlanQuery`] — frequency ceiling, power
+    /// cap, energy budget — and keeps the typed-error floors, the
+    /// cheapest deadline-meeting point and the fastest point. Undervolted
+    /// rails drop their above-`fmax` clocks; a thermal `max_volts` that
+    /// excludes every rail falls back to the lowest-voltage rail rather
+    /// than refusing to plan (a throttled lane must still be able to cool
+    /// down at the cheapest point).
     ///
     /// The selection rule is power-aware (§V): among the admissible
     /// points that **meet the deadline** (regulator settle included),
@@ -552,7 +312,8 @@ impl PowerAwarePolicy {
     /// then lower voltage, then the slower clock. When no admissible
     /// point meets the deadline — or no deadline is given — return the
     /// fastest admissible point (best effort), preferring the higher
-    /// clock, then lower power, then lower voltage on ties.
+    /// clock, then lower power, then lower voltage on ties. Remaining
+    /// ties go to the earlier rail in the table.
     ///
     /// With [`VfQuery::frequency_only`] the answer is bit-identical to
     /// the pre-DVFS frequency-only planner (the backward-compat pin in
@@ -560,25 +321,153 @@ impl PowerAwarePolicy {
     ///
     /// # Errors
     ///
-    /// The typed infeasibilities of [`PowerAwarePolicy::frontier`].
+    /// * [`UparcError::UnknownRail`] — a 2-D query's `current_rail` is
+    ///   not in the policy's table.
+    /// * [`UparcError::Frequency`] — `max_frequency` is below the whole
+    ///   grid (no synthesisable point under the ceiling), or every rail's
+    ///   `fmax` is.
+    /// * [`UparcError::BudgetInfeasible`] — `power_cap_mw` is below every
+    ///   point (the floor reported is the cheapest point after the
+    ///   frequency filter).
+    /// * [`UparcError::EnergyBudgetInfeasible`] — `energy_budget_uj` is
+    ///   below the minimum achievable energy for this size.
     pub fn plan_vf(&self, q: &VfQuery) -> Result<VfPlan, UparcError> {
-        let plans = self.frontier(q)?;
-        if let Some(deadline) = q.base.deadline {
-            let meeting = plans
+        let rails = self.vf.rails();
+        if let Some(rail) = q
+            .current_rail
+            .filter(|&r| !q.frequency_only && r >= rails.len())
+        {
+            return Err(UparcError::UnknownRail {
+                rail,
+                rails: rails.len(),
+            });
+        }
+        let measured = !q.frequency_only && self.vf.measured_overhead();
+        let grid = self.frequency_grid();
+        // The grid ascends, so the ceiling keeps a prefix of it.
+        let grid = &grid[..grid.partition_point(|&f| q.base.max_frequency.is_none_or(|m| f <= m))];
+        let Some(&slowest) = grid.first() else {
+            let max = q
+                .base
+                .max_frequency
+                .expect("unfiltered grid is never empty");
+            return Err(UparcError::Frequency {
+                requested: max,
+                max,
+                limited_by: "dcm grid",
+            });
+        };
+        let in_play = self.rails_in_play(q);
+        let (mut any_point, mut power_floor) = (false, f64::INFINITY);
+        let (mut any_capped, mut energy_floor) = (false, f64::INFINITY);
+        let (mut fastest, mut cheapest): (Option<VfPlan>, Option<VfPlan>) = (None, None);
+        for &rail in &in_play {
+            let (volts, fmax) = (rails[rail].volts, rails[rail].fmax);
+            let settle = match q.current_rail {
+                Some(from) if !q.frequency_only => self.vf.settle(from, rail),
+                _ => SimTime::ZERO,
+            };
+            for &f in grid
                 .iter()
-                .filter(|p| p.predicted_time <= deadline)
-                .min_by(|a, b| {
-                    a.predicted_power_mw
+                .take_while(|&&f| fmax.is_none_or(|cap| f <= cap))
+            {
+                any_point = true;
+                let power = self.power_mw(volts, f, measured);
+                power_floor = power_floor.min(power);
+                if !q.base.power_cap_mw.is_none_or(|cap| power <= cap) {
+                    continue;
+                }
+                any_capped = true;
+                let energy = self.energy_uj(q.base.bytes, f, power, settle);
+                energy_floor = energy_floor.min(energy);
+                if !q
+                    .base
+                    .energy_budget_uj
+                    .is_none_or(|budget| energy <= budget)
+                {
+                    continue;
+                }
+                let plan = VfPlan {
+                    rail,
+                    volts,
+                    frequency: f,
+                    settle,
+                    predicted_time: settle + self.predicted_time(q.base.bytes, f),
+                    predicted_power_mw: power,
+                    predicted_energy_uj: energy,
+                };
+                let faster = |b: &VfPlan| {
+                    plan.predicted_time
+                        .cmp(&b.predicted_time)
+                        .then(b.frequency.cmp(&plan.frequency))
+                        .then(plan.predicted_power_mw.total_cmp(&b.predicted_power_mw))
+                        .then(plan.volts.total_cmp(&b.volts))
+                        .is_lt()
+                };
+                if fastest.as_ref().is_none_or(faster) {
+                    fastest = Some(plan);
+                }
+                let cheaper = |b: &VfPlan| {
+                    plan.predicted_power_mw
                         .total_cmp(&b.predicted_power_mw)
-                        .then(a.predicted_energy_uj.total_cmp(&b.predicted_energy_uj))
-                        .then(a.volts.total_cmp(&b.volts))
-                        .then(a.frequency.cmp(&b.frequency))
-                });
-            if let Some(best) = meeting {
-                return Ok(*best);
+                        .then(plan.predicted_energy_uj.total_cmp(&b.predicted_energy_uj))
+                        .then(plan.volts.total_cmp(&b.volts))
+                        .then(plan.frequency.cmp(&b.frequency))
+                        .is_lt()
+                };
+                let meets = q.base.deadline.is_some_and(|d| plan.predicted_time <= d);
+                if meets && cheapest.as_ref().is_none_or(cheaper) {
+                    cheapest = Some(plan);
+                }
             }
         }
-        Ok(plans[0])
+        if !any_point {
+            // Every candidate rail's fmax sits below the whole (ceilinged)
+            // grid — only possible with a custom table that excludes the
+            // unconstrained nominal rail.
+            return Err(UparcError::Frequency {
+                requested: slowest,
+                max: rails[in_play[0]].fmax.unwrap_or(slowest),
+                limited_by: "vf rail fmax",
+            });
+        }
+        if !any_capped {
+            return Err(UparcError::BudgetInfeasible {
+                budget_mw: q.base.power_cap_mw.expect("emptied by the power cap"),
+                floor_mw: power_floor,
+            });
+        }
+        let Some(fastest) = fastest else {
+            return Err(UparcError::EnergyBudgetInfeasible {
+                budget_uj: q
+                    .base
+                    .energy_budget_uj
+                    .expect("emptied by the energy budget"),
+                floor_uj: energy_floor,
+            });
+        };
+        Ok(cheapest.unwrap_or(fastest))
+    }
+
+    /// The rails `q` may plan on, in table order: the nominal rail for a
+    /// frequency-only query, else every rail under `max_volts` — or the
+    /// coolest rail when the ceiling excludes them all.
+    fn rails_in_play(&self, q: &VfQuery) -> Vec<usize> {
+        let rails = self.vf.rails();
+        if q.frequency_only {
+            return vec![self.vf.nominal_index()];
+        }
+        let allowed: Vec<usize> = (0..rails.len())
+            .filter(|&i| q.max_volts.is_none_or(|limit| rails[i].volts <= limit))
+            .collect();
+        if !allowed.is_empty() {
+            return allowed;
+        }
+        // Thermal demotion past the table: coolest rail wins.
+        let coolest = (0..rails.len())
+            .min_by(|&a, &b| rails[a].volts.total_cmp(&rails[b].volts))
+            .expect("tables always carry the nominal rail");
+        vec![coolest]
     }
 }
 
@@ -833,6 +722,30 @@ mod tests {
             assert!(ramped.settle > SimTime::ZERO);
             assert!(ramped.predicted_energy_uj > free.predicted_energy_uj);
         }
+    }
+
+    #[test]
+    fn unknown_current_rail_is_a_typed_error() {
+        let p = policy();
+        let base = PlanQuery {
+            bytes: BYTES,
+            ..PlanQuery::default()
+        };
+        let rails = p.vf_table().rails().len();
+        let q = VfQuery {
+            current_rail: Some(rails),
+            ..VfQuery::new(base)
+        };
+        assert_eq!(
+            p.plan_vf(&q).unwrap_err(),
+            UparcError::UnknownRail { rail: rails, rails }
+        );
+        // Frequency-only queries ignore the lane's rail, as before.
+        let q = VfQuery {
+            current_rail: Some(rails),
+            ..VfQuery::frequency_only(base)
+        };
+        assert!(p.plan_vf(&q).is_ok());
     }
 
     #[test]

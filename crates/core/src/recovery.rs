@@ -208,6 +208,7 @@ fn is_unrecoverable(e: &UparcError) -> bool {
             | UparcError::DeadlineInfeasible { .. }
             | UparcError::BudgetInfeasible { .. }
             | UparcError::EnergyBudgetInfeasible { .. }
+            | UparcError::UnknownRail { .. }
             | UparcError::NoHardwareDecompressor { .. }
             | UparcError::Fpga(FpgaError::WrongDevice { .. })
     )

@@ -33,7 +33,7 @@ use uparc_fpga::bram::{Bram, Port};
 use uparc_fpga::{Device, Icap};
 use uparc_sim::fault::{FaultInjector, FaultKind};
 use uparc_sim::obs::{EventKind, Obs};
-use uparc_sim::power::calib;
+use uparc_sim::power::{self, calib};
 use uparc_sim::time::{Frequency, SimTime};
 use uparc_sim::trace::PowerTrace;
 
@@ -194,7 +194,6 @@ pub struct SwapReport {
 pub struct UParcBuilder {
     device: Device,
     bram_bytes: usize,
-    fin: Frequency,
     manager: ManagerConfig,
     algorithm: Algorithm,
     cache_bytes: usize,
@@ -209,7 +208,6 @@ impl UParcBuilder {
         UParcBuilder {
             device,
             bram_bytes: 256 * 1024,
-            fin: Frequency::from_mhz(100.0),
             manager: ManagerConfig::default(),
             algorithm: Algorithm::XMatchPro,
             cache_bytes: 32 * 1024 * 1024,
@@ -230,13 +228,6 @@ impl UParcBuilder {
     #[must_use]
     pub fn bram_bytes(mut self, bytes: usize) -> Self {
         self.bram_bytes = bytes;
-        self
-    }
-
-    /// Overrides the DyCloGen input reference.
-    #[must_use]
-    pub fn reference_clock(mut self, fin: Frequency) -> Self {
-        self.fin = fin;
         self
     }
 
@@ -268,7 +259,7 @@ impl UParcBuilder {
     /// # Errors
     ///
     /// [`UparcError::NoHardwareDecompressor`] for a software-only algorithm,
-    /// or DCM range errors for an exotic reference clock.
+    /// or a DyCloGen error from tuning CLK_3 to the decompressor's maximum.
     pub fn build(self) -> Result<UParc, UparcError> {
         let slot = DecompressorSlot::for_algorithm(self.algorithm).ok_or_else(|| {
             UparcError::NoHardwareDecompressor {
@@ -276,7 +267,8 @@ impl UParcBuilder {
             }
         })?;
         let family = self.device.family();
-        let mut dyclogen = DyCloGen::new(family, self.fin)?;
+        // DyCloGen runs off the paper's 100 MHz reference.
+        let mut dyclogen = DyCloGen::new(family, Frequency::from_mhz(100.0))?;
         // Tune CLK_3 to the decompressor's maximum from the start.
         let (_, _) = dyclogen.retune(
             OutputClock::Decompressor,
@@ -553,14 +545,6 @@ impl UParc {
         self.core_volts
     }
 
-    /// The CLK_2 DCM's lock latency — what a retune to a *different*
-    /// frequency costs before the next reconfiguration can start. Lets
-    /// admission estimators charge the relock without running a dispatch.
-    #[must_use]
-    pub fn dcm_lock_time(&self) -> SimTime {
-        self.dyclogen.lock_time()
-    }
-
     /// Ramps the core rail to `volts` (VolTune-style runtime voltage
     /// control). The regulator settle — [`calib::VRAIL_SETTLE_US_PER_100MV`]
     /// per 100 mV of swing — is accounted at the next reconfiguration,
@@ -598,10 +582,10 @@ impl UParc {
         settle
     }
 
-    /// The `(core_volts / V_nom)²` dynamic-power scale (`C·V²·f`).
-    fn vf_scale(&self) -> f64 {
-        let r = self.core_volts / calib::V_NOM_V;
-        r * r
+    /// Total core power while the reconfiguration path runs at `f2` on
+    /// the current rail, mW (the analytic model the controller simulates).
+    fn path_power_mw(&self, f2: Frequency) -> f64 {
+        power::core_power_mw(self.core_volts, self.manager.wait_power_mw(), f2, false)
     }
 
     /// Retunes CLK_3 (decompressor clock), capped at the current block's
@@ -803,10 +787,7 @@ impl UParc {
         } else {
             self.transfer_raw().map(|cycles| {
                 let t = f2.time_of_cycles(cycles);
-                let p = calib::V6_IDLE_MW
-                    + self.manager.wait_power_mw()
-                    + self.vf_scale() * (calib::RECONFIG_PATH_MW_PER_MHZ * f2.as_mhz());
-                (t, None, p)
+                (t, None, self.path_power_mw(f2))
             })
         };
         let (mut transfer, decomp_freq, transfer_power) = match result {
@@ -947,12 +928,7 @@ impl UParc {
         let words = self.icap.readback(far, frames)?;
         let duration = f2.time_of_cycles(words.len() as u64 + 2);
         // Readback keeps the path active like a (reverse) transfer.
-        self.trace.push(
-            self.now,
-            calib::V6_IDLE_MW
-                + self.manager.wait_power_mw()
-                + self.vf_scale() * (calib::RECONFIG_PATH_MW_PER_MHZ * f2.as_mhz()),
-        );
+        self.trace.push(self.now, self.path_power_mw(f2));
         self.now += duration;
         self.trace.push(self.now, calib::V6_IDLE_MW);
         Ok(words)
@@ -1102,10 +1078,7 @@ impl UParc {
             let intake = f2.time_of_cycles(words_len);
             fetch.max(decomp).max(intake)
         };
-        let power = calib::V6_IDLE_MW
-            + self.manager.wait_power_mw()
-            + self.vf_scale() * (calib::RECONFIG_PATH_MW_PER_MHZ * f2.as_mhz())
-            + self.vf_scale() * (calib::DECOMPRESSOR_MW_PER_MHZ * f3.as_mhz());
+        let power = self.path_power_mw(f2) + power::decompressor_power_mw(self.core_volts, f3);
         Ok((transfer, Some(f3), power))
     }
 

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use uparc_core::manager::ManagerConfig;
-use uparc_core::policy::{Constraint, FrequencyPlan, PlanQuery, PowerAwarePolicy, VfPlan, VfQuery};
+use uparc_core::policy::{Constraint, PlanQuery, PowerAwarePolicy, VfPlan, VfQuery};
 use uparc_core::UparcError;
 use uparc_fpga::Family;
 use uparc_sim::power::VfTable;
@@ -13,6 +13,15 @@ use uparc_sim::time::{Frequency, SimTime};
 
 fn planner() -> PowerAwarePolicy {
     PowerAwarePolicy::paper_setup(Family::Virtex5)
+}
+
+/// The pre-DVFS planner's operating point, kept with its reference.
+#[derive(Debug, Clone, Copy)]
+struct FrequencyPlan {
+    frequency: Frequency,
+    predicted_time: SimTime,
+    predicted_power_mw: f64,
+    predicted_energy_uj: f64,
 }
 
 /// The pre-DVFS frequency-only planner, kept verbatim as the regression

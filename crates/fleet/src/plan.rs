@@ -15,7 +15,6 @@
 use std::collections::BTreeMap;
 
 use uparc_core::cache::CacheKey;
-use uparc_core::manager::ManagerConfig;
 use uparc_core::policy::PowerAwarePolicy;
 use uparc_core::uparc::{codec_id, UParc, COMPRESSED_MODE_MAX};
 use uparc_serve::catalog::Catalog;
@@ -106,7 +105,6 @@ impl PlanTables {
             .iter()
             .map(|&f| planner.predicted_power_mw(f))
             .collect();
-        let manager_mhz = ManagerConfig::default().clock.as_mhz();
         let codec = codec_id(catalog.algorithm());
 
         let mut tables = PlanTables {
@@ -133,7 +131,7 @@ impl PlanTables {
                         return Err(FleetError::NoAdmissibleFrequency);
                     }
                     let extra_draw_mw = if entry.compressed() {
-                        calib::DECOMPRESSOR_MW_PER_MHZ * manager_mhz
+                        planner.decompressor_draw_mw()
                     } else {
                         0.0
                     };

@@ -24,6 +24,10 @@ use crate::request::{BitstreamId, RegionId};
 /// Default staging BRAM capacity, matching [`uparc_core::UParc`]'s default.
 pub const DEFAULT_BRAM_BYTES: usize = 256 * 1024;
 
+/// The codec compressed entries are staged with: X-MatchPRO, the paper's
+/// hardware decompressor.
+const STAGING_ALGORITHM: Algorithm = Algorithm::XMatchPro;
+
 /// Why a bitstream could not be registered.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CatalogError {
@@ -153,7 +157,6 @@ struct StagingFacts {
 /// (mode word included) fits the BRAM, compress otherwise. The staged
 /// word counts match what the controller will actually store.
 fn stage_facts(
-    algorithm: Algorithm,
     bram_bytes: usize,
     bitstream: &PartialBitstream,
 ) -> Result<StagingFacts, CatalogError> {
@@ -166,7 +169,7 @@ fn stage_facts(
             packed: None,
         });
     }
-    let packed = algorithm.codec().compress(&bitstream.to_bytes());
+    let packed = STAGING_ALGORITHM.codec().compress(&bitstream.to_bytes());
     // Mode word + byte-count word + packed payload.
     let words = 2 + packed.len().div_ceil(4);
     if words * 4 > bram_bytes {
@@ -189,7 +192,6 @@ pub struct Catalog {
     device: Device,
     floorplan: Floorplan,
     bram_bytes: usize,
-    algorithm: Algorithm,
     regions: Vec<uparc_fpga::floorplan::PartitionId>,
     entries: BTreeMap<BitstreamId, CatalogEntry>,
 }
@@ -203,7 +205,6 @@ impl Catalog {
             device,
             floorplan,
             bram_bytes: DEFAULT_BRAM_BYTES,
-            algorithm: Algorithm::XMatchPro,
             regions: Vec::new(),
             entries: BTreeMap::new(),
         }
@@ -213,13 +214,6 @@ impl Catalog {
     #[must_use]
     pub fn with_bram_bytes(mut self, bytes: usize) -> Self {
         self.bram_bytes = bytes;
-        self
-    }
-
-    /// Overrides the staging compression algorithm (default X-MatchPRO).
-    #[must_use]
-    pub fn with_algorithm(mut self, algorithm: Algorithm) -> Self {
-        self.algorithm = algorithm;
         self
     }
 
@@ -251,7 +245,7 @@ impl Catalog {
             return Err(CatalogError::DuplicateId { id });
         }
         let region = self.resolve_region(&bitstream)?;
-        let facts = stage_facts(self.algorithm, self.bram_bytes, &bitstream)?;
+        let facts = stage_facts(self.bram_bytes, &bitstream)?;
         self.insert_entry(id, bitstream, region, facts);
         Ok(region)
     }
@@ -281,11 +275,11 @@ impl Catalog {
             }
             regions.push(self.resolve_region(bitstream)?);
         }
-        let (algorithm, bram_bytes) = (self.algorithm, self.bram_bytes);
+        let bram_bytes = self.bram_bytes;
         let mut staged = Vec::with_capacity(batch.len());
-        for facts in sweep::parallel_map(&batch, |(_, bitstream)| {
-            stage_facts(algorithm, bram_bytes, bitstream)
-        }) {
+        for facts in
+            sweep::parallel_map(&batch, |(_, bitstream)| stage_facts(bram_bytes, bitstream))
+        {
             staged.push(facts?);
         }
         for (((id, bitstream), &region), facts) in batch.into_iter().zip(regions.iter()).zip(staged)
@@ -374,10 +368,11 @@ impl Catalog {
         self.bram_bytes
     }
 
-    /// The staging compression algorithm.
+    /// The staging compression algorithm (X-MatchPRO, the paper's
+    /// decompressor).
     #[must_use]
     pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
+        STAGING_ALGORITHM
     }
 
     /// The floorplan backing the region map.

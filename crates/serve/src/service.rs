@@ -13,7 +13,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use uparc_core::manager::ManagerConfig;
 use uparc_core::policy::{PlanQuery, PowerAwarePolicy, VfPlan, VfQuery};
 use uparc_core::recovery::RecoveryPolicy;
 use uparc_core::uparc::COMPRESSED_MODE_MAX;
@@ -55,9 +54,10 @@ pub struct ServiceConfig {
     /// Host-side decompressed-bitstream cache per lane, in bytes.
     pub decompressed_cache_bytes: usize,
     /// (V, f) operating-point table for DVFS dispatch. `None` (the
-    /// default) keeps the pre-DVFS frequency-only behaviour — every
-    /// dispatch runs the nominal rail and the planner's answers are
-    /// bit-identical to the original planner.
+    /// default) plans on [`VfTable::nominal_only`] — the nominal rail and
+    /// the analytic power model — so every dispatch runs the nominal rail
+    /// and the planner's answers are bit-identical to the original
+    /// frequency-only planner.
     pub vf: Option<VfTable>,
     /// Per-region thermal model and throttling governor. `None` (the
     /// default) disables thermal accounting entirely. Requires `vf` to
@@ -114,7 +114,6 @@ pub struct Service {
     catalog: Catalog,
     config: ServiceConfig,
     planner: PowerAwarePolicy,
-    manager: ManagerConfig,
 }
 
 impl Service {
@@ -122,15 +121,12 @@ impl Service {
     /// setup (100 MHz reference, actively-waiting manager).
     #[must_use]
     pub fn new(catalog: Catalog, config: ServiceConfig) -> Self {
-        let mut planner = PowerAwarePolicy::paper_setup(catalog.device().family());
-        if let Some(vf) = &config.vf {
-            planner = planner.with_vf_table(vf.clone());
-        }
+        let vf = config.vf.clone().unwrap_or_else(VfTable::nominal_only);
+        let planner = PowerAwarePolicy::paper_setup(catalog.device().family()).with_vf_table(vf);
         Service {
             catalog,
             config,
             planner,
-            manager: ManagerConfig::default(),
         }
     }
 
@@ -228,7 +224,7 @@ impl Service {
                     .expect("frequency grid is never empty");
                 let (with_relock, pure) = self.measure_dispatch(id, fastest);
                 let extra_draw_mw = if entry.compressed() {
-                    calib::DECOMPRESSOR_MW_PER_MHZ * self.manager.clock.as_mhz()
+                    self.planner.decompressor_draw_mw()
                 } else {
                     0.0
                 };
@@ -379,17 +375,16 @@ impl ServeState<'_> {
         // so policy comparisons run on the same admitted set. The dry-run
         // estimate mirrors the dispatch path: a lane already locked at
         // the entry's fastest clock skips the DCM relock, any other lane
-        // pays it, and a DVFS dispatch may additionally pay the rail ramp
-        // back to nominal.
+        // pays it, and the dispatch may additionally pay the rail ramp
+        // back to nominal (zero on the nominal-only table).
         if let Some(deadline) = req.deadline {
             let base = if self.current_f[req.region.0] == Some(est.fastest) {
                 est.service_pure
             } else {
                 est.service_fastest
             };
-            let settle = self.config.vf.as_ref().map_or(SimTime::ZERO, |vf| {
-                vf.settle(self.rails[req.region.0], vf.nominal_index())
-            });
+            let vf = self.planner.vf_table();
+            let settle = vf.settle(self.rails[req.region.0], vf.nominal_index());
             let earliest_finish = now + base + settle;
             if deadline < earliest_finish {
                 return Err(AdmissionError::DeadlineInfeasible {
@@ -405,7 +400,9 @@ impl ServeState<'_> {
                 energy_budget_uj: Some(budget),
                 ..PlanQuery::default()
             };
-            if let Err(UparcError::EnergyBudgetInfeasible { floor_uj, .. }) = self.dry_plan(q) {
+            if let Err(UparcError::EnergyBudgetInfeasible { floor_uj, .. }) =
+                self.planner.plan_vf(&VfQuery::new(q))
+            {
                 return Err(AdmissionError::EnergyInfeasible {
                     budget_uj: budget,
                     floor_uj,
@@ -422,7 +419,9 @@ impl ServeState<'_> {
                 power_cap_mw: Some(self.config.power_cap_mw - est.extra_draw_mw),
                 ..PlanQuery::default()
             };
-            if let Err(UparcError::BudgetInfeasible { floor_mw, .. }) = self.dry_plan(q) {
+            if let Err(UparcError::BudgetInfeasible { floor_mw, .. }) =
+                self.planner.plan_vf(&VfQuery::new(q))
+            {
                 return Err(AdmissionError::PowerInfeasible {
                     cap_mw: self.config.power_cap_mw,
                     floor_mw: floor_mw + est.extra_draw_mw,
@@ -435,17 +434,6 @@ impl ServeState<'_> {
             deadline: req.deadline.unwrap_or(SimTime::MAX),
             priority: req.priority,
         })
-    }
-
-    /// Admission-time dry run against the planner: the full (V, f) table
-    /// when DVFS is configured, the pinned frequency-only search
-    /// otherwise.
-    fn dry_plan(&self, q: PlanQuery) -> Result<VfPlan, UparcError> {
-        if self.config.vf.is_some() {
-            self.planner.plan_vf(&VfQuery::new(q))
-        } else {
-            self.planner.plan_vf(&VfQuery::frequency_only(q))
-        }
     }
 
     /// Offers every idle lane its queue, in region order.
@@ -497,14 +485,11 @@ impl ServeState<'_> {
             let others: f64 = self.busy.iter().flatten().sum();
             q.power_cap_mw = Some(self.config.power_cap_mw - others - est.extra_draw_mw);
         }
-        // Without a VfTable the governor still runs, but can only demote
-        // the clock; with one it demotes whole (V, f) points.
-        let mut vq = if self.config.vf.is_some() {
-            let mut vq = VfQuery::new(q);
-            vq.current_rail = Some(self.rails[lane]);
-            vq
-        } else {
-            VfQuery::frequency_only(q)
+        // On the nominal-only table the governor can only demote the
+        // clock; with DVFS rails it demotes whole (V, f) points.
+        let mut vq = VfQuery {
+            current_rail: Some(self.rails[lane]),
+            ..VfQuery::new(q)
         };
         let Some(tcfg) = self.config.thermal else {
             return Some((self.planner.plan_vf(&vq).ok()?, false, 0.0));
@@ -580,12 +565,11 @@ impl ServeState<'_> {
         }
         let uparc = &mut self.lanes[lane];
         uparc.advance_idle(now.saturating_sub(uparc.now()));
-        if self.config.vf.is_some() {
-            // Ramp the lane's core rail to the planned voltage; the
-            // controller charges the regulator settle into the dispatch.
-            let _settle = uparc.set_core_voltage(plan.volts);
-            self.rails[lane] = plan.rail;
-        }
+        // Ramp the lane's core rail to the planned voltage; the controller
+        // charges the regulator settle into the dispatch (re-requesting
+        // the current voltage is free).
+        let _settle = uparc.set_core_voltage(plan.volts);
+        self.rails[lane] = plan.rail;
         // The dispatch span (queue-exit to lane-finish) carries the lane
         // tag and opens before the lane's own spans, so the whole
         // reconfiguration nests under it in the trace.

@@ -166,12 +166,6 @@ impl Obs {
         &self.metrics
     }
 
-    /// The shared metrics registry (for handing to another component).
-    #[must_use]
-    pub fn metrics_arc(&self) -> Arc<Metrics> {
-        Arc::clone(&self.metrics)
-    }
-
     /// Opens a span of `kind` at `at`; returns its id for [`Obs::end`].
     /// No-op ([`SpanId::NULL`]) when disabled.
     #[inline]

@@ -286,6 +286,43 @@ impl VfTable {
     }
 }
 
+/// Total core power while the reconfiguration path is clocked at `freq`
+/// on a rail at `volts`, with the manager drawing `wait_mw` above idle,
+/// mW: `idle + wait + (volts / V_nom)² · path(freq)`. Every power
+/// prediction and every simulated transfer draw goes through this one
+/// formula.
+///
+/// `measured` selects the path term: the Nafkha-&-Louet measured-overhead
+/// curve (the Fig. 7 totals above the analytic base) or the analytic
+/// `c·f` regression. Fig. 7 was measured at nominal voltage with an
+/// actively-waiting manager; under exactly those conditions the measured
+/// model returns the curve itself, without a base/path round trip, so
+/// the four anchors stay exact.
+#[must_use]
+pub fn core_power_mw(volts: f64, wait_mw: f64, freq: Frequency, measured: bool) -> f64 {
+    let r = volts / calib::V_NOM_V;
+    let scale = r * r;
+    let mhz = freq.as_mhz();
+    let path = if measured {
+        if scale == 1.0 && wait_mw == calib::MANAGER_ACTIVE_WAIT_MW {
+            return calib::fig7_measured_mw(mhz);
+        }
+        calib::fig7_measured_mw(mhz) - calib::analytic_base_mw()
+    } else {
+        calib::RECONFIG_PATH_MW_PER_MHZ * mhz
+    };
+    calib::V6_IDLE_MW + wait_mw + scale * path
+}
+
+/// Draw of the hardware decompressor clocked at `freq` on a rail at
+/// `volts`, mW above idle: `(volts / V_nom)² · c_dec · f`, added on top
+/// of [`core_power_mw`] during a compressed transfer.
+#[must_use]
+pub fn decompressor_power_mw(volts: f64, freq: Frequency) -> f64 {
+    let r = volts / calib::V_NOM_V;
+    r * r * (calib::DECOMPRESSOR_MW_PER_MHZ * freq.as_mhz())
+}
+
 /// Total core power while UPaRC reconfigures at `freq` on a rail at
 /// `volts`, with the actively-waiting manager — the (V, f) extension of
 /// the Fig. 7 curve. At nominal voltage this *is* the measured curve
@@ -312,13 +349,7 @@ impl VfTable {
 /// ```
 #[must_use]
 pub fn reconfiguration_power_vf_mw(volts: f64, freq: Frequency) -> f64 {
-    let r = volts / calib::V_NOM_V;
-    let scale = r * r;
-    if scale == 1.0 {
-        return calib::fig7_measured_mw(freq.as_mhz());
-    }
-    let base = calib::analytic_base_mw();
-    base + scale * (calib::fig7_measured_mw(freq.as_mhz()) - base)
+    core_power_mw(volts, calib::MANAGER_ACTIVE_WAIT_MW, freq, true)
 }
 
 #[cfg(test)]

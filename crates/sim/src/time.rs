@@ -258,12 +258,6 @@ impl Frequency {
         Frequency(hz)
     }
 
-    /// Creates a frequency from kilohertz.
-    #[must_use]
-    pub fn from_khz(khz: u64) -> Self {
-        Frequency::from_hz(khz * 1_000)
-    }
-
     /// Creates a frequency from (possibly fractional) megahertz, rounding to
     /// the nearest hertz.
     ///
