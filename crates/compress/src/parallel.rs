@@ -1,8 +1,7 @@
 //! Block-parallel compression with deterministic framing.
 //!
-//! Catalog ingest (uparc-serve) and benchmark corpus preparation compress
-//! many large bitstreams up front, where encode latency — not the
-//! decode-side hardware model — is the bottleneck. [`BlockCodec`] splits
+//! Compressing a large corpus up front makes encode latency — not the
+//! decode-side hardware model — the bottleneck. [`BlockCodec`] splits
 //! the input into fixed-size blocks, compresses each block independently
 //! across worker threads ([`uparc_sim::sweep`]), and frames the results
 //! in block order, so the output is **byte-identical regardless of
@@ -13,6 +12,11 @@
 //! measured in `BENCH_throughput.json`'s `parallel_encode` section —
 //! in exchange for near-linear encode scaling and independently
 //! decodable blocks.
+//!
+//! Only `bench_throughput` and tests use it. Catalog registration in
+//! uparc-serve compresses each whole image with the single-stream codec
+//! instead, one entry per worker over [`parallel_map`], because a staged
+//! payload must be exactly what the controller's decompressor consumes.
 //!
 //! Frame format (all integers u32-LE):
 //! `original length | block size | block count`, then per block

@@ -46,15 +46,6 @@ pub struct CapTimeline {
 }
 
 impl CapTimeline {
-    /// A constant cap with no emergencies.
-    #[must_use]
-    pub fn constant(base_mw: f64) -> Self {
-        CapTimeline {
-            base_mw,
-            emergencies: Vec::new(),
-        }
-    }
-
     /// A base cap cut by `emergencies` wherever they apply.
     #[must_use]
     pub fn with_emergencies(base_mw: f64, emergencies: &[EmergencyWindow]) -> Self {
@@ -109,44 +100,20 @@ impl RackBudget {
     /// Decomposes the rack cap into per-chip caps for each epoch.
     ///
     /// `demand[e][c]` is the number of requests the router assigned to
-    /// chip `c` arriving in epoch `e`. Each chip's cap in an epoch is
+    /// chip `c` arriving in epoch `e`. Each live chip's cap in an epoch is
     ///
     /// ```text
-    /// cap[c][e] = idle + floor + spare · (1 + demand[e][c]) / Σ_c (1 + demand[e][c])
+    /// cap[c][e] = idle + floor + spare · (1 + demand[e][c]) / Σ_live (1 + demand[e][c])
     /// ```
     ///
-    /// with `spare = cap_mw − chips·(idle + floor)`. The `1 +` keeps
+    /// with `spare = cap_e − live_chips·(idle + floor)`, where `cap_e` is
+    /// the tightest rack cap `timeline` gives anywhere in the epoch (so
+    /// emergency windows tighten the per-epoch pool). The `1 +` keeps
     /// idle chips fundable (a request routed near an epoch boundary may
-    /// still be draining), and `Σ_c cap[c][e] = cap_mw` exactly.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::InfeasibleRackCap`] if the rack cap cannot fund
-    /// `chips · (idle + floor)`.
-    pub fn schedule(
-        &self,
-        demand: &[Vec<u64>],
-        chips: usize,
-        idle_mw: f64,
-        floor_mw: f64,
-    ) -> Result<CapSchedule, FleetError> {
-        self.schedule_chaos(
-            demand,
-            chips,
-            idle_mw,
-            floor_mw,
-            &CapTimeline::constant(self.cap_mw),
-            &vec![None; chips],
-        )
-    }
-
-    /// The chaos-aware decomposition: like [`RackBudget::schedule`], but
-    /// the rack cap follows `timeline` (so emergency windows tighten the
-    /// per-epoch pool) and chips dead by an epoch's start (`loss_at`)
+    /// still be draining). Chips dead by an epoch's start (`loss_at`)
     /// drop to a zero cap, with their idle+floor reclaimed and the whole
-    /// epoch cap re-decomposed over the surviving set. Per-epoch caps
-    /// over the *live* set still sum exactly to that epoch's effective
-    /// rack cap.
+    /// epoch cap re-decomposed over the surviving set, so the caps of the
+    /// *live* set sum to `cap_e` exactly.
     ///
     /// The schedule always extends past the last emergency window, so
     /// a tail emergency tightens real epochs rather than falling off the
@@ -256,6 +223,17 @@ impl CapSchedule {
 mod tests {
     use super::*;
 
+    /// The schedule under the budget's constant cap with every chip live.
+    fn quiet(
+        budget: &RackBudget,
+        demand: &[Vec<u64>],
+        chips: usize,
+        floor_mw: f64,
+    ) -> Result<CapSchedule, FleetError> {
+        let timeline = CapTimeline::with_emergencies(budget.cap_mw, &[]);
+        budget.schedule_chaos(demand, chips, 53.0, floor_mw, &timeline, &vec![None; chips])
+    }
+
     #[test]
     fn caps_sum_to_the_rack_cap_every_epoch() {
         let budget = RackBudget {
@@ -263,7 +241,7 @@ mod tests {
             epoch: SimTime::from_ms(1),
         };
         let demand = vec![vec![10, 0, 0, 2], vec![0, 0, 5, 5], vec![1, 1, 1, 1]];
-        let s = budget.schedule(&demand, 4, 53.0, 300.0).unwrap();
+        let s = quiet(&budget, &demand, 4, 300.0).unwrap();
         assert_eq!(s.epochs(), 3);
         for e in 0..3 {
             let total: f64 = (0..4).map(|c| s.cap(c, e as u64 * 1_000_000_000_000)).sum();
@@ -288,7 +266,7 @@ mod tests {
             cap_mw: 100.0,
             epoch: SimTime::from_ms(1),
         };
-        let err = budget.schedule(&[vec![0, 0]], 2, 53.0, 300.0).unwrap_err();
+        let err = quiet(&budget, &[vec![0, 0]], 2, 300.0).unwrap_err();
         assert!(matches!(err, FleetError::InfeasibleRackCap { .. }));
     }
 
@@ -300,7 +278,7 @@ mod tests {
         };
         // Chip 0 busy in epoch 0, idle in epoch 1 → its cap drops.
         let demand = vec![vec![50, 0], vec![0, 50]];
-        let s = budget.schedule(&demand, 2, 53.0, 100.0).unwrap();
+        let s = quiet(&budget, &demand, 2, 100.0).unwrap();
         let e0 = s.cap(0, 0);
         let e1 = s.cap(0, 100_000_000_000);
         assert!(e0 > e1);
@@ -429,7 +407,7 @@ mod tests {
             cap_mw: 1000.0,
             epoch: SimTime::from_ms(1),
         };
-        let s = budget.schedule(&[], 2, 53.0, 100.0).unwrap();
+        let s = quiet(&budget, &[], 2, 100.0).unwrap();
         assert_eq!(s.epochs(), 1);
         assert!((s.cap(0, 0) - 500.0).abs() < 1e-9);
     }

@@ -171,23 +171,14 @@ impl PlanTables {
                     g
                 }
             };
-            let (key, image_bytes) = match entry.packed_bytes() {
-                Some(packed) => {
-                    let image = catalog
-                        .algorithm()
-                        .codec()
-                        .decompress(packed)
-                        .expect("staged payload round-trips");
-                    (Some(CacheKey::of(codec, packed)), image.len())
-                }
-                None => (None, entry.raw_bytes()),
-            };
+            // The catalog checked at registration that every packed
+            // payload decodes back to the raw image.
             tables.entries.insert(
                 id.0,
                 EntryFacts {
                     group,
-                    key,
-                    image_bytes,
+                    key: entry.packed_bytes().map(|p| CacheKey::of(codec, p)),
+                    image_bytes: entry.raw_bytes(),
                     words: (entry.raw_bytes() as u64).div_ceil(4) + 1,
                 },
             );

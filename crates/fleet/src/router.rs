@@ -204,33 +204,11 @@ pub struct Router {
 impl Router {
     /// A router over `chips` chips whose modeled LRUs hold
     /// `cache_budget` bytes each; `est_service` is the load-model cost
-    /// of one request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chips` is zero.
-    #[must_use]
-    pub fn new(
-        chips: usize,
-        policy: RoutePolicy,
-        cache_budget: usize,
-        est_service: SimTime,
-    ) -> Self {
-        Self::with_chaos(
-            chips,
-            policy,
-            cache_budget,
-            est_service,
-            vec![HealthTimeline::healthy(); chips],
-            None,
-            Obs::null(),
-        )
-    }
-
-    /// The chaos-aware constructor: per-chip health trajectories, an
-    /// optional backlog shed threshold, and an [`Obs`] handle that
-    /// receives `ChipDown`/`Quarantine` instants as routing time crosses
-    /// the transitions.
+    /// of one request. `health` gives each chip's trajectory
+    /// ([`HealthTimeline::healthy`] for a quiet chip), `shed_backlog` an
+    /// optional backlog shed threshold, and `obs` receives
+    /// `ChipDown`/`Quarantine` instants as routing time crosses the
+    /// transitions.
     ///
     /// # Panics
     ///
@@ -372,23 +350,8 @@ impl Router {
         }
     }
 
-    /// Picks the target chip for `req` (an image of `image_bytes`
-    /// decompressed bytes) and advances the load model. The quiet-path
-    /// entry point: every chip is permanently healthy, so placement
-    /// cannot fail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router sheds — impossible without chaos timelines
-    /// or a shed threshold.
-    pub fn route(&mut self, req: &FleetRequest, image_bytes: usize) -> usize {
-        match self.try_route(req, req.arrival, image_bytes) {
-            RouteOutcome::Assigned(c) => c,
-            RouteOutcome::Shed(r) => unreachable!("quiet routing shed a request: {r:?}"),
-        }
-    }
-
-    /// Picks a target for `req`, which becomes dispatchable at `ready`
+    /// Picks a target chip for `req` (an image of `image_bytes`
+    /// decompressed bytes), which becomes dispatchable at `ready`
     /// (its original arrival for first placement; death time plus backoff
     /// for a failover). Health transitions up to `ready` are applied
     /// first. Returns [`RouteOutcome::Shed`] when no routable chip
@@ -493,6 +456,21 @@ mod tests {
     use super::*;
     use crate::chaos::ChipChaos;
     use crate::health::HealthConfig;
+    use RouteOutcome::Assigned;
+
+    /// A router over permanently healthy chips, with no shed threshold
+    /// and a 1 µs load-model cost per request.
+    fn healthy(chips: usize, policy: RoutePolicy, cache_budget: usize) -> Router {
+        Router::with_chaos(
+            chips,
+            policy,
+            cache_budget,
+            SimTime::from_us(1),
+            vec![HealthTimeline::healthy(); chips],
+            None,
+            Obs::null(),
+        )
+    }
 
     fn req(index: u64, arrival_ns: u64, bs: u32) -> FleetRequest {
         FleetRequest {
@@ -505,92 +483,93 @@ mod tests {
 
     #[test]
     fn equal_load_ties_break_to_lowest_chip_id() {
-        let mut r = Router::new(
+        let mut r = healthy(
             4,
             RoutePolicy::Locality {
                 spill_window: SimTime::from_us(10),
             },
             1 << 20,
-            SimTime::from_us(1),
         );
         // All chips idle at horizon 0: the first cold request must land
         // on chip 0, the next (different image, chip 0 now loaded) on 1.
-        assert_eq!(r.route(&req(0, 0, 1), 1024), 0);
-        assert_eq!(r.route(&req(1, 0, 2), 1024), 1);
-        assert_eq!(r.route(&req(2, 0, 3), 1024), 2);
-        assert_eq!(r.route(&req(3, 0, 4), 1024), 3);
+        assert_eq!(r.try_route(&req(0, 0, 1), SimTime::ZERO, 1024), Assigned(0));
+        assert_eq!(r.try_route(&req(1, 0, 2), SimTime::ZERO, 1024), Assigned(1));
+        assert_eq!(r.try_route(&req(2, 0, 3), SimTime::ZERO, 1024), Assigned(2));
+        assert_eq!(r.try_route(&req(3, 0, 4), SimTime::ZERO, 1024), Assigned(3));
     }
 
     #[test]
     fn warm_requests_follow_the_image() {
-        let mut r = Router::new(
+        let mut r = healthy(
             3,
             RoutePolicy::Locality {
                 spill_window: SimTime::from_ms(1),
             },
             1 << 20,
-            SimTime::from_us(1),
         );
-        assert_eq!(r.route(&req(0, 0, 7), 1024), 0);
+        assert_eq!(r.try_route(&req(0, 0, 7), SimTime::ZERO, 1024), Assigned(0));
         // Image 7 now lives on chip 0; later requests for it stay there
         // even though chips 1 and 2 are idle (spill window is generous).
-        assert_eq!(r.route(&req(1, 10, 7), 1024), 0);
-        assert_eq!(r.route(&req(2, 20, 7), 1024), 0);
+        assert_eq!(
+            r.try_route(&req(1, 10, 7), SimTime::ZERO, 1024),
+            Assigned(0)
+        );
+        assert_eq!(
+            r.try_route(&req(2, 20, 7), SimTime::ZERO, 1024),
+            Assigned(0)
+        );
         assert_eq!(r.stats().warm, 2);
         assert_eq!(r.stats().cold, 1);
     }
 
     #[test]
     fn overloaded_holder_spills_to_least_loaded() {
-        let mut r = Router::new(
+        let mut r = healthy(
             2,
             RoutePolicy::Locality {
                 spill_window: SimTime::from_ns(500),
             },
             1 << 20,
-            SimTime::from_us(1),
         );
         // Pile image 1 onto chip 0 until its backlog exceeds the spill
         // window over idle chip 1.
-        assert_eq!(r.route(&req(0, 0, 1), 1024), 0);
-        assert_eq!(r.route(&req(1, 0, 1), 1024), 1, "backlogged holder spills");
+        assert_eq!(r.try_route(&req(0, 0, 1), SimTime::ZERO, 1024), Assigned(0));
+        assert_eq!(
+            r.try_route(&req(1, 0, 1), SimTime::ZERO, 1024),
+            Assigned(1),
+            "backlogged holder spills"
+        );
         assert_eq!(r.stats().spills, 1);
     }
 
     #[test]
     fn eviction_forgets_holders() {
-        let mut r = Router::new(
+        let mut r = healthy(
             1,
             RoutePolicy::Locality {
                 spill_window: SimTime::from_ms(1),
             },
             2048,
-            SimTime::from_us(1),
         );
         // Budget fits two 1 KB images; the third insert evicts image 1.
-        r.route(&req(0, 0, 1), 1024);
-        r.route(&req(1, 0, 2), 1024);
-        r.route(&req(2, 0, 3), 1024);
+        r.try_route(&req(0, 0, 1), SimTime::ZERO, 1024);
+        r.try_route(&req(1, 0, 2), SimTime::ZERO, 1024);
+        r.try_route(&req(2, 0, 3), SimTime::ZERO, 1024);
         assert!(!r.holders.contains_key(&BitstreamId(1)));
         assert!(r.holders.contains_key(&BitstreamId(2)));
         assert!(r.holders.contains_key(&BitstreamId(3)));
         // A re-request of the evicted image is cold again.
         let cold_before = r.stats().cold;
-        r.route(&req(3, 0, 1), 1024);
+        r.try_route(&req(3, 0, 1), SimTime::ZERO, 1024);
         assert_eq!(r.stats().cold, cold_before + 1);
     }
 
     #[test]
     fn random_routing_is_seed_deterministic() {
-        let route_all = |seed: u64| -> Vec<usize> {
-            let mut r = Router::new(
-                8,
-                RoutePolicy::Random { seed },
-                1 << 20,
-                SimTime::from_us(1),
-            );
+        let route_all = |seed: u64| -> Vec<RouteOutcome> {
+            let mut r = healthy(8, RoutePolicy::Random { seed }, 1 << 20);
             (0..256)
-                .map(|i| r.route(&req(i, i * 10, (i % 5) as u32), 1024))
+                .map(|i| r.try_route(&req(i, i * 10, (i % 5) as u32), SimTime::ZERO, 1024))
                 .collect()
         };
         assert_eq!(route_all(9), route_all(9));
@@ -620,13 +599,22 @@ mod tests {
             Obs::null(),
         );
         // Image 9 homes on chip 0...
-        assert_eq!(r.route(&req(0, 0, 9), 1024), 0);
-        assert_eq!(r.route(&req(1, 10_000, 9), 1024), 0);
+        assert_eq!(r.try_route(&req(0, 0, 9), SimTime::ZERO, 1024), Assigned(0));
+        assert_eq!(
+            r.try_route(&req(1, 10_000, 9), SimTime::ZERO, 1024),
+            Assigned(0)
+        );
         // ...chip 0 dies at 50 µs; the next request re-elects chip 1 as
         // the holder (cold — the cache died with the chip) and sticks.
-        assert_eq!(r.route(&req(2, 60_000, 9), 1024), 1);
+        assert_eq!(
+            r.try_route(&req(2, 60_000, 9), SimTime::ZERO, 1024),
+            Assigned(1)
+        );
         assert!(!r.routable(0));
-        assert_eq!(r.route(&req(3, 70_000, 9), 1024), 1);
+        assert_eq!(
+            r.try_route(&req(3, 70_000, 9), SimTime::ZERO, 1024),
+            Assigned(1)
+        );
         assert_eq!(r.stats().warm, 2);
     }
 
@@ -662,14 +650,20 @@ mod tests {
             Obs::null(),
         );
         // Image 4 homes on chip 0 pre-wedge.
-        assert_eq!(r.route(&req(0, 0, 4), 1024), 0);
+        assert_eq!(r.try_route(&req(0, 0, 4), SimTime::ZERO, 1024), Assigned(0));
         // During quarantine the holder is unroutable: work diverts.
-        assert_eq!(r.route(&req(1, 210_000, 4), 1024), 1);
+        assert_eq!(
+            r.try_route(&req(1, 210_000, 4), SimTime::ZERO, 1024),
+            Assigned(1)
+        );
         assert!(!r.routable(0));
         // After repair, chip 0 still holds image 4 (quarantine does not
         // wipe the cache) and is preferred again — warm.
         let warm_before = r.stats().warm;
-        assert_eq!(r.route(&req(2, 500_000, 4), 1024), 0);
+        assert_eq!(
+            r.try_route(&req(2, 500_000, 4), SimTime::ZERO, 1024),
+            Assigned(0)
+        );
         assert!(r.routable(0));
         assert_eq!(r.stats().warm, warm_before + 1);
     }
@@ -722,7 +716,7 @@ mod tests {
         for i in 0..5 {
             assert!(matches!(
                 r.try_route(&req(i, 0, 1), SimTime::ZERO, 1024),
-                RouteOutcome::Assigned(0)
+                Assigned(0)
             ));
         }
         // Priority 3 tolerates 1×2 µs = 2 µs < 5 µs backlog: shed.
@@ -736,7 +730,7 @@ mod tests {
         let high = req(6, 0, 1);
         assert!(matches!(
             r.try_route(&high, SimTime::ZERO, 1024),
-            RouteOutcome::Assigned(0)
+            Assigned(0)
         ));
     }
 }

@@ -1,13 +1,15 @@
 //! Free-interval allocation over a device's frame address space.
 //!
-//! Static floorplans ([`crate::floorplan::Floorplan`]) fix partition
-//! windows at design time; under tenant churn the controller instead
-//! treats the reconfigurable frame range as a heap and places each image
-//! wherever a window is free. [`FrameAllocator`] is that heap: a sorted
-//! free-interval list with first-fit/best-fit policies, split on
-//! allocation, coalescing on free, and the fragmentation metrics
-//! (free-block histogram, largest-free/total-free ratio) a background
-//! defragmenter steers by.
+//! [`FrameAllocator`] is the one model of a reconfigurable region's frame
+//! window. A static region map claims each declared window exactly
+//! ([`FrameAllocator::alloc_at`]), so the allocator's typed checks reject
+//! empty, out-of-device and overlapping regions and its sorted live list
+//! is the region lookup. Under tenant churn the controller instead treats
+//! the reconfigurable frame range as a heap and places each image
+//! wherever a window is free: a sorted free-interval list with
+//! first-fit/best-fit policies, split on allocation, coalescing on free,
+//! and the fragmentation metrics (free-block histogram,
+//! largest-free/total-free ratio) a background defragmenter steers by.
 //!
 //! Frame windows are one-dimensional `Range<u32>` intervals — the FAR is
 //! linear in (row, major, minor), so a contiguous FAR window is exactly

@@ -105,13 +105,6 @@ pub enum FpgaError {
     DcmNotLocked,
     /// The configuration stream ended in the middle of a packet or frame.
     TruncatedStream,
-    /// Two reconfigurable partitions overlap in the floorplan.
-    PartitionOverlap {
-        /// Name of the partition being added.
-        new: String,
-        /// Name of the partition it collides with.
-        existing: String,
-    },
 }
 
 impl std::fmt::Display for FpgaError {
@@ -156,12 +149,6 @@ impl std::fmt::Display for FpgaError {
             }
             FpgaError::DcmNotLocked => write!(f, "dcm output used before lock"),
             FpgaError::TruncatedStream => write!(f, "configuration stream truncated"),
-            FpgaError::PartitionOverlap { new, existing } => {
-                write!(
-                    f,
-                    "partition {new:?} overlaps existing partition {existing:?}"
-                )
-            }
         }
     }
 }

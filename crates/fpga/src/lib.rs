@@ -21,10 +21,10 @@
 //!   (DRP), `F_out = F_in · M / D`, lock time, and a factor-search routine.
 //! * [`resources`] — slice/LUT/FF accounting and the area estimator behind
 //!   Table II.
-//! * [`partition`] — reconfigurable partitions and their module bindings.
-//! * [`alloc`] — a free-interval allocator over the frame space, for
-//!   runtime placement under tenant churn (first-fit/best-fit, coalescing
-//!   frees, fragmentation metrics).
+//! * [`alloc`] — a free-interval allocator over the frame space, the one
+//!   model of a reconfigurable region: a contiguous FAR window, claimed
+//!   exactly for a declared region or placed at run time under tenant
+//!   churn (first-fit/best-fit, coalescing frees, fragmentation metrics).
 //! * [`variation`] — per-sample fmax variation and overclock screening
 //!   (the §IV multi-sample experiment).
 //!
@@ -41,10 +41,10 @@
 //!   |  family)  |                ^
 //!   +-----------+                | geometry
 //!         ^                +-----------+     +-----------+
-//!   clock |                |  device   |---->| floorplan |
-//!   +-----------+          | + family  |     | partition |
-//!   |    dcm    |          +-----------+     +-----------+
-//!   | (DRP M/D) |
+//!   clock |                |  device   |---->|   alloc   |
+//!   +-----------+          | + family  |     |  (frame   |
+//!   |    dcm    |          +-----------+     |  windows) |
+//!   | (DRP M/D) |                            +-----------+
 //!   +-----------+
 //! ```
 //!
@@ -75,10 +75,8 @@ pub mod device;
 pub mod ecc;
 pub mod error;
 pub mod family;
-pub mod floorplan;
 pub mod format;
 pub mod icap;
-pub mod partition;
 pub mod resources;
 pub mod variation;
 

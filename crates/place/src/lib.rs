@@ -1,13 +1,13 @@
 //! # uparc-place — dynamic placement and defragmentation under churn
 //!
-//! The static pipeline places every bitstream at a floorplan region
-//! fixed at design time. This crate is the run-time alternative a
-//! multi-tenant deployment needs: tenants arrive asking for *n*
-//! contiguous frames, an allocator hands out windows, images are
-//! *relocated* to wherever they land (FAR rewrite + CRC replay,
-//! byte-identical to a fresh build), and a background defragmenter
-//! spends idle ICAP cycles compacting the frame space so churn does not
-//! strand capacity in fragments.
+//! The static pipeline places every bitstream at a region declared
+//! before any traffic (`Catalog::add_region`). This crate is the
+//! run-time alternative a multi-tenant deployment needs: tenants arrive
+//! asking for *n* contiguous frames, an allocator hands out windows,
+//! images are *relocated* to wherever they land (FAR rewrite + CRC
+//! replay, byte-identical to a fresh build), and a background
+//! defragmenter spends idle ICAP cycles compacting the frame space so
+//! churn does not strand capacity in fragments.
 //!
 //! * [`churn`] — seeded tenant arrival/departure traces over hours of
 //!   simulated time, one splitmix64 sub-stream per draw so traces are

@@ -1,11 +1,15 @@
-//! Bitstream inventory validated against the device floorplan.
+//! Bitstream inventory validated against the catalog's regions.
 //!
-//! The service only dispatches bitstreams that were registered ahead of
-//! time. Registration resolves each bitstream's frame window to exactly
-//! one reconfigurable region via [`Floorplan::containing`], decides the
-//! staging mode (raw if the image fits the BRAM, otherwise compressed),
-//! and precomputes the staged image size so admission and scheduling can
-//! estimate service times without touching a controller.
+//! A region is a window of the device's frame space, claimed in a
+//! [`FrameAllocator`] when it is declared, so empty, out-of-device and
+//! overlapping windows are typed [`CatalogError`]s. The service only
+//! dispatches bitstreams that were registered ahead of time.
+//! Registration resolves each bitstream's frame window to the one region
+//! that holds it entirely, decides the staging mode (raw if the image
+//! fits the BRAM, otherwise compressed, with the packed payload checked
+//! to round-trip), and precomputes the staged image size so admission
+//! and scheduling can estimate service times without touching a
+//! controller.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -15,8 +19,8 @@ use std::sync::Arc;
 use uparc_bitstream::builder::PartialBitstream;
 use uparc_compress::Algorithm;
 use uparc_core::uparc::Mode;
-use uparc_fpga::floorplan::Floorplan;
-use uparc_fpga::{Device, FpgaError};
+use uparc_fpga::alloc::{AllocError, FrameAllocator};
+use uparc_fpga::Device;
 use uparc_sim::sweep;
 
 use crate::request::{BitstreamId, RegionId};
@@ -50,8 +54,22 @@ pub enum CatalogError {
         /// BRAM capacity in bytes.
         bram: usize,
     },
-    /// The floorplan rejected a region definition.
-    Floorplan(FpgaError),
+    /// A region's frame window is empty or runs past the device.
+    InvalidRegion {
+        /// Name of the rejected region.
+        name: String,
+        /// The allocator's reason.
+        error: AllocError,
+    },
+    /// A region's frame window overlaps an already declared region.
+    RegionOverlap {
+        /// Name of the rejected region.
+        new: String,
+        /// Name of the declared region it overlaps.
+        existing: String,
+    },
+    /// The staging codec did not reproduce the image it packed.
+    Compression(String),
 }
 
 impl fmt::Display for CatalogError {
@@ -66,18 +84,16 @@ impl fmt::Display for CatalogError {
             CatalogError::TooLarge { required, bram } => {
                 write!(f, "staged image needs {required} B, BRAM holds {bram} B")
             }
-            CatalogError::Floorplan(e) => write!(f, "floorplan: {e}"),
+            CatalogError::InvalidRegion { name, error } => write!(f, "region {name:?}: {error}"),
+            CatalogError::RegionOverlap { new, existing } => {
+                write!(f, "region {new:?} overlaps region {existing:?}")
+            }
+            CatalogError::Compression(e) => write!(f, "staging codec: {e}"),
         }
     }
 }
 
 impl std::error::Error for CatalogError {}
-
-impl From<FpgaError> for CatalogError {
-    fn from(e: FpgaError) -> Self {
-        CatalogError::Floorplan(e)
-    }
-}
 
 /// One registered bitstream with its precomputed staging facts.
 #[derive(Debug, Clone)]
@@ -155,7 +171,9 @@ struct StagingFacts {
 
 /// Mirrors `UParc::preload` with [`Mode::Auto`]: stage raw when the image
 /// (mode word included) fits the BRAM, compress otherwise. The staged
-/// word counts match what the controller will actually store.
+/// word counts match what the controller will actually store, and a
+/// compressed payload is decoded once here, where it is made, so every
+/// packed payload in a catalog is known to round-trip.
 fn stage_facts(
     bram_bytes: usize,
     bitstream: &PartialBitstream,
@@ -169,7 +187,9 @@ fn stage_facts(
             packed: None,
         });
     }
-    let packed = STAGING_ALGORITHM.codec().compress(&bitstream.to_bytes());
+    let codec = STAGING_ALGORITHM.codec();
+    let raw = bitstream.to_bytes();
+    let packed = codec.compress(&raw);
     // Mode word + byte-count word + packed payload.
     let words = 2 + packed.len().div_ceil(4);
     if words * 4 > bram_bytes {
@@ -177,6 +197,14 @@ fn stage_facts(
             required: words * 4,
             bram: bram_bytes,
         });
+    }
+    let unpacked = codec
+        .decompress(&packed)
+        .map_err(|e| CatalogError::Compression(e.to_string()))?;
+    if unpacked != raw {
+        return Err(CatalogError::Compression(
+            "staging round-trip mismatch".into(),
+        ));
     }
     Ok(StagingFacts {
         raw_bytes,
@@ -190,9 +218,13 @@ fn stage_facts(
 #[derive(Debug, Clone)]
 pub struct Catalog {
     device: Device,
-    floorplan: Floorplan,
     bram_bytes: usize,
-    regions: Vec<uparc_fpga::floorplan::PartitionId>,
+    /// The regions' frame windows: `live()` is sorted by start and
+    /// disjoint, which is what region lookup binary-searches.
+    windows: FrameAllocator,
+    /// Region names and windows in declaration order; `RegionId(i)`
+    /// names `regions[i]`.
+    regions: Vec<(String, Range<u32>)>,
     entries: BTreeMap<BitstreamId, CatalogEntry>,
 }
 
@@ -200,10 +232,9 @@ impl Catalog {
     /// Creates an empty catalog for the given device.
     #[must_use]
     pub fn new(device: Device) -> Self {
-        let floorplan = Floorplan::new(device.clone());
         Catalog {
+            windows: FrameAllocator::for_device(&device),
             device,
-            floorplan,
             bram_bytes: DEFAULT_BRAM_BYTES,
             regions: Vec::new(),
             entries: BTreeMap::new(),
@@ -221,11 +252,29 @@ impl Catalog {
     ///
     /// # Errors
     ///
-    /// [`FpgaError`] if the window is invalid or overlaps an existing
-    /// partition.
-    pub fn add_region(&mut self, name: &str, frames: Range<u32>) -> Result<RegionId, FpgaError> {
-        let pid = self.floorplan.add_partition(name, frames)?;
-        self.regions.push(pid);
+    /// [`CatalogError::InvalidRegion`] if the window is empty or runs
+    /// past the device, [`CatalogError::RegionOverlap`] if it overlaps a
+    /// declared region. A rejected region leaves the catalog unchanged.
+    pub fn add_region(&mut self, name: &str, frames: Range<u32>) -> Result<RegionId, CatalogError> {
+        self.windows
+            .alloc_at(frames.clone())
+            .map_err(|error| match error {
+                AllocError::Conflict { .. } => {
+                    // Windows are disjoint and sorted: the first one
+                    // ending past `frames.start` is the one hit.
+                    let live = self.windows.live();
+                    let hit = &live[live.partition_point(|w| w.end <= frames.start)];
+                    CatalogError::RegionOverlap {
+                        new: name.to_owned(),
+                        existing: self.regions[self.region_over(hit)].0.clone(),
+                    }
+                }
+                error => CatalogError::InvalidRegion {
+                    name: name.to_owned(),
+                    error,
+                },
+            })?;
+        self.regions.push((name.to_owned(), frames));
         Ok(RegionId(self.regions.len() - 1))
     }
 
@@ -235,7 +284,8 @@ impl Catalog {
     /// # Errors
     ///
     /// [`CatalogError`] if the id is taken, the frame window fits no
-    /// region, or even the compressed image exceeds the BRAM.
+    /// region, even the compressed image exceeds the BRAM, or the packed
+    /// payload does not decode back to the image.
     pub fn register(
         &mut self,
         id: BitstreamId,
@@ -289,21 +339,29 @@ impl Catalog {
         Ok(regions)
     }
 
-    /// Resolves the unique region containing the bitstream's frame window.
+    /// Resolves the region whose window holds the bitstream's whole
+    /// frame window `[far, far + frames)`; a window straddling a region
+    /// boundary or landing between regions is unplaceable.
     fn resolve_region(&self, bitstream: &PartialBitstream) -> Result<RegionId, CatalogError> {
-        let pid = self
-            .floorplan
-            .containing(bitstream.far(), bitstream.frame_count())
-            .ok_or(CatalogError::Unplaceable {
-                far: bitstream.far(),
-                frames: bitstream.frame_count(),
-            })?;
-        Ok(RegionId(
-            self.regions
-                .iter()
-                .position(|&p| p == pid)
-                .expect("every floorplan partition was added through add_region"),
-        ))
+        let (far, frames) = (bitstream.far(), bitstream.frame_count());
+        // Windows are disjoint, so the last one starting at or before
+        // `far` is the only possible container.
+        let live = self.windows.live();
+        match live[..live.partition_point(|w| w.start <= far)].last() {
+            Some(w) if far.checked_add(frames).is_some_and(|end| end <= w.end) => {
+                Ok(RegionId(self.region_over(w)))
+            }
+            _ => Err(CatalogError::Unplaceable { far, frames }),
+        }
+    }
+
+    /// Index into `regions` of the region declared over `window`, one of
+    /// the allocator's live windows.
+    fn region_over(&self, window: &Range<u32>) -> usize {
+        self.regions
+            .iter()
+            .position(|(_, w)| w == window)
+            .expect("every live window was claimed by add_region")
     }
 
     fn insert_entry(
@@ -374,12 +432,6 @@ impl Catalog {
     pub fn algorithm(&self) -> Algorithm {
         STAGING_ALGORITHM
     }
-
-    /// The floorplan backing the region map.
-    #[must_use]
-    pub fn floorplan(&self) -> &Floorplan {
-        &self.floorplan
-    }
 }
 
 #[cfg(test)]
@@ -410,23 +462,116 @@ mod tests {
         assert!(!entry.compressed(), "40 frames fit the 256 KB BRAM raw");
         assert_eq!(entry.staged_words(), entry.raw_bytes() / 4 + 1);
         assert_eq!(entry.mode(), Mode::Raw);
+        // A bitstream filling the whole window resolves too.
+        let full = bitstream(&cat, 100, 60, 8);
+        assert_eq!(cat.register(BitstreamId(2), full), Ok(r0));
     }
 
     #[test]
     fn register_rejects_duplicates_and_strays() {
         let (mut cat, _) = catalog_with_region();
+        cat.add_region("rp1", 160..220).unwrap();
+        cat.add_region("rp2", 400..500).unwrap();
         let bs = bitstream(&cat, 100, 40, 7);
         cat.register(BitstreamId(1), bs.clone()).unwrap();
         assert!(matches!(
             cat.register(BitstreamId(1), bs),
             Err(CatalogError::DuplicateId { .. })
         ));
-        // Frame window outside every region.
-        let stray = bitstream(&cat, 300, 10, 9);
-        assert!(matches!(
-            cat.register(BitstreamId(2), stray),
-            Err(CatalogError::Unplaceable { .. })
-        ));
+        // Straddling the rp0/rp1 boundary, in the 220..400 gap, running
+        // from rp1 into the gap, and outside every region (above the
+        // last and below the first).
+        for (far, frames) in [(150, 20), (300, 10), (200, 40), (600, 10), (0, 50)] {
+            let stray = bitstream(&cat, far, frames, 9);
+            assert_eq!(
+                cat.register(BitstreamId(2), stray),
+                Err(CatalogError::Unplaceable { far, frames }),
+                "[{far}, +{frames})"
+            );
+        }
+    }
+
+    #[test]
+    fn regions_declared_out_of_address_order_resolve() {
+        // Region ids follow declaration order; the lookup searches the
+        // windows by address. Declare them shuffled to force the two
+        // apart.
+        let mut cat = Catalog::new(Device::xc5vsx50t());
+        let windows = [800..900u32, 100..200, 500..800, 0..100, 300..450];
+        for (i, w) in windows.iter().enumerate() {
+            assert_eq!(
+                cat.add_region(&format!("rp{i}"), w.clone()),
+                Ok(RegionId(i))
+            );
+        }
+        let mut next = 0u32;
+        let mut register = |cat: &mut Catalog, far: u32, frames: u32| {
+            next += 1;
+            let bs = bitstream(cat, far, frames, u64::from(next));
+            cat.register(BitstreamId(next), bs)
+        };
+        for (i, w) in windows.iter().enumerate() {
+            for (far, frames) in [(w.start, w.end - w.start), (w.start, 1), (w.end - 1, 1)] {
+                assert_eq!(register(&mut cat, far, frames), Ok(RegionId(i)));
+            }
+        }
+        // The 200..300 and 450..500 gaps hold nothing, and a window
+        // running from a region into a gap fits no region either.
+        for (far, frames) in [(200, 50), (460, 10), (150, 100)] {
+            assert_eq!(
+                register(&mut cat, far, frames),
+                Err(CatalogError::Unplaceable { far, frames })
+            );
+        }
+    }
+
+    #[test]
+    fn bad_region_windows_are_typed_errors() {
+        let (mut cat, _) = catalog_with_region();
+        // Empty is checked first, even inside a declared region.
+        for empty in [5..5u32, 130..130] {
+            let err = cat.add_region("rp", empty).unwrap_err();
+            assert_eq!(
+                err,
+                CatalogError::InvalidRegion {
+                    name: "rp".into(),
+                    error: AllocError::Empty
+                }
+            );
+            assert_eq!(err.to_string(), r#"region "rp": zero-frame window"#);
+        }
+        // Overlap from below, from above, inside and around rp0.
+        for bad in [50..110u32, 159..200, 120..140, 0..1000] {
+            assert_eq!(
+                cat.add_region("bad", bad.clone()),
+                Err(CatalogError::RegionOverlap {
+                    new: "bad".into(),
+                    existing: "rp0".into()
+                }),
+                "{bad:?}"
+            );
+        }
+        // Adjacent windows on both sides are fine.
+        assert_eq!(cat.add_region("below", 40..100), Ok(RegionId(1)));
+        assert_eq!(cat.add_region("above", 160..220), Ok(RegionId(2)));
+        // The error names the region actually hit.
+        let err = cat.add_region("late", 210..230).unwrap_err();
+        assert_eq!(err.to_string(), r#"region "late" overlaps region "above""#);
+        // Windows past the device, partly or wholly.
+        let frames = cat.device().frames();
+        for big in [0..frames + 1, frames..frames + 10] {
+            assert_eq!(
+                cat.add_region("big", big.clone()),
+                Err(CatalogError::InvalidRegion {
+                    name: "big".into(),
+                    error: AllocError::OutOfRange {
+                        window: big,
+                        frames
+                    }
+                })
+            );
+        }
+        assert_eq!(cat.region_count(), 3, "rejected regions are not declared");
     }
 
     #[test]

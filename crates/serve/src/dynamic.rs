@@ -1,8 +1,9 @@
 //! Allocator-driven placement: the dynamic counterpart of [`crate::catalog`].
 //!
-//! The static [`crate::catalog::Catalog`] resolves every bitstream to a
-//! fixed floorplan region at registration time. Under tenant churn there
-//! is no fixed floorplan: a tenant asks for *n* contiguous frames, the
+//! The static [`crate::catalog::Catalog`] claims fixed region windows in
+//! a [`FrameAllocator`] up front and resolves every bitstream to one of
+//! them at registration time. Under tenant churn there are no fixed
+//! regions: a tenant asks for *n* contiguous frames, the
 //! admission layer consults a [`FrameAllocator`] for a window, and the
 //! image is *relocated* — FAR rewritten, CRC recomputed — to wherever the
 //! window landed. [`DynamicCatalog`] owns that loop, and gives the

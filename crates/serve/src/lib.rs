@@ -10,9 +10,10 @@
 //! * [`request`] — typed [`request::ReconfigRequest`]s (target region,
 //!   bitstream id, deadline, priority, optional energy budget) and the
 //!   typed [`request::AdmissionError`]s the admission layer rejects with;
-//! * [`catalog`] — the bitstream inventory, validated against the device
-//!   floorplan (every bitstream maps to exactly one reconfigurable
-//!   region) with staging mode and size precomputed per entry;
+//! * [`catalog`] — the bitstream inventory over named regions, each a
+//!   frame window claimed in a [`uparc_fpga::alloc::FrameAllocator`]
+//!   (every bitstream maps to the one region holding its whole window),
+//!   with staging mode and size precomputed per entry;
 //! * [`dynamic`] — the allocator-driven counterpart for churn workloads:
 //!   admission consults a [`uparc_fpga::alloc::FrameAllocator`] for a
 //!   window and the image is relocated (FAR rewrite + CRC replay) to

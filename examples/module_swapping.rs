@@ -13,19 +13,17 @@ use uparc_repro::bitstream::builder::PartialBitstream;
 use uparc_repro::bitstream::synth::SynthProfile;
 use uparc_repro::core::schedule::{run_schedule, ReconfigTask, Strategy};
 use uparc_repro::core::uparc::{Mode, UParc};
-use uparc_repro::fpga::partition::Partition;
 use uparc_repro::fpga::Device;
 use uparc_repro::sim::time::{Frequency, SimTime};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = Device::xc5vsx50t();
     // One partition of 1000 frames (~160 KB of configuration data).
-    let region = Partition::new(&device, "baseband-rp", 2000..3000);
+    let (region, far, frames) = ("baseband-rp", 2000, 1000);
+    let payload_bytes = frames as usize * device.family().frame_bytes();
     println!(
-        "partition '{}': {} frames, {:.0} KB per swap",
-        region.name(),
-        region.frame_count(),
-        region.payload_bytes(&device) as f64 / 1024.0
+        "partition '{region}': {frames} frames, {:.0} KB per swap",
+        payload_bytes as f64 / 1024.0
     );
 
     let modules = ["fir", "fft", "viterbi", "turbo"];
@@ -33,13 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .enumerate()
         .map(|(i, name)| {
-            let payload = SynthProfile::dense().generate(
-                &device,
-                region.frames().start,
-                region.frame_count(),
-                i as u64 + 1,
-            );
-            let bs = PartialBitstream::build(&device, region.frames().start, &payload);
+            let payload = SynthProfile::dense().generate(&device, far, frames, i as u64 + 1);
+            let bs = PartialBitstream::build(&device, far, &payload);
             // Each module runs for 5 ms before the next is needed.
             ReconfigTask::new(name, bs, Mode::Raw, SimTime::from_ms(5))
         })

@@ -8,7 +8,7 @@
 //! library users can equally depend on the individual crates.
 //!
 //! * [`sim`] — time/clocks/events/power substrate.
-//! * [`fpga`] — ICAP, configuration memory, BRAM, DCM/DRP, ECC, partitions.
+//! * [`fpga`] — ICAP, configuration memory, BRAM, DCM/DRP, ECC, frame windows.
 //! * [`bitstream`] — `.bit` container, stream builder/parser, synthetic
 //!   workload generator.
 //! * [`compress`] — the seven Table I codecs + hardware decompressor

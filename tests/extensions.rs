@@ -6,17 +6,18 @@ use uparc_repro::bitstream::synth::SynthProfile;
 use uparc_repro::compress::stats;
 use uparc_repro::core::scrub::Scrubber;
 use uparc_repro::core::uparc::{Mode, UParc};
-use uparc_repro::fpga::floorplan::Floorplan;
 use uparc_repro::fpga::variation::SampleLot;
 use uparc_repro::fpga::{Device, Family};
+use uparc_repro::serve::Catalog;
 use uparc_repro::sim::time::Frequency;
 
 #[test]
 fn scrubbing_protects_a_floorplanned_partition() {
     let device = Device::xc5vsx50t();
-    let mut fp = Floorplan::new(device.clone());
-    let rp = fp.add_partition("protected", 800..1000).expect("fits");
-    let range = fp.partition(rp).frames();
+    let range = 800..1000;
+    Catalog::new(device.clone())
+        .add_region("protected", range.clone())
+        .expect("fits");
 
     let payload = SynthProfile::dense().generate(&device, range.start, range.end - range.start, 1);
     let bs = PartialBitstream::build(&device, range.start, &payload);
