@@ -14,15 +14,20 @@
 //!   path term and the slowest clock wins (§V's closing discussion);
 //! * [`Constraint::MaxThroughput`] — the 362.5 MHz headline point.
 //!
-//! One search answers every question: [`PowerAwarePolicy::plan_vf`] makes
-//! a single pass over the (rail, frequency) points of the policy's
-//! [`VfTable`] — path power scales as `C·V²·f`, undervolted rails cap the
-//! clock, and switching rails charges the regulator settle into both the
-//! predicted time and the predicted energy. [`PowerAwarePolicy::plan`] is
-//! the paper's 1-D view of it: a [`VfQuery::frequency_only`] query, which
+//! One search answers every question: [`PowerAwarePolicy::plan_vf`]
+//! searches the (V, f) frontier of the policy's [`VfTable`] — path power
+//! scales as `C·V²·f`, undervolted rails cap the clock, and switching
+//! rails charges the regulator settle into both the predicted time and the
+//! predicted energy. The policy builds the DCM frequency grid once, and
+//! tabulates each rail's admissible prefix of it with the power there
+//! once per table, so a query binary-searches at most three sorted
+//! columns and allocates nothing. [`PowerAwarePolicy::plan`] is the
+//! paper's 1-D view of it: a [`VfQuery::frequency_only`] query, which
 //! pins the search to the nominal rail with the analytic (pre-DVFS) power
 //! model and stays bit-identical to the original frequency-only planner
 //! (see `POWER.md` for the methodology and the regression anchors).
+
+use std::ops::Range;
 
 use crate::error::UparcError;
 use crate::manager::{Manager, ManagerConfig};
@@ -133,10 +138,19 @@ pub struct VfPlan {
 /// The frequency-selection policy for UPaRC_i (raw staging).
 #[derive(Debug, Clone)]
 pub struct PowerAwarePolicy {
-    family: Family,
-    fin: Frequency,
     manager: Manager,
     vf: VfTable,
+    /// The DCM-synthesisable CLK_2 grid up to the raw-mode cap, strictly
+    /// ascending.
+    grid: Vec<Frequency>,
+    /// Per rail of `vf`, the total core power at each grid point up to
+    /// the rail's `fmax`, in the table's power model, mW. A column's
+    /// length is the rail's prefix of the grid, and on one rail power
+    /// does not fall as f rises.
+    rail_power_mw: Vec<Vec<f64>>,
+    /// The nominal rail's column in the analytic model: what
+    /// [`VfQuery::frequency_only`] queries plan on.
+    nominal_analytic_mw: Vec<f64>,
 }
 
 impl PowerAwarePolicy {
@@ -147,18 +161,66 @@ impl PowerAwarePolicy {
     /// [`PowerAwarePolicy::with_vf_table`] to override it.
     #[must_use]
     pub fn new(family: Family, fin: Frequency, manager: ManagerConfig) -> Self {
+        let cap = family
+            .icap_overclock_limit()
+            .min(family.bram_overclock_limit());
+        let mut grid: Vec<Frequency> = DcmConstraints::for_family(family)
+            .synthesisable(fin)
+            .map(|(_, _, f)| f)
+            .filter(|&f| f <= cap)
+            .collect();
+        grid.sort_unstable();
+        grid.dedup();
         PowerAwarePolicy {
-            family,
-            fin,
             manager: Manager::with_config(manager),
             vf: VfTable::voltune_virtex6(),
+            grid,
+            rail_power_mw: Vec::new(),
+            nominal_analytic_mw: Vec::new(),
         }
+        .tabulated()
     }
 
-    /// Replaces the (V, f) operating-point table.
+    /// Replaces the (V, f) operating-point table and re-tabulates the
+    /// frontier for it.
     #[must_use]
     pub fn with_vf_table(mut self, vf: VfTable) -> Self {
         self.vf = vf;
+        self.tabulated()
+    }
+
+    /// Tabulates the frontier of the current table over the grid: each
+    /// rail's `fmax` prefix with its power in the table's model, and the
+    /// nominal rail's analytic column.
+    fn tabulated(mut self) -> Self {
+        let column = |volts: f64, fmax: Option<Frequency>, measured: bool| -> Vec<f64> {
+            let len = self
+                .grid
+                .partition_point(|&f| fmax.is_none_or(|cap| f <= cap));
+            let column: Vec<f64> = self.grid[..len]
+                .iter()
+                .map(|&f| self.power_mw(volts, f, measured))
+                .collect();
+            debug_assert!(
+                column.windows(2).all(|w| w[0] <= w[1]),
+                "power falls with f on the {volts} V rail"
+            );
+            column
+        };
+        let rails = self.vf.rails();
+        debug_assert!(
+            rails.windows(2).all(|w| w[0].volts <= w[1].volts),
+            "rails ascend by voltage"
+        );
+        let measured = self.vf.measured_overhead();
+        let rail_power_mw = rails
+            .iter()
+            .map(|r| column(r.volts, r.fmax, measured))
+            .collect();
+        let nominal = &rails[self.vf.nominal_index()];
+        let nominal_analytic_mw = column(nominal.volts, nominal.fmax, false);
+        self.rail_power_mw = rail_power_mw;
+        self.nominal_analytic_mw = nominal_analytic_mw;
         self
     }
 
@@ -175,27 +237,11 @@ impl PowerAwarePolicy {
     }
 
     /// All synthesisable CLK_2 frequencies up to the raw-mode cap,
-    /// ascending and deduplicated.
+    /// ascending and deduplicated (built once, in
+    /// [`PowerAwarePolicy::new`]).
     #[must_use]
-    pub fn frequency_grid(&self) -> Vec<Frequency> {
-        let cap = self
-            .family
-            .icap_overclock_limit()
-            .min(self.family.bram_overclock_limit());
-        let c = DcmConstraints::for_family(self.family);
-        let mut grid: Vec<Frequency> = Vec::new();
-        for m in c.m_range.clone() {
-            for d in c.d_range.clone() {
-                if let Ok(f) = c.check(self.fin, m, d) {
-                    if f <= cap {
-                        grid.push(f);
-                    }
-                }
-            }
-        }
-        grid.sort_unstable();
-        grid.dedup();
-        grid
+    pub fn frequency_grid(&self) -> &[Frequency] {
+        &self.grid
     }
 
     /// Predicted Start→Finish latency for `bytes` of raw bitstream at `f`.
@@ -271,7 +317,7 @@ impl PowerAwarePolicy {
                 // frequency) resolve to the *slowest* clock: same energy,
                 // lower peak power. The fastest point at or below the
                 // winner is the winner itself.
-                let grid = self.frequency_grid();
+                let grid = &self.grid;
                 let mut best = (grid[0], self.predicted_energy_uj(bytes, grid[0]));
                 for &f in &grid[1..] {
                     let uj = self.predicted_energy_uj(bytes, f);
@@ -297,14 +343,19 @@ impl PowerAwarePolicy {
     /// Selects a (V, f) operating point under all the constraints of `q`
     /// at once, with ramp costs charged into the plan.
     ///
-    /// One pass over the admissible (rail, f) points applies the
-    /// constraint cascade of a [`PlanQuery`] — frequency ceiling, power
-    /// cap, energy budget — and keeps the typed-error floors, the
-    /// cheapest deadline-meeting point and the fastest point. Undervolted
-    /// rails drop their above-`fmax` clocks; a thermal `max_volts` that
-    /// excludes every rail falls back to the lowest-voltage rail rather
-    /// than refusing to plan (a throttled lane must still be able to cool
-    /// down at the cheapest point).
+    /// The search runs on the frontier tabulated at construction: per
+    /// rail in play, binary searches over the ascending grid and the
+    /// rail's power column find the ceiling's prefix, the power cap's
+    /// prefix (power does not fall as f rises on one rail), the fastest
+    /// point (the top of the capped prefix) and the cheapest
+    /// deadline-meeting point (the first capped point that meets the
+    /// deadline, since time does not rise with f). Energy is not monotone
+    /// in f, so a query with an energy budget scans its capped prefixes
+    /// instead. Undervolted rails drop their above-`fmax` clocks; a
+    /// thermal `max_volts` that excludes every rail falls back to the
+    /// lowest-voltage rail rather than refusing to plan (a throttled lane
+    /// must still be able to cool down at the cheapest point). A call
+    /// allocates nothing.
     ///
     /// The selection rule is power-aware (§V): among the admissible
     /// points that **meet the deadline** (regulator settle included),
@@ -342,15 +393,13 @@ impl PowerAwarePolicy {
                 rails: rails.len(),
             });
         }
-        let measured = !q.frequency_only && self.vf.measured_overhead();
-        let grid = self.frequency_grid();
+        let b = &q.base;
         // The grid ascends, so the ceiling keeps a prefix of it.
-        let grid = &grid[..grid.partition_point(|&f| q.base.max_frequency.is_none_or(|m| f <= m))];
-        let Some(&slowest) = grid.first() else {
-            let max = q
-                .base
-                .max_frequency
-                .expect("unfiltered grid is never empty");
+        let ceiling = self
+            .grid
+            .partition_point(|&f| b.max_frequency.is_none_or(|m| f <= m));
+        let Some(&slowest) = self.grid[..ceiling].first() else {
+            let max = b.max_frequency.expect("unfiltered grid is never empty");
             return Err(UparcError::Frequency {
                 requested: max,
                 max,
@@ -361,63 +410,62 @@ impl PowerAwarePolicy {
         let (mut any_point, mut power_floor) = (false, f64::INFINITY);
         let (mut any_capped, mut energy_floor) = (false, f64::INFINITY);
         let (mut fastest, mut cheapest): (Option<VfPlan>, Option<VfPlan>) = (None, None);
-        for &rail in &in_play {
-            let (volts, fmax) = (rails[rail].volts, rails[rail].fmax);
+        for rail in in_play.clone() {
+            let column = if q.frequency_only {
+                &self.nominal_analytic_mw
+            } else {
+                &self.rail_power_mw[rail]
+            };
+            let power = &column[..column.len().min(ceiling)];
+            let Some(&floor) = power.first() else {
+                continue;
+            };
+            any_point = true;
+            power_floor = power_floor.min(floor);
+            let capped = power.partition_point(|&p| b.power_cap_mw.is_none_or(|cap| p <= cap));
+            if capped == 0 {
+                continue;
+            }
+            any_capped = true;
             let settle = match q.current_rail {
                 Some(from) if !q.frequency_only => self.vf.settle(from, rail),
                 _ => SimTime::ZERO,
             };
-            for &f in grid
-                .iter()
-                .take_while(|&&f| fmax.is_none_or(|cap| f <= cap))
-            {
-                any_point = true;
-                let power = self.power_mw(volts, f, measured);
-                power_floor = power_floor.min(power);
-                if !q.base.power_cap_mw.is_none_or(|cap| power <= cap) {
-                    continue;
-                }
-                any_capped = true;
-                let energy = self.energy_uj(q.base.bytes, f, power, settle);
-                energy_floor = energy_floor.min(energy);
-                if !q
-                    .base
-                    .energy_budget_uj
-                    .is_none_or(|budget| energy <= budget)
-                {
-                    continue;
-                }
-                let plan = VfPlan {
+            let grid = &self.grid[..capped];
+            let point = |i: usize| {
+                let (f, power) = (grid[i], power[i]);
+                VfPlan {
                     rail,
-                    volts,
+                    volts: rails[rail].volts,
                     frequency: f,
                     settle,
-                    predicted_time: settle + self.predicted_time(q.base.bytes, f),
+                    predicted_time: settle + self.predicted_time(b.bytes, f),
                     predicted_power_mw: power,
-                    predicted_energy_uj: energy,
-                };
-                let faster = |b: &VfPlan| {
-                    plan.predicted_time
-                        .cmp(&b.predicted_time)
-                        .then(b.frequency.cmp(&plan.frequency))
-                        .then(plan.predicted_power_mw.total_cmp(&b.predicted_power_mw))
-                        .then(plan.volts.total_cmp(&b.volts))
-                        .is_lt()
-                };
-                if fastest.as_ref().is_none_or(faster) {
-                    fastest = Some(plan);
+                    predicted_energy_uj: self.energy_uj(b.bytes, f, power, settle),
                 }
-                let cheaper = |b: &VfPlan| {
-                    plan.predicted_power_mw
-                        .total_cmp(&b.predicted_power_mw)
-                        .then(plan.predicted_energy_uj.total_cmp(&b.predicted_energy_uj))
-                        .then(plan.volts.total_cmp(&b.volts))
-                        .then(plan.frequency.cmp(&b.frequency))
-                        .is_lt()
-                };
-                let meets = q.base.deadline.is_some_and(|d| plan.predicted_time <= d);
-                if meets && cheapest.as_ref().is_none_or(cheaper) {
-                    cheapest = Some(plan);
+            };
+            let meets = |plan: &VfPlan| b.deadline.is_some_and(|d| plan.predicted_time <= d);
+            if let Some(budget) = b.energy_budget_uj {
+                for plan in (0..capped).map(point) {
+                    energy_floor = energy_floor.min(plan.predicted_energy_uj);
+                    if plan.predicted_energy_uj > budget {
+                        continue;
+                    }
+                    keep(&mut fastest, plan, faster);
+                    if meets(&plan) {
+                        keep(&mut cheapest, plan, cheaper);
+                    }
+                }
+                continue;
+            }
+            keep(&mut fastest, point(capped - 1), faster);
+            if let Some(deadline) = b.deadline {
+                let first =
+                    grid.partition_point(|&f| settle + self.predicted_time(b.bytes, f) > deadline);
+                // Power ties at the cheapest level fall to energy, then
+                // the slower clock: offer the whole tied run.
+                for i in (first..capped).take_while(|&i| power[i] == power[first]) {
+                    keep(&mut cheapest, point(i), cheaper);
                 }
             }
         }
@@ -427,47 +475,73 @@ impl PowerAwarePolicy {
             // unconstrained nominal rail.
             return Err(UparcError::Frequency {
                 requested: slowest,
-                max: rails[in_play[0]].fmax.unwrap_or(slowest),
+                max: rails[in_play.start].fmax.unwrap_or(slowest),
                 limited_by: "vf rail fmax",
             });
         }
         if !any_capped {
             return Err(UparcError::BudgetInfeasible {
-                budget_mw: q.base.power_cap_mw.expect("emptied by the power cap"),
+                budget_mw: b.power_cap_mw.expect("emptied by the power cap"),
                 floor_mw: power_floor,
             });
         }
         let Some(fastest) = fastest else {
             return Err(UparcError::EnergyBudgetInfeasible {
-                budget_uj: q
-                    .base
-                    .energy_budget_uj
-                    .expect("emptied by the energy budget"),
+                budget_uj: b.energy_budget_uj.expect("emptied by the energy budget"),
                 floor_uj: energy_floor,
             });
         };
         Ok(cheapest.unwrap_or(fastest))
     }
 
-    /// The rails `q` may plan on, in table order: the nominal rail for a
-    /// frequency-only query, else every rail under `max_volts` — or the
-    /// coolest rail when the ceiling excludes them all.
-    fn rails_in_play(&self, q: &VfQuery) -> Vec<usize> {
-        let rails = self.vf.rails();
+    /// The rails `q` may plan on, as a range of table indices: the
+    /// nominal rail for a frequency-only query, else every rail under
+    /// `max_volts` — a prefix, since the rails ascend by voltage — or
+    /// the coolest rail when the ceiling excludes them all.
+    fn rails_in_play(&self, q: &VfQuery) -> Range<usize> {
         if q.frequency_only {
-            return vec![self.vf.nominal_index()];
+            let nominal = self.vf.nominal_index();
+            return nominal..nominal + 1;
         }
-        let allowed: Vec<usize> = (0..rails.len())
-            .filter(|&i| q.max_volts.is_none_or(|limit| rails[i].volts <= limit))
-            .collect();
-        if !allowed.is_empty() {
-            return allowed;
-        }
+        let allowed = self
+            .vf
+            .rails()
+            .partition_point(|r| q.max_volts.is_none_or(|limit| r.volts <= limit));
         // Thermal demotion past the table: coolest rail wins.
-        let coolest = (0..rails.len())
-            .min_by(|&a, &b| rails[a].volts.total_cmp(&rails[b].volts))
-            .expect("tables always carry the nominal rail");
-        vec![coolest]
+        0..allowed.max(1)
+    }
+}
+
+/// Whether `plan` beats `best` as the fastest point: shorter time, then
+/// the higher clock, lower power, lower voltage.
+fn faster(plan: &VfPlan, best: &VfPlan) -> bool {
+    plan.predicted_time
+        .cmp(&best.predicted_time)
+        .then(best.frequency.cmp(&plan.frequency))
+        .then(plan.predicted_power_mw.total_cmp(&best.predicted_power_mw))
+        .then(plan.volts.total_cmp(&best.volts))
+        .is_lt()
+}
+
+/// Whether `plan` beats `best` as the cheapest deadline-meeting point:
+/// lower power, then lower energy, lower voltage, the slower clock.
+fn cheaper(plan: &VfPlan, best: &VfPlan) -> bool {
+    plan.predicted_power_mw
+        .total_cmp(&best.predicted_power_mw)
+        .then(
+            plan.predicted_energy_uj
+                .total_cmp(&best.predicted_energy_uj),
+        )
+        .then(plan.volts.total_cmp(&best.volts))
+        .then(plan.frequency.cmp(&best.frequency))
+        .is_lt()
+}
+
+/// Keeps `plan` in `best` when it strictly beats the incumbent, so the
+/// earlier of two tied points wins.
+fn keep(best: &mut Option<VfPlan>, plan: VfPlan, beats: fn(&VfPlan, &VfPlan) -> bool) {
+    if best.as_ref().is_none_or(|b| beats(&plan, b)) {
+        *best = Some(plan);
     }
 }
 
@@ -483,7 +557,8 @@ mod tests {
 
     #[test]
     fn grid_contains_the_paper_points() {
-        let grid = policy().frequency_grid();
+        let p = policy();
+        let grid = p.frequency_grid();
         for mhz in [50.0, 100.0, 200.0, 300.0, 362.5] {
             assert!(
                 grid.contains(&Frequency::from_mhz(mhz)),

@@ -3,12 +3,15 @@
 //! randomized queries rather than the unit tests' fixed sweeps, plus
 //! exact folds of every `plan_vf` and `plan` outcome over fixed grids.
 
+use std::sync::OnceLock;
+
 use proptest::prelude::*;
-use uparc_core::manager::ManagerConfig;
+use uparc_core::manager::{Manager, ManagerConfig};
 use uparc_core::policy::{Constraint, PlanQuery, PowerAwarePolicy, VfPlan, VfQuery};
 use uparc_core::UparcError;
+use uparc_fpga::dcm::DcmConstraints;
 use uparc_fpga::Family;
-use uparc_sim::power::VfTable;
+use uparc_sim::power::{self, calib, VfTable};
 use uparc_sim::time::{Frequency, SimTime};
 
 fn planner() -> PowerAwarePolicy {
@@ -41,7 +44,7 @@ fn plan_constrained_reference(
     let grid = p.frequency_grid();
     let ceiling: Vec<Frequency> = match q.max_frequency {
         Some(max) => grid.iter().copied().filter(|&f| f <= max).collect(),
-        None => grid,
+        None => grid.to_vec(),
     };
     let Some(&floor_f) = ceiling.first() else {
         return Err(UparcError::Frequency {
@@ -92,6 +95,232 @@ fn plan_constrained_reference(
         })
         .unwrap_or_else(|| *admissible.last().expect("checked non-empty"));
     Ok(plan_at(chosen))
+}
+
+/// The single-pass `plan_vf` that preceded the tabulated (V, f)
+/// frontier, kept verbatim as the reference for the 2-D search, with the
+/// private helpers it called. Its grid is built once, by the `check` scan
+/// over every (M, D) pair that the old `frequency_grid` ran on each call.
+struct SinglePass {
+    manager: Manager,
+    vf: VfTable,
+    grid: Vec<Frequency>,
+}
+
+impl SinglePass {
+    fn new(family: Family, fin: Frequency, manager: ManagerConfig, vf: VfTable) -> Self {
+        let cap = family
+            .icap_overclock_limit()
+            .min(family.bram_overclock_limit());
+        let c = DcmConstraints::for_family(family);
+        let mut grid: Vec<Frequency> = Vec::new();
+        for m in c.m_range.clone() {
+            for d in c.d_range.clone() {
+                if let Ok(f) = c.check(fin, m, d) {
+                    if f <= cap {
+                        grid.push(f);
+                    }
+                }
+            }
+        }
+        grid.sort_unstable();
+        grid.dedup();
+        SinglePass {
+            manager: Manager::with_config(manager),
+            vf,
+            grid,
+        }
+    }
+
+    fn frequency_grid(&self) -> Vec<Frequency> {
+        self.grid.clone()
+    }
+
+    fn predicted_time(&self, bytes: usize, f: Frequency) -> SimTime {
+        // Mode word + one word per cycle.
+        let words = (bytes as u64).div_ceil(4) + 1;
+        self.manager.control_overhead() + f.time_of_cycles(words)
+    }
+
+    fn power_mw(&self, volts: f64, f: Frequency, measured: bool) -> f64 {
+        power::core_power_mw(volts, self.manager.wait_power_mw(), f, measured)
+    }
+
+    fn energy_uj(&self, bytes: usize, f: Frequency, power_mw: f64, settle: SimTime) -> f64 {
+        let control = self.manager.control_overhead();
+        let words = (bytes as u64).div_ceil(4) + 1;
+        let transfer = f.time_of_cycles(words);
+        calib::MANAGER_ACTIVE_WAIT_MW * control.as_secs_f64() * 1e3
+            + (power_mw - calib::V6_IDLE_MW) * transfer.as_secs_f64() * 1e3
+            + calib::MANAGER_ACTIVE_WAIT_MW * settle.as_secs_f64() * 1e3
+    }
+
+    fn plan_vf(&self, q: &VfQuery) -> Result<VfPlan, UparcError> {
+        let rails = self.vf.rails();
+        if let Some(rail) = q
+            .current_rail
+            .filter(|&r| !q.frequency_only && r >= rails.len())
+        {
+            return Err(UparcError::UnknownRail {
+                rail,
+                rails: rails.len(),
+            });
+        }
+        let measured = !q.frequency_only && self.vf.measured_overhead();
+        let grid = self.frequency_grid();
+        // The grid ascends, so the ceiling keeps a prefix of it.
+        let grid = &grid[..grid.partition_point(|&f| q.base.max_frequency.is_none_or(|m| f <= m))];
+        let Some(&slowest) = grid.first() else {
+            let max = q
+                .base
+                .max_frequency
+                .expect("unfiltered grid is never empty");
+            return Err(UparcError::Frequency {
+                requested: max,
+                max,
+                limited_by: "dcm grid",
+            });
+        };
+        let in_play = self.rails_in_play(q);
+        let (mut any_point, mut power_floor) = (false, f64::INFINITY);
+        let (mut any_capped, mut energy_floor) = (false, f64::INFINITY);
+        let (mut fastest, mut cheapest): (Option<VfPlan>, Option<VfPlan>) = (None, None);
+        for &rail in &in_play {
+            let (volts, fmax) = (rails[rail].volts, rails[rail].fmax);
+            let settle = match q.current_rail {
+                Some(from) if !q.frequency_only => self.vf.settle(from, rail),
+                _ => SimTime::ZERO,
+            };
+            for &f in grid
+                .iter()
+                .take_while(|&&f| fmax.is_none_or(|cap| f <= cap))
+            {
+                any_point = true;
+                let power = self.power_mw(volts, f, measured);
+                power_floor = power_floor.min(power);
+                if !q.base.power_cap_mw.is_none_or(|cap| power <= cap) {
+                    continue;
+                }
+                any_capped = true;
+                let energy = self.energy_uj(q.base.bytes, f, power, settle);
+                energy_floor = energy_floor.min(energy);
+                if !q
+                    .base
+                    .energy_budget_uj
+                    .is_none_or(|budget| energy <= budget)
+                {
+                    continue;
+                }
+                let plan = VfPlan {
+                    rail,
+                    volts,
+                    frequency: f,
+                    settle,
+                    predicted_time: settle + self.predicted_time(q.base.bytes, f),
+                    predicted_power_mw: power,
+                    predicted_energy_uj: energy,
+                };
+                let faster = |b: &VfPlan| {
+                    plan.predicted_time
+                        .cmp(&b.predicted_time)
+                        .then(b.frequency.cmp(&plan.frequency))
+                        .then(plan.predicted_power_mw.total_cmp(&b.predicted_power_mw))
+                        .then(plan.volts.total_cmp(&b.volts))
+                        .is_lt()
+                };
+                if fastest.as_ref().is_none_or(faster) {
+                    fastest = Some(plan);
+                }
+                let cheaper = |b: &VfPlan| {
+                    plan.predicted_power_mw
+                        .total_cmp(&b.predicted_power_mw)
+                        .then(plan.predicted_energy_uj.total_cmp(&b.predicted_energy_uj))
+                        .then(plan.volts.total_cmp(&b.volts))
+                        .then(plan.frequency.cmp(&b.frequency))
+                        .is_lt()
+                };
+                let meets = q.base.deadline.is_some_and(|d| plan.predicted_time <= d);
+                if meets && cheapest.as_ref().is_none_or(cheaper) {
+                    cheapest = Some(plan);
+                }
+            }
+        }
+        if !any_point {
+            // Every candidate rail's fmax sits below the whole (ceilinged)
+            // grid — only possible with a custom table that excludes the
+            // unconstrained nominal rail.
+            return Err(UparcError::Frequency {
+                requested: slowest,
+                max: rails[in_play[0]].fmax.unwrap_or(slowest),
+                limited_by: "vf rail fmax",
+            });
+        }
+        if !any_capped {
+            return Err(UparcError::BudgetInfeasible {
+                budget_mw: q.base.power_cap_mw.expect("emptied by the power cap"),
+                floor_mw: power_floor,
+            });
+        }
+        let Some(fastest) = fastest else {
+            return Err(UparcError::EnergyBudgetInfeasible {
+                budget_uj: q
+                    .base
+                    .energy_budget_uj
+                    .expect("emptied by the energy budget"),
+                floor_uj: energy_floor,
+            });
+        };
+        Ok(cheapest.unwrap_or(fastest))
+    }
+
+    /// The rails `q` may plan on, in table order: the nominal rail for a
+    /// frequency-only query, else every rail under `max_volts` — or the
+    /// coolest rail when the ceiling excludes them all.
+    fn rails_in_play(&self, q: &VfQuery) -> Vec<usize> {
+        let rails = self.vf.rails();
+        if q.frequency_only {
+            return vec![self.vf.nominal_index()];
+        }
+        let allowed: Vec<usize> = (0..rails.len())
+            .filter(|&i| q.max_volts.is_none_or(|limit| rails[i].volts <= limit))
+            .collect();
+        if !allowed.is_empty() {
+            return allowed;
+        }
+        // Thermal demotion past the table: coolest rail wins.
+        let coolest = (0..rails.len())
+            .min_by(|&a, &b| rails[a].volts.total_cmp(&rails[b].volts))
+            .expect("tables always carry the nominal rail");
+        vec![coolest]
+    }
+}
+
+/// Every policy the 2-D pin covers, with its single-pass reference: both
+/// families × both manager modes, on the default table and on the
+/// nominal-only one. Built once: the reference grid's `check` scan is
+/// slow in a debug build.
+fn single_pass_pairs() -> &'static [(PowerAwarePolicy, SinglePass)] {
+    static PAIRS: OnceLock<Vec<(PowerAwarePolicy, SinglePass)>> = OnceLock::new();
+    PAIRS.get_or_init(|| {
+        let fin = Frequency::from_mhz(100.0);
+        let mut out = Vec::new();
+        for vf in [VfTable::voltune_virtex6(), VfTable::nominal_only()] {
+            for family in [Family::Virtex5, Family::Virtex6] {
+                for active_wait in [true, false] {
+                    let manager = ManagerConfig {
+                        active_wait,
+                        ..ManagerConfig::default()
+                    };
+                    out.push((
+                        PowerAwarePolicy::new(family, fin, manager.clone())
+                            .with_vf_table(vf.clone()),
+                        SinglePass::new(family, fin, manager, vf.clone()),
+                    ));
+                }
+            }
+        }
+        out
+    })
 }
 
 /// Compares the frequency-only (V, f) plan for `q` with the reference:
@@ -466,5 +695,64 @@ proptest! {
             energy_budget_uj: budget,
         };
         check_against_reference(&planner(), q)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The 2-D pin, randomized: on every covered policy, the frontier
+    /// search returns the single-pass reference's plan bit for bit, or
+    /// the same typed error with the same payload.
+    #[test]
+    fn plan_vf_matches_the_single_pass_reference(
+        bytes in 1usize..400_000,
+        ceiling in prop_oneof![
+            Just(None),
+            (5.0f64..400.0).prop_map(|m| Some(Frequency::from_mhz(m))),
+        ],
+        deadline_us in prop_oneof![Just(None), (10u64..5_000).prop_map(Some)],
+        cap in prop_oneof![Just(None), (50.0f64..700.0).prop_map(Some)],
+        budget in prop_oneof![Just(None), (0.1f64..300.0).prop_map(Some)],
+        current_rail in prop_oneof![Just(None), (0usize..4).prop_map(Some)],
+        max_volts in prop_oneof![
+            Just(None),
+            Just(Some(0.85)),
+            Just(Some(0.9)),
+            (0.5f64..1.1).prop_map(Some),
+        ],
+        frequency_only in any::<bool>(),
+    ) {
+        let q = VfQuery {
+            base: PlanQuery {
+                bytes,
+                max_frequency: ceiling,
+                deadline: deadline_us.map(SimTime::from_us),
+                power_cap_mw: cap,
+                energy_budget_uj: budget,
+            },
+            current_rail,
+            max_volts,
+            frequency_only,
+        };
+        for (policy, reference) in single_pass_pairs() {
+            let got = policy.plan_vf(&q);
+            let want = reference.plan_vf(&q);
+            let same = match (&got, &want) {
+                (Ok(a), Ok(b)) => {
+                    let (mut x, mut y) = (FOLD_SEED, FOLD_SEED);
+                    fold_vf_plan(&mut x, a);
+                    fold_vf_plan(&mut y, b);
+                    x == y
+                }
+                (Err(a), Err(b)) => format!("{a:?}") == format!("{b:?}"),
+                _ => false,
+            };
+            prop_assert!(
+                same,
+                "{q:?} on {:?}: got {got:?}, reference {want:?}",
+                policy.vf_table()
+            );
+        }
     }
 }

@@ -1,16 +1,14 @@
 //! Calibrated operating-point tables.
 //!
-//! `PowerAwarePolicy::plan_vf` rebuilds the DCM frequency grid and
-//! re-derives time/power/energy predictions on every call — fine for
-//! hundreds of requests, ruinous for millions. This module hoists all of
-//! that out of the dispatch path: the grid is built once, per-frequency
-//! power is tabulated once, and per bitstream *shape* (raw size ×
-//! staging mode) the full Start→Finish latency is **measured** once per
-//! grid frequency with a real cycle-accurate [`UParc`] dispatch (retune +
-//! preload + transfer), not predicted. Selecting an operating point for
-//! a request is then a binary search over the power table — and a test
-//! pins the selection against a frequency-only `plan_vf` for the same
-//! query.
+//! `PowerAwarePolicy::plan_vf` predicts service times analytically;
+//! these tables hold the full Start→Finish latency **measured** with a
+//! real cycle-accurate [`UParc`] dispatch (retune + preload + transfer).
+//! That is why they are measured per bitstream *shape* (raw size ×
+//! staging mode), once per frequency of the policy's grid restricted to
+//! the fleet's operating range, beside the policy's nominal-rail power at
+//! each frequency. Selecting an operating point for a request is then a
+//! binary search over the power table — and a test pins the selection
+//! against a frequency-only `plan_vf` for the same query.
 
 use std::collections::BTreeMap;
 
@@ -95,7 +93,8 @@ impl PlanTables {
         }
         let grid: Vec<Frequency> = planner
             .frequency_grid()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&f| f >= min_frequency)
             .collect();
         if grid.is_empty() {
@@ -279,7 +278,8 @@ mod tests {
         let tables = PlanTables::build(&catalog, &planner, min).unwrap();
         let expected: Vec<Frequency> = planner
             .frequency_grid()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&f| f >= min)
             .collect();
         assert_eq!(tables.grid(), expected.as_slice());

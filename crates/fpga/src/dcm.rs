@@ -9,6 +9,7 @@
 
 use crate::error::FpgaError;
 use crate::family::Family;
+use std::cmp::Reverse;
 use std::ops::RangeInclusive;
 use uparc_sim::time::{Frequency, SimTime};
 
@@ -52,6 +53,10 @@ impl DcmConstraints {
 
     /// Validates `(fin, m, d)` and returns the synthesised output frequency.
     ///
+    /// This is the typed-error validator for factors that come from
+    /// outside ([`Dcm::new`], [`Dcm::retune`]); searches enumerate
+    /// [`DcmConstraints::synthesisable`] instead.
+    ///
     /// # Errors
     ///
     /// [`FpgaError::DcmOutOfRange`] if a factor or the output frequency is
@@ -70,7 +75,7 @@ impl DcmConstraints {
             )));
         }
         let fout = fin.scaled(m, d);
-        if fout < self.fout_min || fout > self.fout_max {
+        if !self.output_in_range(fout) {
             return Err(FpgaError::dcm_out_of_range(format!(
                 "fout {fout} outside [{}, {}]",
                 self.fout_min, self.fout_max
@@ -79,31 +84,37 @@ impl DcmConstraints {
         Ok(fout)
     }
 
+    /// Whether `fout` lies in the tile's synthesisable output range.
+    fn output_in_range(&self, fout: Frequency) -> bool {
+        (self.fout_min..=self.fout_max).contains(&fout)
+    }
+
+    /// Every legal `(M, D, F_out)` for the input clock `fin`, in (M, D)
+    /// order: exactly the factor pairs [`DcmConstraints::check`] accepts,
+    /// with the frequency it returns. Rejected pairs are skipped without
+    /// building an error, so a search over the grid allocates nothing.
+    pub fn synthesisable(
+        &self,
+        fin: Frequency,
+    ) -> impl Iterator<Item = (u32, u32, Frequency)> + '_ {
+        self.m_range.clone().flat_map(move |m| {
+            self.d_range.clone().filter_map(move |d| {
+                let fout = fin.scaled(m, d);
+                self.output_in_range(fout).then_some((m, d, fout))
+            })
+        })
+    }
+
     /// Finds the legal `(M, D)` whose output is closest to `target`
     /// (ties: smaller M, then smaller D — less VCO activity).
     ///
     /// Returns `None` when no legal combination exists for this input clock.
     #[must_use]
     pub fn best_factors(&self, fin: Frequency, target: Frequency) -> Option<(u32, u32, Frequency)> {
-        let mut best: Option<(u64, u32, u32, Frequency)> = None;
-        for m in self.m_range.clone() {
-            for d in self.d_range.clone() {
-                let Ok(fout) = self.check(fin, m, d) else {
-                    continue;
-                };
-                let err = fout.as_hz().abs_diff(target.as_hz());
-                let better = match &best {
-                    None => true,
-                    Some((be, bm, bd, _)) => {
-                        err < *be || (err == *be && (m < *bm || (m == *bm && d < *bd)))
-                    }
-                };
-                if better {
-                    best = Some((err, m, d, fout));
-                }
-            }
-        }
-        best.map(|(_, m, d, f)| (m, d, f))
+        // `min_by_key` keeps the first minimum, and the enumeration runs in
+        // (M, D) order: that is the tie-break.
+        self.synthesisable(fin)
+            .min_by_key(|&(_, _, fout)| fout.as_hz().abs_diff(target.as_hz()))
     }
 
     /// Finds the legal `(M, D)` maximising the output frequency subject to
@@ -117,27 +128,10 @@ impl DcmConstraints {
         fin: Frequency,
         cap: Frequency,
     ) -> Option<(u32, u32, Frequency)> {
-        let mut best: Option<(Frequency, u32, u32)> = None;
-        for m in self.m_range.clone() {
-            for d in self.d_range.clone() {
-                let Ok(fout) = self.check(fin, m, d) else {
-                    continue;
-                };
-                if fout > cap {
-                    continue;
-                }
-                let better = match &best {
-                    None => true,
-                    Some((bf, bm, bd)) => {
-                        fout > *bf || (fout == *bf && (m < *bm || (m == *bm && d < *bd)))
-                    }
-                };
-                if better {
-                    best = Some((fout, m, d));
-                }
-            }
-        }
-        best.map(|(f, m, d)| (m, d, f))
+        // The first maximum in (M, D) order, as in `best_factors`.
+        self.synthesisable(fin)
+            .filter(|&(_, _, fout)| fout <= cap)
+            .min_by_key(|&(_, _, fout)| Reverse(fout))
     }
 }
 
@@ -372,6 +366,104 @@ mod tests {
                     f.as_hz() as f64 >= cap.as_hz() as f64 * 0.98,
                     "cap {cap}: got {f}"
                 );
+            }
+        }
+    }
+
+    /// The factor search as it was before `synthesisable`: every (M, D)
+    /// through `check`, rejected pairs skipped.
+    fn best_factors_by_check(
+        c: &DcmConstraints,
+        fin: Frequency,
+        target: Frequency,
+    ) -> Option<(u32, u32, Frequency)> {
+        let mut best: Option<(u64, u32, u32, Frequency)> = None;
+        for m in c.m_range.clone() {
+            for d in c.d_range.clone() {
+                let Ok(fout) = c.check(fin, m, d) else {
+                    continue;
+                };
+                let err = fout.as_hz().abs_diff(target.as_hz());
+                let better = match &best {
+                    None => true,
+                    Some((be, bm, bd, _)) => {
+                        err < *be || (err == *be && (m < *bm || (m == *bm && d < *bd)))
+                    }
+                };
+                if better {
+                    best = Some((err, m, d, fout));
+                }
+            }
+        }
+        best.map(|(_, m, d, f)| (m, d, f))
+    }
+
+    /// `best_factors_at_most` as it was before `synthesisable`.
+    fn best_factors_at_most_by_check(
+        c: &DcmConstraints,
+        fin: Frequency,
+        cap: Frequency,
+    ) -> Option<(u32, u32, Frequency)> {
+        let mut best: Option<(Frequency, u32, u32)> = None;
+        for m in c.m_range.clone() {
+            for d in c.d_range.clone() {
+                let Ok(fout) = c.check(fin, m, d) else {
+                    continue;
+                };
+                if fout > cap {
+                    continue;
+                }
+                let better = match &best {
+                    None => true,
+                    Some((bf, bm, bd)) => {
+                        fout > *bf || (fout == *bf && (m < *bm || (m == *bm && d < *bd)))
+                    }
+                };
+                if better {
+                    best = Some((fout, m, d));
+                }
+            }
+        }
+        best.map(|(f, m, d)| (m, d, f))
+    }
+
+    #[test]
+    fn enumeration_and_searches_match_the_check_scan() {
+        for family in [Family::Virtex4, Family::Virtex5, Family::Virtex6] {
+            let c = DcmConstraints::for_family(family);
+            for mhz in [25.0, 66.67, 100.0, 133.0] {
+                let fin = Frequency::from_mhz(mhz);
+                let mut by_check = Vec::new();
+                for m in c.m_range.clone() {
+                    for d in c.d_range.clone() {
+                        if let Ok(f) = c.check(fin, m, d) {
+                            by_check.push((m, d, f));
+                        }
+                    }
+                }
+                let listed: Vec<_> = c.synthesisable(fin).collect();
+                assert_eq!(listed, by_check, "{family:?} at {fin}");
+                // A coarse sweep from below the output range to above it,
+                // plus exact hits on legal outputs and 1 Hz either side.
+                let mut targets: Vec<Frequency> = (0..24u64)
+                    .map(|i| Frequency::from_hz(1_000_000 + i * 21_000_000))
+                    .collect();
+                for &(_, _, f) in listed.iter().step_by(60) {
+                    let hz = f.as_hz();
+                    targets.extend([hz - 1, hz, hz + 1].map(Frequency::from_hz));
+                }
+                for target in targets {
+                    assert_eq!(
+                        c.best_factors(fin, target),
+                        best_factors_by_check(&c, fin, target),
+                        "{family:?} at {fin}, target {target}"
+                    );
+                    assert_eq!(
+                        c.best_factors_at_most(fin, target),
+                        best_factors_at_most_by_check(&c, fin, target),
+                        "{family:?} at {fin}, cap {target}"
+                    );
+                }
             }
         }
     }

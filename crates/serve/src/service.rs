@@ -86,9 +86,10 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Per-bitstream scheduling facts, calibrated by one dry-run dispatch
-/// on a scratch controller (deterministic, so the calibration is exact
-/// for a fault-free dispatch).
+/// Per-bitstream scheduling facts, calibrated once per service in
+/// [`Service::new`] by dry-run dispatches on a scratch controller. They
+/// depend only on the catalog and the config, and the dispatch is
+/// deterministic, so the calibration is exact for a fault-free dispatch.
 #[derive(Debug, Clone, Copy)]
 struct Est {
     /// Best-case dispatch-to-finish time with the lane idle (measured at
@@ -114,20 +115,35 @@ pub struct Service {
     catalog: Catalog,
     config: ServiceConfig,
     planner: PowerAwarePolicy,
+    /// Every catalog entry's calibrated scheduling facts.
+    ests: BTreeMap<BitstreamId, Est>,
 }
 
 impl Service {
     /// Creates a service over `catalog` with the paper's controller
-    /// setup (100 MHz reference, actively-waiting manager).
+    /// setup (100 MHz reference, actively-waiting manager), and
+    /// calibrates it: every catalog entry is dispatched on a scratch
+    /// controller lane at its fastest admissible clock, once paying the
+    /// DCM relock and once without, and admission checks deadlines
+    /// against those times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a controller lane cannot be built (no hardware
+    /// decompressor for the catalog's algorithm) or a calibration
+    /// dispatch fails on its fault-free scratch lane.
     #[must_use]
     pub fn new(catalog: Catalog, config: ServiceConfig) -> Self {
         let vf = config.vf.clone().unwrap_or_else(VfTable::nominal_only);
         let planner = PowerAwarePolicy::paper_setup(catalog.device().family()).with_vf_table(vf);
-        Service {
+        let mut service = Service {
             catalog,
             config,
             planner,
-        }
+            ests: BTreeMap::new(),
+        };
+        service.ests = service.calibrate();
+        service
     }
 
     /// The catalog this service dispatches from.
@@ -186,30 +202,12 @@ impl Service {
         (first, scratch.now().saturating_sub(first))
     }
 
-    /// Runs one request trace to completion and returns its metrics.
-    ///
-    /// The run is fully deterministic in `(catalog, config, requests)`:
-    /// same inputs, identical metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a controller lane cannot be built (no hardware
-    /// decompressor for the catalog's algorithm).
-    #[must_use]
-    pub fn run(&self, requests: &[ReconfigRequest]) -> ServiceMetrics {
-        // Run lanes report through region-tagged handles; the scratch
-        // lanes used by `measure_dispatch` calibration stay unobserved so
-        // traces show only the actual run.
-        let lanes: Vec<UParc> = (0..self.catalog.region_count())
-            .map(|region| {
-                let mut lane = self.build_lane();
-                lane.set_observer(self.config.obs.with_lane(region as u32));
-                lane
-            })
-            .collect();
+    /// Measures every catalog entry's [`Est`] at the fastest grid clock
+    /// its datapath admits. The scratch lanes stay unobserved, so traces
+    /// show only actual runs.
+    fn calibrate(&self) -> BTreeMap<BitstreamId, Est> {
         let grid = self.planner.frequency_grid();
-        let ests: BTreeMap<BitstreamId, Est> = self
-            .catalog
+        self.catalog
             .ids()
             .into_iter()
             .map(|id| {
@@ -239,6 +237,30 @@ impl Service {
                 };
                 (id, est)
             })
+            .collect()
+    }
+
+    /// Runs one request trace to completion and returns its metrics.
+    ///
+    /// The run builds fresh controller lanes and serves on them; the
+    /// scheduling estimates come from the calibration [`Service::new`]
+    /// made, so an empty trace costs only the lane construction. The run
+    /// is fully deterministic in `(catalog, config, requests)`: same
+    /// inputs, identical metrics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a controller lane cannot be built (no hardware
+    /// decompressor for the catalog's algorithm).
+    #[must_use]
+    pub fn run(&self, requests: &[ReconfigRequest]) -> ServiceMetrics {
+        // Run lanes report through region-tagged handles.
+        let lanes: Vec<UParc> = (0..self.catalog.region_count())
+            .map(|region| {
+                let mut lane = self.build_lane();
+                lane.set_observer(self.config.obs.with_lane(region as u32));
+                lane
+            })
             .collect();
         let region_count = self.catalog.region_count();
         let node = LaneTemp::new(&self.config.thermal.unwrap_or_default());
@@ -247,7 +269,7 @@ impl Service {
             catalog: &self.catalog,
             planner: &self.planner,
             config: &self.config,
-            ests,
+            ests: &self.ests,
             lanes,
             queues: vec![VecDeque::new(); region_count],
             busy: vec![None; region_count],
@@ -290,7 +312,7 @@ struct ServeState<'a> {
     /// and the scheduler-level observability handle (lanes carry their
     /// own region-tagged copies).
     config: &'a ServiceConfig,
-    ests: BTreeMap<BitstreamId, Est>,
+    ests: &'a BTreeMap<BitstreamId, Est>,
     lanes: Vec<UParc>,
     queues: Vec<VecDeque<Queued>>,
     /// Per-lane draw above static idle while busy, in milliwatts.
@@ -860,6 +882,14 @@ mod tests {
             m.completions.iter().any(|c| c.throttled && c.volts < 1.0),
             "throttling must demote the operating point, not just the clock"
         );
+    }
+
+    #[test]
+    fn service_is_clone_and_sync() {
+        // Calibration lives in `new`, not behind interior mutability, so
+        // one service can serve traces from many threads.
+        fn shareable<T: Clone + Sync>() {}
+        shareable::<Service>();
     }
 
     #[test]

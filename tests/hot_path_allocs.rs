@@ -1,0 +1,183 @@
+//! Allocation guard for the request path: after warm-up, the calls a
+//! served request makes (the DCM factor search, the (V, f) planner and a
+//! retune to the clock a lane is already locked at) allocate nothing.
+//!
+//! A counting global allocator tallies allocations per thread, and this
+//! file holds a single test, so the harness's own threads never reach the
+//! count. The guard counts; it does not time, so host noise cannot make
+//! it flaky.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+use uparc_repro::core::policy::{PlanQuery, PowerAwarePolicy, VfQuery};
+use uparc_repro::core::uparc::UParc;
+use uparc_repro::core::UparcError;
+use uparc_repro::fpga::dcm::DcmConstraints;
+use uparc_repro::fpga::{Device, Family};
+use uparc_repro::sim::time::{Frequency, SimTime};
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every allocation and reallocation on
+/// the calling thread.
+struct Counting;
+
+fn count_one() {
+    // A const-initialised `Cell` has no destructor, so the slot is never
+    // torn down; `try_with` keeps the allocator panic-free regardless.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter it bumps first
+// is a thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations `f` makes on this thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Asserts that `call` allocates nothing once it has run once.
+fn assert_no_allocations<T>(what: &str, mut call: impl FnMut() -> T) {
+    black_box(call());
+    for _ in 0..3 {
+        let n = allocations_in(|| {
+            black_box(call());
+        });
+        assert_eq!(n, 0, "{what}: {n} allocation(s) per call");
+    }
+}
+
+#[test]
+fn request_path_calls_do_not_allocate() {
+    // The DCM factor search DyCloGen runs on every retune.
+    let fin = Frequency::from_mhz(100.0);
+    for family in [Family::Virtex4, Family::Virtex5, Family::Virtex6] {
+        let c = DcmConstraints::for_family(family);
+        for mhz in [33.0, 126.0, 362.5, 449.0] {
+            let cap = Frequency::from_mhz(mhz);
+            assert!(c.best_factors_at_most(fin, cap).is_some());
+            assert_no_allocations(&format!("best_factors_at_most {family:?} {cap}"), || {
+                c.best_factors_at_most(black_box(fin), black_box(cap))
+            });
+        }
+    }
+
+    // The planner: 2-D and frequency-only queries, on the success path
+    // (best effort, deadline met, energy-budget scan) and every typed
+    // error the default table can reach.
+    let policy = PowerAwarePolicy::paper_setup(Family::Virtex5);
+    let base = PlanQuery {
+        bytes: 216_500,
+        power_cap_mw: Some(330.0),
+        ..PlanQuery::default()
+    };
+    let deadline = PlanQuery {
+        deadline: Some(SimTime::from_us(600)),
+        ..base
+    };
+    let energy = PlanQuery {
+        energy_budget_uj: Some(90.0),
+        ..base
+    };
+    let ceiling = PlanQuery {
+        max_frequency: Some(Frequency::from_mhz(1.0)),
+        ..base
+    };
+    let cap = PlanQuery {
+        power_cap_mw: Some(50.0),
+        ..base
+    };
+    let starved = PlanQuery {
+        energy_budget_uj: Some(1.0),
+        ..base
+    };
+    let two_d = |q: PlanQuery, rail: usize| VfQuery {
+        current_rail: Some(rail),
+        max_volts: Some(0.95),
+        ..VfQuery::new(q)
+    };
+    let cases: [(&str, VfQuery, Option<&str>); 12] = [
+        ("2-D best effort", two_d(base, 2), None),
+        ("2-D deadline", two_d(deadline, 0), None),
+        ("2-D energy budget", two_d(energy, 1), None),
+        ("2-D unknown rail", two_d(base, 3), Some("UnknownRail")),
+        ("2-D ceiling", two_d(ceiling, 2), Some("Frequency")),
+        ("2-D power cap", two_d(cap, 2), Some("BudgetInfeasible")),
+        (
+            "2-D energy floor",
+            two_d(starved, 2),
+            Some("EnergyBudgetInfeasible"),
+        ),
+        ("1-D best effort", VfQuery::frequency_only(base), None),
+        ("1-D deadline", VfQuery::frequency_only(deadline), None),
+        (
+            "1-D ceiling",
+            VfQuery::frequency_only(ceiling),
+            Some("Frequency"),
+        ),
+        (
+            "1-D power cap",
+            VfQuery::frequency_only(cap),
+            Some("BudgetInfeasible"),
+        ),
+        (
+            "1-D energy floor",
+            VfQuery::frequency_only(starved),
+            Some("EnergyBudgetInfeasible"),
+        ),
+    ];
+    for (what, q, error) in cases {
+        let outcome = policy.plan_vf(&q);
+        let kind = outcome.as_ref().err().map(|e| match e {
+            UparcError::UnknownRail { .. } => "UnknownRail",
+            UparcError::Frequency { .. } => "Frequency",
+            UparcError::BudgetInfeasible { .. } => "BudgetInfeasible",
+            UparcError::EnergyBudgetInfeasible { .. } => "EnergyBudgetInfeasible",
+            _ => "other",
+        });
+        assert_eq!(kind, error, "{what}: {outcome:?}");
+        assert_no_allocations(&format!("plan_vf {what}"), || policy.plan_vf(black_box(&q)));
+    }
+
+    // A dispatch's retune to the clock its lane is already locked at.
+    let mut lane = UParc::builder(Device::xc5vsx50t())
+        .build()
+        .expect("default lane builds");
+    for mhz in [362.5, 200.0] {
+        let target = Frequency::from_mhz(mhz);
+        assert_eq!(lane.set_reconfiguration_frequency(target), Ok(target));
+        assert_no_allocations(&format!("set_reconfiguration_frequency {target}"), || {
+            lane.set_reconfiguration_frequency(black_box(target))
+        });
+    }
+}
