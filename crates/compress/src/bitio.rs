@@ -3,9 +3,10 @@
 //! Both ends are batched: [`BitWriter::write_bits`] shifts whole values
 //! into a 64-bit accumulator and spills full bytes, and
 //! [`BitReader::read_bits`] extracts up to 32 bits from one aligned
-//! 8-byte load, so neither loops per bit. The per-bit methods remain as
-//! the reference path; `proptests` below pin the two to identical
-//! streams.
+//! 8-byte load, so neither loops per bit; [`BitReader::peek_u64`] hands a
+//! decoder a whole 64-bit window to cut a token from. The per-bit
+//! methods remain as the reference path; `proptests` below pin the two
+//! to identical streams.
 
 use crate::CodecError;
 
@@ -180,7 +181,31 @@ impl<'a> BitReader<'a> {
         self.extract(avail) << (n - avail)
     }
 
-    /// Consumes `n` bits previously inspected with [`Self::peek_bits`].
+    /// Returns the next 64 bits MSB-first without consuming them,
+    /// zero-padded past the end of the stream.
+    ///
+    /// The window is one 8-byte load shifted to the bit offset, so
+    /// whenever 8 bytes remain at least its top 57 bits are stream bits;
+    /// a decoder whose tokens fit in 57 bits can take a whole token from
+    /// it and bound-check each field with [`Self::consume`].
+    #[inline]
+    #[must_use]
+    pub fn peek_u64(&self) -> u64 {
+        let byte = self.pos / 8;
+        let acc = match self.bytes.get(byte..byte + 8) {
+            Some(chunk) => u64::from_be_bytes(chunk.try_into().expect("8 bytes")),
+            None => {
+                let mut buf = [0u8; 8];
+                let tail = &self.bytes[byte..];
+                buf[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(buf)
+            }
+        };
+        acc << (self.pos % 8)
+    }
+
+    /// Consumes `n` bits previously inspected with [`Self::peek_bits`] or
+    /// [`Self::peek_u64`].
     ///
     /// # Errors
     ///
@@ -309,6 +334,41 @@ mod tests {
         assert_eq!(r.remaining(), 8, "failed consume must not move");
         r.consume(8).unwrap();
         assert_eq!(r.peek_bits(32), 0, "peek at EOF is all zeros");
+    }
+
+    #[test]
+    fn window_matches_peek_bits_at_every_position() {
+        // 13 bytes: positions near the start take the 8-byte load, the
+        // last 40 positions the zero-padded tail gather.
+        let bytes = [
+            0xA5, 0x5A, 0xFF, 0x00, 0x12, 0x34, 0x56, 0x78, 0x9A, 0xBC, 0xDE, 0xF0, 0x81,
+        ];
+        let mut r = BitReader::new(&bytes);
+        for pos in 0..=bytes.len() * 8 {
+            let window = r.peek_u64();
+            for n in 1..=32u32 {
+                assert_eq!(
+                    (window >> (64 - n)) as u32,
+                    r.peek_bits(n),
+                    "pos {pos} n {n}"
+                );
+            }
+            // The top 57 bits are the stream, zero past its end.
+            for k in 0..57 {
+                let bit = bytes
+                    .get((pos + k) / 8)
+                    .map_or(0, |b| (b >> (7 - (pos + k) % 8)) & 1);
+                assert_eq!(
+                    (window >> (63 - k)) & 1,
+                    u64::from(bit),
+                    "pos {pos} bit {k}"
+                );
+            }
+            if pos < bytes.len() * 8 {
+                r.consume(1).unwrap();
+            }
+        }
+        assert_eq!(r.peek_u64(), 0, "window at EOF is all zeros");
     }
 
     #[test]

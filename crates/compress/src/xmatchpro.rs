@@ -19,6 +19,18 @@
 //! * full match: `1 | location (4 bits) | 1 | run count (8 bits)`
 //! * partial match: `1 | location (4 bits) | 0 | mask index (4 bits) |
 //!   unmatched literal bytes`
+//!
+//! Dictionaries: only the encoder searches the CAM; the decoder reads the
+//! position each token names. At the paper's depths (≤ 16 entries) the
+//! move-to-front state is `MtfSlots` — stationary slots under a
+//! nibble-packed order — and the encoder's `SmallDict` keeps its
+//! byte-presence search tables on top of those slots, while the decoder
+//! holds the bare slots. Deeper CAMs (32–128) use one `LargeDict` on both
+//! sides. Encoder and decoder are one loop each, generic over their
+//! dictionary and monomorphised by one branch on the depth. The decoder
+//! cuts each token from one 64-bit window ([`BitReader::peek_u64`]) and
+//! writes whole tuples into an output sized once per call, so it
+//! allocates nothing but its output.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::stream::{self, StreamDecoder};
@@ -94,7 +106,7 @@ impl XMatchPro {
         let mut out = Vec::with_capacity(input.len() / 2 + 8);
         out.extend_from_slice(&(input.len() as u32).to_le_bytes());
         let mut w = BitWriter::with_capacity(input.len() / 2);
-        let mut dict = Dictionary::new(self.dict_size);
+        let mut dict = RefDict::new(self.dict_size);
         let total = input.len().div_ceil(4);
         let mut i = 0usize;
         while i < total {
@@ -157,7 +169,7 @@ impl XMatchPro {
         let n = u32::from_le_bytes(input[0..4].try_into().expect("4 bytes")) as usize;
         let total_tuples = n.div_ceil(4);
         let mut r = BitReader::new(&input[4..]);
-        let mut dict = Dictionary::new(self.dict_size);
+        let mut dict = RefDict::new(self.dict_size);
         let mut out = Vec::with_capacity(total_tuples * 4);
         let mut produced = 0usize;
         while produced < total_tuples {
@@ -206,117 +218,129 @@ impl XMatchPro {
     }
 }
 
-/// The CAM dictionary, in one of two representations picked by depth.
-///
-/// Both expose the same *logical* MTF view — `at(loc)` is the entry at
-/// move-to-front position `loc` — so the codec loops are representation-
-/// agnostic and the two stay pinned against [`best_match_reference`].
-#[derive(Debug, Clone)]
-enum Dictionary {
-    Small(SmallDict),
-    Large(LargeDict),
-}
+/// Deepest CAM the nibble-packed [`MtfSlots`] hold; deeper dictionaries
+/// use [`LargeDict`].
+const MAX_SLOTS: usize = 16;
 
-impl Dictionary {
-    fn new(size: usize) -> Self {
-        if size <= 16 {
-            Dictionary::Small(SmallDict::new(size))
-        } else {
-            Dictionary::Large(LargeDict::new(size))
-        }
-    }
+/// Most bytes one token writes: a full match plus a 255-tuple run.
+const MAX_TOKEN_BYTES: usize = 256 * 4;
 
-    /// Best match: returns `(location, mask)` with the most matching bytes
-    /// (ties: lowest location). `None` if no entry matches ≥2 bytes.
-    #[inline]
-    fn best_match(&self, tuple: u32) -> Option<(usize, u8)> {
-        match self {
-            Dictionary::Small(d) => d.best_match(tuple),
-            Dictionary::Large(d) => d.best_match(tuple),
-        }
-    }
+/// The move-to-front view both codec loops need: read a logical
+/// position, promote one. The decoder is generic over it (over
+/// [`MtfSlots`] or [`LargeDict`]), the encoder over [`Cam`], so each
+/// representation gets its own monomorphised loop.
+trait Mtf {
+    /// An all-zero dictionary of `size` entries.
+    fn new(size: usize) -> Self;
+
+    /// The entry at logical MTF position `loc`.
+    fn at(&self, loc: usize) -> u32;
 
     /// Move-to-front update: removes `from` (if `Some`) or the LRU entry,
     /// then inserts `tuple` at the front.
-    #[inline]
-    fn promote(&mut self, from: Option<usize>, tuple: u32) {
-        match self {
-            Dictionary::Small(d) => d.promote(from, tuple),
-            Dictionary::Large(d) => d.promote(from, tuple),
-        }
-    }
-
-    /// The entry at logical MTF position `loc`.
-    #[inline]
-    fn at(&self, loc: usize) -> u32 {
-        match self {
-            Dictionary::Small(d) => d.at(loc),
-            Dictionary::Large(d) => d.at(loc),
-        }
-    }
-
-    /// Byte-at-a-time reference for [`Self::best_match`] (kept for the
-    /// equivalence property test below).
-    #[cfg(test)]
-    fn best_match_reference(&self, tuple: u32) -> Option<(usize, u8)> {
-        let size = match self {
-            Dictionary::Small(d) => d.size,
-            Dictionary::Large(d) => d.entries.len(),
-        };
-        let t = tuple.to_le_bytes();
-        let mut best: Option<(usize, u8, u32)> = None;
-        for loc in 0..size {
-            let entry = self.at(loc).to_le_bytes();
-            let mut mask = 0u8;
-            for k in 0..4 {
-                if entry[k] == t[k] {
-                    mask |= 1 << k;
-                }
-            }
-            let n = mask.count_ones();
-            if n >= 2 && best.is_none_or(|(_, _, bn)| n > bn) {
-                best = Some((loc, mask, n));
-            }
-        }
-        best.map(|(loc, mask, _)| (loc, mask))
-    }
+    fn promote(&mut self, from: Option<usize>, tuple: u32);
 }
 
-/// CAM of at most 16 entries (the paper's depth), organised for the
-/// software hot path rather than as a literal shifting register file.
+/// The CAM the encoder searches: an [`Mtf`] dictionary that also finds
+/// its best match. The encoder is generic over it ([`SmallDict`] at the
+/// paper's depths, [`LargeDict`] beyond), and all of them are pinned
+/// against the byte-at-a-time [`RefDict`].
+trait Cam: Mtf {
+    /// Best match: returns `(location, mask)` with the most matching
+    /// bytes (ties: lowest location). `None` if no entry matches ≥2
+    /// bytes.
+    fn best_match(&self, tuple: u32) -> Option<(usize, u8)>;
+}
+
+/// MTF dictionary of at most 16 entries (the paper's depth), organised
+/// for the software hot path rather than as a literal shifting register
+/// file.
 ///
 /// A naive MTF dictionary shifts every entry on every promote, and the
-/// next match scan immediately reloads what those scalar stores just
-/// wrote — a store-forwarding stall per token that dominates the encoder.
-/// Here entries live in *stationary physical slots* and only the MTF
-/// *order* moves, packed as a nibble permutation in one `u64`, so a
-/// promote is a handful of register shifts and a match consults two-level
-/// lookup tables instead of scanning the CAM:
+/// next read immediately reloads what those scalar stores just wrote — a
+/// store-forwarding stall per token. Here entries live in *stationary
+/// physical slots* and only the MTF *order* moves, packed as a nibble
+/// permutation in one `u64` (logical position `j` at bits `4j..4j+4`), so
+/// a promote is a handful of register shifts and at most one store.
 ///
-/// * `presence[k][b]` is a bitmap over physical slots whose byte `k`
-///   equals `b`. Four loads plus boolean algebra over the four bitmaps
-///   yield the candidate sets with ≥4, ≥3 and ≥2 matching bytes — the
-///   software analogue of the per-byte comparators the hardware CAM
-///   evaluates in parallel.
-/// * `order` holds the physical slot index of each logical MTF position
-///   in 4-bit lanes (logical position `j` at bits `4j..4j+4`).
-///
-/// Tables change only when a miss replaces the LRU entry (8 table edits);
-/// promotes never touch memory at all.
+/// This is all the decoder holds at these depths; the encoder's
+/// [`SmallDict`] keeps its match-search tables on top of it.
 #[derive(Debug, Clone)]
-struct SmallDict {
+struct MtfSlots {
     /// Tuple payload per physical slot; slots never move.
-    entries: [u32; 16],
-    /// `presence[k][b]`: physical slots whose byte `k` equals `b`.
-    presence: Box<[[u16; 256]; 4]>,
+    entries: [u32; MAX_SLOTS],
     /// Nibble `j` = physical slot of logical MTF position `j`.
     order: u64,
     size: usize,
 }
 
-impl SmallDict {
+impl MtfSlots {
+    /// The physical slot of logical position `loc`.
+    #[inline]
+    fn slot(&self, loc: usize) -> usize {
+        debug_assert!(loc < self.size);
+        ((self.order >> (4 * loc)) & 0xF) as usize
+    }
+
+    /// Rotates logical positions `0..=i` one lane up and puts physical
+    /// slot `p` (the one at position `i`) in front.
+    #[inline]
+    fn rotate_to_front(&mut self, i: usize, p: usize) {
+        let low = (1u64 << (4 * i)) - 1;
+        let lane = 0xFu64 << (4 * i);
+        self.order = (self.order & !(low | lane)) | ((self.order & low) << 4) | p as u64;
+    }
+}
+
+impl Mtf for MtfSlots {
     fn new(size: usize) -> Self {
-        debug_assert!((2..=16).contains(&size) && size.is_power_of_two());
+        debug_assert!((2..=MAX_SLOTS).contains(&size) && size.is_power_of_two());
+        MtfSlots {
+            entries: [0; MAX_SLOTS],
+            order: 0xFEDC_BA98_7654_3210 & (u64::MAX >> (64 - 4 * size)),
+            size,
+        }
+    }
+
+    #[inline]
+    fn at(&self, loc: usize) -> u32 {
+        self.entries[self.slot(loc)]
+    }
+
+    /// MTF always installs the *incoming* tuple at the front: a full
+    /// match re-inserts the identical value (no state change beyond the
+    /// rotation), a partial match overwrites the matched entry and a miss
+    /// replaces the LRU entry.
+    #[inline]
+    fn promote(&mut self, from: Option<usize>, tuple: u32) {
+        let i = from.unwrap_or(self.size - 1);
+        let p = self.slot(i);
+        self.entries[p] = tuple;
+        self.rotate_to_front(i, p);
+    }
+}
+
+/// The encoder's CAM of at most 16 entries: [`MtfSlots`] plus the tables
+/// that turn its best-match search into a few lookups instead of a scan.
+///
+/// `presence[k][b]` is a bitmap over physical slots whose byte `k` equals
+/// `b`. Four loads plus boolean algebra over the four bitmaps yield the
+/// candidate sets with ≥4, ≥3 and ≥2 matching bytes — the software
+/// analogue of the per-byte comparators the hardware CAM evaluates in
+/// parallel. The tables change only when a promote rewrites a slot's
+/// payload (8 table edits); rotations never touch them.
+///
+/// Only the encoder searches, so only the encoder pays for the 2 KB
+/// tables and their upkeep; the decoder holds the bare slots.
+#[derive(Debug, Clone)]
+struct SmallDict {
+    slots: MtfSlots,
+    /// `presence[k][b]`: physical slots whose byte `k` equals `b`.
+    presence: Box<[[u16; 256]; 4]>,
+}
+
+impl Mtf for SmallDict {
+    fn new(size: usize) -> Self {
         let mut presence = Box::new([[0u16; 256]; 4]);
         let full = if size == 16 {
             u16::MAX
@@ -327,19 +351,38 @@ impl SmallDict {
             table[0] = full; // every slot starts as the zero tuple
         }
         SmallDict {
-            entries: [0; 16],
+            slots: MtfSlots::new(size),
             presence,
-            order: 0xFEDC_BA98_7654_3210 & (u64::MAX >> (64 - 4 * size)),
-            size,
         }
     }
 
     #[inline]
     fn at(&self, loc: usize) -> u32 {
-        debug_assert!(loc < self.size);
-        self.entries[((self.order >> (4 * loc)) & 0xF) as usize]
+        self.slots.at(loc)
     }
 
+    /// As [`MtfSlots::promote`], but the slot and its table bits are
+    /// rewritten only when the payload changes (never on a full match).
+    #[inline]
+    fn promote(&mut self, from: Option<usize>, tuple: u32) {
+        let i = from.unwrap_or(self.slots.size - 1);
+        let p = self.slots.slot(i);
+        let old = self.slots.entries[p];
+        if old != tuple {
+            let bit = 1u16 << p;
+            let old = old.to_le_bytes();
+            let new = tuple.to_le_bytes();
+            for k in 0..4 {
+                self.presence[k][old[k] as usize] &= !bit;
+                self.presence[k][new[k] as usize] |= bit;
+            }
+            self.slots.entries[p] = tuple;
+        }
+        self.slots.rotate_to_front(i, p);
+    }
+}
+
+impl Cam for SmallDict {
     #[inline]
     fn best_match(&self, tuple: u32) -> Option<(usize, u8)> {
         let [b0, b1, b2, b3] = tuple.to_le_bytes();
@@ -368,7 +411,7 @@ impl SmallDict {
         };
         // Lowest *logical* position among the candidates: walk the MTF
         // order from the front. MTF locality keeps this walk short.
-        let mut ord = self.order;
+        let mut ord = self.slots.order;
         let mut loc = 0usize;
         let p = loop {
             let p = (ord & 0xF) as usize;
@@ -377,7 +420,7 @@ impl SmallDict {
             }
             ord >>= 4;
             loc += 1;
-            debug_assert!(loc < self.size, "candidate bitmap names a live slot");
+            debug_assert!(loc < self.slots.size, "candidate bitmap names a live slot");
         };
         let mask = ((m0 >> p) & 1)
             | (((m1 >> p) & 1) << 1)
@@ -385,48 +428,25 @@ impl SmallDict {
             | (((m3 >> p) & 1) << 3);
         Some((loc, mask as u8))
     }
-
-    #[inline]
-    fn promote(&mut self, from: Option<usize>, tuple: u32) {
-        let i = from.unwrap_or(self.size - 1);
-        debug_assert!(i < self.size);
-        let p = (self.order >> (4 * i)) & 0xF;
-        // MTF always installs the *incoming* tuple at the front: a full
-        // match re-inserts the identical value (no state change beyond the
-        // rotation), but a partial match overwrites the matched entry and
-        // a miss replaces the LRU entry. Rewrite the slot and its table
-        // bits whenever the payload actually changes.
-        let slot = p as usize;
-        if self.entries[slot] != tuple {
-            let bit = 1u16 << slot;
-            let old = self.entries[slot].to_le_bytes();
-            let new = tuple.to_le_bytes();
-            for k in 0..4 {
-                self.presence[k][old[k] as usize] &= !bit;
-                self.presence[k][new[k] as usize] |= bit;
-            }
-            self.entries[slot] = tuple;
-        }
-        // Rotate logical positions 0..=i one lane up and put `p` in front.
-        let low = (1u64 << (4 * i)) - 1;
-        let lane = 0xFu64 << (4 * i);
-        self.order = (self.order & !(low | lane)) | ((self.order & low) << 4) | p;
-    }
 }
 
 /// CAM of 32–128 entries: a plain logical array with an auto-vectorised
 /// SWAR scan. Depths beyond 16 exceed the `u16`/nibble packing of
-/// [`SmallDict`] and are off the paper's configuration, so they keep the
-/// simpler shape.
+/// [`MtfSlots`] and are off the paper's configuration, so they keep the
+/// simpler shape — the same for encoder and decoder, and held inline so
+/// neither allocates for it.
 #[derive(Debug, Clone)]
 struct LargeDict {
-    entries: Vec<u32>,
+    entries: [u32; 128],
+    size: usize,
 }
 
-impl LargeDict {
+impl Mtf for LargeDict {
     fn new(size: usize) -> Self {
+        debug_assert!(size <= 128);
         LargeDict {
-            entries: vec![0; size],
+            entries: [0; 128],
+            size,
         }
     }
 
@@ -435,6 +455,21 @@ impl LargeDict {
         self.entries[loc]
     }
 
+    /// The affected prefix is shifted one slot with a plain copy loop —
+    /// equivalent to `remove` + `insert(0)`, and measurably faster than
+    /// `rotate_right(1)` at CAM depths.
+    #[inline]
+    fn promote(&mut self, from: Option<usize>, tuple: u32) {
+        let i = from.unwrap_or(self.size - 1);
+        let prefix = &mut self.entries[..=i];
+        for k in (1..prefix.len()).rev() {
+            prefix[k] = prefix[k - 1];
+        }
+        prefix[0] = tuple;
+    }
+}
+
+impl Cam for LargeDict {
     /// Branchless max-reduction: each entry contributes a key
     /// `(n << 8) | (255 - loc)` (zeroed when n < 2), so the running max
     /// picks the highest byte count and, among ties, the lowest
@@ -451,7 +486,7 @@ impl LargeDict {
     #[inline]
     fn best_match(&self, tuple: u32) -> Option<(usize, u8)> {
         let mut best = 0u32;
-        for (loc, &entry) in self.entries.iter().enumerate() {
+        for (loc, &entry) in self.entries[..self.size].iter().enumerate() {
             let diff = entry ^ tuple;
             let z = !((diff & 0x7F7F_7F7F).wrapping_add(0x7F7F_7F7F) | diff) & 0x8080_8080;
             let n = ((z >> 7) & 1) + ((z >> 15) & 1) + ((z >> 23) & 1) + (z >> 31);
@@ -471,18 +506,51 @@ impl LargeDict {
         let mask = (((z >> 7) & 1) | ((z >> 14) & 2) | ((z >> 21) & 4) | ((z >> 28) & 8)) as u8;
         Some((loc, mask))
     }
+}
 
-    /// The affected prefix is shifted one slot with a plain copy loop —
-    /// equivalent to `remove` + `insert(0)`, and measurably faster than
-    /// `rotate_right(1)` at CAM depths.
-    #[inline]
+/// The CAM as the hardware describes it: a logical array searched a byte
+/// at a time, where the first entry with the most matching bytes wins.
+/// The reference codec loops use it, and the tests pin [`SmallDict`] and
+/// [`LargeDict`] against it.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+struct RefDict(Vec<u32>);
+
+#[cfg(test)]
+impl Mtf for RefDict {
+    fn new(size: usize) -> Self {
+        RefDict(vec![0; size])
+    }
+
+    fn at(&self, loc: usize) -> u32 {
+        self.0[loc]
+    }
+
     fn promote(&mut self, from: Option<usize>, tuple: u32) {
-        let i = from.unwrap_or(self.entries.len() - 1);
-        let prefix = &mut self.entries[..=i];
-        for k in (1..prefix.len()).rev() {
-            prefix[k] = prefix[k - 1];
+        self.0.remove(from.unwrap_or(self.0.len() - 1));
+        self.0.insert(0, tuple);
+    }
+}
+
+#[cfg(test)]
+impl Cam for RefDict {
+    fn best_match(&self, tuple: u32) -> Option<(usize, u8)> {
+        let t = tuple.to_le_bytes();
+        let mut best: Option<(usize, u8, u32)> = None;
+        for (loc, entry) in self.0.iter().enumerate() {
+            let entry = entry.to_le_bytes();
+            let mut mask = 0u8;
+            for k in 0..4 {
+                if entry[k] == t[k] {
+                    mask |= 1 << k;
+                }
+            }
+            let n = mask.count_ones();
+            if n >= 2 && best.is_none_or(|(_, _, bn)| n > bn) {
+                best = Some((loc, mask, n));
+            }
         }
-        prefix[0] = tuple;
+        best.map(|(loc, mask, _)| (loc, mask))
     }
 }
 
@@ -506,10 +574,41 @@ impl Codec for XMatchPro {
     }
 
     fn compress(&self, input: &[u8]) -> Vec<u8> {
+        if self.dict_size <= MAX_SLOTS {
+            self.encode::<SmallDict>(input)
+        } else {
+            self.encode::<LargeDict>(input)
+        }
+    }
+
+    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
+        if self.dict_size <= MAX_SLOTS {
+            stream::drain(XMatchStream::<MtfSlots>::new(self, input)?)
+        } else {
+            stream::drain(XMatchStream::<LargeDict>::new(self, input)?)
+        }
+    }
+
+    fn stream_decoder<'a>(
+        &self,
+        input: &'a [u8],
+    ) -> Result<Box<dyn StreamDecoder + 'a>, CodecError> {
+        Ok(if self.dict_size <= MAX_SLOTS {
+            Box::new(XMatchStream::<MtfSlots>::new(self, input)?)
+        } else {
+            Box::new(XMatchStream::<LargeDict>::new(self, input)?)
+        })
+    }
+}
+
+impl XMatchPro {
+    /// The encoder: one loop over CAM `D`, monomorphised per depth class
+    /// by [`Codec::compress`].
+    fn encode<D: Cam>(&self, input: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(input.len() / 2 + 8);
         out.extend_from_slice(&(input.len() as u32).to_le_bytes());
         let mut w = BitWriter::with_capacity(input.len() / 2);
-        let mut dict = Dictionary::new(self.dict_size);
+        let mut dict = D::new(self.dict_size);
         let total = input.len().div_ceil(4);
         let mut i = 0usize;
         while i < total {
@@ -576,38 +675,27 @@ impl Codec for XMatchPro {
         out.extend_from_slice(&w.finish());
         out
     }
-
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        stream::drain(XMatchStream::new(self, input)?)
-    }
-
-    fn stream_decoder<'a>(
-        &self,
-        input: &'a [u8],
-    ) -> Result<Box<dyn StreamDecoder + 'a>, CodecError> {
-        Ok(Box::new(XMatchStream::new(self, input)?))
-    }
 }
 
-/// Streaming X-MatchPRO decoder: resumable at any token boundary (a call
-/// may overshoot its budget by one run token, ≤ 1 KB).
+/// Streaming X-MatchPRO decoder over dictionary `D`: resumable at any
+/// token boundary (a call may overshoot its budget by one run token,
+/// ≤ 1 KiB).
 ///
-/// Where the old one-shot loop emitted whole tuples and truncated to `n`
-/// at the end, the stream clamps every append to the bytes remaining, so
-/// partial output prefixes are already exact.
+/// Each call sizes the output once — the budget plus one run token,
+/// never past the stream's length — writes tuples into it by index and
+/// truncates it to what was produced, so partial output prefixes are
+/// exact and only the stream's final tuple is ever clipped.
 #[derive(Debug)]
-struct XMatchStream<'a> {
+struct XMatchStream<'a, D> {
     reader: BitReader<'a>,
-    dict: Dictionary,
-    dict_size: usize,
-    head_bits: u32,
+    dict: D,
+    loc_bits: u32,
     n: usize,
     total_tuples: usize,
     tuples_done: usize,
-    produced: usize,
 }
 
-impl<'a> XMatchStream<'a> {
+impl<'a, D: Mtf> XMatchStream<'a, D> {
     fn new(codec: &XMatchPro, input: &'a [u8]) -> Result<Self, CodecError> {
         if input.len() < 4 {
             return Err(CodecError::Truncated);
@@ -615,80 +703,148 @@ impl<'a> XMatchStream<'a> {
         let n = u32::from_le_bytes(input[0..4].try_into().expect("4 bytes")) as usize;
         Ok(XMatchStream {
             reader: BitReader::new(&input[4..]),
-            dict: Dictionary::new(codec.dict_size),
-            dict_size: codec.dict_size,
-            // `flag | loc | full?` peeked as one batch; `loc` is exactly
-            // `loc_bits` wide so the masked extraction cannot leave the
-            // dictionary.
-            head_bits: codec.loc_bits + 2,
+            dict: D::new(codec.dict_size),
+            loc_bits: codec.loc_bits,
             n,
             total_tuples: n.div_ceil(4),
             tuples_done: 0,
-            produced: 0,
         })
     }
-}
 
-impl StreamDecoder for XMatchStream<'_> {
-    fn decode_into(&mut self, out: &mut Vec<u8>, budget: usize) -> Result<usize, CodecError> {
-        debug_assert_eq!(out.len(), self.produced, "shared history buffer reused");
-        let start = out.len();
-        while out.len() - start < budget && self.tuples_done < self.total_tuples {
-            let head = self.reader.peek_bits(self.head_bits);
-            if head >> (self.head_bits - 1) == 1 {
-                let loc = ((head >> 1) as usize) & (self.dict_size - 1);
-                let full = head & 1 == 1;
-                self.reader.consume(self.head_bits)?;
-                if full {
-                    // Full match + run, replicated 16 tuples per copy.
-                    let run = self.reader.read_bits(8)? as usize;
-                    let tuple = self.dict.at(loc);
-                    if self.tuples_done + 1 + run > self.total_tuples {
-                        return Err(CodecError::corrupt("run overruns output"));
-                    }
-                    let mut pattern = [0u8; 64];
-                    for chunk in pattern.chunks_exact_mut(4) {
-                        chunk.copy_from_slice(&tuple.to_le_bytes());
-                    }
-                    // The final tuple of the stream may be cut short by `n`.
-                    let mut want = ((1 + run) * 4).min(self.n - out.len());
-                    while want >= 64 {
-                        out.extend_from_slice(&pattern);
-                        want -= 64;
-                    }
-                    out.extend_from_slice(&pattern[..want]);
-                    self.dict.promote(Some(loc), tuple);
-                    self.tuples_done += 1 + run;
-                } else {
-                    let mask_idx = self.reader.read_bits(4)? as usize;
-                    let mask = *PARTIAL_MASKS
-                        .get(mask_idx)
-                        .ok_or_else(|| CodecError::corrupt("bad mask index"))?;
-                    // All unmatched literals (8 or 16 bits) in one read.
-                    let mut nlit = (4 - mask.count_ones()) * 8;
-                    let lits = self.reader.read_bits(nlit)?;
-                    let mut bytes = self.dict.at(loc).to_le_bytes();
-                    for (k, byte) in bytes.iter_mut().enumerate() {
-                        if mask & (1 << k) == 0 {
-                            nlit -= 8;
-                            *byte = (lits >> nlit) as u8;
-                        }
-                    }
-                    out.extend_from_slice(&bytes[..4.min(self.n - out.len())]);
-                    let tuple = u32::from_le_bytes(bytes);
-                    self.dict.promote(Some(loc), tuple);
-                    self.tuples_done += 1;
-                }
-            } else {
-                self.reader.consume(1)?;
-                let tuple = self.reader.read_bits(32)?;
-                out.extend_from_slice(&tuple.to_le_bytes()[..4.min(self.n - out.len())]);
+    /// Bytes decoded so far.
+    fn produced(&self) -> usize {
+        (self.tuples_done * 4).min(self.n)
+    }
+
+    /// Decodes whole tokens into `out` until `limit` bytes are produced
+    /// or the stream ends.
+    ///
+    /// Each token is cut from one 64-bit window (a token is at most 33
+    /// bits). The window is zero past the end of the stream, so every
+    /// field is bound-checked by one [`BitReader::consume`] at its
+    /// boundary, in stream order: a short stream raises
+    /// [`CodecError::Truncated`] at the first field it cannot hold, before
+    /// any later field is judged.
+    #[inline]
+    fn decode_tokens(&mut self, out: &mut [u8], limit: usize) -> Result<(), CodecError> {
+        // `loc` is exactly `loc_bits` wide, so it cannot leave the
+        // dictionary.
+        let loc_bits = self.loc_bits;
+        let loc_mask = (1usize << loc_bits) - 1;
+        let stop = self.total_tuples.min(limit.div_ceil(4));
+        while self.tuples_done < stop {
+            let pos = self.tuples_done * 4;
+            let w = self.reader.peek_u64();
+            if w >> 63 == 0 {
+                // Miss: `0 | tuple`.
+                self.reader.consume(33)?;
+                let tuple = (w >> 31) as u32;
+                put_tuple(out, pos, tuple);
                 self.dict.promote(None, tuple);
+                self.tuples_done += 1;
+                continue;
+            }
+            let loc = (w >> (63 - loc_bits)) as usize & loc_mask;
+            if (w >> (62 - loc_bits)) & 1 == 1 {
+                // Full match: `1 | loc | 1 | run`.
+                self.reader.consume(loc_bits + 10)?;
+                let count = 1 + ((w >> (54 - loc_bits)) as usize & 0xFF);
+                if self.tuples_done + count > self.total_tuples {
+                    return Err(CodecError::corrupt("run overruns output"));
+                }
+                let tuple = self.dict.at(loc);
+                put_run(out, pos, count, tuple);
+                self.dict.promote(Some(loc), tuple);
+                self.tuples_done += count;
+            } else {
+                // Partial match: `1 | loc | 0 | mask index | literals`.
+                self.reader.consume(loc_bits + 6)?;
+                let mask = *PARTIAL_MASKS
+                    .get((w >> (58 - loc_bits)) as usize & 0xF)
+                    .ok_or_else(|| CodecError::corrupt("bad mask index"))?;
+                // All unmatched literals (8 or 16 bits), lowest byte first.
+                let mut nlit = (4 - mask.count_ones()) * 8;
+                self.reader.consume(nlit)?;
+                let lits = ((w << (loc_bits + 6)) >> (64 - nlit)) as u32;
+                let mut bytes = self.dict.at(loc).to_le_bytes();
+                for (k, byte) in bytes.iter_mut().enumerate() {
+                    if mask & (1 << k) == 0 {
+                        nlit -= 8;
+                        *byte = (lits >> nlit) as u8;
+                    }
+                }
+                let tuple = u32::from_le_bytes(bytes);
+                put_tuple(out, pos, tuple);
+                self.dict.promote(Some(loc), tuple);
                 self.tuples_done += 1;
             }
         }
-        self.produced = out.len();
-        Ok(out.len() - start)
+        Ok(())
+    }
+}
+
+/// Writes `tuple` into `out` at byte `pos`, clipped at the end of `out`
+/// (which only the stream's final tuple reaches).
+#[inline]
+fn put_tuple(out: &mut [u8], pos: usize, tuple: u32) {
+    let bytes = tuple.to_le_bytes();
+    match out.get_mut(pos..pos + 4) {
+        Some(dst) => dst.copy_from_slice(&bytes),
+        None => {
+            let tail = &mut out[pos..];
+            tail.copy_from_slice(&bytes[..tail.len()]);
+        }
+    }
+}
+
+/// Writes `count` copies of `tuple` into `out` from byte `pos`.
+///
+/// Whole 64-byte blocks are stored while they fit in `out`, so the last
+/// block may run past the run into bytes that later tokens overwrite or
+/// the caller's truncation drops; only at the end of `out` is the fill
+/// exact.
+#[inline]
+fn put_run(out: &mut [u8], pos: usize, count: usize, tuple: u32) {
+    let bytes = tuple.to_le_bytes();
+    let mut block = [0u8; 64];
+    for chunk in block.chunks_exact_mut(4) {
+        chunk.copy_from_slice(&bytes);
+    }
+    let end = (pos + 4 * count).min(out.len());
+    let mut at = pos;
+    while at < end {
+        if let Some(dst) = out.get_mut(at..at + 64) {
+            dst.copy_from_slice(&block);
+            at += 64;
+        } else {
+            out[at..end].copy_from_slice(&block[..end - at]);
+            break;
+        }
+    }
+}
+
+impl<D: Mtf> StreamDecoder for XMatchStream<'_, D> {
+    fn decode_into(&mut self, out: &mut Vec<u8>, budget: usize) -> Result<usize, CodecError> {
+        let start = self.produced();
+        debug_assert_eq!(out.len(), start, "shared history buffer reused");
+        // A token starts only while fewer than `budget` bytes are out,
+        // writes at most one run and takes at least `loc_bits + 10` bits,
+        // so size the output once: to the least of those bounds and the
+        // stream's length (a corrupt length header cannot make it larger
+        // than the input could fill).
+        let limit = start.saturating_add(budget);
+        let reachable = self.reader.remaining() / (self.loc_bits as usize + 10) * MAX_TOKEN_BYTES;
+        out.resize(
+            limit
+                .saturating_add(MAX_TOKEN_BYTES)
+                .min(self.n)
+                .min(start + reachable),
+            0,
+        );
+        let outcome = self.decode_tokens(out, limit);
+        let end = self.produced();
+        out.truncate(end);
+        outcome.map(|()| end - start)
     }
 
     fn is_finished(&self) -> bool {
@@ -841,28 +997,37 @@ mod tests {
 
     #[test]
     fn swar_match_equals_reference_across_mtf_evolution() {
-        // Drive a dictionary through a realistic MTF evolution and check
-        // the SWAR scan against the byte-wise reference at every step.
-        let mut dict = Dictionary::new(16);
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        for step in 0..20_000u32 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            // Low-entropy bytes so ≥2-byte partial matches actually occur.
-            let tuple = u32::from_le_bytes([
-                (state >> 33) as u8 & 0x7,
-                (state >> 41) as u8 & 0x7,
-                (state >> 49) as u8 & 0x7,
-                (state >> 57) as u8 & 0x7,
-            ]);
-            let fast = dict.best_match(tuple);
-            assert_eq!(fast, dict.best_match_reference(tuple), "step {step}");
-            match fast {
-                Some((loc, _)) => dict.promote(Some(loc), tuple),
-                None => dict.promote(None, tuple),
+        // Drive each CAM through a realistic MTF evolution and check its
+        // search (the presence tables at 16 entries, the SWAR scan at 64)
+        // against the byte-wise reference at every step.
+        fn evolve<D: Cam>(size: usize) {
+            let mut dict = D::new(size);
+            let mut reference = RefDict::new(size);
+            let mut state = 0x1234_5678_9ABC_DEF0u64;
+            for step in 0..20_000u32 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Low-entropy bytes so ≥2-byte partial matches actually occur.
+                let tuple = u32::from_le_bytes([
+                    (state >> 33) as u8 & 0x7,
+                    (state >> 41) as u8 & 0x7,
+                    (state >> 49) as u8 & 0x7,
+                    (state >> 57) as u8 & 0x7,
+                ]);
+                let fast = dict.best_match(tuple);
+                assert_eq!(
+                    fast,
+                    reference.best_match(tuple),
+                    "depth {size} step {step}"
+                );
+                let from = fast.map(|(loc, _)| loc);
+                dict.promote(from, tuple);
+                reference.promote(from, tuple);
             }
         }
+        evolve::<SmallDict>(16);
+        evolve::<LargeDict>(64);
     }
 
     #[test]
@@ -922,6 +1087,179 @@ mod tests {
                 "decode diverges at len {len}"
             );
         }
+    }
+
+    /// One step of the LCG the decoder tests draw from.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// A fleet-like sparse image of `len` bytes: about half the tokens
+    /// are full-match runs (mostly of zero words), the rest config words
+    /// sharing their high bytes (partial matches) and random words
+    /// (misses).
+    fn sparse_payload(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        let mut data = Vec::with_capacity(len + 128);
+        while data.len() < len {
+            let word = match lcg(&mut state) % 10 {
+                0..=4 => {
+                    let word = if lcg(&mut state).is_multiple_of(4) {
+                        0x2000_0000 | (lcg(&mut state) as u32 & 0xFF)
+                    } else {
+                        0
+                    };
+                    for _ in 0..lcg(&mut state) % 28 {
+                        data.extend_from_slice(&word.to_le_bytes());
+                    }
+                    word
+                }
+                5..=7 => 0x4060_1200 | (lcg(&mut state) as u32 & 0x3FF),
+                _ => lcg(&mut state) as u32 ^ (lcg(&mut state) as u32) << 16,
+            };
+            data.extend_from_slice(&word.to_le_bytes());
+        }
+        data.truncate(len);
+        data
+    }
+
+    /// A dense payload of `len` bytes over a small byte alphabet: few
+    /// runs, many partial matches and misses.
+    fn dense_payload(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed;
+        (0..len).map(|_| (lcg(&mut state) % 7) as u8 * 37).collect()
+    }
+
+    /// Decodes through the streaming decoder in `budget`-byte chunks,
+    /// with a zero-budget call before every chunk (it must append
+    /// nothing), checking each chunk's size against the budget contract.
+    fn decode_chunked(
+        codec: &XMatchPro,
+        packed: &[u8],
+        budget: usize,
+    ) -> Result<Vec<u8>, CodecError> {
+        let mut dec = codec.stream_decoder(packed)?;
+        let mut out = Vec::with_capacity(dec.total_len());
+        while !dec.is_finished() {
+            assert_eq!(dec.decode_into(&mut out, 0), Ok(0), "zero budget");
+            let before = out.len();
+            let got = dec.decode_into(&mut out, budget)?;
+            assert_eq!(got, out.len() - before);
+            assert!(
+                got < budget + MAX_TOKEN_BYTES,
+                "overshoot {got} at budget {budget}"
+            );
+            assert!(
+                got >= budget || dec.is_finished(),
+                "short chunk {got} at budget {budget}"
+            );
+        }
+        assert_eq!(out.len(), dec.total_len());
+        Ok(out)
+    }
+
+    #[test]
+    fn decoder_matches_reference_on_errors_and_chunking() {
+        // Every depth, on a sparse and a dense payload whose lengths are
+        // not multiples of 4: the decoder must return exactly what the
+        // reference returns — the same bytes or the same `CodecError` —
+        // for every truncation of the packed stream and for seeded
+        // single-bit flips, and chunked decoding must equal one-shot.
+        let budgets = [1usize, 3, 64, 1021, 16 * 1024];
+        let mut errors_seen = std::collections::BTreeSet::new();
+        for depth in [2usize, 4, 8, 16, 32, 64, 128] {
+            let codec = XMatchPro::with_dictionary(depth);
+            let payloads = [
+                ("sparse", sparse_payload(6_561, depth as u64)),
+                ("dense", dense_payload(1_531, !(depth as u64))),
+            ];
+            for (kind, data) in &payloads {
+                let packed = codec.compress(data);
+                assert_eq!(
+                    codec.decompress(&packed).as_ref(),
+                    Ok(data),
+                    "{kind} depth {depth}"
+                );
+                for cut in 0..packed.len() {
+                    let short = &packed[..cut];
+                    assert_eq!(
+                        codec.decompress(short),
+                        codec.decompress_reference(short),
+                        "{kind} depth {depth} cut at {cut} of {}",
+                        packed.len()
+                    );
+                }
+                let mut state = 0xF11B_0000 ^ depth as u64;
+                for flip in 0..256 {
+                    let bit = lcg(&mut state) as usize % (packed.len() * 8);
+                    let mut bad = packed.clone();
+                    bad[bit / 8] ^= 0x80 >> (bit % 8);
+                    let one_shot = codec.decompress(&bad);
+                    assert_eq!(
+                        one_shot,
+                        codec.decompress_reference(&bad),
+                        "{kind} depth {depth} flip {flip} at bit {bit}"
+                    );
+                    if let Err(e) = &one_shot {
+                        errors_seen.insert(e.to_string());
+                    }
+                    if flip % 32 == 0 {
+                        for budget in [1, 1021] {
+                            assert_eq!(decode_chunked(&codec, &bad, budget), one_shot);
+                        }
+                    }
+                }
+                for budget in budgets {
+                    assert_eq!(
+                        decode_chunked(&codec, &packed, budget).as_ref(),
+                        Ok(data),
+                        "{kind} depth {depth} budget {budget}"
+                    );
+                }
+            }
+        }
+        // The flips reach every error the format can raise.
+        assert_eq!(errors_seen.len(), 3, "{errors_seen:?}");
+
+        // Where one token is both cut short and corrupt, `Truncated` must
+        // win exactly when the reference raises it first. Truncating a
+        // valid stream never makes a token corrupt, so cut short random
+        // streams, whose small length header makes long runs overrun.
+        let mut state = 0x5EED_5EEDu64;
+        for depth in [2usize, 16, 128] {
+            let codec = XMatchPro::with_dictionary(depth);
+            for _ in 0..400 {
+                let mut stream = (lcg(&mut state) as u32 % 64 + 1).to_le_bytes().to_vec();
+                stream.extend((0..12).map(|_| lcg(&mut state) as u8));
+                for cut in 4..=stream.len() {
+                    let short = &stream[..cut];
+                    assert_eq!(
+                        codec.decompress(short),
+                        codec.decompress_reference(short),
+                        "depth {depth} stream {stream:02x?} cut at {cut}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_corrupt_length_header_does_not_size_the_output() {
+        // A 64 MiB header over 12 bytes of tokens: the output is sized
+        // by what the 96 bits could encode, not by the header.
+        let mut stream = (64u32 << 20).to_le_bytes().to_vec();
+        stream.extend_from_slice(&[0xFF; 12]);
+        let mut dec = XMatchPro::new().stream_decoder(&stream).unwrap();
+        let mut out = Vec::new();
+        assert!(dec.decode_into(&mut out, usize::MAX).is_err());
+        assert!(
+            out.capacity() <= 8 * MAX_TOKEN_BYTES,
+            "{} B",
+            out.capacity()
+        );
     }
 
     #[test]

@@ -9,6 +9,15 @@
 //! are kept under a byte budget, keyed by the *content* of the compressed
 //! payload, so a repeated swap skips redecompression entirely.
 //!
+//! # Cached values
+//!
+//! `DecompCache<T = Vec<u8>>` stores any `T: AsRef<[u8]>` behind an
+//! [`Arc`] and charges the budget by `as_ref().len()`, the decompressed
+//! image's size. [`crate::uparc::UParc`] caches the bare image (the
+//! default); a caller can keep what it derives from an image once per
+//! decode beside it — the fleet's chip loop stores the image with its
+//! fold — while the budget still models decompressed bytes alone.
+//!
 //! # Keying and soundness
 //!
 //! A [`CacheKey`] fingerprints the compressed bytes (codec id, length and
@@ -113,22 +122,22 @@ impl std::ops::Sub for CacheStats {
 }
 
 #[derive(Debug, Clone)]
-struct Entry {
-    data: Arc<Vec<u8>>,
+struct Entry<T> {
+    data: Arc<T>,
     last_used: u64,
 }
 
 /// The byte-budgeted LRU cache (see the module docs).
 #[derive(Debug, Clone)]
-pub struct DecompCache {
+pub struct DecompCache<T = Vec<u8>> {
     budget: usize,
     used: usize,
     tick: u64,
-    map: HashMap<CacheKey, Entry>,
+    map: HashMap<CacheKey, Entry<T>>,
     stats: CacheStats,
 }
 
-impl DecompCache {
+impl<T: AsRef<[u8]>> DecompCache<T> {
     /// Creates a cache holding at most `budget` bytes of decompressed
     /// data. A budget of zero disables the cache entirely.
     #[must_use]
@@ -175,7 +184,7 @@ impl DecompCache {
     /// Looks up the decompressed image for `key`, refreshing its LRU
     /// position. Counts a hit or miss — unless the cache is disabled, in
     /// which case lookups are free and uncounted.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<Vec<u8>>> {
+    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<T>> {
         if self.budget == 0 {
             return None;
         }
@@ -196,17 +205,18 @@ impl DecompCache {
     /// Stores a decompressed image, evicting least-recently-used entries
     /// until it fits. Images larger than the whole budget are not stored;
     /// re-inserting an existing key refreshes its LRU position only.
-    pub fn insert(&mut self, key: CacheKey, data: Arc<Vec<u8>>) {
-        if data.len() > self.budget {
+    pub fn insert(&mut self, key: CacheKey, data: Arc<T>) {
+        let bytes = (*data).as_ref().len();
+        if bytes > self.budget {
             return; // also covers the disabled (budget 0) cache
         }
         self.tick += 1;
         if let Some(entry) = self.map.get_mut(&key) {
-            debug_assert_eq!(entry.data.len(), data.len(), "cache key collision");
+            debug_assert_eq!((*entry.data).as_ref().len(), bytes, "cache key collision");
             entry.last_used = self.tick;
             return;
         }
-        while self.used + data.len() > self.budget {
+        while self.used + bytes > self.budget {
             let oldest = self
                 .map
                 .iter()
@@ -214,10 +224,10 @@ impl DecompCache {
                 .map(|(k, _)| *k)
                 .expect("used > 0 implies non-empty map");
             let evicted = self.map.remove(&oldest).expect("key just found");
-            self.used -= evicted.data.len();
+            self.used -= (*evicted.data).as_ref().len();
             self.stats.evictions += 1;
         }
-        self.used += data.len();
+        self.used += bytes;
         self.map.insert(
             key,
             Entry {
@@ -321,6 +331,36 @@ mod tests {
                 evictions: 0
             }
         );
+    }
+
+    #[test]
+    fn derived_values_are_charged_by_their_image_bytes() {
+        /// An image with a value derived from it once, cached beside it.
+        struct Folded {
+            image: Vec<u8>,
+            fold: u64,
+        }
+        impl AsRef<[u8]> for Folded {
+            fn as_ref(&self) -> &[u8] {
+                &self.image
+            }
+        }
+        let folded = |tag: u8| {
+            Arc::new(Folded {
+                image: vec![tag; 100],
+                fold: u64::from(tag) * 3,
+            })
+        };
+        let mut cache = DecompCache::<Folded>::new(250);
+        let keys: Vec<CacheKey> = (0..3).map(|i| CacheKey::of(1, &[i])).collect();
+        cache.insert(keys[0], folded(1));
+        cache.insert(keys[1], folded(2));
+        assert_eq!(cache.used(), 200, "the fold costs no budget");
+        assert_eq!(cache.get(&keys[1]).map(|v| v.fold), Some(6));
+        cache.insert(keys[2], folded(3));
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(cache.get(&keys[0]).is_none(), "LRU entry was evicted");
+        assert_eq!(cache.used(), 200);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! pick the fastest operating point the chip's epoch cap admits (from
 //! the calibrated [`PlanTables`]), run the host-side staging work for
 //! real — a miss in the chip's [`DecompCache`] decompresses the staged
-//! payload with the actual codec, a hit streams the cached image — and
-//! advance simulated time by the *measured* dispatch latency. Chips
-//! share nothing, so the fleet can fan them out across the worker pool
-//! and still merge byte-identical results in chip order.
+//! payload with the actual codec and folds the fresh image once, a hit
+//! reuses the image and the fold cached beside it — and advance simulated
+//! time by the *measured* dispatch latency. Chips share nothing, so the
+//! fleet can fan them out across the worker pool and still merge
+//! byte-identical results in chip order.
 //!
 //! Under a chaos campaign the loop grows failure paths: dispatches that
 //! start inside an ICAP-wedge or elevated-SEU window (or draw an ambient
@@ -120,8 +121,11 @@ pub struct ChipOutcome {
     /// `(start_fs, end_fs, above_idle_draw_mw)` per transfer segment, for
     /// the fleet's independent rack-cap verification sweep.
     pub intervals: Vec<(u64, u64, f64)>,
-    /// Fold of every served image's bytes — forces the staging work to
-    /// really happen and pins byte-identity across worker counts.
+    /// XOR of every served image's fold. The fold of an image's bytes is
+    /// computed once per decode and cached with the image, so it checks
+    /// every decode the chip runs (and byte-identity across worker
+    /// counts); a hit reuses the stored fold without re-reading the
+    /// image.
     pub checksum: u64,
     /// Stream indices of requests served to completion, ascending.
     pub served: Vec<u64>,
@@ -140,6 +144,20 @@ pub struct ChipOutcome {
     pub recovery_extra_time: SimTime,
     /// Extra energy the recovery ladder drew, µJ.
     pub recovery_extra_energy_uj: f64,
+}
+
+/// A decompressed image as the chip cache holds it: the bytes, which the
+/// cache budget charges, and their fold, computed once per decode.
+#[derive(Debug)]
+struct Staged {
+    image: Vec<u8>,
+    fold: u64,
+}
+
+impl AsRef<[u8]> for Staged {
+    fn as_ref(&self) -> &[u8] {
+        &self.image
+    }
 }
 
 /// FNV-style 8-bytes-per-round fold over an image.
@@ -170,7 +188,7 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
     let tables = env.tables;
     let chaos = env.plan.chip(input.chip);
     let codec = catalog.algorithm().codec();
-    let mut cache = DecompCache::new(env.cache_budget);
+    let mut cache = DecompCache::<Staged>::new(env.cache_budget);
     let mut out = ChipOutcome {
         chip: input.chip,
         completed: 0,
@@ -225,7 +243,7 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
         // window [start, start + slowest] — widened past the watchdog
         // and a retry when the dispatch will wedge, so the recovery
         // detour too is planned under the tightest cap it can cross.
-        let slowest = tables.slowest_service(req.bitstream);
+        let slowest = tables.slowest_service(facts);
         let mut window = slowest;
         if faulted {
             // Up to max_attempts re-dispatches plus one watchdog wait.
@@ -248,7 +266,7 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
             if start < bt && start + window > bf {
                 let slashed =
                     calib::V6_IDLE_MW + (cap - calib::V6_IDLE_MW) * env.plan.brownout_factor();
-                if tables.select(req.bitstream, slashed).is_none() {
+                if tables.select(facts, slashed).is_none() {
                     // Even the slowest point no longer fits: wait the
                     // brownout out and re-plan at the normal cap.
                     start = start.max(bt);
@@ -272,31 +290,29 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
             }
         }
         let idx = tables
-            .select(req.bitstream, cap)
+            .select(facts, cap)
             .expect("epoch caps always fund the floor");
         // Host-side staging: the real work locality routing saves.
         if let Some(key) = &facts.key {
-            let image = match cache.get(key) {
-                Some(image) => {
+            let fold = match cache.get(key) {
+                Some(staged) => {
                     out.hits += 1;
-                    image
+                    staged.fold
                 }
                 None => {
                     out.misses += 1;
                     let entry = catalog.entry(req.bitstream).expect("calibrated id");
                     let packed = entry.packed_bytes().expect("compressed staging");
-                    let image = Arc::new(
-                        codec
-                            .decompress(packed)
-                            .expect("staged payload round-trips"),
-                    );
+                    let image = codec
+                        .decompress(packed)
+                        .expect("staged payload round-trips");
                     out.decompressed_bytes += image.len() as u64;
-                    cache.insert(*key, Arc::clone(&image));
-                    image
+                    let fold = fold_image(&image);
+                    cache.insert(*key, Arc::new(Staged { image, fold }));
+                    fold
                 }
             };
-            // Stream the image (cached or fresh) into the ICAP.
-            out.checksum ^= fold_image(&image);
+            out.checksum ^= fold;
         }
         let (finish, failed) = if faulted {
             dispatch_faulted(
@@ -304,21 +320,18 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
             )
         } else {
             // The calibrated fast path.
-            let service = tables.service(req.bitstream, idx);
+            let service = tables.service(facts, idx);
             let finish = start + service;
             let end_fs = loss_fs.map_or(finish.as_fs(), |l| finish.as_fs().min(l));
             if end_fs > start.as_fs() {
-                out.intervals.push((
-                    start.as_fs(),
-                    end_fs,
-                    tables.draw_above_idle_mw(req.bitstream, idx),
-                ));
+                out.intervals
+                    .push((start.as_fs(), end_fs, tables.draw_above_idle_mw(facts, idx)));
             }
             if end_fs == finish.as_fs() {
-                out.energy_uj += tables.energy_uj(req.bitstream, idx);
+                out.energy_uj += tables.energy_uj(facts, idx);
             } else {
                 // Clipped by the chip's death: only the partial draw.
-                out.energy_uj += tables.draw_above_idle_mw(req.bitstream, idx)
+                out.energy_uj += tables.draw_above_idle_mw(facts, idx)
                     * SimTime::from_fs(end_fs - start.as_fs()).as_secs_f64()
                     * 1e3;
             }

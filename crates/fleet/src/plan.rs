@@ -23,7 +23,8 @@ use uparc_sim::time::{Frequency, SimTime};
 use crate::FleetError;
 
 /// Per-entry dispatch facts (precomputed so the hot loop never hashes or
-/// re-derives them).
+/// re-derives them). The chip loop resolves them once per request with
+/// [`PlanTables::facts`] and hands them to every other table accessor.
 #[derive(Debug, Clone)]
 pub struct EntryFacts {
     /// Index into the group tables.
@@ -201,40 +202,41 @@ impl PlanTables {
         self.entries.get(&id.0).expect("id was calibrated")
     }
 
-    /// Fastest admissible grid index for `id` under a total-power cap of
-    /// `cap_mw` (idle and decompressor draw included), or `None` if even
-    /// the slowest point exceeds the cap.
+    /// Fastest admissible grid index for the entry `facts` describes
+    /// under a total-power cap of `cap_mw` (idle and decompressor draw
+    /// included), or `None` if even the slowest point exceeds the cap.
     #[must_use]
-    pub fn select(&self, id: BitstreamId, cap_mw: f64) -> Option<usize> {
-        let g = &self.groups[self.facts(id).group];
+    pub fn select(&self, facts: &EntryFacts, cap_mw: f64) -> Option<usize> {
+        let g = &self.groups[facts.group];
         let fit = self.power_mw[..g.admissible].partition_point(|&p| p + g.extra_draw_mw <= cap_mw);
         fit.checked_sub(1)
     }
 
-    /// Measured Start→Finish latency of `id` at grid index `idx`.
+    /// Measured Start→Finish latency of the entry at grid index `idx`.
     #[must_use]
-    pub fn service(&self, id: BitstreamId, idx: usize) -> SimTime {
-        self.groups[self.facts(id).group].service[idx]
+    pub fn service(&self, facts: &EntryFacts, idx: usize) -> SimTime {
+        self.groups[facts.group].service[idx]
     }
 
-    /// The slowest admissible point's latency for `id` — the
+    /// The slowest admissible point's latency for the entry — the
     /// conservative window dispatch planning spans epoch caps with.
     #[must_use]
-    pub fn slowest_service(&self, id: BitstreamId) -> SimTime {
-        self.groups[self.facts(id).group].service[0]
+    pub fn slowest_service(&self, facts: &EntryFacts) -> SimTime {
+        self.groups[facts.group].service[0]
     }
 
-    /// Above-idle energy of one dispatch of `id` at grid index `idx`, µJ.
+    /// Above-idle energy of one dispatch of the entry at grid index
+    /// `idx`, µJ.
     #[must_use]
-    pub fn energy_uj(&self, id: BitstreamId, idx: usize) -> f64 {
-        self.groups[self.facts(id).group].energy_uj[idx]
+    pub fn energy_uj(&self, facts: &EntryFacts, idx: usize) -> f64 {
+        self.groups[facts.group].energy_uj[idx]
     }
 
-    /// Above-idle draw of `id`'s transfer at grid index `idx`, mW
+    /// Above-idle draw of the entry's transfer at grid index `idx`, mW
     /// (reconfiguration path plus decompressor).
     #[must_use]
-    pub fn draw_above_idle_mw(&self, id: BitstreamId, idx: usize) -> f64 {
-        let g = &self.groups[self.facts(id).group];
+    pub fn draw_above_idle_mw(&self, facts: &EntryFacts, idx: usize) -> f64 {
+        let g = &self.groups[facts.group];
         self.power_mw[idx] - calib::V6_IDLE_MW + g.extra_draw_mw
     }
 

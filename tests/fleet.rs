@@ -166,7 +166,7 @@ fn plan_tables_match_plan_constrained() {
             .get(i + 1)
             .map_or(p_i + 10.0, |&f| planner.predicted_power_mw(f));
         let cap = (p_i + p_next) / 2.0 + extra;
-        let picked = tables.select(id, cap);
+        let picked = tables.select(facts, cap);
         let reference = planner.plan_vf(&VfQuery::frequency_only(PlanQuery {
             bytes: entry.raw_bytes(),
             max_frequency: facts.key.is_some().then(|| Frequency::from_mhz(255.0)),

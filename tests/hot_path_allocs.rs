@@ -1,6 +1,8 @@
 //! Allocation guard for the request path: after warm-up, the calls a
 //! served request makes (the DCM factor search, the (V, f) planner and a
-//! retune to the clock a lane is already locked at) allocate nothing.
+//! retune to the clock a lane is already locked at) allocate nothing, and
+//! an X-MatchPRO decode, the fleet chip loop's miss path, allocates only
+//! its output.
 //!
 //! A counting global allocator tallies allocations per thread, and this
 //! file holds a single test, so the harness's own threads never reach the
@@ -11,11 +13,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use uparc_repro::compress::xmatchpro::XMatchPro;
+use uparc_repro::compress::Codec;
 use uparc_repro::core::policy::{PlanQuery, PowerAwarePolicy, VfQuery};
 use uparc_repro::core::uparc::UParc;
 use uparc_repro::core::UparcError;
+use uparc_repro::fleet::fleet::synthetic_catalog;
 use uparc_repro::fpga::dcm::DcmConstraints;
 use uparc_repro::fpga::{Device, Family};
+use uparc_repro::serve::request::BitstreamId;
 use uparc_repro::sim::time::{Frequency, SimTime};
 
 thread_local! {
@@ -66,15 +72,21 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// Asserts that `call` allocates nothing once it has run once.
-fn assert_no_allocations<T>(what: &str, mut call: impl FnMut() -> T) {
+/// Asserts that `call` makes exactly `expected` allocations per call
+/// once it has run once.
+fn assert_allocations<T>(what: &str, expected: u64, mut call: impl FnMut() -> T) {
     black_box(call());
     for _ in 0..3 {
         let n = allocations_in(|| {
             black_box(call());
         });
-        assert_eq!(n, 0, "{what}: {n} allocation(s) per call");
+        assert_eq!(n, expected, "{what}: {n} allocation(s) per call");
     }
+}
+
+/// Asserts that `call` allocates nothing once it has run once.
+fn assert_no_allocations<T>(what: &str, call: impl FnMut() -> T) {
+    assert_allocations(what, 0, call);
 }
 
 #[test]
@@ -179,5 +191,31 @@ fn request_path_calls_do_not_allocate() {
         assert_no_allocations(&format!("set_reconfiguration_frequency {target}"), || {
             lane.set_reconfiguration_frequency(black_box(target))
         });
+    }
+
+    // An X-MatchPRO decode allocates its output and nothing else: no
+    // dictionary tables and no regrowth, also when the length is not a
+    // multiple of 4 and the last tuple is clipped.
+    let catalog = synthetic_catalog(1, 40, 20_120_312);
+    let fleet_image = catalog
+        .entry(BitstreamId(1))
+        .and_then(|e| e.packed_bytes())
+        .expect("fleet images stage compressed");
+    let codec = catalog.algorithm().codec();
+    assert_allocations("X-MatchPRO decode, fleet image", 1, || {
+        codec
+            .decompress(black_box(fleet_image))
+            .expect("round-trips")
+    });
+    let ragged: Vec<u8> = (0..6_561u32).map(|i| (i % 7 * 37 + i / 97) as u8).collect();
+    for depth in [16, 128] {
+        let codec = XMatchPro::with_dictionary(depth);
+        let packed = codec.compress(&ragged);
+        assert_eq!(codec.decompress(&packed).as_ref(), Ok(&ragged));
+        assert_allocations(
+            &format!("X-MatchPRO decode, 6,561 B, depth {depth}"),
+            1,
+            || codec.decompress(black_box(&packed)).expect("round-trips"),
+        );
     }
 }
