@@ -159,7 +159,7 @@ fn single_fault_cell(
     let strike_at = if matches!(class, "config_seu" | "parity_seu") {
         let mut dry = system(&device, mhz);
         let rec = RecoveryPolicy::none()
-            .reconfigure(&mut dry, &bs, mode)
+            .reconfigure(&mut dry, &bs, mode.clone())
             .expect("dry run is fault-free");
         rec.report.started_at + rec.report.control_overhead + rec.report.transfer_time
     } else {
@@ -319,17 +319,17 @@ fn campaign_cell(
     let mut attempts = 0u32;
     let mut mttr_sum = 0.0f64;
     let mut extra_energy = 0.0f64;
-    for (i, &(mhz, mode)) in rounds.iter().enumerate() {
+    for (i, (mhz, mode)) in rounds.iter().enumerate() {
         let bs = bitstream(&device, seed.wrapping_add(i as u64));
         // A retune per round exercises armed lock failures; errors here are
         // fault-induced (arming consumed the fault) and end the round.
         if sys
-            .set_reconfiguration_frequency(Frequency::from_mhz(mhz))
+            .set_reconfiguration_frequency(Frequency::from_mhz(*mhz))
             .is_err()
         {
             continue;
         }
-        match policy.reconfigure(&mut sys, &bs, mode) {
+        match policy.reconfigure(&mut sys, &bs, mode.clone()) {
             Ok(rec) => {
                 rounds_ok += 1;
                 attempts += rec.attempts;

@@ -243,6 +243,17 @@ impl PartialBitstream {
         words_to_bytes(&self.words)
     }
 
+    /// Whether `bytes` equals [`PartialBitstream::to_bytes`], compared in
+    /// place without serialising the stream.
+    #[must_use]
+    pub fn eq_bytes(&self, bytes: &[u8]) -> bool {
+        bytes.len() == self.size_bytes()
+            && bytes
+                .chunks_exact(4)
+                .zip(&self.words)
+                .all(|(b, w)| *b == w.to_be_bytes())
+    }
+
     /// Wraps the stream in a `.bit` container with the given design name.
     #[must_use]
     pub fn to_bitfile(&self, design_name: &str) -> crate::bitfile::BitFile {
@@ -299,6 +310,21 @@ mod tests {
         assert_eq!(icap.frames_committed(), 5);
         let frame = icap.config_memory().read_frame(202).unwrap();
         assert!(frame.iter().all(|&w| w == 0xA5A5_5A5A));
+    }
+
+    #[test]
+    fn eq_bytes_matches_only_the_serialised_stream() {
+        let device = Device::xc5vsx50t();
+        let bs = PartialBitstream::build(&device, 0, &payload(&device, 2, 0x1234_5678));
+        let bytes = bs.to_bytes();
+        assert!(bs.eq_bytes(&bytes));
+        assert!(!bs.eq_bytes(&bytes[..bytes.len() - 1]));
+        assert!(!bs.eq_bytes(&[bytes.as_slice(), &[0; 4]].concat()));
+        for i in [0, bytes.len() / 2, bytes.len() - 1] {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 1;
+            assert!(!bs.eq_bytes(&flipped), "byte {i}");
+        }
     }
 
     #[test]

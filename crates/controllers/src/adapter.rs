@@ -106,7 +106,7 @@ impl ReconfigController for UparcController {
     }
 
     fn reconfigure(&mut self, bs: &PartialBitstream) -> Result<ReconfigReport, ControllerError> {
-        let report = self.system.reconfigure_bitstream(bs, self.mode)?;
+        let report = self.system.reconfigure_bitstream(bs, self.mode.clone())?;
         Ok(ReconfigReport {
             controller: self.name,
             bytes: report.bytes,

@@ -1,6 +1,7 @@
 //! Error type for the UPaRC system.
 
 use uparc_bitstream::BitstreamError;
+use uparc_compress::Algorithm;
 use uparc_fpga::FpgaError;
 use uparc_sim::time::{Frequency, SimTime};
 
@@ -79,6 +80,14 @@ pub enum UparcError {
         /// How long the bus would have stalled.
         stall: SimTime,
     },
+    /// A [`Mode::Packed`](crate::uparc::Mode::Packed) payload was packed
+    /// by another codec than the decompressor slot runs.
+    PackedCodec {
+        /// The codec that packed the payload.
+        packed: Algorithm,
+        /// The slot's codec.
+        slot: Algorithm,
+    },
     /// Underlying FPGA primitive error.
     Fpga(FpgaError),
     /// Bitstream container/stream error.
@@ -141,6 +150,9 @@ impl std::fmt::Display for UparcError {
                     f,
                     "transfer stalled {stall}, watchdog aborted after {limit}"
                 )
+            }
+            UparcError::PackedCodec { packed, slot } => {
+                write!(f, "payload packed by {packed} on a {slot} slot")
             }
             UparcError::Fpga(e) => write!(f, "fpga error: {e}"),
             UparcError::Bitstream(e) => write!(f, "bitstream error: {e}"),

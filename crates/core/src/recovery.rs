@@ -242,15 +242,17 @@ fn take_rung(sys: &UParc, actions: &mut Vec<RecoveryAction>, action: RecoveryAct
 
 impl RecoveryPolicy {
     /// Preloads and reconfigures `bs` under this policy, healing every
-    /// recoverable fault along the way.
+    /// recoverable fault along the way. `mode` is decided once per call
+    /// ([`Mode::decide`]), so every restage stages the same payload.
     ///
     /// # Errors
     ///
     /// Structurally unrecoverable errors ([`UparcError::RawTooLarge`],
     /// [`UparcError::BramCapacity`], wrong-device streams, infeasible
-    /// frequencies) propagate unchanged; recoverable errors propagate only
-    /// once `max_attempts` is exhausted or the relevant ladder rung is
-    /// disabled.
+    /// frequencies) and every preload error (a [`Mode::Packed`] payload
+    /// of another codec or another bitstream included) propagate
+    /// unchanged; recoverable errors propagate only once `max_attempts`
+    /// is exhausted or the relevant ladder rung is disabled.
     pub fn reconfigure(
         &self,
         sys: &mut UParc,
@@ -272,7 +274,12 @@ impl RecoveryPolicy {
     ) -> Result<RecoveryReport, UparcError> {
         let t0 = sys.now();
         let log0 = sys.fault_injector().map_or(0, |i| i.log().len());
-        let mut mode = mode;
+        // Decided once per call: every restage stages the same payload.
+        let mut mode = mode.decide(
+            bs,
+            sys.bram().capacity_bytes(),
+            sys.decompressor().algorithm(),
+        )?;
         let mut actions: Vec<RecoveryAction> = Vec::new();
         let mut need_preload = true;
         let mut preload: Option<PreloadReport> = None;
@@ -281,7 +288,7 @@ impl RecoveryPolicy {
         let report = loop {
             attempt += 1;
             if need_preload {
-                preload = Some(sys.preload(bs, mode)?);
+                preload = Some(sys.preload(bs, mode.clone())?);
                 need_preload = false;
             }
             match sys.reconfigure() {
@@ -397,13 +404,11 @@ impl RecoveryPolicy {
         } else {
             SimTime::ZERO
         };
-        let trace = sys.power_trace();
         let preload_mw = calib::MANAGER_COPY_MW
             + calib::PRELOAD_PATH_MW_PER_MHZ * sys.manager().config().clock.as_mhz();
         let preload_uj = preload_mw * preload.duration.as_secs_f64() * 1e3;
         let extra_energy_uj =
-            (trace.energy_above_uj(calib::V6_IDLE_MW, t0, t_end) - report.energy_uj - preload_uj)
-                .max(0.0);
+            (sys.energy_above_uj(calib::V6_IDLE_MW, t0) - report.energy_uj - preload_uj).max(0.0);
 
         sys.obs().count("recovery.attempts", u64::from(attempt));
         if !actions.is_empty() {

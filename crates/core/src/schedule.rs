@@ -100,7 +100,7 @@ pub fn run_schedule(
     match strategy {
         Strategy::OnDemand => {
             for task in tasks {
-                let preload = uparc.preload(&task.bitstream, task.mode)?;
+                let preload = uparc.preload(&task.bitstream, task.mode.clone())?;
                 let reconfiguration = uparc.reconfigure()?;
                 let downtime = preload.duration + reconfiguration.elapsed();
                 total_downtime += downtime;
@@ -123,7 +123,7 @@ pub fn run_schedule(
                         (report, overrun)
                     }
                     None => {
-                        let report = uparc.preload(&task.bitstream, task.mode)?;
+                        let report = uparc.preload(&task.bitstream, task.mode.clone())?;
                         let d = report.duration;
                         (report, d)
                     }
@@ -133,7 +133,7 @@ pub fn run_schedule(
                 total_downtime += downtime;
                 // Overlap the next task's preload with this execution.
                 if let Some(next) = tasks.get(i + 1) {
-                    let report = uparc.preload(&next.bitstream, next.mode)?;
+                    let report = uparc.preload(&next.bitstream, next.mode.clone())?;
                     let overrun = report.duration.saturating_sub(task.execution);
                     let slack = task.execution.saturating_sub(report.duration);
                     uparc.advance_idle(slack);

@@ -41,16 +41,64 @@ use uparc_sim::trace::PowerTrace;
 /// highest frequency at compression mode is 255 MHz").
 pub const COMPRESSED_MODE_MAX: f64 = 255.0;
 
-/// Staging mode selection for [`UParc::preload`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Staging mode of [`UParc::preload`]: a request (`Auto`, `Compressed`)
+/// or the decision it resolves to (`Raw`, `Packed`).
+///
+/// [`Mode::decide`] is the one place the decision is made, and the only
+/// place the staging encoder runs. `preload` decides every mode it is
+/// given; a caller that stages the same bitstream again (the serving
+/// catalog, the recovery ladder's restages) keeps the decided mode, so
+/// the image is packed once, before reconfiguration, as in UPaRC_ii
+/// (§III-A1).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Mode {
     /// Raw if it fits the BRAM, compressed otherwise (the paper's policy,
     /// §III-C).
     Auto,
-    /// Force raw staging (UPaRC_i).
+    /// Raw staging (UPaRC_i), requested or decided.
     Raw,
-    /// Force compressed staging (UPaRC_ii).
+    /// Force compressed staging (UPaRC_ii); decides into [`Mode::Packed`].
     Compressed,
+    /// Compressed staging of a payload packed already: what `Compressed`,
+    /// or `Auto` for an image over the BRAM, decides into.
+    Packed {
+        /// The codec that packed `bytes`; it must be the slot's.
+        algorithm: Algorithm,
+        /// The packed configuration stream, shared so that a clone copies
+        /// a pointer.
+        bytes: Arc<Vec<u8>>,
+    },
+}
+
+impl Mode {
+    /// Decides how `bs` stages in a `bram_bytes` BRAM whose decompressor
+    /// runs `algorithm`: `Raw`, or `Packed` by `algorithm`'s encoder. A
+    /// decided mode comes back as it is, `Raw` after its capacity check.
+    ///
+    /// # Errors
+    ///
+    /// [`UparcError::RawTooLarge`] — `Mode::Raw` and the raw image (mode
+    /// word included) exceeds the BRAM.
+    pub fn decide(
+        self,
+        bs: &PartialBitstream,
+        bram_bytes: usize,
+        algorithm: Algorithm,
+    ) -> Result<Mode, UparcError> {
+        let raw_image_bytes = bs.size_bytes() + 4; // + mode word
+        match self {
+            Mode::Raw if raw_image_bytes > bram_bytes => Err(UparcError::RawTooLarge {
+                required: raw_image_bytes,
+                available: bram_bytes,
+            }),
+            Mode::Auto if raw_image_bytes <= bram_bytes => Ok(Mode::Raw),
+            Mode::Auto | Mode::Compressed => Ok(Mode::Packed {
+                algorithm,
+                bytes: Arc::new(algorithm.codec().compress(&bs.to_bytes())),
+            }),
+            decided => Ok(decided),
+        }
+    }
 }
 
 /// What is currently staged in the BRAM.
@@ -503,6 +551,14 @@ impl UParc {
         t
     }
 
+    /// Energy above `floor_mw` from `from` to `now`, in µJ: the same
+    /// integral as `power_trace().energy_above_uj(floor_mw, from, now())`,
+    /// read off the live trace without the snapshot copy.
+    #[must_use]
+    pub fn energy_above_uj(&self, floor_mw: f64, from: SimTime) -> f64 {
+        self.trace.energy_above_uj(floor_mw, from, self.now)
+    }
+
     /// Retunes CLK_2 toward `target` through DyCloGen. The achievable cap
     /// is the lower of the ICAP overclock ceiling and the BRAM read-path
     /// ceiling for this family (V5: 362.5 MHz). Returns the achieved
@@ -609,13 +665,20 @@ impl UParc {
     /// Manager task and can overlap module execution; it advances the
     /// system clock but does not count as reconfiguration time.
     ///
+    /// The mode is resolved by [`Mode::decide`]; a [`Mode::Packed`]
+    /// payload stages as given, without re-encoding, once it is known to
+    /// decode to `bs` (decoded here on a decompressed-cache miss, compared
+    /// with the cached image on a hit).
+    ///
     /// # Errors
     ///
     /// * [`UparcError::RawTooLarge`] — `Mode::Raw` and the stream exceeds
     ///   the BRAM.
     /// * [`UparcError::BramCapacity`] — even the compressed image exceeds
     ///   the BRAM.
-    /// * [`UparcError::Compression`] — staging codec round-trip mismatch.
+    /// * [`UparcError::PackedCodec`] — a `Packed` payload of another codec
+    ///   than the slot's.
+    /// * [`UparcError::Compression`] — the payload does not decode to `bs`.
     pub fn preload(
         &mut self,
         bs: &PartialBitstream,
@@ -623,44 +686,42 @@ impl UParc {
     ) -> Result<PreloadReport, UparcError> {
         self.apply_ambient_faults();
         let raw_bytes = bs.size_bytes();
-        let capacity = self.bram.capacity_bytes();
-        let raw_image_bytes = raw_bytes + 4; // + mode word
-        let use_compression = match mode {
-            Mode::Raw => {
-                if raw_image_bytes > capacity {
-                    return Err(UparcError::RawTooLarge {
-                        required: raw_image_bytes,
-                        available: capacity,
+        let slot = self.slot.algorithm();
+        let (image, use_compression) = match mode.decide(bs, self.bram.capacity_bytes(), slot)? {
+            Mode::Packed { algorithm, bytes } => {
+                if algorithm != slot {
+                    return Err(UparcError::PackedCodec {
+                        packed: algorithm,
+                        slot,
                     });
                 }
-                false
-            }
-            Mode::Compressed => true,
-            Mode::Auto => raw_image_bytes > capacity,
-        };
-        let image = if use_compression {
-            let codec = self.slot.codec();
-            let raw = bs.to_bytes();
-            let packed = codec.compress(&raw);
-            // Round-trip verification of the staged image. The codecs are
-            // deterministic and lossless, so a compressed payload already
-            // verified (and cached) once needs no second decompression —
-            // equal packed bytes imply equal raw bytes.
-            let key = CacheKey::of(codec_id(self.slot.algorithm()), &packed);
-            if self.decomp_cache.get(&key).is_none() {
-                let unpacked = codec
-                    .decompress(&packed)
-                    .map_err(|e| UparcError::Compression(e.to_string()))?;
-                if unpacked != raw {
+                // The codecs are deterministic and lossless, so a payload
+                // already decoded (and cached) needs no second decode:
+                // equal packed bytes imply equal images.
+                let key = CacheKey::of(codec_id(slot), &bytes);
+                let decodes_to_bs = match self.decomp_cache.get(&key) {
+                    Some(image) => bs.eq_bytes(&image),
+                    None => {
+                        let image = self
+                            .slot
+                            .codec()
+                            .decompress(&bytes)
+                            .map_err(|e| UparcError::Compression(e.to_string()))?;
+                        let ok = bs.eq_bytes(&image);
+                        if ok {
+                            self.decomp_cache.insert(key, Arc::new(image));
+                        }
+                        ok
+                    }
+                };
+                if !decodes_to_bs {
                     return Err(UparcError::Compression(
                         "staging round-trip mismatch".into(),
                     ));
                 }
-                self.decomp_cache.insert(key, Arc::new(unpacked));
+                (BramImage::compressed(codec_id(slot), &bytes), true)
             }
-            BramImage::compressed(codec_id(self.slot.algorithm()), &packed)
-        } else {
-            BramImage::uncompressed(bs.words())
+            _ => (BramImage::uncompressed(bs.words()), false),
         };
         let stored_bytes = image.size_bytes();
         let duration = self.manager.preload(&mut self.bram, &image)?;

@@ -13,8 +13,8 @@
 //! Under a chaos campaign the loop grows failure paths: dispatches that
 //! start inside an ICAP-wedge or elevated-SEU window (or draw an ambient
 //! staged-image flip) abandon the calibrated table and run a *real*
-//! cycle-accurate [`UParc`] dispatch through the configured
-//! `RecoveryPolicy` ladder — the measured detour (watchdog waits,
+//! cycle-accurate [`UParc`](uparc_core::uparc::UParc) dispatch through
+//! the configured `RecoveryPolicy` ladder — the measured detour (watchdog waits,
 //! restages, retries) is what the request pays; a brownout slashes the
 //! chip's cap for its window (waiting it out if even the slowest point
 //! no longer fits); and a permanent chip loss clips the in-flight
@@ -26,7 +26,6 @@ use std::sync::Arc;
 
 use uparc_core::cache::DecompCache;
 use uparc_core::recovery::RecoveryPolicy;
-use uparc_core::uparc::UParc;
 use uparc_serve::catalog::Catalog;
 use uparc_sim::fault::{FaultInjector, FaultKind, MAX_STALL_CYCLES};
 use uparc_sim::power::calib;
@@ -434,12 +433,7 @@ fn dispatch_faulted(
     // A fresh scratch controller: the same calibration idiom PlanTables
     // measures with, so a fault-free dispatch here reproduces the table
     // latency exactly and the *difference* is the recovery detour.
-    let mut scratch = UParc::builder(env.catalog.device().clone())
-        .bram_bytes(env.catalog.bram_bytes())
-        .decompressor(env.catalog.algorithm())
-        .decompressed_cache_bytes(0)
-        .build()
-        .expect("catalog algorithm has a hardware decompressor");
+    let mut scratch = env.catalog.lane(0);
     scratch
         .set_reconfiguration_frequency(env.tables.frequency(idx))
         .expect("grid frequency is synthesizable");

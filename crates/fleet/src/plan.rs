@@ -2,7 +2,8 @@
 //!
 //! `PowerAwarePolicy::plan_vf` predicts service times analytically;
 //! these tables hold the full Start→Finish latency **measured** with a
-//! real cycle-accurate [`UParc`] dispatch (retune + preload + transfer).
+//! real cycle-accurate [`UParc`](uparc_core::uparc::UParc) dispatch
+//! (retune + preload + transfer).
 //! That is why they are measured per bitstream *shape* (raw size ×
 //! staging mode), once per frequency of the policy's grid restricted to
 //! the fleet's operating range, beside the policy's nominal-rail power at
@@ -14,7 +15,7 @@ use std::collections::BTreeMap;
 
 use uparc_core::cache::CacheKey;
 use uparc_core::policy::PowerAwarePolicy;
-use uparc_core::uparc::{codec_id, UParc, COMPRESSED_MODE_MAX};
+use uparc_core::uparc::codec_id;
 use uparc_serve::catalog::Catalog;
 use uparc_serve::request::BitstreamId;
 use uparc_sim::power::calib;
@@ -120,10 +121,7 @@ impl PlanTables {
             let group = match group_of.get(&shape) {
                 Some(&g) => g,
                 None => {
-                    let ceiling = entry
-                        .compressed()
-                        .then(|| Frequency::from_mhz(COMPRESSED_MODE_MAX));
-                    let admissible = match ceiling {
+                    let admissible = match entry.max_frequency() {
                         Some(c) => tables.grid.partition_point(|&f| f <= c),
                         None => tables.grid.len(),
                     };
@@ -141,12 +139,7 @@ impl PlanTables {
                         let f = tables.grid[i];
                         // A fresh scratch controller per point: no DCM
                         // relock residue, no warm decompressed cache.
-                        let mut scratch = UParc::builder(catalog.device().clone())
-                            .bram_bytes(catalog.bram_bytes())
-                            .decompressor(catalog.algorithm())
-                            .decompressed_cache_bytes(0)
-                            .build()
-                            .expect("catalog algorithm has a hardware decompressor");
+                        let mut scratch = catalog.lane(0);
                         scratch
                             .set_reconfiguration_frequency(f)
                             .expect("grid frequency is synthesizable");

@@ -5,23 +5,25 @@
 //! overlapping windows are typed [`CatalogError`]s. The service only
 //! dispatches bitstreams that were registered ahead of time.
 //! Registration resolves each bitstream's frame window to the one region
-//! that holds it entirely, decides the staging mode (raw if the image
-//! fits the BRAM, otherwise compressed, with the packed payload checked
-//! to round-trip), and precomputes the staged image size so admission
-//! and scheduling can estimate service times without touching a
-//! controller.
+//! that holds it entirely and decides its staging once, with
+//! [`Mode::decide`] under [`Mode::Auto`]: raw if the image fits the BRAM,
+//! otherwise packed, with the payload checked to fit and to round-trip.
+//! The entry keeps only the decided mode. Admission and scheduling size
+//! transfers from it without touching a controller, and a controller
+//! handed [`CatalogEntry::mode`] stages the packed payload without
+//! encoding it again.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
 
 use uparc_bitstream::builder::PartialBitstream;
 use uparc_compress::Algorithm;
-use uparc_core::uparc::Mode;
+use uparc_core::uparc::{Mode, UParc, COMPRESSED_MODE_MAX};
 use uparc_fpga::alloc::{AllocError, FrameAllocator};
 use uparc_fpga::Device;
 use uparc_sim::sweep;
+use uparc_sim::time::Frequency;
 
 use crate::request::{BitstreamId, RegionId};
 
@@ -95,18 +97,15 @@ impl fmt::Display for CatalogError {
 
 impl std::error::Error for CatalogError {}
 
-/// One registered bitstream with its precomputed staging facts.
+/// One registered bitstream with its decided staging mode.
 #[derive(Debug, Clone)]
 pub struct CatalogEntry {
     bitstream: PartialBitstream,
     region: RegionId,
-    raw_bytes: usize,
-    compressed: bool,
-    staged_words: usize,
-    /// Compressed payload computed at registration (`None` for raw
-    /// staging). Shared, so cloning the catalog or handing the bytes to a
-    /// staging path copies a pointer, not the payload.
-    packed: Option<Arc<Vec<u8>>>,
+    /// [`Mode::Raw`] or [`Mode::Packed`]; a packed payload is shared, so
+    /// cloning the catalog or handing the mode to a controller copies a
+    /// pointer, not the payload.
+    mode: Mode,
 }
 
 impl CatalogEntry {
@@ -125,93 +124,82 @@ impl CatalogEntry {
     /// Raw configuration stream size in bytes.
     #[must_use]
     pub fn raw_bytes(&self) -> usize {
-        self.raw_bytes
+        self.bitstream.size_bytes()
     }
 
     /// Whether the image is staged compressed.
     #[must_use]
     pub fn compressed(&self) -> bool {
-        self.compressed
+        matches!(self.mode, Mode::Packed { .. })
     }
 
-    /// Staged image size in words, mode word included.
+    /// Staged image size in words, mode word included (and, packed, the
+    /// byte-count word).
     #[must_use]
     pub fn staged_words(&self) -> usize {
-        self.staged_words
-    }
-
-    /// The explicit staging mode the service passes to the controller.
-    #[must_use]
-    pub fn mode(&self) -> Mode {
-        if self.compressed {
-            Mode::Compressed
-        } else {
-            Mode::Raw
+        match self.packed_bytes() {
+            Some(packed) => 2 + packed.len().div_ceil(4),
+            None => self.raw_bytes() / 4 + 1,
         }
     }
 
-    /// The compressed payload computed at registration, `None` when the
-    /// entry stages raw. The bytes are exactly what the controller's
-    /// staging codec produces, so admission checks and prefetch planners
-    /// can size transfers without recompressing.
+    /// The decided staging mode, [`Mode::Raw`] or [`Mode::Packed`]: what
+    /// the service hands the controller, which stages it without
+    /// encoding.
+    #[must_use]
+    pub fn mode(&self) -> Mode {
+        self.mode.clone()
+    }
+
+    /// The compressed payload packed at registration, `None` when the
+    /// entry stages raw. The bytes are exactly what the controller
+    /// stages, so admission checks and prefetch planners can size
+    /// transfers without recompressing.
     #[must_use]
     pub fn packed_bytes(&self) -> Option<&[u8]> {
-        self.packed.as_deref().map(Vec::as_slice)
+        match &self.mode {
+            Mode::Packed { bytes, .. } => Some(bytes),
+            _ => None,
+        }
+    }
+
+    /// CLK_2 ceiling of the entry's datapath: the compressed datapath's
+    /// 255 MHz when it stages packed, none when raw.
+    #[must_use]
+    pub fn max_frequency(&self) -> Option<Frequency> {
+        self.compressed()
+            .then(|| Frequency::from_mhz(COMPRESSED_MODE_MAX))
     }
 }
 
-/// Staging facts of one bitstream: the mode decision and, for compressed
-/// staging, the payload itself.
-struct StagingFacts {
-    raw_bytes: usize,
-    compressed: bool,
-    staged_words: usize,
-    packed: Option<Arc<Vec<u8>>>,
-}
-
-/// Mirrors `UParc::preload` with [`Mode::Auto`]: stage raw when the image
-/// (mode word included) fits the BRAM, compress otherwise. The staged
-/// word counts match what the controller will actually store, and a
-/// compressed payload is decoded once here, where it is made, so every
-/// packed payload in a catalog is known to round-trip.
-fn stage_facts(
-    bram_bytes: usize,
-    bitstream: &PartialBitstream,
-) -> Result<StagingFacts, CatalogError> {
-    let raw_bytes = bitstream.size_bytes();
-    if raw_bytes + 4 <= bram_bytes {
-        return Ok(StagingFacts {
-            raw_bytes,
-            compressed: false,
-            staged_words: raw_bytes / 4 + 1,
-            packed: None,
-        });
+/// Decides how `bitstream` stages in a `bram_bytes` BRAM
+/// ([`Mode::decide`] under [`Mode::Auto`]) and checks a packed payload
+/// once, where it is made: it must fit the BRAM and decode back to the
+/// image, so every packed payload in a catalog is known to round-trip.
+fn decide_staging(bram_bytes: usize, bitstream: &PartialBitstream) -> Result<Mode, CatalogError> {
+    let mode = Mode::Auto
+        .decide(bitstream, bram_bytes, STAGING_ALGORITHM)
+        .expect("Mode::Auto always decides");
+    if let Mode::Packed { bytes, .. } = &mode {
+        // Mode word + byte-count word + packed payload.
+        let required = (2 + bytes.len().div_ceil(4)) * 4;
+        if required > bram_bytes {
+            return Err(CatalogError::TooLarge {
+                required,
+                bram: bram_bytes,
+            });
+        }
+        let unpacked = STAGING_ALGORITHM
+            .codec()
+            .decompress(bytes)
+            .map_err(|e| CatalogError::Compression(e.to_string()))?;
+        if !bitstream.eq_bytes(&unpacked) {
+            return Err(CatalogError::Compression(
+                "staging round-trip mismatch".into(),
+            ));
+        }
     }
-    let codec = STAGING_ALGORITHM.codec();
-    let raw = bitstream.to_bytes();
-    let packed = codec.compress(&raw);
-    // Mode word + byte-count word + packed payload.
-    let words = 2 + packed.len().div_ceil(4);
-    if words * 4 > bram_bytes {
-        return Err(CatalogError::TooLarge {
-            required: words * 4,
-            bram: bram_bytes,
-        });
-    }
-    let unpacked = codec
-        .decompress(&packed)
-        .map_err(|e| CatalogError::Compression(e.to_string()))?;
-    if unpacked != raw {
-        return Err(CatalogError::Compression(
-            "staging round-trip mismatch".into(),
-        ));
-    }
-    Ok(StagingFacts {
-        raw_bytes,
-        compressed: true,
-        staged_words: words,
-        packed: Some(Arc::new(packed)),
-    })
+    Ok(mode)
 }
 
 /// The bitstream inventory and region map of one service instance.
@@ -291,18 +279,12 @@ impl Catalog {
         id: BitstreamId,
         bitstream: PartialBitstream,
     ) -> Result<RegionId, CatalogError> {
-        if self.entries.contains_key(&id) {
-            return Err(CatalogError::DuplicateId { id });
-        }
-        let region = self.resolve_region(&bitstream)?;
-        let facts = stage_facts(self.bram_bytes, &bitstream)?;
-        self.insert_entry(id, bitstream, region, facts);
-        Ok(region)
+        Ok(self.register_batch(vec![(id, bitstream)])?[0])
     }
 
     /// Registers a whole batch, compressing entries concurrently.
     ///
-    /// Staging facts are computed across entries with
+    /// Staging is decided across entries with
     /// [`sweep::parallel_map`]; each entry's codec runs single-threaded,
     /// so the catalog ends up byte-identical to sequential
     /// [`Catalog::register`] calls under any `UPARC_SWEEP_THREADS`
@@ -326,15 +308,21 @@ impl Catalog {
             regions.push(self.resolve_region(bitstream)?);
         }
         let bram_bytes = self.bram_bytes;
-        let mut staged = Vec::with_capacity(batch.len());
-        for facts in
-            sweep::parallel_map(&batch, |(_, bitstream)| stage_facts(bram_bytes, bitstream))
-        {
-            staged.push(facts?);
+        let mut modes = Vec::with_capacity(batch.len());
+        for mode in sweep::parallel_map(&batch, |(_, bitstream)| {
+            decide_staging(bram_bytes, bitstream)
+        }) {
+            modes.push(mode?);
         }
-        for (((id, bitstream), &region), facts) in batch.into_iter().zip(regions.iter()).zip(staged)
-        {
-            self.insert_entry(id, bitstream, region, facts);
+        for (((id, bitstream), &region), mode) in batch.into_iter().zip(regions.iter()).zip(modes) {
+            self.entries.insert(
+                id,
+                CatalogEntry {
+                    bitstream,
+                    region,
+                    mode,
+                },
+            );
         }
         Ok(regions)
     }
@@ -362,26 +350,6 @@ impl Catalog {
             .iter()
             .position(|(_, w)| w == window)
             .expect("every live window was claimed by add_region")
-    }
-
-    fn insert_entry(
-        &mut self,
-        id: BitstreamId,
-        bitstream: PartialBitstream,
-        region: RegionId,
-        facts: StagingFacts,
-    ) {
-        self.entries.insert(
-            id,
-            CatalogEntry {
-                bitstream,
-                region,
-                raw_bytes: facts.raw_bytes,
-                compressed: facts.compressed,
-                staged_words: facts.staged_words,
-                packed: facts.packed,
-            },
-        );
     }
 
     /// Looks up a registered entry.
@@ -431,6 +399,19 @@ impl Catalog {
     #[must_use]
     pub fn algorithm(&self) -> Algorithm {
         STAGING_ALGORITHM
+    }
+
+    /// Builds a controller lane with the catalog's staging setup (device,
+    /// BRAM, decompressor) and a `cache_bytes` decompressed-image cache;
+    /// it stages every entry's [`CatalogEntry::mode`] without encoding.
+    #[must_use]
+    pub fn lane(&self, cache_bytes: usize) -> UParc {
+        UParc::builder(self.device.clone())
+            .bram_bytes(self.bram_bytes)
+            .decompressor(STAGING_ALGORITHM)
+            .decompressed_cache_bytes(cache_bytes)
+            .build()
+            .expect("catalog algorithm has a hardware decompressor")
     }
 }
 
@@ -589,7 +570,7 @@ mod tests {
         let entry = cat.entry(BitstreamId(1)).unwrap();
         assert!(entry.compressed());
         assert!(entry.staged_words() * 4 <= 8 * 1024);
-        assert_eq!(entry.mode(), Mode::Compressed);
+        assert!(matches!(entry.mode(), Mode::Packed { .. }));
     }
 
     #[test]

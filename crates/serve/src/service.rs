@@ -15,7 +15,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use uparc_core::policy::{PlanQuery, PowerAwarePolicy, VfPlan, VfQuery};
 use uparc_core::recovery::RecoveryPolicy;
-use uparc_core::uparc::COMPRESSED_MODE_MAX;
 use uparc_core::{UParc, UparcError};
 use uparc_sim::obs::{EventKind, Obs};
 use uparc_sim::power::{calib, VfTable};
@@ -164,16 +163,6 @@ impl Service {
         &self.planner
     }
 
-    /// Builds one controller lane with the catalog's staging setup.
-    fn build_lane(&self) -> UParc {
-        UParc::builder(self.catalog.device().clone())
-            .bram_bytes(self.catalog.bram_bytes())
-            .decompressor(self.catalog.algorithm())
-            .decompressed_cache_bytes(self.config.decompressed_cache_bytes)
-            .build()
-            .expect("catalog algorithm has a hardware decompressor")
-    }
-
     /// Measures a full fault-free dispatch of `id` at CLK_2 `f` on a
     /// scratch controller: retune + preload + transfer + the recovery
     /// layer's verification, exactly as a lane would run it. The dispatch
@@ -183,7 +172,7 @@ impl Service {
     /// service time. Returns `(with_relock, pure)`.
     fn measure_dispatch(&self, id: BitstreamId, f: Frequency) -> (SimTime, SimTime) {
         let entry = self.catalog.entry(id).expect("measure of unknown id");
-        let mut scratch = self.build_lane();
+        let mut scratch = self.catalog.lane(self.config.decompressed_cache_bytes);
         scratch
             .set_reconfiguration_frequency(f)
             .expect("grid frequency is synthesizable");
@@ -212,9 +201,7 @@ impl Service {
             .into_iter()
             .map(|id| {
                 let entry = self.catalog.entry(id).expect("id from catalog");
-                let ceiling = entry
-                    .compressed()
-                    .then(|| Frequency::from_mhz(COMPRESSED_MODE_MAX));
+                let ceiling = entry.max_frequency();
                 let fastest = grid
                     .iter()
                     .copied()
@@ -257,7 +244,7 @@ impl Service {
         // Run lanes report through region-tagged handles.
         let lanes: Vec<UParc> = (0..self.catalog.region_count())
             .map(|region| {
-                let mut lane = self.build_lane();
+                let mut lane = self.catalog.lane(self.config.decompressed_cache_bytes);
                 lane.set_observer(self.config.obs.with_lane(region as u32));
                 lane
             })

@@ -119,24 +119,35 @@ impl PowerTrace {
     ///
     /// This is the "extra energy" extraction a recovery layer needs: with
     /// `floor_mw` at the idle level, the integral isolates what the active
-    /// phases inside the window actually cost.
+    /// phases inside the window actually cost. A finished trace ends at
+    /// its end; a live one holds its last level through `to`. Only the
+    /// steps inside the window are visited (a binary search finds the
+    /// first), so the cost does not grow with the trace's history.
     ///
     /// # Panics
     ///
-    /// Panics if the trace is not finished or `from > to`.
+    /// Panics if `from > to`.
     #[must_use]
     pub fn energy_above_uj(&self, floor_mw: f64, from: SimTime, to: SimTime) -> f64 {
-        let end = self.end.expect("finish the trace before integrating");
         assert!(from <= to, "energy window is reversed");
-        let clip = |t: SimTime| t.clamp(from, to.min(end));
-        let mut e = 0.0;
-        for w in self.steps.windows(2) {
-            let (t0, p) = w[0];
-            let (t1, _) = w[1];
-            e += (p - floor_mw).max(0.0) * (clip(t1) - clip(t0)).as_secs_f64();
+        let end = self.end.map_or(to, |end| end.min(to));
+        if end <= from {
+            return 0.0;
         }
-        if let Some(&(t_last, p_last)) = self.steps.last() {
-            e += (p_last - floor_mw).max(0.0) * (clip(end) - clip(t_last)).as_secs_f64();
+        // A step that ends by `from`, or starts at or after `end`, adds an
+        // exact +0.0 (a zero-width interval times a finite power) to the
+        // full scan from t = 0, so skipping it changes no bit of the sum.
+        let first = self
+            .steps
+            .partition_point(|&(t, _)| t <= from)
+            .saturating_sub(1);
+        let mut e = 0.0;
+        for (i, &(t0, p)) in self.steps.iter().enumerate().skip(first) {
+            if t0 >= end {
+                break;
+            }
+            let t1 = self.steps.get(i + 1).map_or(end, |&(t, _)| t.min(end));
+            e += (p - floor_mw).max(0.0) * (t1 - t0.max(from)).as_secs_f64();
         }
         e * 1e3 // mW·s = mJ → µJ
     }
@@ -316,6 +327,85 @@ mod tests {
             tr.energy_above_uj(1e6, SimTime::ZERO, SimTime::from_us(250)),
             0.0
         );
+    }
+
+    /// The full scan `energy_above_uj` used to run: every step from
+    /// t = 0, each clipped to the window.
+    fn energy_above_uj_reference(
+        tr: &PowerTrace,
+        floor_mw: f64,
+        from: SimTime,
+        to: SimTime,
+    ) -> f64 {
+        let end = tr.end.expect("finish the trace before integrating");
+        assert!(from <= to, "energy window is reversed");
+        let clip = |t: SimTime| t.clamp(from, to.min(end));
+        let mut e = 0.0;
+        for w in tr.steps.windows(2) {
+            let (t0, p) = w[0];
+            let (t1, _) = w[1];
+            e += (p - floor_mw).max(0.0) * (clip(t1) - clip(t0)).as_secs_f64();
+        }
+        if let Some(&(t_last, p_last)) = tr.steps.last() {
+            e += (p_last - floor_mw).max(0.0) * (clip(end) - clip(t_last)).as_secs_f64();
+        }
+        e * 1e3
+    }
+
+    #[test]
+    fn windowed_energy_equals_the_full_scan_bit_for_bit() {
+        let mut rng = crate::rng::Xoshiro256::seed_from_u64(20_120_312);
+        let mut windows = 0;
+        for _ in 0..300 {
+            let mut live = PowerTrace::new();
+            let mut t = rng.below(50);
+            for _ in 0..1 + rng.below(40) {
+                // Some levels sit exactly on the floor, some below it.
+                let p = [53.0, 20.0, 53.0 + rng.unit_f64() * 400.0][rng.below(3) as usize];
+                live.push(SimTime::from_ns(t), p);
+                t += 1 + rng.below(30);
+            }
+            let last = live.steps().last().expect("pushed").0;
+            let end = last + SimTime::from_ns(rng.below(30));
+            let mut done = live.clone();
+            done.finish(end);
+            let span = end.as_fs() / 1_000_000 + 40;
+            for k in 0..40 {
+                let (a, b) = (rng.below(span), rng.below(span));
+                let (from, to) = match k {
+                    // Before the first step, zero width, past the end.
+                    0 => (0, done.steps()[0].0.as_fs() / 1_000_000),
+                    1 => (a, a),
+                    2 => (a.min(end.as_fs() / 1_000_000), span + 10),
+                    _ => (a.min(b), a.max(b)),
+                };
+                let (from, to) = (SimTime::from_ns(from), SimTime::from_ns(to));
+                if from > end {
+                    // The reference cannot clip past the end; there is
+                    // nothing to integrate.
+                    assert_eq!(done.energy_above_uj(53.0, from, to).to_bits(), 0);
+                    continue;
+                }
+                let reference = energy_above_uj_reference(&done, 53.0, from, to);
+                let got = done.energy_above_uj(53.0, from, to);
+                assert_eq!(
+                    got.to_bits(),
+                    reference.to_bits(),
+                    "[{from}, {to}] of {done:?}"
+                );
+                // A live trace read through `to` is the snapshot finished
+                // there, as `UParc::energy_above_uj` reads it.
+                if to >= last {
+                    let mut snapshot = live.clone();
+                    snapshot.finish(to);
+                    let reference = energy_above_uj_reference(&snapshot, 53.0, from, to);
+                    let got = live.energy_above_uj(53.0, from, to);
+                    assert_eq!(got.to_bits(), reference.to_bits(), "live [{from}, {to}]");
+                }
+                windows += 1;
+            }
+        }
+        assert!(windows > 10_000, "{windows} windows compared");
     }
 
     #[test]

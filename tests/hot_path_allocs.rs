@@ -1,8 +1,9 @@
 //! Allocation guard for the request path: after warm-up, the calls a
 //! served request makes (the DCM factor search, the (V, f) planner and a
-//! retune to the clock a lane is already locked at) allocate nothing, and
-//! an X-MatchPRO decode, the fleet chip loop's miss path, allocates only
-//! its output.
+//! retune to the clock a lane is already locked at) allocate nothing, an
+//! X-MatchPRO decode, the fleet chip loop's miss path, allocates only its
+//! output, and a preload of a packed catalog entry runs no encoder: it
+//! allocates the BRAM image and, now and then, the power trace's growth.
 //!
 //! A counting global allocator tallies allocations per thread, and this
 //! file holds a single test, so the harness's own threads never reach the
@@ -207,6 +208,24 @@ fn request_path_calls_do_not_allocate() {
             .decompress(black_box(fleet_image))
             .expect("round-trips")
     });
+
+    // A warm preload of the entry's decided mode stages the packed
+    // payload as it is: no encoder, no boxed codec, no decode.
+    let entry = catalog.entry(BitstreamId(1)).expect("registered");
+    let mut lane = catalog.lane(32 << 20);
+    let staged = lane
+        .preload(entry.bitstream(), entry.mode())
+        .expect("stages");
+    assert!(staged.compressed);
+    for _ in 0..16 {
+        let n = allocations_in(|| {
+            black_box(
+                lane.preload(entry.bitstream(), entry.mode())
+                    .expect("stages"),
+            );
+        });
+        assert!(n <= 2, "warm packed preload: {n} allocation(s) per call");
+    }
     let ragged: Vec<u8> = (0..6_561u32).map(|i| (i % 7 * 37 + i / 97) as u8).collect();
     for depth in [16, 128] {
         let codec = XMatchPro::with_dictionary(depth);
