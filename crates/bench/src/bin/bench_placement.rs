@@ -95,7 +95,6 @@ fn run_cell(spec: &ChurnSpec, policy: FitPolicy, defrag: bool, obs: &Obs) -> Chu
             defrag,
             verify_moves: true,
             obs: obs.clone(),
-            ..PlacementConfig::default()
         },
     )
 }

@@ -123,9 +123,9 @@ fn main() {
 
     // ---- Observability overhead on the batched hot path --------------
     // A second pair of ports parses the same stream: one with the default
-    // no-op NullRecorder, one with a *recording* observer (which does
-    // strictly more work, so this delta upper-bounds the NullRecorder
-    // cost the ISSUE gates at <= 2%). Wall-clock deltas between
+    // disabled handle (`Obs::null`, no recorder), one with a *recording*
+    // observer (which does strictly more work, so this delta upper-bounds
+    // the disabled handle's cost, gated at <= 2%). Wall-clock deltas between
     // near-identical memory-bound passes are noise-bound on a shared
     // host — even best-of floors drift by several percent — so each
     // sample is the obs/null ratio of two *adjacent* passes (a ~ms window
@@ -181,9 +181,9 @@ fn main() {
         items: n_words,
     };
     let speedup = batched.per_sec() / per_cycle.per_sec();
-    // Relative cost of observing the batched path; NullRecorder (the
-    // default) does strictly less work than the recording observer timed
-    // here, so this bounds its overhead too. The raw delta goes negative
+    // Relative cost of observing the batched path; the disabled handle
+    // (the default) does strictly less work than the recording observer
+    // timed here, so this bounds its overhead too. The raw delta goes negative
     // when the cost is lost in noise; the reported overhead clamps at
     // zero (an observer cannot make the port faster), with the raw value
     // kept alongside for noise diagnostics.
@@ -593,7 +593,7 @@ fn main() {
         assert!(
             obs_overhead <= 0.02,
             "observing the batched ICAP path costs {:.2}% (> 2% budget); \
-             the NullRecorder default must stay cheaper still",
+             the disabled default handle must stay cheaper still",
             obs_overhead * 100.0
         );
         assert!(

@@ -794,10 +794,7 @@ fn ablation_manager() -> Section {
     let device = Device::xc6vlx240t();
     let bytes = (216.5 * 1024.0) as usize;
     let bs = dense(&device, bytes, 21);
-    let strategy = |active_wait: bool| ManagerConfig {
-        active_wait,
-        ..ManagerConfig::default()
-    };
+    let strategy = |active_wait: bool| ManagerConfig { active_wait };
     let mut active_uj = Vec::new();
     let mut event_uj = Vec::new();
     for f in [50.0, 100.0, 200.0, 300.0] {

@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod adapter;
-pub mod area;
 pub mod bram_hwicap;
 pub mod farm;
 pub mod flashcap;

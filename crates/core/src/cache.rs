@@ -50,11 +50,16 @@ pub struct CacheKey {
     h2: u64,
 }
 
+/// The 64-bit FNV-1a offset basis: [`CacheKey`]'s first fingerprint
+/// lane, and the seed of the fleet chip loop's image fold.
+pub const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
 /// FNV-1a over `bytes` starting from `seed`, folded one 64-bit lane at a
 /// time (SWAR): eight bytes are mixed per multiply instead of one, so
 /// fingerprinting runs at memory speed on the multi-hundred-KB payloads
 /// this cache keys. The ragged tail falls back to byte-wise FNV-1a.
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
+#[must_use]
+pub fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut h = seed;
     let mut lanes = bytes.chunks_exact(8);
@@ -77,7 +82,7 @@ impl CacheKey {
         CacheKey {
             codec,
             len: bytes.len() as u64,
-            h1: fnv1a(0xCBF2_9CE4_8422_2325, bytes),
+            h1: fnv1a(FNV_OFFSET_BASIS, bytes),
             h2: fnv1a(0x6C62_272E_07BB_0142, bytes),
         }
     }

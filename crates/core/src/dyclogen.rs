@@ -150,12 +150,6 @@ impl DyCloGen {
         Ok((achieved, locked))
     }
 
-    /// The relock latency of a retune.
-    #[must_use]
-    pub fn lock_time(&self) -> SimTime {
-        self.dcms[0].lock_time()
-    }
-
     /// Earliest time at which `clock` is (or becomes) usable.
     #[must_use]
     pub fn ready_at(&self, clock: OutputClock) -> SimTime {
@@ -199,7 +193,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(f, Frequency::from_mhz(362.5));
-        assert_eq!(locked, d.lock_time());
+        assert_eq!(locked, Dcm::LOCK_TIME);
         // Before lock the output is unusable; after, it reads 362.5 MHz.
         assert!(d
             .frequency(OutputClock::Reconfiguration, SimTime::ZERO)

@@ -117,7 +117,7 @@ pub use uparc::UParc;
 /// and the `uparc.*` / `dyclogen.*` / `recovery.*` metrics.
 pub mod obs {
     pub use uparc_sim::obs::{
-        chrome_trace, flame_summary, EventKind, Metrics, MetricsSnapshot, NullRecorder, Obs,
-        Recorder, SpanId, TraceEvent, TraceRecorder,
+        chrome_trace, flame_summary, EventKind, Metrics, MetricsSnapshot, Obs, SpanId, TraceEvent,
+        TraceRecorder,
     };
 }

@@ -17,24 +17,28 @@
 //!   exercised by the `ablation_manager` section of `uparc_bench::paper`.
 
 use crate::error::UparcError;
-use uparc_bitstream::bitfile::BitFile;
 use uparc_bitstream::bramimg::BramImage;
-use uparc_bitstream::builder::bytes_to_words;
 use uparc_fpga::bram::{Bram, Port};
 use uparc_sim::power::calib;
 use uparc_sim::time::{Frequency, SimTime};
 
-/// Manager cost/behaviour parameters.
+/// The manager's own clock: the paper's MicroBlaze, fixed at 100 MHz.
+pub(crate) const CLOCK: Frequency = Frequency::from_hz(100_000_000);
+
+/// Constant control + measurement overhead per reconfiguration, cycles.
+const CONTROL_OVERHEAD_CYCLES: u64 = 120;
+
+/// Preload copy cost per 32-bit word (bus write + loop), cycles.
+const PRELOAD_CYCLES_PER_WORD: u64 = 2;
+
+/// `.bit` preamble parsing cost, cycles, paid by every preload.
+const PREAMBLE_PARSE_CYCLES: u64 = 400;
+
+/// Manager behaviour. The clock and cycle costs above are calibrated
+/// constants of the design; only the wait strategy varies (§V's proposed
+/// fix, the `ablation_manager` section).
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
-    /// The manager's own clock (fixed; the paper's MicroBlaze: 100 MHz).
-    pub clock: Frequency,
-    /// Constant control + measurement overhead per reconfiguration, cycles.
-    pub control_overhead_cycles: u64,
-    /// Preload copy cost per 32-bit word (bus write + loop), cycles.
-    pub preload_cycles_per_word: u64,
-    /// `.bit` preamble parsing cost, cycles.
-    pub preamble_parse_cycles: u64,
     /// Whether the manager busy-waits for "Finish" (the measured setup) or
     /// sleeps until an interrupt (the paper's proposed improvement).
     pub active_wait: bool,
@@ -42,13 +46,7 @@ pub struct ManagerConfig {
 
 impl Default for ManagerConfig {
     fn default() -> Self {
-        ManagerConfig {
-            clock: Frequency::from_mhz(100.0),
-            control_overhead_cycles: 120,
-            preload_cycles_per_word: 2,
-            preamble_parse_cycles: 400,
-            active_wait: true,
-        }
+        ManagerConfig { active_wait: true }
     }
 }
 
@@ -72,12 +70,6 @@ impl Manager {
         Manager { cfg }
     }
 
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &ManagerConfig {
-        &self.cfg
-    }
-
     /// Writes `image` into BRAM port A, returning the preload duration.
     ///
     /// # Errors
@@ -92,30 +84,14 @@ impl Manager {
             });
         }
         bram.load_image(Port::A, 0, words)?;
-        let cycles =
-            self.cfg.preamble_parse_cycles + words.len() as u64 * self.cfg.preload_cycles_per_word;
-        Ok(self.cfg.clock.time_of_cycles(cycles))
-    }
-
-    /// Parses a `.bit` container and preloads its configuration payload
-    /// (what §III-A1 describes: parse the preamble, then load size +
-    /// configuration data).
-    ///
-    /// # Errors
-    ///
-    /// Container/word-alignment errors, or [`UparcError::BramCapacity`].
-    pub fn preload_bitfile(&self, bram: &mut Bram, file: &BitFile) -> Result<SimTime, UparcError> {
-        let words = bytes_to_words(&file.data)?;
-        let image = BramImage::uncompressed(&words);
-        self.preload(bram, &image)
+        let cycles = PREAMBLE_PARSE_CYCLES + words.len() as u64 * PRELOAD_CYCLES_PER_WORD;
+        Ok(CLOCK.time_of_cycles(cycles))
     }
 
     /// Constant control overhead around one reconfiguration.
     #[must_use]
     pub fn control_overhead(&self) -> SimTime {
-        self.cfg
-            .clock
-            .time_of_cycles(self.cfg.control_overhead_cycles)
+        CLOCK.time_of_cycles(CONTROL_OVERHEAD_CYCLES)
     }
 
     /// Manager power above idle while controlling/launching, mW.
@@ -171,30 +147,10 @@ mod tests {
     }
 
     #[test]
-    fn bitfile_preload_parses_and_loads() {
-        let mgr = Manager::new();
-        let mut bram = Bram::new(Family::Virtex5, 256 * 1024);
-        let file = BitFile {
-            design_name: "rp0".into(),
-            part: "5vsx50t".into(),
-            date: "2011/09/14".into(),
-            time: "12:00:00".into(),
-            data: (0u32..50).flat_map(|w| w.to_be_bytes()).collect(),
-        };
-        mgr.preload_bitfile(&mut bram, &file).unwrap();
-        // Word 0 is the mode word; payload follows.
-        assert_eq!(bram.read_word(Port::B, 1).unwrap(), 0);
-        assert_eq!(bram.read_word(Port::B, 50).unwrap(), 49);
-    }
-
-    #[test]
     fn active_wait_power_is_the_spin_loop() {
         let spinning = Manager::new();
         assert!((spinning.wait_power_mw() - calib::MANAGER_ACTIVE_WAIT_MW).abs() < 1e-12);
-        let event_driven = Manager::with_config(ManagerConfig {
-            active_wait: false,
-            ..ManagerConfig::default()
-        });
+        let event_driven = Manager::with_config(ManagerConfig { active_wait: false });
         assert!(event_driven.wait_power_mw() < 1.0);
     }
 }

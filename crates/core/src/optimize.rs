@@ -267,10 +267,7 @@ mod tests {
         let event_driven = GlobalOptimizer::new(PowerAwarePolicy::new(
             Family::Virtex5,
             Frequency::from_mhz(100.0),
-            ManagerConfig {
-                active_wait: false,
-                ..ManagerConfig::default()
-            },
+            ManagerConfig { active_wait: false },
         ));
         let plan = event_driven
             .minimize_energy(&phases(), SimTime::from_ms(20))

@@ -30,7 +30,7 @@
 use std::ops::Range;
 
 use crate::error::UparcError;
-use crate::manager::{Manager, ManagerConfig};
+use crate::manager::{self, Manager, ManagerConfig};
 use uparc_fpga::dcm::DcmConstraints;
 use uparc_fpga::family::Family;
 use uparc_sim::power::{self, calib, VfTable};
@@ -271,7 +271,7 @@ impl PowerAwarePolicy {
     /// at the manager's clock on the nominal rail.
     #[must_use]
     pub fn decompressor_draw_mw(&self) -> f64 {
-        power::decompressor_power_mw(calib::V_NOM_V, self.manager.config().clock)
+        power::decompressor_power_mw(calib::V_NOM_V, manager::CLOCK)
     }
 
     /// Total core power at an arbitrary (V, f) point, mW
@@ -652,10 +652,7 @@ mod tests {
         let event_driven = PowerAwarePolicy::new(
             Family::Virtex5,
             Frequency::from_mhz(100.0),
-            ManagerConfig {
-                active_wait: false,
-                ..ManagerConfig::default()
-            },
+            ManagerConfig { active_wait: false },
         );
         let plan = event_driven.plan(Constraint::MinEnergy, BYTES).unwrap();
         let grid = event_driven.frequency_grid();

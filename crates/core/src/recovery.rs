@@ -33,6 +33,7 @@
 //! returned [`RecoveryReport`].
 
 use crate::error::UparcError;
+use crate::manager;
 use crate::scrub::EccScrubber;
 use crate::uparc::{Mode, PreloadReport, UParc, UparcReport};
 use uparc_bitstream::builder::PartialBitstream;
@@ -50,17 +51,15 @@ use uparc_sim::time::{Frequency, SimTime};
 pub struct RecoveryPolicy {
     /// Maximum reconfiguration attempts (including the first).
     pub max_attempts: u32,
-    /// Drop CLK_2 to the guaranteed BRAM frequency on a CRC failure at an
-    /// overclocked point (ladder rung 4).
-    pub frequency_fallback: bool,
-    /// Fall back from compressed to raw staging on decode corruption, when
-    /// the raw image fits the BRAM (ladder rung 3).
-    pub mode_fallback: bool,
-    /// Re-program the DCM after a lock failure (ladder rung 2).
-    pub retune_retry: bool,
-    /// ECC-verify the written partition after success, scrubbing single-bit
-    /// upsets and golden-repairing multi-bit frames (ladder rung 6).
-    pub verify: bool,
+    /// Climb the healing rungs: re-program the DCM after a lock failure
+    /// (rung 2), fall back from compressed to raw staging on decode
+    /// corruption when the raw image fits the BRAM (rung 3), drop CLK_2
+    /// to the guaranteed BRAM frequency on a CRC failure at an
+    /// overclocked point (rung 4), and ECC-verify the written partition
+    /// after success, scrubbing single-bit upsets and golden-repairing
+    /// multi-bit frames (rung 6). Without it, only retries and restages
+    /// (rung 1) and the watchdog (rung 5) act.
+    pub heal: bool,
     /// Transfer watchdog installed for the duration of the call (ladder
     /// rung 5); `None` leaves stalls unbounded.
     pub watchdog: Option<SimTime>,
@@ -70,10 +69,7 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             max_attempts: 4,
-            frequency_fallback: true,
-            mode_fallback: true,
-            retune_retry: true,
-            verify: true,
+            heal: true,
             watchdog: Some(SimTime::from_ms(1)),
         }
     }
@@ -86,10 +82,7 @@ impl RecoveryPolicy {
     pub fn none() -> Self {
         RecoveryPolicy {
             max_attempts: 1,
-            frequency_fallback: false,
-            mode_fallback: false,
-            retune_retry: false,
-            verify: false,
+            heal: false,
             watchdog: None,
         }
     }
@@ -100,10 +93,7 @@ impl RecoveryPolicy {
     pub fn retry_only() -> Self {
         RecoveryPolicy {
             max_attempts: 4,
-            frequency_fallback: false,
-            mode_fallback: false,
-            retune_retry: false,
-            verify: false,
+            heal: false,
             watchdog: Some(SimTime::from_ms(1)),
         }
     }
@@ -317,8 +307,7 @@ impl RecoveryPolicy {
                             // call — so match it across the whole log.
                             mark_detected(sys, 0, |k| matches!(k, FaultKind::RetuneLockFailure));
                             let target = sys.reconfiguration_target();
-                            let (true, Some(target)) = (retryable && self.retune_retry, target)
-                            else {
+                            let (true, Some(target)) = (retryable && self.heal, target) else {
                                 return Err(e);
                             };
                             sys.set_reconfiguration_frequency(target)?;
@@ -339,10 +328,10 @@ impl RecoveryPolicy {
                                 matches!(&e, UparcError::Fpga(FpgaError::CrcMismatch { .. }));
                             let was_compressed = preload.as_ref().is_some_and(|p| p.compressed);
                             let raw_fits = bs.size_bytes() + 4 <= sys.bram().capacity_bytes();
-                            if was_compressed && self.mode_fallback && raw_fits {
+                            if was_compressed && self.heal && raw_fits {
                                 mode = Mode::Raw;
                                 take_rung(sys, &mut actions, RecoveryAction::ModeFallback);
-                            } else if is_crc && self.frequency_fallback {
+                            } else if is_crc && self.heal {
                                 let guaranteed = sys.device().family().bram_guaranteed_frequency();
                                 if let Some(from) =
                                     sys.reconfiguration_target().filter(|&t| t > guaranteed)
@@ -366,7 +355,7 @@ impl RecoveryPolicy {
             }
         };
 
-        if self.verify {
+        if self.heal {
             // The verification pass reconfigures too (scrub corrections,
             // golden repairs), so faults can strike *it* — a stalled or
             // corrupted repair burst is retried from the attempts budget
@@ -404,8 +393,8 @@ impl RecoveryPolicy {
         } else {
             SimTime::ZERO
         };
-        let preload_mw = calib::MANAGER_COPY_MW
-            + calib::PRELOAD_PATH_MW_PER_MHZ * sys.manager().config().clock.as_mhz();
+        let preload_mw =
+            calib::MANAGER_COPY_MW + calib::PRELOAD_PATH_MW_PER_MHZ * manager::CLOCK.as_mhz();
         let preload_uj = preload_mw * preload.duration.as_secs_f64() * 1e3;
         let extra_energy_uj =
             (sys.energy_above_uj(calib::V6_IDLE_MW, t0) - report.energy_uj - preload_uj).max(0.0);

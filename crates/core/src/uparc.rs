@@ -21,7 +21,7 @@ use crate::cache::{CacheKey, CacheStats, DecompCache};
 use crate::decompressor::DecompressorSlot;
 use crate::dyclogen::{DyCloGen, OutputClock};
 use crate::error::UparcError;
-use crate::manager::{Manager, ManagerConfig};
+use crate::manager::{self, Manager, ManagerConfig};
 use crate::urec::Urec;
 use std::sync::Arc;
 use uparc_bitstream::bramimg::BramImage;
@@ -101,18 +101,6 @@ impl Mode {
     }
 }
 
-/// What is currently staged in the BRAM.
-#[derive(Debug, Clone)]
-struct Staged {
-    compressed: bool,
-    /// Bytes occupied in BRAM (mode word included).
-    stored_bytes: usize,
-    /// Raw configuration stream size in bytes.
-    raw_bytes: usize,
-    /// Total image length in words.
-    image_words: usize,
-}
-
 /// Reusable staging buffers of the compressed transfer path. Capacity
 /// survives across reconfigurations, so the steady state is allocation-free
 /// and zero-copy up to the decompressed image itself.
@@ -135,12 +123,13 @@ struct StagingArena {
 /// `NotSynced`, which the recovery ladder rightly treats as unrecoverable
 /// and which no real SEU on staged *data* produces. A compressed image is
 /// opaque payload throughout, so any address past the mode word qualifies.
-fn staged_flip_addr(staged: &Staged, word: u32) -> usize {
+fn staged_flip_addr(staged: &PreloadReport, word: u32) -> usize {
     let word = word as usize;
+    let image_words = staged.stored_bytes / 4;
     if staged.compressed {
-        1 + word % (staged.image_words.saturating_sub(1)).max(1)
+        1 + word % (image_words.saturating_sub(1)).max(1)
     } else {
-        15 + word % (staged.image_words.saturating_sub(20)).max(1)
+        15 + word % (image_words.saturating_sub(20)).max(1)
     }
 }
 
@@ -363,7 +352,8 @@ pub struct UParc {
     dyclogen: DyCloGen,
     manager: Manager,
     slot: DecompressorSlot,
-    staged: Option<Staged>,
+    /// The last preload's report: what the BRAM holds.
+    staged: Option<PreloadReport>,
     now: SimTime,
     trace: PowerTrace,
     decomp_cache: DecompCache,
@@ -433,12 +423,6 @@ impl UParc {
     #[must_use]
     pub fn decompressor(&self) -> &DecompressorSlot {
         &self.slot
-    }
-
-    /// The manager model.
-    #[must_use]
-    pub fn manager(&self) -> &Manager {
-        &self.manager
     }
 
     /// The clock generator.
@@ -737,25 +721,21 @@ impl UParc {
             self.now,
             calib::V6_IDLE_MW
                 + calib::MANAGER_COPY_MW
-                + calib::PRELOAD_PATH_MW_PER_MHZ * self.manager.config().clock.as_mhz(),
+                + calib::PRELOAD_PATH_MW_PER_MHZ * manager::CLOCK.as_mhz(),
         );
         self.now += duration;
         self.trace.push(self.now, calib::V6_IDLE_MW);
         self.obs.end(self.now, span);
         self.obs.count("uparc.preloads", 1);
         self.obs.observe("uparc.preload_us", duration.as_us_f64());
-        self.staged = Some(Staged {
-            compressed: use_compression,
-            stored_bytes,
-            raw_bytes,
-            image_words: image.words().len(),
-        });
-        Ok(PreloadReport {
+        let report = PreloadReport {
             compressed: use_compression,
             stored_bytes,
             raw_bytes,
             duration,
-        })
+        };
+        self.staged = Some(report.clone());
+        Ok(report)
     }
 
     /// Performs the reconfiguration of the staged bitstream: the Manager
@@ -875,7 +855,7 @@ impl UParc {
         let burst = self.obs.begin(
             transfer_start,
             EventKind::IcapBurst {
-                words: staged.image_words as u64,
+                words: (staged.stored_bytes / 4) as u64,
             },
         );
         if staged.compressed {
@@ -1018,7 +998,7 @@ impl UParc {
     /// Runs the compressed pipeline; returns (duration, CLK_3, power).
     fn transfer_compressed(
         &mut self,
-        staged: &Staged,
+        staged: &PreloadReport,
         f2: Frequency,
     ) -> Result<(SimTime, Option<Frequency>, f64), UparcError> {
         let f3 = self
@@ -1032,7 +1012,7 @@ impl UParc {
         let fetch_cycles =
             self.urec
                 .run_burst_into(&mut self.bram, &mut self.icap, &mut self.arena.fetched)?;
-        debug_assert!(self.arena.fetched.len() <= staged.image_words);
+        debug_assert!(self.arena.fetched.len() <= staged.stored_bytes / 4);
         // Functional model of the hardware decompressor: decode the exact
         // BRAM contents and push the output into the ICAP. The payload is
         // parsed in place — same layout and validation as
@@ -1475,7 +1455,7 @@ mod tests {
             .unwrap();
         let r = sys.reconfigure().unwrap();
         // The reconfiguration could not start before the DCM relocked.
-        assert!(r.started_at >= before + sys.dyclogen().lock_time());
+        assert!(r.started_at >= before + uparc_fpga::dcm::Dcm::LOCK_TIME);
     }
 
     #[test]

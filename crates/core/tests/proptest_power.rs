@@ -307,10 +307,7 @@ fn single_pass_pairs() -> &'static [(PowerAwarePolicy, SinglePass)] {
         for vf in [VfTable::voltune_virtex6(), VfTable::nominal_only()] {
             for family in [Family::Virtex5, Family::Virtex6] {
                 for active_wait in [true, false] {
-                    let manager = ManagerConfig {
-                        active_wait,
-                        ..ManagerConfig::default()
-                    };
+                    let manager = ManagerConfig { active_wait };
                     out.push((
                         PowerAwarePolicy::new(family, fin, manager.clone())
                             .with_vf_table(vf.clone()),
@@ -420,10 +417,7 @@ fn policies() -> Vec<PowerAwarePolicy> {
     let mut out = Vec::new();
     for family in [Family::Virtex5, Family::Virtex6] {
         for active_wait in [true, false] {
-            let manager = ManagerConfig {
-                active_wait,
-                ..ManagerConfig::default()
-            };
+            let manager = ManagerConfig { active_wait };
             out.push(PowerAwarePolicy::new(
                 family,
                 Frequency::from_mhz(100.0),

@@ -14,8 +14,9 @@
 //! start inside an ICAP-wedge or elevated-SEU window (or draw an ambient
 //! staged-image flip) abandon the calibrated table and run a *real*
 //! cycle-accurate [`UParc`](uparc_core::uparc::UParc) dispatch through
-//! the configured `RecoveryPolicy` ladder — the measured detour (watchdog waits,
-//! restages, retries) is what the request pays; a brownout slashes the
+//! the `RecoveryPolicy` ladder — the measured detour (the post-success
+//! verification scan, watchdog waits, restages, retries) is what the
+//! request pays; a brownout slashes the
 //! chip's cap for its window (waiting it out if even the slowest point
 //! no longer fits); and a permanent chip loss clips the in-flight
 //! transfer, spills the rest of the queue back to the fleet as *orphans*
@@ -24,7 +25,7 @@
 
 use std::sync::Arc;
 
-use uparc_core::cache::DecompCache;
+use uparc_core::cache::{fnv1a, DecompCache, FNV_OFFSET_BASIS};
 use uparc_core::recovery::RecoveryPolicy;
 use uparc_serve::catalog::Catalog;
 use uparc_sim::fault::{FaultInjector, FaultKind, MAX_STALL_CYCLES};
@@ -159,21 +160,6 @@ impl AsRef<[u8]> for Staged {
     }
 }
 
-/// FNV-style 8-bytes-per-round fold over an image.
-fn fold_image(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lane = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-        h = (h ^ lane).wrapping_mul(PRIME);
-    }
-    for &b in chunks.remainder() {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-    }
-    h
-}
-
 /// Runs one chip's queue to completion (or to the chip's death).
 ///
 /// # Panics
@@ -306,7 +292,7 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
                         .decompress(packed)
                         .expect("staged payload round-trips");
                     out.decompressed_bytes += image.len() as u64;
-                    let fold = fold_image(&image);
+                    let fold = fnv1a(FNV_OFFSET_BASIS, &image);
                     cache.insert(*key, Arc::new(Staged { image, fold }));
                     fold
                 }
@@ -430,9 +416,12 @@ fn dispatch_faulted(
             },
         );
     }
-    // A fresh scratch controller: the same calibration idiom PlanTables
-    // measures with, so a fault-free dispatch here reproduces the table
-    // latency exactly and the *difference* is the recovery detour.
+    // A fresh scratch controller, as PlanTables measures with. The tables
+    // time a bare `reconfigure_bitstream`, but the ladder also ECC-verifies
+    // the partition after success, so a fault-free dispatch here ends
+    // exactly one readback scan (`frames × frame_words + 2` CLK_2 cycles)
+    // after the table latency; the rest of the difference is the recovery
+    // detour.
     let mut scratch = env.catalog.lane(0);
     scratch
         .set_reconfiguration_frequency(env.tables.frequency(idx))

@@ -78,7 +78,6 @@ pub struct Fleet {
     config: FleetConfig,
     planner: PowerAwarePolicy,
     tables: PlanTables,
-    recovery: RecoveryPolicy,
 }
 
 /// Requests shed per [`ShedReason`].
@@ -345,8 +344,7 @@ fn verify_rack(
 impl Fleet {
     /// Builds a fleet over `catalog`, calibrating the planning tables
     /// (one measured dispatch per bitstream shape per grid frequency).
-    /// Faulted dispatches heal through [`RecoveryPolicy::default`];
-    /// override with [`Fleet::with_recovery`].
+    /// Faulted dispatches heal through [`RecoveryPolicy::default`].
     ///
     /// # Errors
     ///
@@ -363,15 +361,7 @@ impl Fleet {
             config,
             planner,
             tables,
-            recovery: RecoveryPolicy::default(),
         })
-    }
-
-    /// Replaces the recovery ladder faulted dispatches run through.
-    #[must_use]
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
     }
 
     /// The bitstream inventory.
@@ -499,13 +489,14 @@ impl Fleet {
             &timeline,
             &loss_at,
         )?;
+        let recovery = RecoveryPolicy::default();
         let env = ChipEnv {
             catalog: &self.catalog,
             tables: &self.tables,
             schedule: &schedule,
             cache_budget: self.config.chip_cache_bytes,
             plan: &plan,
-            recovery: &self.recovery,
+            recovery: &recovery,
         };
 
         // Phase 3 — simulate chips (order-preserving fan-out), then

@@ -128,11 +128,7 @@ impl PlanTables {
                     if admissible == 0 {
                         return Err(FleetError::NoAdmissibleFrequency);
                     }
-                    let extra_draw_mw = if entry.compressed() {
-                        planner.decompressor_draw_mw()
-                    } else {
-                        0.0
-                    };
+                    let extra_draw_mw = entry.decompressor_draw_mw(planner);
                     let mut service = Vec::with_capacity(admissible);
                     let mut energy_uj = Vec::with_capacity(admissible);
                     for i in 0..admissible {

@@ -137,7 +137,7 @@ impl DcmConstraints {
 
 /// A DCM instance: one frequency-synthesis output, retunable through DRP.
 ///
-/// After any DRP write the output is unlocked for [`Dcm::lock_time`]; using
+/// After any DRP write the output is unlocked for [`Dcm::LOCK_TIME`]; using
 /// the output before relock is an error, which forces controllers to model
 /// the retuning latency honestly.
 ///
@@ -163,7 +163,6 @@ pub struct Dcm {
     fin: Frequency,
     m: u32,
     d: u32,
-    lock_time: SimTime,
     /// Time at which the current factors (re-)lock; `None` = locked since
     /// before time tracking (initial configuration).
     locked_at: Option<SimTime>,
@@ -174,8 +173,8 @@ pub struct Dcm {
 }
 
 impl Dcm {
-    /// Default DCM relock time after a DRP factor change.
-    pub const DEFAULT_LOCK_TIME: SimTime = SimTime::from_us(10);
+    /// Relock time after a DRP factor change.
+    pub const LOCK_TIME: SimTime = SimTime::from_us(10);
 
     /// Creates a DCM locked at `fin · m / d` from power-up.
     ///
@@ -190,30 +189,16 @@ impl Dcm {
             fin,
             m,
             d,
-            lock_time: Self::DEFAULT_LOCK_TIME,
             locked_at: None,
             lock_glitch: false,
             lock_failed: false,
         })
     }
 
-    /// Overrides the relock time (speed-grade / simulation granularity knob).
-    #[must_use]
-    pub fn with_lock_time(mut self, lock_time: SimTime) -> Self {
-        self.lock_time = lock_time;
-        self
-    }
-
     /// The constraint set of this tile.
     #[must_use]
     pub fn constraints(&self) -> &DcmConstraints {
         &self.constraints
-    }
-
-    /// Relock latency after a factor change.
-    #[must_use]
-    pub fn lock_time(&self) -> SimTime {
-        self.lock_time
     }
 
     /// Current `(M, D)` factors.
@@ -249,7 +234,7 @@ impl Dcm {
     }
 
     /// Writes a DRP register at simulation time `now`. Factor registers hold
-    /// `value + 1`; any factor write drops lock for [`Dcm::lock_time`].
+    /// `value + 1`; any factor write drops lock for [`Dcm::LOCK_TIME`].
     ///
     /// DRP writes happen while the output is held in reset, so only the
     /// *individual* factor range is checked here; the combined output
@@ -287,7 +272,7 @@ impl Dcm {
                 )))
             }
         }
-        self.locked_at = Some(now + self.lock_time);
+        self.locked_at = Some(now + Self::LOCK_TIME);
         Ok(())
     }
 
@@ -488,7 +473,7 @@ mod tests {
         dcm.drp_write(DRP_ADDR_M, 5, t0).unwrap(); // M = 6
         assert!(!dcm.is_locked(t0));
         assert!(matches!(dcm.output(t0), Err(FpgaError::DcmNotLocked)));
-        let relock = t0 + Dcm::DEFAULT_LOCK_TIME;
+        let relock = t0 + Dcm::LOCK_TIME;
         assert!(dcm.is_locked(relock));
         assert_eq!(dcm.output(relock).unwrap(), Frequency::from_mhz(300.0));
     }
@@ -552,16 +537,7 @@ mod tests {
         // A second retune (same factors) recovers normally.
         dcm.retune(3, 1, late).unwrap();
         assert!(!dcm.lock_failed());
-        let relocked = late + dcm.lock_time();
+        let relocked = late + Dcm::LOCK_TIME;
         assert_eq!(dcm.output(relocked).unwrap(), Frequency::from_mhz(300.0));
-    }
-
-    #[test]
-    fn custom_lock_time_respected() {
-        let mut dcm = Dcm::new(Family::Virtex5, Frequency::from_mhz(100.0), 2, 2)
-            .unwrap()
-            .with_lock_time(SimTime::from_us(3));
-        dcm.drp_write(DRP_ADDR_M, 3, SimTime::ZERO).unwrap();
-        assert_eq!(dcm.locked_at(), Some(SimTime::from_us(3)));
     }
 }

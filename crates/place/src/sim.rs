@@ -26,7 +26,8 @@ use uparc_sim::time::{Frequency, SimTime};
 use crate::churn::{Arrival, ChurnSpec, LANE_PAYLOAD};
 use crate::defrag::Defragmenter;
 
-/// Configuration of one churn run.
+/// Configuration of one churn run. Loads and relocation moves stream at
+/// the device family's specified ICAP clock.
 #[derive(Debug, Clone)]
 pub struct PlacementConfig {
     /// The device whose frame space is being managed.
@@ -39,9 +40,6 @@ pub struct PlacementConfig {
     /// [`PartialBitstream::try_build`] at the destination (byte
     /// identity). Costs a rebuild per move; benches turn it on.
     pub verify_moves: bool,
-    /// ICAP streaming frequency; defaults to the family's specified
-    /// frequency when `None`.
-    pub icap_frequency: Option<Frequency>,
     /// Observability handle (null by default).
     pub obs: Obs,
 }
@@ -53,7 +51,6 @@ impl Default for PlacementConfig {
             policy: FitPolicy::FirstFit,
             defrag: true,
             verify_moves: false,
-            icap_frequency: None,
             obs: Obs::null(),
         }
     }
@@ -131,9 +128,7 @@ struct PlaceState {
 #[must_use]
 pub fn run_churn(spec: &ChurnSpec, seed: u64, config: PlacementConfig) -> ChurnOutcome {
     let arrivals = spec.expand(seed);
-    let freq = config
-        .icap_frequency
-        .unwrap_or_else(|| config.device.family().icap_spec_frequency());
+    let freq = config.device.family().icap_spec_frequency();
     let mut state = PlaceState {
         catalog: DynamicCatalog::new(config.device.clone(), config.policy),
         device: config.device,

@@ -19,6 +19,7 @@ use std::ops::Range;
 
 use uparc_bitstream::builder::PartialBitstream;
 use uparc_compress::Algorithm;
+use uparc_core::policy::PowerAwarePolicy;
 use uparc_core::uparc::{Mode, UParc, COMPRESSED_MODE_MAX};
 use uparc_fpga::alloc::{AllocError, FrameAllocator};
 use uparc_fpga::Device;
@@ -169,6 +170,18 @@ impl CatalogEntry {
     pub fn max_frequency(&self) -> Option<Frequency> {
         self.compressed()
             .then(|| Frequency::from_mhz(COMPRESSED_MODE_MAX))
+    }
+
+    /// The steady draw `planner` charges for the hardware decompressor
+    /// during this entry's transfer, mW: its surcharge when the entry
+    /// stages packed, none when raw.
+    #[must_use]
+    pub fn decompressor_draw_mw(&self, planner: &PowerAwarePolicy) -> f64 {
+        if self.compressed() {
+            planner.decompressor_draw_mw()
+        } else {
+            0.0
+        }
     }
 }
 

@@ -115,7 +115,7 @@ pub use workload::WorkloadSpec;
 /// spans.
 pub mod obs {
     pub use uparc_sim::obs::{
-        chrome_trace, flame_summary, EventKind, Metrics, MetricsSnapshot, NullRecorder, Obs,
-        Recorder, SpanId, TraceEvent, TraceRecorder,
+        chrome_trace, flame_summary, EventKind, Metrics, MetricsSnapshot, Obs, SpanId, TraceEvent,
+        TraceRecorder,
     };
 }

@@ -9,7 +9,8 @@
 //! [`Policy`] picks the next request. Operating points come from
 //! [`PowerAwarePolicy::plan_vf`], so [`Policy::PowerGreedy`] can hold the
 //! summed draw of concurrent reconfigurations under a chip-level cap, and
-//! every dispatch goes through the self-healing [`RecoveryPolicy`].
+//! every dispatch goes through the self-healing [`RecoveryPolicy`]'s full
+//! ladder ([`RecoveryPolicy::default`]).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -48,8 +49,6 @@ pub struct ServiceConfig {
     /// Per-region run-queue capacity; arrivals beyond it are rejected
     /// with [`AdmissionError::QueueFull`].
     pub queue_capacity: usize,
-    /// Recovery policy wrapped around every dispatch.
-    pub recovery: RecoveryPolicy,
     /// Host-side decompressed-bitstream cache per lane, in bytes.
     pub decompressed_cache_bytes: usize,
     /// (V, f) operating-point table for DVFS dispatch. `None` (the
@@ -76,7 +75,6 @@ impl Default for ServiceConfig {
             policy: Policy::Fifo,
             power_cap_mw: f64::INFINITY,
             queue_capacity: 32,
-            recovery: RecoveryPolicy::default(),
             decompressed_cache_bytes: 32 * 1024 * 1024,
             vf: None,
             thermal: None,
@@ -176,16 +174,14 @@ impl Service {
         scratch
             .set_reconfiguration_frequency(f)
             .expect("grid frequency is synthesizable");
-        self.config
-            .recovery
+        RecoveryPolicy::default()
             .reconfigure(&mut scratch, entry.bitstream(), entry.mode())
             .expect("fault-free dispatch on a scratch lane");
         let first = scratch.now();
         scratch
             .set_reconfiguration_frequency(f)
             .expect("retune to the locked frequency is free");
-        self.config
-            .recovery
+        RecoveryPolicy::default()
             .reconfigure(&mut scratch, entry.bitstream(), entry.mode())
             .expect("fault-free dispatch on a scratch lane");
         (first, scratch.now().saturating_sub(first))
@@ -208,11 +204,6 @@ impl Service {
                     .rfind(|&f| ceiling.is_none_or(|c| f <= c))
                     .expect("frequency grid is never empty");
                 let (with_relock, pure) = self.measure_dispatch(id, fastest);
-                let extra_draw_mw = if entry.compressed() {
-                    self.planner.decompressor_draw_mw()
-                } else {
-                    0.0
-                };
                 let est = Est {
                     service_fastest: SimTime::from_secs_f64(
                         with_relock.as_secs_f64() * ESTIMATE_MARGIN,
@@ -220,7 +211,7 @@ impl Service {
                     service_pure: SimTime::from_secs_f64(pure.as_secs_f64() * ESTIMATE_MARGIN),
                     fastest,
                     ceiling,
-                    extra_draw_mw,
+                    extra_draw_mw: entry.decompressor_draw_mw(&self.planner),
                 };
                 (id, est)
             })
@@ -295,7 +286,7 @@ struct ServeState<'a> {
     requests: &'a [ReconfigRequest],
     catalog: &'a Catalog,
     planner: &'a PowerAwarePolicy,
-    /// Policy, cap, queue capacity, recovery, DVFS table, thermal model
+    /// Policy, cap, queue capacity, DVFS table, thermal model
     /// and the scheduler-level observability handle (lanes carry their
     /// own region-tagged copies).
     config: &'a ServiceConfig,
@@ -586,10 +577,7 @@ impl ServeState<'_> {
             .obs()
             .begin(now, EventKind::Dispatch { request: req.id.0 });
         let outcome = match uparc.set_reconfiguration_frequency(plan.frequency) {
-            Ok(_) => self
-                .config
-                .recovery
-                .reconfigure(uparc, entry.bitstream(), entry.mode()),
+            Ok(_) => RecoveryPolicy::default().reconfigure(uparc, entry.bitstream(), entry.mode()),
             Err(e) => Err(e),
         };
         let finished = uparc.now();

@@ -17,10 +17,10 @@
 //!      \        |          |          |              /
 //!       `───────┴──────────┴── Obs ───┴─────────────'      (cheap handle:
 //!                               │                           lane tag +
-//!                  ┌────────────┴─────────────┐             enabled flag)
-//!                  ▼                          ▼
-//!         dyn Recorder                     Metrics
-//!      (NullRecorder | TraceRecorder)   (counters/gauges/
+//!                  ┌────────────┴─────────────┐             optional
+//!                  ▼                          ▼             recorder)
+//!     Option<Arc<TraceRecorder>>           Metrics
+//!       (None = disabled)               (counters/gauges/
 //!                  │                     log₂ histograms)
 //!                  ▼                          │
 //!         ring buffer of TraceEvent           │
@@ -36,9 +36,9 @@
 //!
 //! * **Zero dependencies** — events, metrics, the Chrome `trace_event`
 //!   exporter and the [`json`] round-trip parser are all std-only.
-//! * **Hot path stays clean** — the default [`Obs::null`] handle carries a
-//!   [`NullRecorder`] and reports [`Obs::enabled`]` == false`; every
-//!   instrumentation site guards on that single bool, so an unobserved
+//! * **Hot path stays clean** — the default [`Obs::null`] handle carries
+//!   no recorder and reports [`Obs::enabled`]` == false`; every
+//!   instrumentation site guards on that single check, so an unobserved
 //!   run does no formatting, no locking and no allocation
 //!   (`bench_throughput` gates the overhead at ≤2%).
 //! * **Determinism** — recorders stamp [`SimTime`] (never wall clock),
@@ -76,14 +76,14 @@ mod recorder;
 pub use event::{EventKind, SpanId, TraceEvent};
 pub use export::{chrome_trace, flame_summary};
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use recorder::{NullRecorder, Recorder, TraceRecorder};
+pub use recorder::TraceRecorder;
 
 use crate::time::SimTime;
 use std::sync::{Arc, OnceLock};
 
 /// The cheap, clonable observability handle every instrumented component
-/// holds: a [`Recorder`] for spans/instants, a [`Metrics`] registry, an
-/// optional lane/region tag, and a cached `enabled` flag.
+/// holds: an optional [`TraceRecorder`] for spans/instants, a [`Metrics`]
+/// registry and an optional lane/region tag.
 ///
 /// The default ([`Obs::null`]) is a no-op: [`Obs::enabled`] is `false`
 /// and every call returns immediately after one branch. Components must
@@ -91,29 +91,25 @@ use std::sync::{Arc, OnceLock};
 /// simulated time or behaviour.
 #[derive(Clone)]
 pub struct Obs {
-    recorder: Arc<dyn Recorder>,
+    /// `None` for the disabled handle — the one branch hot paths pay.
+    recorder: Option<Arc<TraceRecorder>>,
     metrics: Arc<Metrics>,
     /// Lane (serve: region index) stamped onto every event sent through
     /// this handle; `None` for system-wide events.
     lane: Option<u32>,
-    /// Cached `recorder.is_enabled()` — the one branch hot paths pay.
-    enabled: bool,
 }
 
 impl Obs {
-    /// The disabled handle: a [`NullRecorder`] and a shared throwaway
-    /// registry. Allocation-free (both are process-wide statics).
+    /// The disabled handle: no recorder and a shared throwaway registry.
+    /// Allocation-free (the registry is a process-wide static).
     #[must_use]
     pub fn null() -> Obs {
-        static NULL_RECORDER: OnceLock<Arc<NullRecorder>> = OnceLock::new();
         static NULL_METRICS: OnceLock<Arc<Metrics>> = OnceLock::new();
-        let recorder = Arc::clone(NULL_RECORDER.get_or_init(|| Arc::new(NullRecorder)));
         let metrics = Arc::clone(NULL_METRICS.get_or_init(|| Arc::new(Metrics::new())));
         Obs {
-            recorder,
+            recorder: None,
             metrics,
             lane: None,
-            enabled: false,
         }
     }
 
@@ -124,16 +120,13 @@ impl Obs {
         Obs::new(recorder, Arc::new(Metrics::new()))
     }
 
-    /// An enabled/disabled handle (per `recorder.is_enabled()`) over an
-    /// explicit recorder + registry pair.
+    /// An enabled handle over an explicit recorder + registry pair.
     #[must_use]
-    pub fn new(recorder: Arc<dyn Recorder>, metrics: Arc<Metrics>) -> Obs {
-        let enabled = recorder.is_enabled();
+    pub fn new(recorder: Arc<TraceRecorder>, metrics: Arc<Metrics>) -> Obs {
         Obs {
-            recorder,
+            recorder: Some(recorder),
             metrics,
             lane: None,
-            enabled,
         }
     }
 
@@ -157,7 +150,7 @@ impl Obs {
     #[must_use]
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.recorder.is_some()
     }
 
     /// The metrics registry behind this handle.
@@ -170,33 +163,35 @@ impl Obs {
     /// No-op ([`SpanId::NULL`]) when disabled.
     #[inline]
     pub fn begin(&self, at: SimTime, kind: EventKind) -> SpanId {
-        if !self.enabled {
-            return SpanId::NULL;
+        match &self.recorder {
+            Some(recorder) => recorder.begin(at, self.lane, kind),
+            None => SpanId::NULL,
         }
-        self.recorder.begin(at, self.lane, kind)
     }
 
     /// Closes span `span` at `at`. No-op when disabled or `span` is
     /// [`SpanId::NULL`].
     #[inline]
     pub fn end(&self, at: SimTime, span: SpanId) {
-        if self.enabled && span != SpanId::NULL {
-            self.recorder.end(at, span);
+        if let Some(recorder) = &self.recorder {
+            if span != SpanId::NULL {
+                recorder.end(at, span);
+            }
         }
     }
 
     /// Records a zero-duration instant of `kind` at `at`.
     #[inline]
     pub fn instant(&self, at: SimTime, kind: EventKind) {
-        if self.enabled {
-            self.recorder.instant(at, self.lane, kind);
+        if let Some(recorder) = &self.recorder {
+            recorder.instant(at, self.lane, kind);
         }
     }
 
     /// Adds `delta` to counter `name`. No-op when disabled.
     #[inline]
     pub fn count(&self, name: &str, delta: u64) {
-        if self.enabled {
+        if self.enabled() {
             self.metrics.count(name, delta);
         }
     }
@@ -204,7 +199,7 @@ impl Obs {
     /// Sets gauge `name` to `value`. No-op when disabled.
     #[inline]
     pub fn gauge(&self, name: &str, value: f64) {
-        if self.enabled {
+        if self.enabled() {
             self.metrics.gauge(name, value);
         }
     }
@@ -212,7 +207,7 @@ impl Obs {
     /// Records `value` into histogram `name`. No-op when disabled.
     #[inline]
     pub fn observe(&self, name: &str, value: f64) {
-        if self.enabled {
+        if self.enabled() {
             self.metrics.observe(name, value);
         }
     }
@@ -227,7 +222,7 @@ impl Default for Obs {
 impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
-            .field("enabled", &self.enabled)
+            .field("enabled", &self.enabled())
             .field("lane", &self.lane)
             .finish_non_exhaustive()
     }

@@ -395,7 +395,7 @@ pub fn flame_summary(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{Obs, Recorder, TraceRecorder};
+    use crate::obs::{Obs, TraceRecorder};
     use std::sync::Arc;
 
     fn sample_recorder() -> Arc<TraceRecorder> {
@@ -454,7 +454,7 @@ mod tests {
     #[test]
     fn chrome_trace_parses_with_in_repo_parser() {
         let rec = sample_recorder();
-        let obs = Obs::new(Arc::clone(&rec) as Arc<dyn Recorder>, Default::default());
+        let obs = Obs::new(Arc::clone(&rec), Default::default());
         obs.metrics().count("icap.bursts", 1);
         obs.metrics().observe("serve.latency_us", 42.0);
         let trace = rec.chrome_trace(Some(obs.metrics()));

@@ -1,5 +1,4 @@
-//! The [`Recorder`] trait, its no-op default, and the ring-buffered
-//! in-memory recorder.
+//! The ring-buffered in-memory trace recorder.
 
 use super::event::{EventKind, SpanId, TraceEvent};
 use super::export;
@@ -7,48 +6,6 @@ use super::metrics::Metrics;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 use std::sync::Mutex;
-
-/// A sink for trace events.
-///
-/// Implementations take `&self` (interior mutability) so one recorder can
-/// be shared across every component of a system behind an `Arc`. The
-/// simulation is single-threaded, so contention is nil; the `Send + Sync`
-/// bound exists so sweep harnesses can run observed scenarios on worker
-/// threads.
-pub trait Recorder: Send + Sync {
-    /// Whether events are recorded at all. [`super::Obs`] caches this at
-    /// construction — it must be constant for a given recorder.
-    fn is_enabled(&self) -> bool;
-
-    /// Opens a span; returns a fresh id (monotonic per recorder).
-    fn begin(&self, at: SimTime, lane: Option<u32>, kind: EventKind) -> SpanId;
-
-    /// Closes the span `span` opened by [`Recorder::begin`].
-    fn end(&self, at: SimTime, span: SpanId);
-
-    /// Records a zero-duration instant.
-    fn instant(&self, at: SimTime, lane: Option<u32>, kind: EventKind);
-}
-
-/// The no-op recorder behind [`super::Obs::null`]: discards everything,
-/// reports disabled. Keeps observed and unobserved systems on the same
-/// code path at the cost of one branch per site.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn is_enabled(&self) -> bool {
-        false
-    }
-
-    fn begin(&self, _at: SimTime, _lane: Option<u32>, _kind: EventKind) -> SpanId {
-        SpanId::NULL
-    }
-
-    fn end(&self, _at: SimTime, _span: SpanId) {}
-
-    fn instant(&self, _at: SimTime, _lane: Option<u32>, _kind: EventKind) {}
-}
 
 /// Ring-buffer state behind the mutex.
 #[derive(Debug)]
@@ -64,10 +21,16 @@ struct TraceBuf {
 /// older ones are evicted FIFO (and counted, so exports can flag the
 /// truncation instead of silently presenting a partial timeline).
 ///
+/// Methods take `&self` (interior mutability) so one recorder can be
+/// shared across every component of a system behind an `Arc`. The
+/// simulation is single-threaded, so contention is nil; the recorder is
+/// `Send + Sync` so sweep harnesses can run observed scenarios on worker
+/// threads.
+///
 /// # Example
 ///
 /// ```
-/// use uparc_sim::obs::{EventKind, Recorder, TraceRecorder};
+/// use uparc_sim::obs::{EventKind, TraceRecorder};
 /// use uparc_sim::time::SimTime;
 ///
 /// let rec = TraceRecorder::with_capacity(2);
@@ -158,6 +121,33 @@ impl TraceRecorder {
         buf.dropped = 0;
     }
 
+    /// Opens a span; returns a fresh id (monotonic per recorder).
+    pub fn begin(&self, at: SimTime, lane: Option<u32>, kind: EventKind) -> SpanId {
+        let span = {
+            let mut buf = self.buf.lock().expect("trace buffer poisoned");
+            let id = SpanId(buf.next_span);
+            buf.next_span += 1;
+            id
+        };
+        self.push(TraceEvent::Begin {
+            at,
+            span,
+            lane,
+            kind,
+        });
+        span
+    }
+
+    /// Closes the span `span` opened by [`TraceRecorder::begin`].
+    pub fn end(&self, at: SimTime, span: SpanId) {
+        self.push(TraceEvent::End { at, span });
+    }
+
+    /// Records a zero-duration instant.
+    pub fn instant(&self, at: SimTime, lane: Option<u32>, kind: EventKind) {
+        self.push(TraceEvent::Instant { at, lane, kind });
+    }
+
     /// Renders the buffer as Chrome `trace_event` JSON (see
     /// [`export::chrome_trace`]), embedding `metrics` when given.
     #[must_use]
@@ -176,36 +166,6 @@ impl TraceRecorder {
 impl Default for TraceRecorder {
     fn default() -> Self {
         TraceRecorder::new()
-    }
-}
-
-impl Recorder for TraceRecorder {
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    fn begin(&self, at: SimTime, lane: Option<u32>, kind: EventKind) -> SpanId {
-        let span = {
-            let mut buf = self.buf.lock().expect("trace buffer poisoned");
-            let id = SpanId(buf.next_span);
-            buf.next_span += 1;
-            id
-        };
-        self.push(TraceEvent::Begin {
-            at,
-            span,
-            lane,
-            kind,
-        });
-        span
-    }
-
-    fn end(&self, at: SimTime, span: SpanId) {
-        self.push(TraceEvent::End { at, span });
-    }
-
-    fn instant(&self, at: SimTime, lane: Option<u32>, kind: EventKind) {
-        self.push(TraceEvent::Instant { at, lane, kind });
     }
 }
 
@@ -246,13 +206,5 @@ mod tests {
         assert!(rec.is_empty());
         let b = rec.begin(SimTime::ZERO, None, EventKind::Dispatch { request: 2 });
         assert!(b > a, "ids keep counting across clear");
-    }
-
-    #[test]
-    fn null_recorder_discards_and_reports_disabled() {
-        let rec = NullRecorder;
-        assert!(!rec.is_enabled());
-        let id = rec.begin(SimTime::ZERO, Some(1), EventKind::Dispatch { request: 1 });
-        assert_eq!(id, SpanId::NULL);
     }
 }

@@ -253,7 +253,7 @@ impl Frequency {
     ///
     /// Panics if `hz` is zero — a stopped clock has no period.
     #[must_use]
-    pub fn from_hz(hz: u64) -> Self {
+    pub const fn from_hz(hz: u64) -> Self {
         assert!(hz > 0, "frequency must be non-zero");
         Frequency(hz)
     }

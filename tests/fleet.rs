@@ -2,16 +2,19 @@
 //! workload sharding determinism, router tie-breaks, worker-count
 //! identity of a full fleet run, equivalence of the calibrated
 //! operating-point tables against the frequency-only
-//! `PowerAwarePolicy::plan_vf`, the empty-workload error, and the chaos
-//! layer (chip loss, failover accounting, power emergencies, graceful
-//! degradation).
+//! `PowerAwarePolicy::plan_vf`, the router's cache model against the
+//! chips' real caches, the faulted path's latency against the tables, the
+//! empty-workload error, and the chaos layer (chip loss, failover
+//! accounting, power emergencies, graceful degradation).
 
 use uparc_repro::core::policy::{PlanQuery, PowerAwarePolicy, VfQuery};
+use uparc_repro::core::recovery::RecoveryPolicy;
 use uparc_repro::fleet::{
     synthetic_catalog, ChaosSpec, EmergencyWindow, Fleet, FleetConfig, FleetError,
     FleetWorkloadSpec, HealthConfig, PlanTables, RoutePolicy,
 };
 use uparc_repro::serve::request::BitstreamId;
+use uparc_repro::sim::fault::FaultInjector;
 use uparc_repro::sim::obs::{EventKind, Obs, TraceRecorder};
 use uparc_repro::sim::power::calib;
 use uparc_repro::sim::sweep;
@@ -140,6 +143,48 @@ fn locality_routing_beats_random_on_hit_rate() {
     assert_eq!(random.cap_violations, 0);
 }
 
+/// The router's modeled per-chip LRU must agree with the chips' real
+/// decompressed-image caches request for request: on a quiet locality
+/// run every warm route is a chip-cache hit, and every cold or spilled
+/// route a miss. The shapes evict heavily (a small catalog on few chips,
+/// and a large one on many chips with a tight spill window), and the last
+/// chip cache is smaller than one image, so neither side may admit it.
+#[test]
+fn router_cache_model_matches_the_chip_caches() {
+    // (images, frames per image, chips, chip cache bytes, spill window)
+    let shapes = [
+        (64, 12, 4, 32 * 1024, SimTime::from_us(5)),
+        (256, 40, 16, 56 * 1024, SimTime::from_us(1)),
+        (16, 40, 4, 4 * 1024, SimTime::from_us(5)),
+    ];
+    for (images, frames, chips, cache_bytes, spill_window) in shapes {
+        let catalog = synthetic_catalog(images, frames, 71);
+        let image_bytes = catalog.entry(BitstreamId(1)).unwrap().raw_bytes();
+        let mut config = small_config(chips, RoutePolicy::Locality { spill_window });
+        config.chip_cache_bytes = cache_bytes;
+        let out = Fleet::new(catalog, config)
+            .unwrap()
+            .run(&small_spec(5000))
+            .unwrap();
+        let shape = format!("{images} images x {frames} frames on {chips} chips");
+        assert_eq!(out.completed, 5000, "{shape}");
+        assert_eq!(out.route.warm, out.hits, "{shape}: warm routes vs hits");
+        assert_eq!(
+            out.route.cold + out.route.spills,
+            out.misses,
+            "{shape}: cold and spilled routes vs misses"
+        );
+        if image_bytes > cache_bytes {
+            assert_eq!(
+                out.hits, 0,
+                "{shape}: an image larger than the cache was admitted"
+            );
+        } else {
+            assert!(out.evictions > 0, "{shape}: the caches never evicted");
+        }
+    }
+}
+
 /// The calibrated table's cap-constrained selection picks the same
 /// frequency as the planner's frequency-only `plan_vf` for caps that
 /// land between grid points.
@@ -188,6 +233,41 @@ fn plan_tables_match_plan_constrained() {
                 "cap {cap:.1} mW: table={t:?} planner-feasible={}",
                 p.is_ok()
             ),
+        }
+    }
+}
+
+/// A faulted dispatch whose faults all miss still pays the recovery
+/// ladder's post-success ECC verification, which the tables' bare
+/// `reconfigure_bitstream` does not: on the faulted path's fresh scratch
+/// lane it ends exactly one readback scan (`frames × frame_words + 2`
+/// cycles at CLK_2) after the table latency, at every admissible grid
+/// point. The tables measure one image per shape, so each image here is
+/// its own catalog's only entry.
+#[test]
+fn faulted_path_pays_one_verification_scan_over_the_table_latency() {
+    for (frames, seed) in [(12, 67), (40, 68), (64, 69)] {
+        let catalog = synthetic_catalog(1, frames, seed);
+        let planner = PowerAwarePolicy::paper_setup(catalog.device().family());
+        let tables = PlanTables::build(&catalog, &planner, Frequency::from_mhz(50.0)).unwrap();
+        let id = BitstreamId(1);
+        let entry = catalog.entry(id).unwrap();
+        let facts = tables.facts(id);
+        let scan_cycles = u64::from(frames) * catalog.device().family().frame_words() as u64 + 2;
+        for idx in 0..=tables.select(facts, f64::INFINITY).unwrap() {
+            let f = tables.frequency(idx);
+            let mut scratch = catalog.lane(0);
+            scratch.set_reconfiguration_frequency(f).unwrap();
+            scratch.attach_fault_injector(FaultInjector::empty());
+            RecoveryPolicy::default()
+                .reconfigure(&mut scratch, entry.bitstream(), entry.mode())
+                .unwrap();
+            assert_eq!(
+                scratch.now(),
+                tables.service(facts, idx) + f.time_of_cycles(scan_cycles),
+                "{frames} frames at {:.2} MHz",
+                f.as_mhz()
+            );
         }
     }
 }

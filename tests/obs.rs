@@ -252,7 +252,7 @@ fn null_recorder_run_matches_unobserved_run_bit_for_bit() {
     });
     let (_rec, _obs, recorded) = observed_run();
 
-    assert_eq!(unobserved, null, "NullRecorder perturbed the run");
+    assert_eq!(unobserved, null, "the disabled handle perturbed the run");
     assert_eq!(unobserved, recorded, "recording perturbed the run");
     // Bit-for-bit, not just approximately: the Debug rendering prints
     // every f64 field exactly, so equal strings mean equal bits.

@@ -109,7 +109,7 @@ proptest! {
         let opt = GlobalOptimizer::new(PowerAwarePolicy::new(
             Family::Virtex5,
             Frequency::from_mhz(100.0),
-            ManagerConfig { active_wait, ..ManagerConfig::default() },
+            ManagerConfig { active_wait },
         ));
         let makespan = SimTime::from_ms(makespan_ms);
         match opt.minimize_peak_power(&phases, makespan) {
