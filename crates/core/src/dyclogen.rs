@@ -99,15 +99,19 @@ impl DyCloGen {
         Ok(self.dcms[clock as usize].output(now)?)
     }
 
-    /// Retunes `clock` to the closest synthesisable frequency to `target`,
-    /// not exceeding `cap`. Returns the achieved frequency and the time at
-    /// which the clock is locked and usable.
+    /// Retunes `clock` to the fastest synthesisable frequency at or below
+    /// `target`, which itself may not exceed `cap`. Returns the achieved
+    /// frequency and the time at which the clock is locked and usable.
+    ///
+    /// Retuning to the factors `clock` already holds writes nothing: the
+    /// clock is usable once any relock still in flight ends.
     ///
     /// # Errors
     ///
     /// * [`UparcError::Frequency`] if `target` exceeds `cap`.
     /// * [`UparcError::Unsynthesisable`] if no legal M/D combination lands
-    ///   within the tolerance below/at the target.
+    ///   at or below the target, or the fastest one is more than the
+    ///   tolerance (1 %) below it.
     pub fn retune(
         &mut self,
         clock: OutputClock,
@@ -133,8 +137,9 @@ impl DyCloGen {
             return Err(UparcError::Unsynthesisable { target });
         }
         if dcm.factors() == (m, d) && !dcm.lock_failed() {
-            // Already tuned and locked: no relock needed.
-            return Ok((achieved, now));
+            // Already tuned: no DRP write, but the clock is usable only
+            // once a relock still in flight ends.
+            return Ok((achieved, self.ready_at(clock).max(now)));
         }
         dcm.retune(m, d, now)?;
         let locked = dcm.locked_at().expect("retune drops lock");
@@ -286,10 +291,29 @@ mod tests {
     }
 
     #[test]
+    fn retune_to_current_factors_mid_relock_waits_for_the_lock() {
+        let mut d = dyclogen();
+        let cap = Frequency::from_mhz(450.0);
+        let target = Frequency::from_mhz(200.0);
+        let clock = OutputClock::Reconfiguration;
+        let (_, locked) = d.retune(clock, target, cap, SimTime::ZERO).unwrap();
+        assert_eq!(locked, Dcm::LOCK_TIME);
+        // Asked again halfway through the relock: no new DRP write, and
+        // the clock is usable only when the first relock ends.
+        let mid = SimTime::from_us(5);
+        let (f, again) = d.retune(clock, target, cap, mid).unwrap();
+        assert_eq!(f, target);
+        assert_eq!(again, locked);
+        assert_eq!(d.ready_at(clock), locked);
+        assert!(d.frequency(clock, mid).is_err());
+        assert_eq!(d.frequency(clock, again).unwrap(), target);
+    }
+
+    #[test]
     fn unsynthesisable_target_rejected() {
         let mut d = dyclogen();
         // 33 MHz from 100 MHz: the best at-most grid point (32.26 MHz) is
-        // more than 0.5% below the target.
+        // 2.2 % below the target, beyond the 1 % tolerance.
         let err = d
             .retune(
                 OutputClock::Preload,

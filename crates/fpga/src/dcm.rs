@@ -9,7 +9,6 @@
 
 use crate::error::FpgaError;
 use crate::family::Family;
-use std::cmp::Reverse;
 use std::ops::RangeInclusive;
 use uparc_sim::time::{Frequency, SimTime};
 
@@ -54,8 +53,8 @@ impl DcmConstraints {
     /// Validates `(fin, m, d)` and returns the synthesised output frequency.
     ///
     /// This is the typed-error validator for factors that come from
-    /// outside ([`Dcm::new`], [`Dcm::retune`]); searches enumerate
-    /// [`DcmConstraints::synthesisable`] instead.
+    /// outside ([`Dcm::new`], [`Dcm::retune`]); the searches never build
+    /// its errors.
     ///
     /// # Errors
     ///
@@ -122,16 +121,51 @@ impl DcmConstraints {
     ///
     /// This is the search a power-aware policy runs: "fastest clock that a
     /// component still sustains".
+    ///
+    /// It visits each divider once rather than every (M, D) pair. For a
+    /// fixed `D` the output `⌊(fin·M + ⌊D/2⌋) / D⌋` never falls as `M`
+    /// grows, so the largest `M` whose output is at most
+    /// `c = min(cap, fout_max)` is `⌊((c + 1)·D − ⌊D/2⌋ − 1) / fin⌋`,
+    /// clamped to the top of `m_range`. A divider offers nothing when that
+    /// `M` lies below `m_range` or its output below `fout_min`. The result
+    /// is the highest per-divider output, ties going to the smaller `M`,
+    /// then the smaller `D`: the first maximum of
+    /// [`DcmConstraints::synthesisable`] in (M, D) order, with about two
+    /// divisions per divider.
     #[must_use]
     pub fn best_factors_at_most(
         &self,
         fin: Frequency,
         cap: Frequency,
     ) -> Option<(u32, u32, Frequency)> {
-        // The first maximum in (M, D) order, as in `best_factors`.
-        self.synthesisable(fin)
-            .filter(|&(_, _, fout)| fout <= cap)
-            .min_by_key(|&(_, _, fout)| Reverse(fout))
+        let c = u128::from(cap.min(self.fout_max).as_hz());
+        let fin_hz = u128::from(fin.as_hz());
+        let (m_min, m_max) = (*self.m_range.start(), *self.m_range.end());
+        let mut best: Option<(u32, u32, Frequency)> = None;
+        for d in self.d_range.clone() {
+            let wide_d = u128::from(d);
+            // fin·M + ⌊D/2⌋ < (c + 1)·D keeps the output at most c.
+            let bound = ((c + 1) * wide_d - wide_d / 2 - 1) / fin_hz;
+            let mut m = u32::try_from(bound).map_or(m_max, |m| m.min(m_max));
+            if m < m_min {
+                continue;
+            }
+            let fout = fin.scaled(m, d);
+            if fout < self.fout_min {
+                continue;
+            }
+            // The output rises strictly with M only while fin ≥ D hertz;
+            // below that an output can repeat, and its first M wins.
+            if fin_hz < wide_d {
+                while m > m_min && fin.scaled(m - 1, d) == fout {
+                    m -= 1;
+                }
+            }
+            if best.is_none_or(|(bm, _, bf)| fout > bf || (fout == bf && m < bm)) {
+                best = Some((m, d, fout));
+            }
+        }
+        best
     }
 }
 
@@ -355,58 +389,61 @@ mod tests {
         }
     }
 
-    /// The factor search as it was before `synthesisable`: every (M, D)
-    /// through `check`, rejected pairs skipped.
+    /// Every (M, D) that `check` accepts, with its output, in (M, D)
+    /// order: the grid as the searches found it before `synthesisable`.
+    fn grid_by_check(c: &DcmConstraints, fin: Frequency) -> Vec<(u32, u32, Frequency)> {
+        let mut grid = Vec::new();
+        for m in c.m_range.clone() {
+            for d in c.d_range.clone() {
+                if let Ok(f) = c.check(fin, m, d) {
+                    grid.push((m, d, f));
+                }
+            }
+        }
+        grid
+    }
+
+    /// The closest-match search as it was before `synthesisable`, over
+    /// the `check` grid.
     fn best_factors_by_check(
-        c: &DcmConstraints,
-        fin: Frequency,
+        grid: &[(u32, u32, Frequency)],
         target: Frequency,
     ) -> Option<(u32, u32, Frequency)> {
         let mut best: Option<(u64, u32, u32, Frequency)> = None;
-        for m in c.m_range.clone() {
-            for d in c.d_range.clone() {
-                let Ok(fout) = c.check(fin, m, d) else {
-                    continue;
-                };
-                let err = fout.as_hz().abs_diff(target.as_hz());
-                let better = match &best {
-                    None => true,
-                    Some((be, bm, bd, _)) => {
-                        err < *be || (err == *be && (m < *bm || (m == *bm && d < *bd)))
-                    }
-                };
-                if better {
-                    best = Some((err, m, d, fout));
+        for &(m, d, fout) in grid {
+            let err = fout.as_hz().abs_diff(target.as_hz());
+            let better = match &best {
+                None => true,
+                Some((be, bm, bd, _)) => {
+                    err < *be || (err == *be && (m < *bm || (m == *bm && d < *bd)))
                 }
+            };
+            if better {
+                best = Some((err, m, d, fout));
             }
         }
         best.map(|(_, m, d, f)| (m, d, f))
     }
 
-    /// `best_factors_at_most` as it was before `synthesisable`.
+    /// `best_factors_at_most` as it was before `synthesisable`, over the
+    /// `check` grid.
     fn best_factors_at_most_by_check(
-        c: &DcmConstraints,
-        fin: Frequency,
+        grid: &[(u32, u32, Frequency)],
         cap: Frequency,
     ) -> Option<(u32, u32, Frequency)> {
         let mut best: Option<(Frequency, u32, u32)> = None;
-        for m in c.m_range.clone() {
-            for d in c.d_range.clone() {
-                let Ok(fout) = c.check(fin, m, d) else {
-                    continue;
-                };
-                if fout > cap {
-                    continue;
+        for &(m, d, fout) in grid {
+            if fout > cap {
+                continue;
+            }
+            let better = match &best {
+                None => true,
+                Some((bf, bm, bd)) => {
+                    fout > *bf || (fout == *bf && (m < *bm || (m == *bm && d < *bd)))
                 }
-                let better = match &best {
-                    None => true,
-                    Some((bf, bm, bd)) => {
-                        fout > *bf || (fout == *bf && (m < *bm || (m == *bm && d < *bd)))
-                    }
-                };
-                if better {
-                    best = Some((fout, m, d));
-                }
+            };
+            if better {
+                best = Some((fout, m, d));
             }
         }
         best.map(|(f, m, d)| (m, d, f))
@@ -418,37 +455,59 @@ mod tests {
             let c = DcmConstraints::for_family(family);
             for mhz in [25.0, 66.67, 100.0, 133.0] {
                 let fin = Frequency::from_mhz(mhz);
-                let mut by_check = Vec::new();
-                for m in c.m_range.clone() {
-                    for d in c.d_range.clone() {
-                        if let Ok(f) = c.check(fin, m, d) {
-                            by_check.push((m, d, f));
-                        }
-                    }
-                }
+                let by_check = grid_by_check(&c, fin);
                 let listed: Vec<_> = c.synthesisable(fin).collect();
                 assert_eq!(listed, by_check, "{family:?} at {fin}");
                 // A coarse sweep from below the output range to above it,
-                // plus exact hits on legal outputs and 1 Hz either side.
+                // plus exact hits on every legal output and 1 Hz either side.
                 let mut targets: Vec<Frequency> = (0..24u64)
                     .map(|i| Frequency::from_hz(1_000_000 + i * 21_000_000))
                     .collect();
-                for &(_, _, f) in listed.iter().step_by(60) {
+                for &(_, _, f) in &listed {
                     let hz = f.as_hz();
                     targets.extend([hz - 1, hz, hz + 1].map(Frequency::from_hz));
                 }
+                targets.sort_unstable();
+                targets.dedup();
                 for target in targets {
                     assert_eq!(
                         c.best_factors(fin, target),
-                        best_factors_by_check(&c, fin, target),
+                        best_factors_by_check(&by_check, target),
                         "{family:?} at {fin}, target {target}"
                     );
                     assert_eq!(
                         c.best_factors_at_most(fin, target),
-                        best_factors_at_most_by_check(&c, fin, target),
+                        best_factors_at_most_by_check(&by_check, target),
                         "{family:?} at {fin}, cap {target}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn at_most_search_keeps_the_first_m_of_a_repeated_output() {
+        // Below fin = D hertz one output repeats across several M, and the
+        // scan keeps the first of them. A smaller divider usually reaches
+        // that output with a smaller M anyway; with D starting at 16 none
+        // does, so the per-divider bound itself must step back. Only a
+        // tile with a hertz-scale output range gets there.
+        let c = DcmConstraints {
+            d_range: 16..=32,
+            fout_min: Frequency::from_hz(1),
+            fout_max: Frequency::from_hz(1_000),
+            ..DcmConstraints::for_family(Family::Virtex6)
+        };
+        for fin_hz in [8, 13, 20, 31, 32, 47] {
+            let fin = Frequency::from_hz(fin_hz);
+            let by_check = grid_by_check(&c, fin);
+            for cap_hz in 1..=1_100 {
+                let cap = Frequency::from_hz(cap_hz);
+                assert_eq!(
+                    c.best_factors_at_most(fin, cap),
+                    best_factors_at_most_by_check(&by_check, cap),
+                    "fin {fin}, cap {cap}"
+                );
             }
         }
     }

@@ -1,9 +1,10 @@
 //! Allocation guard for the request path: after warm-up, the calls a
-//! served request makes (the DCM factor search, the (V, f) planner and a
-//! retune to the clock a lane is already locked at) allocate nothing, an
-//! X-MatchPRO decode, the fleet chip loop's miss path, allocates only its
-//! output, and a preload of a packed catalog entry runs no encoder: it
-//! allocates the BRAM image and, now and then, the power trace's growth.
+//! served request makes (the DCM factor search, the (V, f) planner, a
+//! retune to the clock a lane is already locked at and a retune that
+//! relocks it) allocate nothing, an X-MatchPRO decode, the fleet chip
+//! loop's miss path, allocates only its output, and a preload of a packed
+//! catalog entry runs no encoder: it allocates the BRAM image and, now and
+//! then, the power trace's growth.
 //!
 //! A counting global allocator tallies allocations per thread, and this
 //! file holds a single test, so the harness's own threads never reach the
@@ -16,6 +17,7 @@ use std::hint::black_box;
 
 use uparc_repro::compress::xmatchpro::XMatchPro;
 use uparc_repro::compress::Codec;
+use uparc_repro::core::dyclogen::OutputClock;
 use uparc_repro::core::policy::{PlanQuery, PowerAwarePolicy, VfQuery};
 use uparc_repro::core::uparc::UParc;
 use uparc_repro::core::UparcError;
@@ -193,6 +195,23 @@ fn request_path_calls_do_not_allocate() {
             lane.set_reconfiguration_frequency(black_box(target))
         });
     }
+
+    // A dispatch's retune that relocks: the lane alternates between two
+    // grid points, so every call writes new factors through the DRP.
+    let targets = [362.5, 200.0].map(Frequency::from_mhz);
+    let mut calls = 0;
+    assert_no_allocations("set_reconfiguration_frequency relock", || {
+        let target = targets[calls % 2];
+        calls += 1;
+        assert_eq!(
+            lane.set_reconfiguration_frequency(black_box(target)),
+            Ok(target)
+        );
+        let clk2 = lane
+            .dyclogen()
+            .frequency(OutputClock::Reconfiguration, lane.now());
+        assert!(clk2.is_err(), "{target}: the DCM is relocking");
+    });
 
     // An X-MatchPRO decode allocates its output and nothing else: no
     // dictionary tables and no regrowth, also when the length is not a

@@ -1,7 +1,9 @@
 //! Property-based tests on the system invariants: timing laws, DCM grid
-//! legality, policy-constraint satisfaction, and trace/energy consistency.
+//! legality and search exactness, policy-constraint satisfaction, and
+//! trace/energy consistency.
 
 use proptest::prelude::*;
+use std::cmp::Reverse;
 use uparc_repro::bitstream::builder::PartialBitstream;
 use uparc_repro::bitstream::synth::SynthProfile;
 use uparc_repro::core::policy::{Constraint, PowerAwarePolicy};
@@ -9,6 +11,7 @@ use uparc_repro::core::uparc::{Mode, UParc};
 use uparc_repro::fpga::dcm::DcmConstraints;
 use uparc_repro::fpga::{Device, Family};
 use uparc_repro::sim::power::calib;
+use uparc_repro::sim::rng::Xoshiro256;
 use uparc_repro::sim::time::{Frequency, SimTime};
 
 proptest! {
@@ -122,6 +125,55 @@ proptest! {
         prop_assert_eq!(
             raw.icap().config_memory().diff_frames(comp.icap().config_memory()),
             0
+        );
+    }
+}
+
+/// The per-divider `best_factors_at_most` returns exactly what the full
+/// (M, D) scan it replaced returns: the first maximum of `synthesisable`
+/// at or below the cap, in (M, D) order.
+#[test]
+fn dcm_at_most_search_equals_the_full_scan() {
+    let scan = |c: &DcmConstraints, fin: Frequency, cap: Frequency| {
+        c.synthesisable(fin)
+            .filter(|f| f.2 <= cap)
+            .min_by_key(|f| Reverse(f.2))
+    };
+    let families = [Family::Virtex4, Family::Virtex5, Family::Virtex6];
+    for family in families {
+        let c = DcmConstraints::for_family(family);
+        // DyCloGen's 100 MHz reference and two that do not divide evenly.
+        for fin in [100.0, 33.333333, 66.67].map(Frequency::from_mhz) {
+            // Every legal output and 1 Hz either side, plus caps below
+            // `fout_min` and above `fout_max`.
+            let mut caps: Vec<u64> = c
+                .synthesisable(fin)
+                .flat_map(|(_, _, f)| [f.as_hz() - 1, f.as_hz(), f.as_hz() + 1])
+                .collect();
+            caps.extend([1, c.fout_min.as_hz() - 1, c.fout_max.as_hz() + 1, u64::MAX]);
+            caps.sort_unstable();
+            caps.dedup();
+            for cap in caps.into_iter().map(Frequency::from_hz) {
+                assert_eq!(
+                    c.best_factors_at_most(fin, cap),
+                    scan(&c, fin, cap),
+                    "{family:?} at {fin}, cap {cap}"
+                );
+            }
+        }
+    }
+    // A seeded sample of input clocks from 1 to 500 MHz and caps from
+    // 1 Hz to 600 MHz.
+    let mut rng = Xoshiro256::seed_from_u64(0xDC4);
+    for _ in 0..600 {
+        let family = families[rng.below(3) as usize];
+        let c = DcmConstraints::for_family(family);
+        let fin = Frequency::from_hz(1_000_000 + rng.below(499_000_001));
+        let cap = Frequency::from_hz(1 + rng.below(600_000_000));
+        assert_eq!(
+            c.best_factors_at_most(fin, cap),
+            scan(&c, fin, cap),
+            "{family:?} at {fin}, cap {cap}"
         );
     }
 }
