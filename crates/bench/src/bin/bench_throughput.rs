@@ -304,8 +304,8 @@ fn main() {
     // holds a staged image pays per reconfiguration. Build, retune and
     // preload happen untimed; the decompression cache is cleared before
     // every timed pass, so each one runs the full cold path — streamed
-    // decode overlapped with the ICAP burst, plus the cycle-level
-    // pipeline simulation.
+    // decode overlapped with the ICAP burst, plus the pipeline timing
+    // (answered in closed form at these clocks).
     let mut streaming_secs = f64::INFINITY;
     for _ in 0..if smoke { 3 } else { 9 } {
         let mut sys = UParc::builder(device.clone()).build().expect("build");

@@ -1,4 +1,4 @@
-//! Cycle-faithful simulation of the compressed datapath (UPaRC_ii).
+//! Cycle-faithful timing of the compressed datapath (UPaRC_ii).
 //!
 //! The compressed mode is a three-stage pipeline across two clock domains
 //! (paper Fig. 2):
@@ -8,10 +8,10 @@
 //! ```
 //!
 //! The analytic model (`max(fetch, decompress, intake)`) captures the
-//! steady state; this module simulates the pipeline edge by edge over the
+//! steady state; this module times the pipeline edge by edge over the
 //! merged CLK_2/CLK_3 edge stream, including FIFO warm-up, backpressure
 //! and stall accounting — so the reported transfer time *is* the cycle
-//! count, not a formula.
+//! count, not a steady-state estimate.
 //!
 //! The decompressor's data-dependent burstiness is smoothed into its mean
 //! expansion rate (output words per input word over the whole image) with
@@ -19,6 +19,40 @@
 //! of short-term variation this abstracts, which is why the analytic model
 //! and this simulation agree to within the warm-up time (asserted by the
 //! tests and by `UParc` itself in debug builds).
+//!
+//! # Closed form
+//!
+//! Most runs need no stepping. Write I and O for the input and output
+//! words, W for the words per CLK_3 cycle, FS for [`FS_PER_SEC`] and f2,
+//! f3 for the clocks in hertz. When
+//!
+//! 1. I ≥ 1 and O ≥ W·I, the decompressor's credit always covers W words
+//!    per CLK_3 edge;
+//! 2. ⌈FS/f2⌉ ≤ ⌊FS/f3⌋, every CLK_3 period holds a CLK_2 edge, so the
+//!    input FIFO never runs dry while input remains and no CLK_3 edge
+//!    finds the output FIFO full;
+//! 3. W + n_max ≤ [`FIFO_DEPTH`], with n_max = ⌊⌈FS/f3⌉ / ⌊FS/f2⌋⌋ + 1
+//!    bounding the CLK_2 edges in one CLK_3 period, a full output FIFO
+//!    cannot starve the ICAP,
+//!
+//! the finite FIFOs never hold the ICAP back: it takes each word on the
+//! same CLK_2 edge as it would behind an unbounded output FIFO that the
+//! decompressor fills with W words on every CLK_3 edge. Word n then
+//! arrives at CLK_3 edge ⌈n/W⌉, and the ICAP takes it on the first CLK_2
+//! edge after both that arrival and word n − 1: with b(j) the CLK_2 edges
+//! at or before CLK_3 edge j (ties go to CLK_2), word n enters the ICAP
+//! at edge D(n) = max(D(n − 1) + 1, b(⌈n/W⌉) + 1). Unrolled over the
+//! two-stage tandem line, the last word enters at CLK_2 edge
+//!
+//! ```text
+//!   K = O + max over 1 ≤ j ≤ ⌈O/W⌉ of (b(j) − W·(j − 1))
+//! ```
+//!
+//! which is the very edge the stepper stops on, so the closed form *is*
+//! the cycle count, reached without visiting the edges before it; the
+//! other counters follow from K and the edge times. The stepper answers
+//! every run outside the certificate and is the reference the closed form
+//! is pinned against, field for field.
 
 use uparc_sim::time::{Frequency, SimTime, FS_PER_SEC};
 
@@ -66,8 +100,99 @@ enum Edge {
     Clk3,
 }
 
+/// Most terms [`PipelineRun::closed_form`] visits to find its maximum;
+/// runs that need more go to the stepper.
+const MAX_SCAN: u128 = 256;
+
 impl PipelineRun {
-    /// Simulates the pipeline, returning its stall statistics.
+    /// Times the pipeline, returning its stall statistics.
+    ///
+    /// A run that meets the closed form's certificate (module docs) is
+    /// answered by [`closed_form`](Self::closed_form) in O(1); any other
+    /// by the edge stepper, [`step_edges`](Self::step_edges). The choice
+    /// follows from the run's own parameters, and both give the same
+    /// statistics wherever the certificate holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `output_words` is zero (an empty transfer has no
+    /// pipeline) or `max_words_per_cycle` is zero.
+    #[must_use]
+    pub fn simulate(&self) -> PipelineStats {
+        self.closed_form().unwrap_or_else(|| self.step_edges())
+    }
+
+    /// The exact statistics of the run from the tandem-line formula
+    /// (module docs), or `None` when its certificate does not hold or the
+    /// maximum would take more than a bounded scan to find.
+    ///
+    /// Integer arithmetic only: O(1) checks, then at most 256 terms of
+    /// the maximum, visited from the end of the line where it lies, each
+    /// two divisions. Nothing is allocated.
+    #[must_use]
+    pub fn closed_form(&self) -> Option<PipelineStats> {
+        let fs = u128::from(FS_PER_SEC);
+        let f2 = u128::from(self.clk2.as_hz());
+        let f3 = u128::from(self.clk3.as_hz());
+        let i = u128::from(self.input_words);
+        let o = u128::from(self.output_words);
+        let w = u128::from(self.max_words_per_cycle);
+        // 1. The credit pays for W words on every CLK_3 edge.
+        if i == 0 || w == 0 || o < w * i {
+            return None;
+        }
+        // 2. Every CLK_3 period holds a CLK_2 edge.
+        if fs.div_ceil(f2) > fs / f3 {
+            return None;
+        }
+        // 3. The output FIFO holds W words more than one CLK_3 period
+        //    drains.
+        let n_max = fs.div_ceil(f3).checked_div(fs / f2)? + 1;
+        if w + n_max > FIFO_DEPTH as u128 {
+            return None;
+        }
+
+        // CLK_2 edges at or before CLK_3 edge j, ties to CLK_2: the n ≥ 1
+        // with ⌊n·FS/f2⌋ ≤ ⌊j·FS/f3⌋.
+        let b = |j: u128| ((j * fs / f3 + 1) * f2 - 1) / fs;
+        // The term of CLK_3 edge j in K's maximum (W·(j − 1) < O for
+        // every j ≤ `last`).
+        let last = o.div_ceil(w);
+        let term = |j: u128| o - w * (j - 1) + b(j);
+        // Since b(j) ≤ ⌈j·f2/f3⌉, term(j) ≤ O + ⌈j·f2/f3⌉ − W·(j − 1): a
+        // bound that never rises along the scan, which starts at the
+        // first CLK_3 edge when f2 ≤ W·f3 and at the last one otherwise.
+        // Once the bound is at most the best term so far (which exceeds
+        // O), no term left can beat it.
+        let beaten = |j: u128, best: u128| j * f2 <= (best - o + w * (j - 1)) * f3;
+        let rising = f2 > w * f3;
+        let edge = |n: u128| if rising { last - n } else { n + 1 };
+        let mut k = term(edge(0));
+        for n in 1..last {
+            let j = edge(n);
+            if beaten(j, k) {
+                break;
+            }
+            if n >= MAX_SCAN {
+                return None;
+            }
+            k = k.max(term(j));
+        }
+        let elapsed = k * fs / f2;
+        Some(PipelineStats {
+            clk2_cycles: u64::try_from(k).ok()?,
+            // CLK_3 edges strictly before the last CLK_2 edge.
+            clk3_cycles: u64::try_from((elapsed * f3 - 1) / fs).ok()?,
+            icap_starved_cycles: u64::try_from(k - o).ok()?,
+            decomp_starved_cycles: 0,
+            decomp_blocked_cycles: 0,
+            elapsed: SimTime::from_fs(u64::try_from(elapsed).ok()?),
+        })
+    }
+
+    /// Steps the pipeline edge by edge: the general path of
+    /// [`simulate`](Self::simulate) and the reference its closed form is
+    /// checked against.
     ///
     /// Both domains' edge times come from an incremental Bresenham
     /// accumulator — `floor(k · FS / f)` maintained by one add and one
@@ -78,10 +203,9 @@ impl PipelineRun {
     ///
     /// # Panics
     ///
-    /// Panics if `output_words` is zero (an empty transfer has no
-    /// pipeline) or `max_words_per_cycle` is zero.
+    /// Panics if `output_words` is zero or `max_words_per_cycle` is zero.
     #[must_use]
-    pub fn simulate(&self) -> PipelineStats {
+    pub fn step_edges(&self) -> PipelineStats {
         let f2 = self.clk2.as_hz();
         let f3 = self.clk3.as_hz();
         // Per-edge time step, split into whole femtoseconds and remainder:
@@ -163,8 +287,11 @@ impl PipelineRun {
                 stats.clk3_cycles += 1;
                 // Decompressor: consume input when credit is low, emit up
                 // to the hardware cap while credit and FIFO space allow.
+                // Credit is low below one input's worth and below one
+                // output's price alike: an image that packs larger than
+                // it unpacks needs several inputs before its first word.
                 let mut did_work = false;
-                if in_fifo > 0 && credit < rate_num {
+                if in_fifo > 0 && credit < rate_num.max(rate_den) {
                     in_fifo -= 1;
                     credit += rate_num;
                     did_work = true;
@@ -287,15 +414,27 @@ mod tests {
         assert!(stats.decomp_blocked_cycles > 0);
     }
 
+    /// Images that pack larger than they unpack (fewer output than input
+    /// words), at a decompressor-bound, a fetch-bound and a fast-CLK_2
+    /// clock pair: one input's credit buys less than one output word.
+    fn packed_larger() -> impl Iterator<Item = (u64, u64, f64, f64, u32)> {
+        let shapes = [(2, 1), (3, 2), (10, 9), (1000, 970), (5, 1)];
+        let clocks = [(200.0, 125.0), (100.0, 125.0), (255.0, 50.0)];
+        shapes
+            .into_iter()
+            .flat_map(move |(inp, out)| clocks.map(|(f2, f3)| (inp, out, f2, f3, 2)))
+    }
+
     #[test]
     fn simulation_never_beats_the_analytic_bound() {
-        for (inp, out, f2, f3, wpc) in [
+        let table = [
             (1000u64, 4000u64, 255.0, 125.0, 2u32),
             (5000, 5000, 300.0, 126.0, 2),
             (100, 4000, 255.0, 50.0, 2),
             (2500, 10_000, 150.0, 125.0, 1),
             (1, 10, 255.0, 125.0, 2),
-        ] {
+        ];
+        for (inp, out, f2, f3, wpc) in table.into_iter().chain(packed_larger()) {
             let (stats, r) = run(inp, out, f2, f3, wpc);
             assert!(
                 stats.elapsed >= r.analytic_bound(),
@@ -351,20 +490,38 @@ mod tests {
     fn bresenham_edges_equal_time_of_cycles_edges() {
         // Field-for-field equality, across bottleneck regimes, co-prime
         // clock pairs (where floor rounding and tie-breaks matter most),
-        // and degenerate sizes.
-        for (inp, out, f2, f3, wpc) in [
-            (1000u64, 4000u64, 255.0, 125.0, 2u32),
-            (5000, 5000, 300.0, 126.0, 2),
-            (100, 4000, 255.0, 50.0, 2),
-            (2500, 10_000, 150.0, 125.0, 1),
-            (1, 10, 255.0, 125.0, 2),
-            (13_856, 55_424, 255.0, 125.0, 2),
-            (50_000, 50_000, 200.0, 126.0, 2),
-            (777, 3200, 362.5, 333.25, 3),
-            (97, 389, 199.999, 66.667, 1),
-            (1, 1, 100.0, 100.0, 1),
-            (4096, 16_001, 255.0, 254.9, 2),
-        ] {
+        // and degenerate sizes. The last column says whether the closed
+        // form answers the run; where it does, it must return the
+        // stepper's statistics exactly.
+        let table = [
+            (1000u64, 4000u64, 255.0, 125.0, 2u32, true),
+            (5000, 5000, 300.0, 126.0, 2, false),
+            (100, 4000, 255.0, 50.0, 2, true),
+            (2500, 10_000, 150.0, 125.0, 1, true),
+            (1, 10, 255.0, 125.0, 2, true),
+            (13_856, 55_424, 255.0, 125.0, 2, true),
+            (50_000, 50_000, 200.0, 126.0, 2, false),
+            (777, 3200, 362.5, 333.25, 3, true),
+            (97, 389, 199.999, 66.667, 1, true),
+            (1, 1, 100.0, 100.0, 1, true),
+            (4096, 16_001, 255.0, 254.9, 2, true),
+            // The service's three CLK_2 points at its 125 MHz CLK_3.
+            (407, 1607, 254.545_455, 125.0, 2, true),
+            (407, 1607, 160.0, 125.0, 2, true),
+            (407, 1607, 158.823_529, 125.0, 2, true),
+            // CLK_2 exactly W·CLK_3: every term of the maximum is W.
+            (407, 1607, 250.0, 125.0, 2, true),
+            // Certificate 1 fails: O < W·I.
+            (407, 813, 254.545_455, 125.0, 2, false),
+            // Certificate 2 fails: CLK_2 below CLK_3.
+            (1000, 4000, 100.0, 125.0, 2, false),
+            // Certificate 3 fails: 18 CLK_2 edges fit one CLK_3 period.
+            (100, 4000, 255.0, 15.0, 2, false),
+            // The maximum lies more than 256 CLK_3 edges from the end.
+            (4096, 16_384, 250.1, 125.0, 2, false),
+        ];
+        let stepped_only = packed_larger().map(|(i, o, f2, f3, w)| (i, o, f2, f3, w, false));
+        for (inp, out, f2, f3, wpc, closed) in table.into_iter().chain(stepped_only) {
             let r = PipelineRun {
                 input_words: inp,
                 output_words: out,
@@ -372,11 +529,11 @@ mod tests {
                 clk3: Frequency::from_mhz(f3),
                 max_words_per_cycle: wpc,
             };
-            assert_eq!(
-                r.simulate(),
-                simulate_by_time_of_cycles(&r),
-                "({inp},{out},{f2},{f3},{wpc})"
-            );
+            let stepped = r.step_edges();
+            let case = format!("({inp},{out},{f2},{f3},{wpc})");
+            assert_eq!(stepped, simulate_by_time_of_cycles(&r), "{case}");
+            assert_eq!(r.closed_form(), closed.then_some(stepped), "{case}");
+            assert_eq!(r.simulate(), stepped, "{case}");
         }
     }
 }

@@ -1026,11 +1026,11 @@ impl UParc {
         let id = mode.codec_id;
         debug_assert_eq!(id, codec_id(self.slot.algorithm()));
         let fetched_words = self.arena.fetched.len();
-        let byte_count = *self.arena.fetched.first().ok_or(UparcError::Bitstream(
-            BitstreamError::BadModeWord {
+        let byte_count = *self.arena.fetched.first().ok_or_else(|| {
+            UparcError::Bitstream(BitstreamError::BadModeWord {
                 detail: "compressed image is missing its byte count".to_owned(),
-            },
-        ))? as usize;
+            })
+        })? as usize;
         let available = (fetched_words - 1) * 4;
         if byte_count > available {
             return Err(UparcError::Bitstream(BitstreamError::BadModeWord {
@@ -1096,8 +1096,9 @@ impl UParc {
         // ICAP intake at CLK_2. When the decompressor's output rate is a
         // whole number of words per cycle (all the shipped hardware models
         // except Huffman's bit-serial decoder), the FIFO pipeline is
-        // simulated cycle by cycle; otherwise the steady-state analytic
-        // model paces the transfer.
+        // timed to the cycle (in closed form where its certificate holds,
+        // edge by edge otherwise); else the steady-state analytic model
+        // paces the transfer.
         let wpc = self.slot.hw().words_per_cycle();
         let transfer = if wpc.fract() == 0.0 && wpc >= 1.0 {
             let run = crate::pipeline::PipelineRun {

@@ -7,10 +7,20 @@ use uparc_repro::bitstream::synth::SynthProfile;
 use uparc_repro::compress::Algorithm;
 use uparc_repro::core::uparc::{Mode, UParc};
 use uparc_repro::fpga::Device;
+use uparc_repro::sim::rng::Xoshiro256;
 use uparc_repro::sim::time::Frequency;
 
 fn bitstream(device: &Device, frames: u32) -> PartialBitstream {
     let payload = SynthProfile::dense().generate(device, 70, frames, 9);
+    PartialBitstream::build(device, 70, &payload)
+}
+
+/// A 20-frame module of seeded noise: every codec packs it larger than
+/// it unpacks, so the decompressor reads more words than it writes.
+fn incompressible(device: &Device) -> PartialBitstream {
+    let mut rng = Xoshiro256::seed_from_u64(0x5EED_0B17);
+    let words = 20 * device.family().frame_words();
+    let payload: Vec<u32> = (0..words).map(|_| rng.next_u64() as u32).collect();
     PartialBitstream::build(device, 70, &payload)
 }
 
@@ -25,31 +35,36 @@ const HW_ALGS: [Algorithm; 4] = [
 #[test]
 fn every_hw_algorithm_configures_identically_to_raw() {
     let device = Device::xc5vsx50t();
-    let bs = bitstream(&device, 250);
-    let mut reference = UParc::builder(device.clone()).build().expect("build");
-    reference
-        .reconfigure_bitstream(&bs, Mode::Raw)
-        .expect("raw");
+    for (bs, packs_smaller) in [
+        (bitstream(&device, 250), true),
+        (incompressible(&device), false),
+    ] {
+        let mut reference = UParc::builder(device.clone()).build().expect("build");
+        reference
+            .reconfigure_bitstream(&bs, Mode::Raw)
+            .expect("raw");
 
-    for alg in HW_ALGS {
-        let mut sys = UParc::builder(device.clone())
-            .decompressor(alg)
-            .build()
-            .expect("build");
-        sys.set_reconfiguration_frequency(Frequency::from_mhz(200.0))
-            .expect("tune");
-        let r = sys
-            .reconfigure_bitstream(&bs, Mode::Compressed)
-            .expect("compressed");
-        assert!(r.compressed, "{alg}");
-        assert_eq!(
-            reference
-                .icap()
-                .config_memory()
-                .diff_frames(sys.icap().config_memory()),
-            0,
-            "{alg} must configure the same frames"
-        );
+        for alg in HW_ALGS {
+            let mut sys = UParc::builder(device.clone())
+                .decompressor(alg)
+                .build()
+                .expect("build");
+            sys.set_reconfiguration_frequency(Frequency::from_mhz(200.0))
+                .expect("tune");
+            let r = sys
+                .reconfigure_bitstream(&bs, Mode::Compressed)
+                .expect("compressed");
+            assert!(r.compressed, "{alg}");
+            assert_eq!(r.stored_bytes < r.bytes, packs_smaller, "{alg}");
+            assert_eq!(
+                reference
+                    .icap()
+                    .config_memory()
+                    .diff_frames(sys.icap().config_memory()),
+                0,
+                "{alg} must configure the same frames"
+            );
+        }
     }
 }
 

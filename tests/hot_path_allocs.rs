@@ -1,10 +1,12 @@
 //! Allocation guard for the request path: after warm-up, the calls a
 //! served request makes (the DCM factor search, the (V, f) planner, a
 //! retune to the clock a lane is already locked at and a retune that
-//! relocks it) allocate nothing, an X-MatchPRO decode, the fleet chip
-//! loop's miss path, allocates only its output, and a preload of a packed
+//! relocks it, the compressed pipeline's timing in closed form and by the
+//! edge stepper) allocate nothing, an X-MatchPRO decode, the fleet chip
+//! loop's miss path, allocates only its output, a preload of a packed
 //! catalog entry runs no encoder: it allocates the BRAM image and, now and
-//! then, the power trace's growth.
+//! then, the power trace's growth, and a warm packed reconfigure allocates
+//! only that growth.
 //!
 //! A counting global allocator tallies allocations per thread, and this
 //! file holds a single test, so the harness's own threads never reach the
@@ -18,6 +20,7 @@ use std::hint::black_box;
 use uparc_repro::compress::xmatchpro::XMatchPro;
 use uparc_repro::compress::Codec;
 use uparc_repro::core::dyclogen::OutputClock;
+use uparc_repro::core::pipeline::PipelineRun;
 use uparc_repro::core::policy::{PlanQuery, PowerAwarePolicy, VfQuery};
 use uparc_repro::core::uparc::UParc;
 use uparc_repro::core::UparcError;
@@ -213,6 +216,22 @@ fn request_path_calls_do_not_allocate() {
         assert!(clk2.is_err(), "{target}: the DCM is relocking");
     });
 
+    // A packed transfer's pipeline timing: the closed form at the
+    // service's CLK_2 points (at or above CLK_3), the edge stepper below.
+    for mhz in [254.545_455, 160.0, 50.0] {
+        let run = PipelineRun {
+            input_words: 407,
+            output_words: 1_607,
+            clk2: Frequency::from_mhz(mhz),
+            clk3: Frequency::from_mhz(125.0),
+            max_words_per_cycle: 2,
+        };
+        assert_eq!(run.closed_form().is_some(), mhz > 125.0, "{mhz} MHz");
+        assert_no_allocations(&format!("PipelineRun::simulate at {mhz} MHz"), || {
+            black_box(&run).simulate()
+        });
+    }
+
     // An X-MatchPRO decode allocates its output and nothing else: no
     // dictionary tables and no regrowth, also when the length is not a
     // multiple of 4 and the last tuple is clipped.
@@ -245,6 +264,24 @@ fn request_path_calls_do_not_allocate() {
         });
         assert!(n <= 2, "warm packed preload: {n} allocation(s) per call");
     }
+    // A warm reconfigure of the packed entry: the decoded image comes
+    // from the lane's cache and the fetch, the payload and the ICAP
+    // windows reuse the staging arena, so the only allocation is the
+    // power trace's growth: a call adds three steps to it, so its buffer
+    // doubles now and then, at most once per call.
+    lane.reconfigure().expect("configures");
+    let mut grown = 0;
+    for _ in 0..64 {
+        let n = allocations_in(|| {
+            black_box(lane.reconfigure().expect("configures"));
+        });
+        assert!(
+            n <= 1,
+            "warm packed reconfigure: {n} allocation(s) per call"
+        );
+        grown += n;
+    }
+    assert!(grown <= 3, "the power trace grew on {grown} of 64 calls");
     let ragged: Vec<u8> = (0..6_561u32).map(|i| (i % 7 * 37 + i / 97) as u8).collect();
     for depth in [16, 128] {
         let codec = XMatchPro::with_dictionary(depth);

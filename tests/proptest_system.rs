@@ -1,15 +1,18 @@
 //! Property-based tests on the system invariants: timing laws, DCM grid
-//! legality and search exactness, policy-constraint satisfaction, and
-//! trace/energy consistency.
+//! legality and search exactness, the compressed pipeline's closed form,
+//! policy-constraint satisfaction, and trace/energy consistency.
 
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use uparc_repro::bitstream::builder::PartialBitstream;
 use uparc_repro::bitstream::synth::SynthProfile;
+use uparc_repro::core::pipeline::PipelineRun;
 use uparc_repro::core::policy::{Constraint, PowerAwarePolicy};
 use uparc_repro::core::uparc::{Mode, UParc};
 use uparc_repro::fpga::dcm::DcmConstraints;
 use uparc_repro::fpga::{Device, Family};
+use uparc_repro::serve::catalog::Catalog;
+use uparc_repro::serve::request::BitstreamId;
 use uparc_repro::sim::power::calib;
 use uparc_repro::sim::rng::Xoshiro256;
 use uparc_repro::sim::time::{Frequency, SimTime};
@@ -176,4 +179,123 @@ fn dcm_at_most_search_equals_the_full_scan() {
             "{family:?} at {fin}, cap {cap}"
         );
     }
+}
+
+/// Checks `r`'s closed form against the edge stepper; returns whether the
+/// closed form answered the run.
+fn closed_form_admits(r: &PipelineRun) -> bool {
+    match r.closed_form() {
+        Some(closed) => {
+            assert_eq!(closed, r.step_edges(), "{r:?}");
+            true
+        }
+        None => false,
+    }
+}
+
+fn pipeline_run(input: u64, output: u64, f2: u64, f3: u64, w: u32) -> PipelineRun {
+    PipelineRun {
+        input_words: input,
+        output_words: output,
+        clk2: Frequency::from_hz(f2),
+        clk3: Frequency::from_hz(f3),
+        max_words_per_cycle: w,
+    }
+}
+
+/// `PipelineRun::simulate` answers a run from the tandem-line closed form
+/// whenever the run meets the form's certificate, and steps the edges
+/// otherwise. Wherever the closed form answers, it returns the stepper's
+/// statistics field for field; the counts pin how many runs of each kind
+/// it answers, and it must answer every transfer the `service`
+/// benchmark's catalog makes.
+#[test]
+fn pipeline_closed_form_equals_the_edge_stepper() {
+    let grid: Vec<u64> = PowerAwarePolicy::paper_setup(Family::Virtex5)
+        .frequency_grid()
+        .iter()
+        .map(|f| f.as_hz())
+        .collect();
+
+    // A seeded sample over DCM-grid clocks and random hertz, W from 1 to
+    // 3, with output words from half the input to six times it.
+    let mut rng = Xoshiro256::seed_from_u64(0xF1F0);
+    let clock = |rng: &mut Xoshiro256| {
+        if rng.below(2) == 0 {
+            grid[rng.below(grid.len() as u64) as usize]
+        } else {
+            10_000_000 + rng.below(390_000_000)
+        }
+    };
+    let mut admitted = 0;
+    for _ in 0..5_000 {
+        let w = 1 + rng.below(3) as u32;
+        let input = 1 + rng.below(600);
+        let output = input / 2 + rng.below(6 * input);
+        let (f2, f3) = (clock(&mut rng), clock(&mut rng));
+        let r = pipeline_run(input, output.max(1), f2, f3, w);
+        admitted += u32::from(closed_form_admits(&r));
+    }
+    assert_eq!(admitted, 1_886, "random runs answered in closed form");
+
+    // Boundary clocks: CLK_2 at W·CLK_3 and 1 Hz either side, at CLK_3
+    // and 1 Hz above it, for a CLK_3 of 125 MHz, a DCM grid point and two
+    // that divide a second unevenly; output exactly W·I and one word
+    // more.
+    let mut admitted = 0;
+    for f3 in [125_000_000, grid[17], 33_333_333, 99_999_999] {
+        for w in 1..=3u32 {
+            let wf3 = u64::from(w) * f3;
+            for f2 in [wf3 - 1, wf3, wf3 + 1, f3, f3 + 1] {
+                for input in [1, 2, 127, 407] {
+                    for output in [u64::from(w) * input, u64::from(w) * input + 1] {
+                        let r = pipeline_run(input, output, f2, f3, w);
+                        admitted += u32::from(closed_form_admits(&r));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(admitted, 318, "boundary runs answered in closed form");
+
+    // The `service` benchmark's catalog: xc5vsx50t, 5 KB of staging
+    // BRAM, 4 regions of 12 dense modules of 12 to 45 frames; the larger
+    // ones stage compressed. Their transfers at every grid CLK_2 up to the
+    // compressed datapath's 255 MHz, CLK_3 at 125 MHz: every one with
+    // CLK_2 at or above CLK_3 is answered in closed form.
+    let device = Device::xc5vsx50t();
+    let mut catalog = Catalog::new(device).with_bram_bytes(5 * 1024);
+    let mut id = 1;
+    for region in 0..4 {
+        let base = 100 + region * 1000;
+        catalog
+            .add_region(&format!("rp{region}"), base..base + 120)
+            .expect("region fits");
+        for k in 0..12 {
+            let (far, frames) = (base + 2 * k, 12 + 3 * k);
+            let seed = 20_120_312 + u64::from(id);
+            let payload = SynthProfile::dense().generate(catalog.device(), far, frames, seed);
+            let bs = PartialBitstream::build(catalog.device(), far, &payload);
+            catalog.register(BitstreamId(id), bs).expect("stages");
+            id += 1;
+        }
+    }
+    let f3 = 125_000_000;
+    let (mut runs, mut admitted) = (0, 0);
+    for entry in catalog.ids().iter().filter_map(|&id| catalog.entry(id)) {
+        if !entry.compressed() {
+            continue;
+        }
+        // The pipeline moves the staged words but the mode word.
+        let input = entry.staged_words() as u64 - 1;
+        let output = entry.raw_bytes() as u64 / 4;
+        for &f2 in grid.iter().filter(|&&f| f <= 255_000_000) {
+            let r = pipeline_run(input, output, f2, f3, 2);
+            let answered = closed_form_admits(&r);
+            assert!(answered || f2 < f3, "service transfer stepped: {r:?}");
+            runs += 1;
+            admitted += u32::from(answered);
+        }
+    }
+    assert_eq!((runs, admitted), (8_340, 2_660), "service transfers");
 }
