@@ -303,9 +303,10 @@ fn main() {
     // Steady-state compressed transfer: what a controller that already
     // holds a staged image pays per reconfiguration. Build, retune and
     // preload happen untimed; the decompression cache is cleared before
-    // every timed pass, so each one runs the full cold path — streamed
-    // decode overlapped with the ICAP burst, plus the pipeline timing
-    // (answered in closed form at these clocks).
+    // every timed pass, so each one runs the full cold path — one decode
+    // of the BRAM contents, the ICAP writes of the image, and the
+    // pipeline timing (answered in closed form at these clocks). The
+    // JSON key keeps its `streaming` name.
     let mut streaming_secs = f64::INFINITY;
     for _ in 0..if smoke { 3 } else { 9 } {
         let mut sys = UParc::builder(device.clone()).build().expect("build");

@@ -12,7 +12,6 @@
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{canonical_codes, code_lengths, CanonicalDecoder};
 use crate::lz77::{Lz77, Token};
-use crate::stream::{self, StreamDecoder};
 use crate::{Codec, CodecError};
 
 /// End-of-block symbol in the lit/len alphabet.
@@ -129,36 +128,9 @@ impl Codec for DeflateLike {
         out
     }
 
+    /// Decodes up to the end-of-block symbol, where the decoded length is
+    /// checked against the header.
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        stream::drain(DeflateStream::new(input)?)
-    }
-
-    fn stream_decoder<'a>(
-        &self,
-        input: &'a [u8],
-    ) -> Result<Box<dyn StreamDecoder + 'a>, CodecError> {
-        Ok(Box::new(DeflateStream::new(input)?))
-    }
-}
-
-/// Streaming deflate-like decoder: resumable at any token boundary (a
-/// call may overshoot its budget by one match, ≤ 258 bytes).
-///
-/// The stream ends at the end-of-block symbol, not at `n` output bytes —
-/// the header/decoded length consistency check runs when EOB arrives,
-/// exactly as in the old one-shot loop.
-#[derive(Debug)]
-struct DeflateStream<'a> {
-    reader: BitReader<'a>,
-    litlen: CanonicalDecoder,
-    dist_dec: Option<CanonicalDecoder>,
-    n: usize,
-    produced: usize,
-    eob_seen: bool,
-}
-
-impl<'a> DeflateStream<'a> {
-    fn new(input: &'a [u8]) -> Result<Self, CodecError> {
         let header = 4 + LITLEN_SYMBOLS + DIST_SYMBOLS;
         if input.len() < header {
             return Err(CodecError::Truncated);
@@ -172,33 +144,18 @@ impl<'a> DeflateStream<'a> {
         } else {
             None
         };
-        Ok(DeflateStream {
-            reader: BitReader::new(&input[header..]),
-            litlen,
-            dist_dec,
-            n,
-            produced: 0,
-            eob_seen: false,
-        })
-    }
-}
-
-impl StreamDecoder for DeflateStream<'_> {
-    fn decode_into(&mut self, out: &mut Vec<u8>, budget: usize) -> Result<usize, CodecError> {
-        debug_assert_eq!(out.len(), self.produced, "shared history buffer reused");
-        let start = out.len();
-        while out.len() - start < budget && !self.eob_seen {
-            let sym = self.litlen.decode_fast(&mut self.reader)?;
+        let mut reader = BitReader::new(&input[header..]);
+        let mut out = Vec::with_capacity(crate::output_capacity(n, input.len()));
+        loop {
+            let sym = litlen.decode_fast(&mut reader)?;
             if sym == EOB {
-                self.eob_seen = true;
-                if out.len() != self.n {
+                if out.len() != n {
                     return Err(CodecError::corrupt(format!(
-                        "length mismatch: header {}, decoded {}",
-                        self.n,
+                        "length mismatch: header {n}, decoded {}",
                         out.len()
                     )));
                 }
-                break;
+                return Ok(out);
             }
             if sym < 256 {
                 out.push(sym as u8);
@@ -207,16 +164,15 @@ impl StreamDecoder for DeflateStream<'_> {
                 if ls >= 29 {
                     return Err(CodecError::corrupt("bad length symbol"));
                 }
-                let length = (LEN_BASE[ls] + self.reader.read_bits(LEN_EXTRA[ls])?) as usize;
-                let dd = self
-                    .dist_dec
+                let length = (LEN_BASE[ls] + reader.read_bits(LEN_EXTRA[ls])?) as usize;
+                let dd = dist_dec
                     .as_ref()
                     .ok_or_else(|| CodecError::corrupt("match without distance table"))?;
-                let ds = dd.decode_fast(&mut self.reader)? as usize;
+                let ds = dd.decode_fast(&mut reader)? as usize;
                 if ds >= 30 {
                     return Err(CodecError::corrupt("bad distance symbol"));
                 }
-                let distance = (DIST_BASE[ds] + self.reader.read_bits(DIST_EXTRA[ds])?) as usize;
+                let distance = (DIST_BASE[ds] + reader.read_bits(DIST_EXTRA[ds])?) as usize;
                 if distance > out.len() {
                     return Err(CodecError::corrupt("backreference before start"));
                 }
@@ -233,16 +189,6 @@ impl StreamDecoder for DeflateStream<'_> {
                 }
             }
         }
-        self.produced = out.len();
-        Ok(out.len() - start)
-    }
-
-    fn is_finished(&self) -> bool {
-        self.eob_seen
-    }
-
-    fn total_len(&self) -> usize {
-        self.n
     }
 }
 

@@ -9,7 +9,6 @@
 //! symbol, 0 = absent), then the MSB-first code bits.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::stream::{self, StreamDecoder};
 use crate::{Codec, CodecError};
 use std::collections::BinaryHeap;
 
@@ -315,61 +314,17 @@ impl Codec for Huffman {
     }
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        stream::drain(HuffmanStream::new(input)?)
-    }
-
-    fn stream_decoder<'a>(
-        &self,
-        input: &'a [u8],
-    ) -> Result<Box<dyn StreamDecoder + 'a>, CodecError> {
-        Ok(Box::new(HuffmanStream::new(input)?))
-    }
-}
-
-/// Streaming Huffman decoder: one symbol per output byte, resumable at
-/// any symbol boundary.
-#[derive(Debug)]
-struct HuffmanStream<'a> {
-    decoder: CanonicalDecoder,
-    reader: BitReader<'a>,
-    remaining: usize,
-    total: usize,
-}
-
-impl<'a> HuffmanStream<'a> {
-    fn new(input: &'a [u8]) -> Result<Self, CodecError> {
         if input.len() < 4 + 256 {
             return Err(CodecError::Truncated);
         }
         let n = u32::from_le_bytes(input[0..4].try_into().expect("4 bytes")) as usize;
         let decoder = CanonicalDecoder::from_lengths(&input[4..260])?;
-        Ok(HuffmanStream {
-            decoder,
-            reader: BitReader::new(&input[260..]),
-            remaining: n,
-            total: n,
-        })
-    }
-}
-
-impl StreamDecoder for HuffmanStream<'_> {
-    fn decode_into(&mut self, out: &mut Vec<u8>, budget: usize) -> Result<usize, CodecError> {
-        let take = budget.min(self.remaining);
-        out.reserve(take);
-        for _ in 0..take {
-            let sym = self.decoder.decode_fast(&mut self.reader)?;
-            out.push(sym as u8);
-            self.remaining -= 1;
+        let mut reader = BitReader::new(&input[260..]);
+        let mut out = Vec::with_capacity(crate::output_capacity(n, input.len()));
+        for _ in 0..n {
+            out.push(decoder.decode_fast(&mut reader)? as u8);
         }
-        Ok(take)
-    }
-
-    fn is_finished(&self) -> bool {
-        self.remaining == 0
-    }
-
-    fn total_len(&self) -> usize {
-        self.total
+        Ok(out)
     }
 }
 

@@ -19,6 +19,12 @@
 //! byte strings — enforced by property tests), because configuration
 //! bitstreams tolerate no loss.
 //!
+//! Each codec's [`Codec::decompress`] runs its decode loop to completion
+//! in one call. The overlap of decompression with the ICAP burst is a
+//! timing matter, which `uparc-core`'s pipeline model owns; the software
+//! decoder only has to produce the image. A corrupt length header cannot
+//! make a decoder reserve more than its input could plausibly unpack to.
+//!
 //! [`stats`] measures the content statistics (entropy, run mass) that
 //! predict these ratios; [`hw`] models the corresponding *hardware decompressors*: output rate in
 //! words per cycle, data-path width and maximum clock — the numbers behind
@@ -50,7 +56,6 @@ pub mod lzma_like;
 pub mod parallel;
 pub mod rle;
 pub mod stats;
-pub mod stream;
 pub mod xmatchpro;
 
 use std::fmt;
@@ -103,19 +108,18 @@ pub trait Codec {
     ///
     /// [`CodecError`] if the stream is truncated or corrupt.
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError>;
+}
 
-    /// Opens a resumable [`stream::StreamDecoder`] over `input`, for
-    /// pipelines that overlap decompression with the ICAP transfer.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] if the stream header is truncated or corrupt.
-    /// Token-level errors surface later, from
-    /// [`stream::StreamDecoder::decode_into`].
-    fn stream_decoder<'a>(
-        &self,
-        input: &'a [u8],
-    ) -> Result<Box<dyn stream::StreamDecoder + 'a>, CodecError>;
+/// Most output bytes a decoder reserves per input byte before decoding.
+const RESERVE_PER_INPUT_BYTE: usize = 64;
+
+/// The output capacity a decoder reserves for a stream of `input_len`
+/// bytes whose length header claims `header` bytes: the header, but no
+/// more than the input could plausibly unpack to, so a corrupt header
+/// cannot request a 4 GiB buffer. A valid stream that unpacks further
+/// only grows its output as it decodes.
+pub(crate) fn output_capacity(header: usize, input_len: usize) -> usize {
+    header.min(input_len.saturating_mul(RESERVE_PER_INPUT_BYTE))
 }
 
 /// The seven algorithms of Table I.

@@ -10,7 +10,6 @@
 //! `1 | offset-1 (W bits) | length-3 (L bits)` or `0 | literal (8 bits)`.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::stream::{self, StreamDecoder};
 use crate::{Codec, CodecError};
 
 /// Minimum match length worth a token.
@@ -271,60 +270,23 @@ impl Codec for Lz77 {
     }
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        stream::drain(Lz77Stream::new(self, input)?)
-    }
-
-    fn stream_decoder<'a>(
-        &self,
-        input: &'a [u8],
-    ) -> Result<Box<dyn StreamDecoder + 'a>, CodecError> {
-        Ok(Box::new(Lz77Stream::new(self, input)?))
-    }
-}
-
-/// Streaming LZ77 decoder. Back-references resolve against the shared
-/// output buffer, which is why the stream contract requires the caller to
-/// reuse one buffer across calls.
-#[derive(Debug)]
-struct Lz77Stream<'a> {
-    reader: BitReader<'a>,
-    offset_bits: u32,
-    len_bits: u32,
-    n: usize,
-    produced: usize,
-}
-
-impl<'a> Lz77Stream<'a> {
-    fn new(codec: &Lz77, input: &'a [u8]) -> Result<Self, CodecError> {
         if input.len() < 4 {
             return Err(CodecError::Truncated);
         }
         let n = u32::from_le_bytes(input[0..4].try_into().expect("4 bytes")) as usize;
-        Ok(Lz77Stream {
-            reader: BitReader::new(&input[4..]),
-            offset_bits: codec.offset_bits,
-            len_bits: codec.len_bits,
-            n,
-            produced: 0,
-        })
-    }
-}
-
-impl StreamDecoder for Lz77Stream<'_> {
-    fn decode_into(&mut self, out: &mut Vec<u8>, budget: usize) -> Result<usize, CodecError> {
-        debug_assert_eq!(out.len(), self.produced, "shared history buffer reused");
-        let start = out.len();
-        while out.len() - start < budget && out.len() < self.n {
-            if self.reader.read_bit()? {
-                let dist = self.reader.read_bits(self.offset_bits)? as usize + 1;
-                let len = self.reader.read_bits(self.len_bits)? as usize + MIN_MATCH;
+        let mut reader = BitReader::new(&input[4..]);
+        let mut out = Vec::with_capacity(crate::output_capacity(n, input.len()));
+        while out.len() < n {
+            if reader.read_bit()? {
+                let dist = reader.read_bits(self.offset_bits)? as usize + 1;
+                let len = reader.read_bits(self.len_bits)? as usize + MIN_MATCH;
                 if dist > out.len() {
                     return Err(CodecError::corrupt(format!(
                         "backreference {dist} beyond {} output bytes",
                         out.len()
                     )));
                 }
-                if out.len() + len > self.n {
+                if out.len() + len > n {
                     return Err(CodecError::corrupt("match overruns output"));
                 }
                 let from = out.len() - dist;
@@ -339,19 +301,10 @@ impl StreamDecoder for Lz77Stream<'_> {
                     }
                 }
             } else {
-                out.push(self.reader.read_bits(8)? as u8);
+                out.push(reader.read_bits(8)? as u8);
             }
         }
-        self.produced = out.len();
-        Ok(out.len() - start)
-    }
-
-    fn is_finished(&self) -> bool {
-        self.produced == self.n
-    }
-
-    fn total_len(&self) -> usize {
-        self.n
+        Ok(out)
     }
 }
 

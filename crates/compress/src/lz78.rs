@@ -10,7 +10,6 @@
 //! Only the final token may omit the byte. The dictionary resets when full.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::stream::{self, StreamDecoder};
 use crate::{Codec, CodecError};
 
 /// Dictionary capacity before reset (entries, including the empty root).
@@ -139,74 +138,41 @@ impl Codec for Lz78 {
     }
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        stream::drain(Lz78Stream::new(input)?)
-    }
-
-    fn stream_decoder<'a>(
-        &self,
-        input: &'a [u8],
-    ) -> Result<Box<dyn StreamDecoder + 'a>, CodecError> {
-        Ok(Box::new(Lz78Stream::new(input)?))
-    }
-}
-
-/// Streaming LZ78 decoder: resumable at any phrase boundary (a call may
-/// overshoot its budget by one phrase).
-#[derive(Debug)]
-struct Lz78Stream<'a> {
-    reader: BitReader<'a>,
-    /// Mirror dictionary: entry -> (parent, byte, phrase length). The
-    /// stored length lets each phrase be written straight into the output
-    /// back-to-front during the parent walk, instead of through a
-    /// temporary buffer that is then reversed and copied.
-    entries: Vec<(u32, u8, u32)>,
-    n: usize,
-    produced: usize,
-}
-
-impl<'a> Lz78Stream<'a> {
-    fn new(input: &'a [u8]) -> Result<Self, CodecError> {
         if input.len() < 4 {
             return Err(CodecError::Truncated);
         }
         let n = u32::from_le_bytes(input[0..4].try_into().expect("4 bytes")) as usize;
-        Ok(Lz78Stream {
-            reader: BitReader::new(&input[4..]),
-            entries: vec![(0, 0, 0)], // index 0 = empty
-            n,
-            produced: 0,
-        })
-    }
-}
-
-impl StreamDecoder for Lz78Stream<'_> {
-    fn decode_into(&mut self, out: &mut Vec<u8>, budget: usize) -> Result<usize, CodecError> {
-        debug_assert_eq!(out.len(), self.produced, "shared history buffer reused");
-        let start_len = out.len();
-        while out.len() - start_len < budget && out.len() < self.n {
-            let idx = self.reader.read_bits(index_bits(self.entries.len()))?;
-            if idx as usize >= self.entries.len() {
+        let mut reader = BitReader::new(&input[4..]);
+        // Mirror dictionary: entry -> (parent, byte, phrase length). The
+        // stored length lets each phrase be written straight into the
+        // output back-to-front during the parent walk, instead of through
+        // a temporary buffer that is then reversed and copied.
+        let mut entries: Vec<(u32, u8, u32)> = vec![(0, 0, 0)]; // index 0 = empty
+        let mut out = Vec::with_capacity(crate::output_capacity(n, input.len()));
+        while out.len() < n {
+            let idx = reader.read_bits(index_bits(entries.len()))?;
+            if idx as usize >= entries.len() {
                 return Err(CodecError::corrupt(format!(
                     "index {idx} out of dictionary"
                 )));
             }
-            let plen = self.entries[idx as usize].2 as usize;
-            let has_byte = self.reader.read_bit()?;
+            let plen = entries[idx as usize].2 as usize;
+            let has_byte = reader.read_bit()?;
             let appended = if has_byte {
-                Some(self.reader.read_bits(8)? as u8)
+                Some(reader.read_bits(8)? as u8)
             } else {
                 None
             };
             let total = plen + usize::from(has_byte);
             let start = out.len();
-            if start + total > self.n {
+            if start + total > n {
                 return Err(CodecError::corrupt("phrase overruns output"));
             }
             out.resize(start + total, 0);
             let mut end = start + plen;
             let mut walk = idx;
             while walk != 0 {
-                let (parent, byte, _) = self.entries[walk as usize];
+                let (parent, byte, _) = entries[walk as usize];
                 end -= 1;
                 out[end] = byte;
                 walk = parent;
@@ -214,25 +180,16 @@ impl StreamDecoder for Lz78Stream<'_> {
             debug_assert_eq!(end, start);
             if let Some(b) = appended {
                 out[start + plen] = b;
-                self.entries.push((idx, b, plen as u32 + 1));
-                if self.entries.len() >= DICT_CAPACITY {
-                    self.entries.truncate(1);
+                entries.push((idx, b, plen as u32 + 1));
+                if entries.len() >= DICT_CAPACITY {
+                    entries.truncate(1);
                 }
             }
-            if !has_byte && out.len() < self.n {
+            if !has_byte && out.len() < n {
                 return Err(CodecError::corrupt("index-only token before end"));
             }
         }
-        self.produced = out.len();
-        Ok(out.len() - start_len)
-    }
-
-    fn is_finished(&self) -> bool {
-        self.produced == self.n
-    }
-
-    fn total_len(&self) -> usize {
-        self.n
+        Ok(out)
     }
 }
 

@@ -13,7 +13,6 @@
 //! slot + direct-bit distances).
 
 use crate::lz77::{Lz77, Token, MIN_MATCH};
-use crate::stream::{self, StreamDecoder};
 use crate::{Codec, CodecError};
 
 const PROB_BITS: u32 = 11;
@@ -292,67 +291,32 @@ impl Codec for LzmaLike {
     }
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        stream::drain(LzmaStream::new(input)?)
-    }
-
-    fn stream_decoder<'a>(
-        &self,
-        input: &'a [u8],
-    ) -> Result<Box<dyn StreamDecoder + 'a>, CodecError> {
-        Ok(Box::new(LzmaStream::new(input)?))
-    }
-}
-
-/// Streaming LZMA-like decoder: the adaptive model and range-decoder
-/// state persist across calls, so the stream resumes at any token
-/// boundary (a call may overshoot its budget by one match, ≤ 258 bytes).
-#[derive(Debug)]
-struct LzmaStream<'a> {
-    dec: RangeDecoder<'a>,
-    model: Model,
-    n: usize,
-    produced: usize,
-    prev_match: bool,
-}
-
-impl<'a> LzmaStream<'a> {
-    fn new(input: &'a [u8]) -> Result<Self, CodecError> {
         if input.len() < 4 {
             return Err(CodecError::Truncated);
         }
         let n = u32::from_le_bytes(input[0..4].try_into().expect("4 bytes")) as usize;
-        Ok(LzmaStream {
-            dec: RangeDecoder::new(&input[4..])?,
-            model: Model::new(),
-            n,
-            produced: 0,
-            prev_match: false,
-        })
-    }
-}
-
-impl StreamDecoder for LzmaStream<'_> {
-    fn decode_into(&mut self, out: &mut Vec<u8>, budget: usize) -> Result<usize, CodecError> {
-        debug_assert_eq!(out.len(), self.produced, "shared history buffer reused");
-        let start = out.len();
-        while out.len() - start < budget && out.len() < self.n {
+        let mut dec = RangeDecoder::new(&input[4..])?;
+        let mut model = Model::new();
+        let mut prev_match = false;
+        let mut out = Vec::with_capacity(crate::output_capacity(n, input.len()));
+        while out.len() < n {
             let prev_byte = out.last().copied().unwrap_or(0) as usize;
-            let ctx = usize::from(self.prev_match);
-            if self.dec.decode_bit(&mut self.model.is_match[ctx])? {
-                let length = self.model.length.decode(&mut self.dec)? as usize + MIN_MATCH;
-                let slot = self.model.dist_slot.decode(&mut self.dec)?;
+            let ctx = usize::from(prev_match);
+            if dec.decode_bit(&mut model.is_match[ctx])? {
+                let length = model.length.decode(&mut dec)? as usize + MIN_MATCH;
+                let slot = model.dist_slot.decode(&mut dec)?;
                 if slot == 0 || slot > 24 {
                     return Err(CodecError::corrupt("bad distance slot"));
                 }
                 let distance = if slot > 1 {
-                    (1 << (slot - 1)) | self.dec.decode_direct(slot - 1)?
+                    (1 << (slot - 1)) | dec.decode_direct(slot - 1)?
                 } else {
                     1
                 } as usize;
                 if distance > out.len() {
                     return Err(CodecError::corrupt("backreference before start"));
                 }
-                if out.len() + length > self.n {
+                if out.len() + length > n {
                     return Err(CodecError::corrupt("match overruns output"));
                 }
                 let from = out.len() - distance;
@@ -367,23 +331,14 @@ impl StreamDecoder for LzmaStream<'_> {
                         out.push(b);
                     }
                 }
-                self.prev_match = true;
+                prev_match = true;
             } else {
-                let b = self.model.literals[prev_byte].decode(&mut self.dec)? as u8;
+                let b = model.literals[prev_byte].decode(&mut dec)? as u8;
                 out.push(b);
-                self.prev_match = false;
+                prev_match = false;
             }
         }
-        self.produced = out.len();
-        Ok(out.len() - start)
-    }
-
-    fn is_finished(&self) -> bool {
-        self.produced == self.n
-    }
-
-    fn total_len(&self) -> usize {
-        self.n
+        Ok(out)
     }
 }
 

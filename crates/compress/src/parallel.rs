@@ -22,7 +22,6 @@
 //! `original length | block size | block count`, then per block
 //! `compressed length | compressed bytes`.
 
-use crate::stream::StreamDecoder;
 use crate::{Algorithm, CodecError};
 use uparc_sim::sweep::parallel_map;
 
@@ -128,28 +127,6 @@ impl BlockCodec {
         Ok(out)
     }
 
-    /// Opens a resumable decoder over a [`Self::compress`] frame: blocks
-    /// decode lazily, one at a time, as the budget demands.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] if the frame structure is inconsistent.
-    pub fn stream_decoder<'a>(
-        &self,
-        input: &'a [u8],
-    ) -> Result<Box<dyn StreamDecoder + 'a>, CodecError> {
-        let (n, block_size, payloads) = Self::split_frame(input)?;
-        Ok(Box::new(BlockStream {
-            algorithm: self.algorithm,
-            payloads,
-            next_block: 0,
-            inner: None,
-            block_size,
-            n,
-            produced: 0,
-        }))
-    }
-
     /// Validates the frame header and slices out the per-block payloads.
     #[allow(clippy::type_complexity)]
     fn split_frame(input: &[u8]) -> Result<(usize, usize, Vec<&[u8]>), CodecError> {
@@ -182,63 +159,6 @@ impl BlockCodec {
             return Err(CodecError::corrupt("trailing bytes after final block"));
         }
         Ok((n, block_size, payloads))
-    }
-}
-
-/// Lazy block-by-block decoder over a [`BlockCodec`] frame.
-struct BlockStream<'a> {
-    algorithm: Algorithm,
-    payloads: Vec<&'a [u8]>,
-    next_block: usize,
-    /// Decoder over the current block, if one is open. Blocks are
-    /// independent, so each inner decoder gets its own scratch history
-    /// buffer and the finished bytes are appended to the caller's.
-    inner: Option<(Box<dyn StreamDecoder + 'a>, Vec<u8>, usize)>,
-    block_size: usize,
-    n: usize,
-    produced: usize,
-}
-
-impl StreamDecoder for BlockStream<'_> {
-    fn decode_into(&mut self, out: &mut Vec<u8>, budget: usize) -> Result<usize, CodecError> {
-        let start = out.len();
-        while out.len() - start < budget && !self.is_finished() {
-            if self.inner.is_none() {
-                let payload = self.payloads[self.next_block];
-                let dec = self.algorithm.codec().stream_decoder(payload)?;
-                self.inner = Some((dec, Vec::new(), self.next_block));
-                self.next_block += 1;
-            }
-            let (dec, scratch, index) = self.inner.as_mut().expect("just opened");
-            let want = budget - (out.len() - start);
-            let emitted = scratch.len();
-            dec.decode_into(scratch, want)?;
-            out.extend_from_slice(&scratch[emitted..]);
-            if dec.is_finished() {
-                let expected = if *index + 1 < self.payloads.len() {
-                    self.block_size
-                } else {
-                    self.n - (self.payloads.len() - 1) * self.block_size
-                };
-                if scratch.len() != expected {
-                    return Err(CodecError::corrupt(format!(
-                        "block {index} decoded to {} bytes, expected {expected}",
-                        scratch.len()
-                    )));
-                }
-                self.inner = None;
-            }
-        }
-        self.produced = out.len();
-        Ok(out.len() - start)
-    }
-
-    fn is_finished(&self) -> bool {
-        self.inner.is_none() && self.next_block == self.payloads.len()
-    }
-
-    fn total_len(&self) -> usize {
-        self.n
     }
 }
 
@@ -291,22 +211,6 @@ mod tests {
         uparc_sim::sweep::unpin_workers();
         assert_eq!(outputs[0], outputs[1]);
         assert_eq!(outputs[1], outputs[2]);
-    }
-
-    #[test]
-    fn streaming_matches_one_shot() {
-        let data = corpus();
-        let bc = BlockCodec::with_block_size(Algorithm::Lz78, 10_000);
-        let packed = bc.compress(&data);
-        for budget in [1usize, 977, 65_536, usize::MAX] {
-            let mut dec = bc.stream_decoder(&packed).unwrap();
-            assert_eq!(dec.total_len(), data.len());
-            let mut out = Vec::new();
-            while !dec.is_finished() {
-                dec.decode_into(&mut out, budget).unwrap();
-            }
-            assert_eq!(out, data, "budget {budget}");
-        }
     }
 
     #[test]

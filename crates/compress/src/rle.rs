@@ -9,43 +9,27 @@
 //!
 //! Stream format: `u8 tail-length`, tail bytes (input not a multiple of 4),
 //! then `(count: u8 ≥ 1, word: 4 bytes)` pairs.
-//!
-//! A byte-oriented variant ([`Rle::byte_oriented`]) is provided for
-//! comparison experiments.
 
-use crate::stream::{self, StreamDecoder};
 use crate::{Codec, CodecError};
 
-/// Run-length codec (word-oriented by default, as in FaRM).
-#[derive(Debug, Clone, Copy)]
-pub struct Rle {
-    word_oriented: bool,
-}
-
-impl Default for Rle {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// FaRM-style 32-bit-word run-length codec.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Rle;
 
 impl Rle {
-    /// FaRM-style 32-bit-word RLE.
+    /// Creates the codec.
     #[must_use]
     pub fn new() -> Self {
-        Rle {
-            word_oriented: true,
-        }
+        Rle
+    }
+}
+
+impl Codec for Rle {
+    fn name(&self) -> &'static str {
+        "RLE"
     }
 
-    /// Classic byte-oriented RLE (for comparison).
-    #[must_use]
-    pub fn byte_oriented() -> Self {
-        Rle {
-            word_oriented: false,
-        }
-    }
-
-    fn compress_words(input: &[u8]) -> Vec<u8> {
+    fn compress(&self, input: &[u8]) -> Vec<u8> {
         let tail_len = input.len() % 4;
         let (body, tail) = input.split_at(input.len() - tail_len);
         let mut out = Vec::with_capacity(input.len() / 2 + 8);
@@ -84,36 +68,8 @@ impl Rle {
         out
     }
 
-    fn compress_bytes(input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(input.len() / 2 + 8);
-        let mut i = 0;
-        while i < input.len() {
-            let byte = input[i];
-            let mut run = 1usize;
-            while run < 255 && i + run < input.len() && input[i + run] == byte {
-                run += 1;
-            }
-            out.push(run as u8);
-            out.push(byte);
-            i += run;
-        }
-        out
-    }
-}
-
-/// Streaming decoder for the word-oriented format: resumable over the
-/// `(count, word)` pair list, with the unaligned tail emitted last.
-#[derive(Debug)]
-struct WordStream<'a> {
-    tail: &'a [u8],
-    pairs: &'a [u8],
-    pos: usize,
-    tail_done: bool,
-    total: usize,
-}
-
-impl<'a> WordStream<'a> {
-    fn new(input: &'a [u8]) -> Result<Self, CodecError> {
+    /// Expands the `(count, word)` pairs, then appends the unaligned tail.
+    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
         let (&tail_len, rest) = input.split_first().ok_or(CodecError::Truncated)?;
         let tail_len = tail_len as usize;
         if tail_len > 3 || rest.len() < tail_len {
@@ -123,6 +79,7 @@ impl<'a> WordStream<'a> {
         if pairs.len() % 5 != 0 {
             return Err(CodecError::Truncated);
         }
+        // The format has no length header: the pairs give the exact size.
         // Zero counts contribute nothing here; the decode loop rejects
         // them when it reaches the offending pair.
         let total = pairs
@@ -130,143 +87,35 @@ impl<'a> WordStream<'a> {
             .map(|p| p[0] as usize * 4)
             .sum::<usize>()
             + tail_len;
-        Ok(WordStream {
-            tail,
-            pairs,
-            pos: 0,
-            tail_done: false,
-            total,
-        })
-    }
-}
-
-impl StreamDecoder for WordStream<'_> {
-    fn decode_into(&mut self, out: &mut Vec<u8>, budget: usize) -> Result<usize, CodecError> {
-        let start = out.len();
-        loop {
-            if out.len() - start >= budget {
-                break;
-            }
-            if let Some(p) = self.pairs.get(self.pos..self.pos + 5) {
-                let count = p[0] as usize;
-                if count == 0 {
-                    return Err(CodecError::corrupt("zero-length run"));
-                }
-                let word: [u8; 4] = p[1..5].try_into().expect("4 bytes");
-                if count >= 4 {
-                    // Replicate through a 16-word stack pattern so long runs
-                    // land as 64-byte copies instead of count × 4-byte
-                    // appends.
-                    let mut pattern = [0u8; 64];
-                    for chunk in pattern.chunks_exact_mut(4) {
-                        chunk.copy_from_slice(&word);
-                    }
-                    let mut reps = count;
-                    while reps >= 16 {
-                        out.extend_from_slice(&pattern);
-                        reps -= 16;
-                    }
-                    out.extend_from_slice(&pattern[..reps * 4]);
-                } else {
-                    for _ in 0..count {
-                        out.extend_from_slice(&word);
-                    }
-                }
-                self.pos += 5;
-            } else if !self.tail_done {
-                out.extend_from_slice(self.tail);
-                self.tail_done = true;
-            } else {
-                break;
-            }
-        }
-        Ok(out.len() - start)
-    }
-
-    fn is_finished(&self) -> bool {
-        self.pos == self.pairs.len() && self.tail_done
-    }
-
-    fn total_len(&self) -> usize {
-        self.total
-    }
-}
-
-/// Streaming decoder for the byte-oriented `(count, byte)` format.
-#[derive(Debug)]
-struct ByteStream<'a> {
-    pairs: &'a [u8],
-    pos: usize,
-    total: usize,
-}
-
-impl<'a> ByteStream<'a> {
-    fn new(input: &'a [u8]) -> Result<Self, CodecError> {
-        if !input.len().is_multiple_of(2) {
-            return Err(CodecError::Truncated);
-        }
-        let total = input.chunks_exact(2).map(|p| p[0] as usize).sum();
-        Ok(ByteStream {
-            pairs: input,
-            pos: 0,
-            total,
-        })
-    }
-}
-
-impl StreamDecoder for ByteStream<'_> {
-    fn decode_into(&mut self, out: &mut Vec<u8>, budget: usize) -> Result<usize, CodecError> {
-        let start = out.len();
-        while out.len() - start < budget && self.pos < self.pairs.len() {
-            let (count, byte) = (self.pairs[self.pos], self.pairs[self.pos + 1]);
+        let mut out = Vec::with_capacity(total);
+        for p in pairs.chunks_exact(5) {
+            let count = p[0] as usize;
             if count == 0 {
                 return Err(CodecError::corrupt("zero-length run"));
             }
-            out.extend(std::iter::repeat_n(byte, count as usize));
-            self.pos += 2;
+            let word: [u8; 4] = p[1..5].try_into().expect("4 bytes");
+            if count >= 4 {
+                // Replicate through a 16-word stack pattern so long runs
+                // land as 64-byte copies instead of count × 4-byte
+                // appends.
+                let mut pattern = [0u8; 64];
+                for chunk in pattern.chunks_exact_mut(4) {
+                    chunk.copy_from_slice(&word);
+                }
+                let mut reps = count;
+                while reps >= 16 {
+                    out.extend_from_slice(&pattern);
+                    reps -= 16;
+                }
+                out.extend_from_slice(&pattern[..reps * 4]);
+            } else {
+                for _ in 0..count {
+                    out.extend_from_slice(&word);
+                }
+            }
         }
-        Ok(out.len() - start)
-    }
-
-    fn is_finished(&self) -> bool {
-        self.pos == self.pairs.len()
-    }
-
-    fn total_len(&self) -> usize {
-        self.total
-    }
-}
-
-impl Codec for Rle {
-    fn name(&self) -> &'static str {
-        "RLE"
-    }
-
-    fn compress(&self, input: &[u8]) -> Vec<u8> {
-        if self.word_oriented {
-            Self::compress_words(input)
-        } else {
-            Self::compress_bytes(input)
-        }
-    }
-
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        if self.word_oriented {
-            stream::drain(WordStream::new(input)?)
-        } else {
-            stream::drain(ByteStream::new(input)?)
-        }
-    }
-
-    fn stream_decoder<'a>(
-        &self,
-        input: &'a [u8],
-    ) -> Result<Box<dyn StreamDecoder + 'a>, CodecError> {
-        Ok(if self.word_oriented {
-            Box::new(WordStream::new(input)?)
-        } else {
-            Box::new(ByteStream::new(input)?)
-        })
+        out.extend_from_slice(tail);
+        Ok(out)
     }
 }
 
@@ -274,7 +123,8 @@ impl Codec for Rle {
 mod tests {
     use super::*;
 
-    fn roundtrip(codec: &Rle, data: &[u8]) {
+    fn roundtrip(data: &[u8]) {
+        let codec = Rle::new();
         let packed = codec.compress(data);
         assert_eq!(
             codec.decompress(&packed).unwrap(),
@@ -285,13 +135,11 @@ mod tests {
     }
 
     #[test]
-    fn blank_regions_compress_well_in_both_modes() {
+    fn blank_regions_compress_well() {
         let blank = vec![0u8; 10_000];
-        for codec in [Rle::new(), Rle::byte_oriented()] {
-            let packed = codec.compress(&blank);
-            assert!(packed.len() < 100, "{} bytes", packed.len());
-            roundtrip(&codec, &blank);
-        }
+        let packed = Rle::new().compress(&blank);
+        assert!(packed.len() < 100, "{} bytes", packed.len());
+        roundtrip(&blank);
     }
 
     #[test]
@@ -303,15 +151,7 @@ mod tests {
         let rle = Rle::new();
         let packed = rle.compress(&data);
         assert_eq!(packed.len(), 1 + 1000 * 5);
-        roundtrip(&rle, &data);
-    }
-
-    #[test]
-    fn byte_mode_doubles_unique_bytes() {
-        let data: Vec<u8> = (0..=255).collect();
-        let rle = Rle::byte_oriented();
-        assert_eq!(rle.compress(&data).len(), data.len() * 2);
-        roundtrip(&rle, &data);
+        roundtrip(&data);
     }
 
     #[test]
@@ -321,34 +161,29 @@ mod tests {
         let rle = Rle::new();
         let packed = rle.compress(&data);
         assert_eq!(packed.len(), 1 + 5 * 600usize.div_ceil(255));
-        roundtrip(&rle, &data);
+        roundtrip(&data);
     }
 
     #[test]
     fn unaligned_tails_survive() {
-        let rle = Rle::new();
         for n in [1usize, 2, 3, 5, 6, 7, 1001] {
             let data: Vec<u8> = (0..n).map(|i| (i % 7) as u8).collect();
-            roundtrip(&rle, &data);
+            roundtrip(&data);
         }
     }
 
     #[test]
     fn run_boundaries_at_255() {
-        for codec in [Rle::new(), Rle::byte_oriented()] {
-            for n in [254usize * 4, 255 * 4, 256 * 4, 511 * 4] {
-                let data = vec![7u8; n];
-                roundtrip(&codec, &data);
-            }
+        for n in [254usize * 4, 255 * 4, 256 * 4, 511 * 4] {
+            roundtrip(&vec![7u8; n]);
         }
     }
 
     #[test]
     fn empty_input() {
-        for codec in [Rle::new(), Rle::byte_oriented()] {
-            let packed = codec.compress(&[]);
-            assert_eq!(codec.decompress(&packed).unwrap(), Vec::<u8>::new());
-        }
+        let rle = Rle::new();
+        let packed = rle.compress(&[]);
+        assert_eq!(rle.decompress(&packed).unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -363,12 +198,6 @@ mod tests {
         assert!(matches!(
             rle.decompress(&[9]),
             Err(CodecError::Corrupt { .. }) // tail length > 3
-        ));
-        let byte = Rle::byte_oriented();
-        assert_eq!(byte.decompress(&[5]), Err(CodecError::Truncated));
-        assert!(matches!(
-            byte.decompress(&[0, 7]),
-            Err(CodecError::Corrupt { .. })
         ));
     }
 }

@@ -33,7 +33,6 @@
 //! allocates nothing but its output.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::stream::{self, StreamDecoder};
 use crate::{Codec, CodecError};
 
 /// Default dictionary entries (the hardware CAM depth the paper's
@@ -583,21 +582,10 @@ impl Codec for XMatchPro {
 
     fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
         if self.dict_size <= MAX_SLOTS {
-            stream::drain(XMatchStream::<MtfSlots>::new(self, input)?)
+            self.decode::<MtfSlots>(input)
         } else {
-            stream::drain(XMatchStream::<LargeDict>::new(self, input)?)
+            self.decode::<LargeDict>(input)
         }
-    }
-
-    fn stream_decoder<'a>(
-        &self,
-        input: &'a [u8],
-    ) -> Result<Box<dyn StreamDecoder + 'a>, CodecError> {
-        Ok(if self.dict_size <= MAX_SLOTS {
-            Box::new(XMatchStream::<MtfSlots>::new(self, input)?)
-        } else {
-            Box::new(XMatchStream::<LargeDict>::new(self, input)?)
-        })
     }
 }
 
@@ -675,49 +663,50 @@ impl XMatchPro {
         out.extend_from_slice(&w.finish());
         out
     }
-}
 
-/// Streaming X-MatchPRO decoder over dictionary `D`: resumable at any
-/// token boundary (a call may overshoot its budget by one run token,
-/// ≤ 1 KiB).
-///
-/// Each call sizes the output once — the budget plus one run token,
-/// never past the stream's length — writes tuples into it by index and
-/// truncates it to what was produced, so partial output prefixes are
-/// exact and only the stream's final tuple is ever clipped.
-#[derive(Debug)]
-struct XMatchStream<'a, D> {
-    reader: BitReader<'a>,
-    dict: D,
-    loc_bits: u32,
-    n: usize,
-    total_tuples: usize,
-    tuples_done: usize,
-}
-
-impl<'a, D: Mtf> XMatchStream<'a, D> {
-    fn new(codec: &XMatchPro, input: &'a [u8]) -> Result<Self, CodecError> {
+    /// The decoder: one token loop over dictionary `D`, monomorphised
+    /// per depth class by [`Codec::decompress`].
+    ///
+    /// The output is sized once, zero-filled, to the stream's length, but
+    /// never past what the tokens could write: a token takes at least
+    /// `loc_bits + 10` bits and writes at most one run, so a corrupt
+    /// length header cannot size the output beyond what the input could
+    /// fill. A stream whose header outruns its tokens runs out of them
+    /// first and fails.
+    fn decode<D: Mtf>(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
         if input.len() < 4 {
             return Err(CodecError::Truncated);
         }
         let n = u32::from_le_bytes(input[0..4].try_into().expect("4 bytes")) as usize;
-        Ok(XMatchStream {
+        let mut decoder = XMatchDecoder {
             reader: BitReader::new(&input[4..]),
-            dict: D::new(codec.dict_size),
-            loc_bits: codec.loc_bits,
-            n,
+            dict: D::new(self.dict_size),
+            loc_bits: self.loc_bits,
             total_tuples: n.div_ceil(4),
             tuples_done: 0,
-        })
+        };
+        let reachable =
+            decoder.reader.remaining() / (self.loc_bits as usize + 10) * MAX_TOKEN_BYTES;
+        let mut out = vec![0; n.min(reachable)];
+        decoder.decode_tokens(&mut out)?;
+        debug_assert_eq!(out.len(), n, "a finished stream fills its length");
+        Ok(out)
     }
+}
 
-    /// Bytes decoded so far.
-    fn produced(&self) -> usize {
-        (self.tuples_done * 4).min(self.n)
-    }
+/// X-MatchPRO decoder state over dictionary `D`: the token reader, the
+/// move-to-front dictionary and the count of tuples written.
+#[derive(Debug)]
+struct XMatchDecoder<'a, D> {
+    reader: BitReader<'a>,
+    dict: D,
+    loc_bits: u32,
+    total_tuples: usize,
+    tuples_done: usize,
+}
 
-    /// Decodes whole tokens into `out` until `limit` bytes are produced
-    /// or the stream ends.
+impl<D: Mtf> XMatchDecoder<'_, D> {
+    /// Decodes every token into `out`, writing tuples by index.
     ///
     /// Each token is cut from one 64-bit window (a token is at most 33
     /// bits). The window is zero past the end of the stream, so every
@@ -725,14 +714,16 @@ impl<'a, D: Mtf> XMatchStream<'a, D> {
     /// boundary, in stream order: a short stream raises
     /// [`CodecError::Truncated`] at the first field it cannot hold, before
     /// any later field is judged.
-    #[inline]
-    fn decode_tokens(&mut self, out: &mut [u8], limit: usize) -> Result<(), CodecError> {
+    ///
+    /// Kept out of line: inlined into [`XMatchPro::decode`], the token
+    /// loop decoded the fleet images about 4 % slower.
+    #[inline(never)]
+    fn decode_tokens(&mut self, out: &mut [u8]) -> Result<(), CodecError> {
         // `loc` is exactly `loc_bits` wide, so it cannot leave the
         // dictionary.
         let loc_bits = self.loc_bits;
         let loc_mask = (1usize << loc_bits) - 1;
-        let stop = self.total_tuples.min(limit.div_ceil(4));
-        while self.tuples_done < stop {
+        while self.tuples_done < self.total_tuples {
             let pos = self.tuples_done * 4;
             let w = self.reader.peek_u64();
             if w >> 63 == 0 {
@@ -800,8 +791,8 @@ fn put_tuple(out: &mut [u8], pos: usize, tuple: u32) {
 /// Writes `count` copies of `tuple` into `out` from byte `pos`.
 ///
 /// Whole 64-byte blocks are stored while they fit in `out`, so the last
-/// block may run past the run into bytes that later tokens overwrite or
-/// the caller's truncation drops; only at the end of `out` is the fill
+/// block may run past the run into bytes that later tokens overwrite (or
+/// that a failed decode discards); only at the end of `out` is the fill
 /// exact.
 #[inline]
 fn put_run(out: &mut [u8], pos: usize, count: usize, tuple: u32) {
@@ -820,39 +811,6 @@ fn put_run(out: &mut [u8], pos: usize, count: usize, tuple: u32) {
             out[at..end].copy_from_slice(&block[..end - at]);
             break;
         }
-    }
-}
-
-impl<D: Mtf> StreamDecoder for XMatchStream<'_, D> {
-    fn decode_into(&mut self, out: &mut Vec<u8>, budget: usize) -> Result<usize, CodecError> {
-        let start = self.produced();
-        debug_assert_eq!(out.len(), start, "shared history buffer reused");
-        // A token starts only while fewer than `budget` bytes are out,
-        // writes at most one run and takes at least `loc_bits + 10` bits,
-        // so size the output once: to the least of those bounds and the
-        // stream's length (a corrupt length header cannot make it larger
-        // than the input could fill).
-        let limit = start.saturating_add(budget);
-        let reachable = self.reader.remaining() / (self.loc_bits as usize + 10) * MAX_TOKEN_BYTES;
-        out.resize(
-            limit
-                .saturating_add(MAX_TOKEN_BYTES)
-                .min(self.n)
-                .min(start + reachable),
-            0,
-        );
-        let outcome = self.decode_tokens(out, limit);
-        let end = self.produced();
-        out.truncate(end);
-        outcome.map(|()| end - start)
-    }
-
-    fn is_finished(&self) -> bool {
-        self.tuples_done == self.total_tuples
-    }
-
-    fn total_len(&self) -> usize {
-        self.n
     }
 }
 
@@ -1133,42 +1091,13 @@ mod tests {
         (0..len).map(|_| (lcg(&mut state) % 7) as u8 * 37).collect()
     }
 
-    /// Decodes through the streaming decoder in `budget`-byte chunks,
-    /// with a zero-budget call before every chunk (it must append
-    /// nothing), checking each chunk's size against the budget contract.
-    fn decode_chunked(
-        codec: &XMatchPro,
-        packed: &[u8],
-        budget: usize,
-    ) -> Result<Vec<u8>, CodecError> {
-        let mut dec = codec.stream_decoder(packed)?;
-        let mut out = Vec::with_capacity(dec.total_len());
-        while !dec.is_finished() {
-            assert_eq!(dec.decode_into(&mut out, 0), Ok(0), "zero budget");
-            let before = out.len();
-            let got = dec.decode_into(&mut out, budget)?;
-            assert_eq!(got, out.len() - before);
-            assert!(
-                got < budget + MAX_TOKEN_BYTES,
-                "overshoot {got} at budget {budget}"
-            );
-            assert!(
-                got >= budget || dec.is_finished(),
-                "short chunk {got} at budget {budget}"
-            );
-        }
-        assert_eq!(out.len(), dec.total_len());
-        Ok(out)
-    }
-
     #[test]
-    fn decoder_matches_reference_on_errors_and_chunking() {
+    fn decoder_matches_reference_on_errors() {
         // Every depth, on a sparse and a dense payload whose lengths are
         // not multiples of 4: the decoder must return exactly what the
         // reference returns — the same bytes or the same `CodecError` —
         // for every truncation of the packed stream and for seeded
-        // single-bit flips, and chunked decoding must equal one-shot.
-        let budgets = [1usize, 3, 64, 1021, 16 * 1024];
+        // single-bit flips.
         let mut errors_seen = std::collections::BTreeSet::new();
         for depth in [2usize, 4, 8, 16, 32, 64, 128] {
             let codec = XMatchPro::with_dictionary(depth);
@@ -1197,27 +1126,15 @@ mod tests {
                     let bit = lcg(&mut state) as usize % (packed.len() * 8);
                     let mut bad = packed.clone();
                     bad[bit / 8] ^= 0x80 >> (bit % 8);
-                    let one_shot = codec.decompress(&bad);
+                    let decoded = codec.decompress(&bad);
                     assert_eq!(
-                        one_shot,
+                        decoded,
                         codec.decompress_reference(&bad),
                         "{kind} depth {depth} flip {flip} at bit {bit}"
                     );
-                    if let Err(e) = &one_shot {
+                    if let Err(e) = &decoded {
                         errors_seen.insert(e.to_string());
                     }
-                    if flip % 32 == 0 {
-                        for budget in [1, 1021] {
-                            assert_eq!(decode_chunked(&codec, &bad, budget), one_shot);
-                        }
-                    }
-                }
-                for budget in budgets {
-                    assert_eq!(
-                        decode_chunked(&codec, &packed, budget).as_ref(),
-                        Ok(data),
-                        "{kind} depth {depth} budget {budget}"
-                    );
                 }
             }
         }
@@ -1244,22 +1161,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn a_corrupt_length_header_does_not_size_the_output() {
-        // A 64 MiB header over 12 bytes of tokens: the output is sized
-        // by what the 96 bits could encode, not by the header.
-        let mut stream = (64u32 << 20).to_le_bytes().to_vec();
-        stream.extend_from_slice(&[0xFF; 12]);
-        let mut dec = XMatchPro::new().stream_decoder(&stream).unwrap();
-        let mut out = Vec::new();
-        assert!(dec.decode_into(&mut out, usize::MAX).is_err());
-        assert!(
-            out.capacity() <= 8 * MAX_TOKEN_BYTES,
-            "{} B",
-            out.capacity()
-        );
     }
 
     #[test]

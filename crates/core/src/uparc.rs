@@ -106,11 +106,11 @@ impl Mode {
 /// and zero-copy up to the decompressed image itself.
 #[derive(Debug, Default)]
 struct StagingArena {
-    /// Compressed payload words fetched by UReC ([`Urec::run_burst_into`]).
+    /// Payload words fetched by UReC ([`Urec::run_burst`]).
     fetched: Vec<u32>,
     /// Compressed payload bytes, exact length (byte-count word applied).
     payload: Vec<u8>,
-    /// One decode/ICAP window of configuration words.
+    /// One ICAP write window of configuration words.
     window: Vec<u32>,
 }
 
@@ -991,8 +991,8 @@ impl UParc {
     /// cycle-exact with the per-edge loop.
     fn transfer_raw(&mut self) -> Result<u64, UparcError> {
         self.urec.start();
-        let outcome = self.urec.run_burst(&mut self.bram, &mut self.icap)?;
-        Ok(outcome.cycles)
+        self.urec
+            .run_burst(&mut self.bram, &mut self.icap, &mut self.arena.fetched)
     }
 
     /// Runs the compressed pipeline; returns (duration, CLK_3, power).
@@ -1011,7 +1011,7 @@ impl UParc {
         self.urec.start();
         let fetch_cycles =
             self.urec
-                .run_burst_into(&mut self.bram, &mut self.icap, &mut self.arena.fetched)?;
+                .run_burst(&mut self.bram, &mut self.icap, &mut self.arena.fetched)?;
         debug_assert!(self.arena.fetched.len() <= staged.stored_bytes / 4);
         // Functional model of the hardware decompressor: decode the exact
         // BRAM contents and push the output into the ICAP. The payload is
@@ -1044,52 +1044,28 @@ impl UParc {
         }
         self.arena.payload.truncate(byte_count);
         let payload = &self.arena.payload;
-        // Host-side fast path: a payload already decompressed (and
-        // verified at staging) is served from the cache; the simulated
-        // pipeline timing below is computed identically either way.
+        // The image comes from the cache (host-side only: a payload
+        // already decompressed and verified) or from one decode of the
+        // BRAM contents, so a decode error fails the transfer before any
+        // word reaches the ICAP. The simulated pipeline timing below is
+        // the same either way: it, not the host decode, models the
+        // decompressor filling the output FIFO while the ICAP drains it.
         let key = CacheKey::of(id, payload);
-        let (raw_len, words_len, raw) = match self.decomp_cache.get(&key) {
-            Some(cached) => {
-                let words = stream_to_icap(&mut self.icap, &mut self.arena.window, &cached)?;
-                (cached.len(), words, None)
-            }
+        let (image, miss) = match self.decomp_cache.get(&key) {
+            Some(image) => (image, false),
             None => {
-                // Cold path: open the codec's incremental decoder and
-                // alternate decode windows with ICAP write windows — the
-                // software mirror of the hardware overlap, where the
-                // decompressor fills the output FIFO while the ICAP
-                // drains it. The ICAP parser is stateful across calls,
-                // so the windowed writes are frame-exact with one call.
-                let codec = self.slot.codec();
-                let mut dec = codec
-                    .stream_decoder(payload)
+                let image = self
+                    .slot
+                    .codec()
+                    .decompress(payload)
                     .map_err(|e| UparcError::Compression(e.to_string()))?;
-                let mut raw = Vec::with_capacity(staged.raw_bytes);
-                let mut converted = 0usize;
-                let mut words = 0u64;
-                while !dec.is_finished() {
-                    dec.decode_into(&mut raw, STREAM_WINDOW_BYTES)
-                        .map_err(|e| UparcError::Compression(e.to_string()))?;
-                    let aligned = raw.len() & !3;
-                    if aligned > converted {
-                        words += stream_to_icap(
-                            &mut self.icap,
-                            &mut self.arena.window,
-                            &raw[converted..aligned],
-                        )?;
-                        converted = aligned;
-                    }
-                }
-                if converted < raw.len() {
-                    // Decompressed image is not word-aligned — identical
-                    // failure to `bytes_to_words` on the one-shot path.
-                    return Err(UparcError::Bitstream(BitstreamError::Truncated));
-                }
-                (raw.len(), words, Some(raw))
+                (Arc::new(image), true)
             }
         };
-        if let Some(raw) = raw {
-            self.decomp_cache.insert(key, Arc::new(raw));
+        let raw_len = image.len();
+        let words_len = stream_to_icap(&mut self.icap, &mut self.arena.window, &image)?;
+        if miss {
+            self.decomp_cache.insert(key, image);
         }
 
         // Pipeline pacing: BRAM fetch at CLK_2, decompressor at CLK_3,
@@ -1132,21 +1108,25 @@ impl UParc {
     }
 }
 
-/// Bytes decoded per streaming window of the compressed transfer. A few
-/// FIFO depths ahead of the burst and far smaller than an image, so the
-/// decode of window N+1 overlaps the ICAP intake of window N while both
-/// stay resident in cache.
-const STREAM_WINDOW_BYTES: usize = 16 * 1024;
+/// Image bytes converted per ICAP write window: a few FIFO depths and far
+/// smaller than an image, so the arena's word buffer stays small and
+/// resident in cache.
+const ICAP_WINDOW_BYTES: usize = 16 * 1024;
 
-/// Streams `bytes` (big-endian configuration words) into the ICAP in
-/// [`STREAM_WINDOW_BYTES`] windows through the arena's word buffer;
-/// returns the number of words written. `bytes` must be word-aligned.
-fn stream_to_icap(icap: &mut Icap, window: &mut Vec<u32>, bytes: &[u8]) -> Result<u64, UparcError> {
-    if !bytes.len().is_multiple_of(4) {
-        return Err(UparcError::Bitstream(BitstreamError::Truncated));
-    }
+/// Writes the whole words of `image` (big-endian configuration words)
+/// into the ICAP in [`ICAP_WINDOW_BYTES`] windows through the arena's
+/// word buffer; returns the number of words written. The ICAP parser is
+/// stateful across calls, so the windowed writes are frame-exact with
+/// one call.
+///
+/// # Errors
+///
+/// ICAP protocol errors, and [`BitstreamError::Truncated`] when `image`
+/// is not word-aligned, raised after its aligned part is written.
+fn stream_to_icap(icap: &mut Icap, window: &mut Vec<u32>, image: &[u8]) -> Result<u64, UparcError> {
+    let aligned = image.len() & !3;
     let mut written = 0u64;
-    for chunk in bytes.chunks(STREAM_WINDOW_BYTES) {
+    for chunk in image[..aligned].chunks(ICAP_WINDOW_BYTES) {
         window.clear();
         window.extend(
             chunk
@@ -1155,6 +1135,9 @@ fn stream_to_icap(icap: &mut Icap, window: &mut Vec<u32>, bytes: &[u8]) -> Resul
         );
         icap.write_words(window)?;
         written += window.len() as u64;
+    }
+    if aligned < image.len() {
+        return Err(UparcError::Bitstream(BitstreamError::Truncated));
     }
     Ok(written)
 }

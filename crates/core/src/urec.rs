@@ -48,17 +48,6 @@ pub enum UrecEvent {
     Finished,
 }
 
-/// Outcome of a batched transfer ([`Urec::run_burst`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BurstOutcome {
-    /// CLK_2 cycles consumed: one mode-word read plus one per payload word
-    /// — identical to the per-edge count.
-    pub cycles: u64,
-    /// Payload words fetched for the decompressor (compressed mode only;
-    /// empty in raw mode).
-    pub to_decompressor: Vec<u32>,
-}
-
 /// The UReC controller.
 #[derive(Debug, Clone)]
 pub struct Urec {
@@ -179,32 +168,17 @@ impl Urec {
     /// as BRAM bursts into the ICAP's batched write path instead of one
     /// word per call.
     ///
+    /// Returns the CLK_2 cycles consumed: one mode-word read plus one per
+    /// payload word, identical to the per-edge count. In compressed mode
+    /// the payload words fetched for the decompressor land in
+    /// `to_decompressor` (cleared first, so its capacity is reused); in
+    /// raw mode it is left empty.
+    ///
     /// # Errors
     ///
     /// Same failure modes as [`Urec::rising_edge`]; the FSM parks in `Done`
     /// with EN deasserted.
     pub fn run_burst(
-        &mut self,
-        bram: &mut Bram,
-        icap: &mut Icap,
-    ) -> Result<BurstOutcome, UparcError> {
-        let mut to_decompressor = Vec::new();
-        let cycles = self.run_burst_into(bram, icap, &mut to_decompressor)?;
-        Ok(BurstOutcome {
-            cycles,
-            to_decompressor,
-        })
-    }
-
-    /// Arena variant of [`Urec::run_burst`]: identical semantics, but the
-    /// compressed-mode payload lands in `to_decompressor` (cleared first,
-    /// capacity reused) instead of a fresh allocation per transfer. Returns
-    /// the CLK_2 cycle count.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Urec::run_burst`].
-    pub fn run_burst_into(
         &mut self,
         bram: &mut Bram,
         icap: &mut Icap,
@@ -394,12 +368,13 @@ mod tests {
         );
     }
 
-    /// Runs per-edge to completion or first error, mirroring the burst API.
+    /// Runs per-edge to completion or first error; returns the cycles and
+    /// the words fetched for the decompressor, as the burst reports them.
     fn run_edges(
         urec: &mut Urec,
         bram: &mut Bram,
         icap: &mut Icap,
-    ) -> Result<BurstOutcome, UparcError> {
+    ) -> Result<(u64, Vec<u32>), UparcError> {
         let mut cycles = 0u64;
         let mut to_decompressor = Vec::new();
         while !urec.is_finished() {
@@ -409,10 +384,19 @@ mod tests {
                 to_decompressor.push(w);
             }
         }
-        Ok(BurstOutcome {
-            cycles,
-            to_decompressor,
-        })
+        Ok((cycles, to_decompressor))
+    }
+
+    /// Runs the burst to completion or first error, in the same shape as
+    /// [`run_edges`]; the fetch buffer starts dirty to show it is cleared.
+    fn run_burst(
+        urec: &mut Urec,
+        bram: &mut Bram,
+        icap: &mut Icap,
+    ) -> Result<(u64, Vec<u32>), UparcError> {
+        let mut to_decompressor = vec![0xDEAD_BEEF];
+        let cycles = urec.run_burst(bram, icap, &mut to_decompressor)?;
+        Ok((cycles, to_decompressor))
     }
 
     #[test]
@@ -424,7 +408,7 @@ mod tests {
         let by_edge = run_edges(&mut edge, &mut bram_a, &mut icap_a).unwrap();
         let mut burst = Urec::new();
         burst.start();
-        let by_burst = burst.run_burst(&mut bram_b, &mut icap_b).unwrap();
+        let by_burst = run_burst(&mut burst, &mut bram_b, &mut icap_b).unwrap();
         assert_eq!(by_edge, by_burst);
         assert_eq!(edge.state(), burst.state());
         assert_eq!(icap_a.words_consumed(), icap_b.words_consumed());
@@ -452,7 +436,7 @@ mod tests {
         let by_edge = run_edges(&mut edge, &mut bram_a, &mut icap_a).unwrap();
         let mut burst = Urec::new();
         burst.start();
-        let by_burst = burst.run_burst(&mut bram_b, &mut icap_b).unwrap();
+        let by_burst = run_burst(&mut burst, &mut bram_b, &mut icap_b).unwrap();
         assert_eq!(by_edge, by_burst);
         assert_eq!(bram_a.read_count(Port::B), bram_b.read_count(Port::B));
         assert_eq!(
@@ -487,7 +471,7 @@ mod tests {
         let err_edge = run_edges(&mut edge, &mut bram_a, &mut icap_a).unwrap_err();
         let mut burst = Urec::new();
         burst.start();
-        let err_burst = burst.run_burst(&mut bram_b, &mut icap_b).unwrap_err();
+        let err_burst = run_burst(&mut burst, &mut bram_b, &mut icap_b).unwrap_err();
         assert_eq!(format!("{err_edge}"), format!("{err_burst}"));
         assert!(burst.is_finished() && !burst.en());
         assert_eq!(bram_a.read_count(Port::B), bram_b.read_count(Port::B));
@@ -502,13 +486,9 @@ mod tests {
         let mut icap = Icap::new(Device::xc5vsx50t());
         let mut urec = Urec::new();
         urec.start();
-        let outcome = urec.run_burst(&mut bram, &mut icap).unwrap();
         assert_eq!(
-            outcome,
-            BurstOutcome {
-                cycles: 1,
-                to_decompressor: vec![]
-            }
+            run_burst(&mut urec, &mut bram, &mut icap).unwrap(),
+            (1, vec![])
         );
         assert!(urec.is_finished());
     }

@@ -1,12 +1,16 @@
 //! Compressed-mode integration across every hardware-decodable algorithm:
 //! each slot stages, decompresses and configures identically to the raw
-//! path, at its own characteristic throughput.
+//! path, from a cached or a cold image alike, at its own characteristic
+//! throughput.
 
 use uparc_repro::bitstream::builder::PartialBitstream;
 use uparc_repro::bitstream::synth::SynthProfile;
 use uparc_repro::compress::Algorithm;
+use uparc_repro::core::recovery::{RecoveryAction, RecoveryPolicy};
 use uparc_repro::core::uparc::{Mode, UParc};
+use uparc_repro::core::UparcError;
 use uparc_repro::fpga::Device;
+use uparc_repro::sim::fault::{FaultInjector, FaultKind};
 use uparc_repro::sim::rng::Xoshiro256;
 use uparc_repro::sim::time::Frequency;
 
@@ -32,6 +36,19 @@ const HW_ALGS: [Algorithm; 4] = [
     Algorithm::Huffman,
 ];
 
+/// A lane with `alg` in the decompressor slot, `cache_bytes` of
+/// decompressed-image cache and CLK_2 at 200 MHz.
+fn lane(device: &Device, alg: Algorithm, cache_bytes: usize) -> UParc {
+    let mut sys = UParc::builder(device.clone())
+        .decompressor(alg)
+        .decompressed_cache_bytes(cache_bytes)
+        .build()
+        .expect("build");
+    sys.set_reconfiguration_frequency(Frequency::from_mhz(200.0))
+        .expect("tune");
+    sys
+}
+
 #[test]
 fn every_hw_algorithm_configures_identically_to_raw() {
     let device = Device::xc5vsx50t();
@@ -45,13 +62,12 @@ fn every_hw_algorithm_configures_identically_to_raw() {
             .expect("raw");
 
         for alg in HW_ALGS {
-            let mut sys = UParc::builder(device.clone())
-                .decompressor(alg)
-                .build()
-                .expect("build");
-            sys.set_reconfiguration_frequency(Frequency::from_mhz(200.0))
-                .expect("tune");
-            let r = sys
+            // The warm lane transfers the image its preload decoded and
+            // cached; the cold lane, with no cache, decodes the BRAM
+            // contents during the transfer. Both must configure, time and
+            // count exactly alike.
+            let mut warm = lane(&device, alg, 32 << 20);
+            let r = warm
                 .reconfigure_bitstream(&bs, Mode::Compressed)
                 .expect("compressed");
             assert!(r.compressed, "{alg}");
@@ -60,12 +76,72 @@ fn every_hw_algorithm_configures_identically_to_raw() {
                 reference
                     .icap()
                     .config_memory()
-                    .diff_frames(sys.icap().config_memory()),
+                    .diff_frames(warm.icap().config_memory()),
                 0,
                 "{alg} must configure the same frames"
             );
+            assert_eq!(warm.decomp_cache_stats().hits, 1, "{alg}: warm transfer");
+
+            let mut cold = lane(&device, alg, 0);
+            let c = cold
+                .reconfigure_bitstream(&bs, Mode::Compressed)
+                .expect("cold compressed");
+            assert_eq!(
+                warm.icap()
+                    .config_memory()
+                    .diff_frames(cold.icap().config_memory()),
+                0,
+                "{alg}: cold ≡ warm frames"
+            );
+            assert_eq!(c.transfer_time, r.transfer_time, "{alg}: cold ≡ warm time");
+            assert_eq!(c.energy_uj, r.energy_uj, "{alg}: cold ≡ warm energy");
+            let (w, k) = (warm.icap(), cold.icap());
+            assert_eq!(k.words_consumed(), w.words_consumed(), "{alg}");
+            assert_eq!(k.frames_committed(), w.frames_committed(), "{alg}");
         }
     }
+
+    // A decode error fails the transfer before any configuration word
+    // reaches the ICAP. The flip lands in the last quarter of the packed
+    // 250-frame image, so more than 16 KB of the image decodes ahead of
+    // the token it breaks: a transfer that wrote the image as it decoded
+    // would have configured that much before failing. The first such flip
+    // whose decode fails is taken, scanning from the image's end.
+    let bs = bitstream(&device, 250);
+    let alg = Algorithm::XMatchPro;
+    let image_words = lane(&device, alg, 0)
+        .preload(&bs, Mode::Compressed)
+        .expect("stages")
+        .stored_bytes as u32
+        / 4;
+    assert!(bs.size_bytes() > 2 * 16 * 1024, "{} B", bs.size_bytes());
+    let run = |word: u32, policy: RecoveryPolicy| {
+        let mut sys = lane(&device, alg, 32 << 20);
+        let mut inj = FaultInjector::empty();
+        inj.schedule(sys.now(), FaultKind::StagedFlip { word, bit: 31 });
+        sys.attach_fault_injector(inj);
+        let before = sys.icap().words_consumed();
+        let outcome = policy.reconfigure(&mut sys, &bs, Mode::Compressed);
+        (outcome, sys.icap().words_consumed() - before)
+    };
+    // `StagedFlip { word }` corrupts BRAM word `1 + word` of a compressed
+    // image longer than `word + 1` words.
+    let (word, written) = (image_words * 3 / 4..image_words - 1)
+        .rev()
+        .find_map(|word| match run(word, RecoveryPolicy::none()) {
+            (Err(UparcError::Compression(_)), written) => Some((word, written)),
+            _ => None,
+        })
+        .expect("a tail flip breaks the decode");
+    assert_eq!(written, 0, "flip at word {word}: no word reaches the ICAP");
+    let (healed, _) = run(word, RecoveryPolicy::default());
+    let healed = healed.expect("mode fallback heals the stage");
+    assert!(
+        healed.actions.contains(&RecoveryAction::ModeFallback),
+        "{:?}",
+        healed.actions
+    );
+    assert!(!healed.preload.compressed, "final staging is raw");
 }
 
 #[test]

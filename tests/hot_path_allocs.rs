@@ -6,19 +6,21 @@
 //! loop's miss path, allocates only its output, a preload of a packed
 //! catalog entry runs no encoder: it allocates the BRAM image and, now and
 //! then, the power trace's growth, and a warm packed reconfigure allocates
-//! only that growth.
+//! only that growth. No codec sizes its output by a corrupt length header:
+//! a decode of a 64-byte sample whose header claims 4 GiB requests no
+//! block over 64 KiB.
 //!
-//! A counting global allocator tallies allocations per thread, and this
-//! file holds a single test, so the harness's own threads never reach the
-//! count. The guard counts; it does not time, so host noise cannot make
-//! it flaky.
+//! A counting global allocator tallies allocations, and the largest single
+//! request, per thread, and this file holds a single test, so the
+//! harness's own threads never reach the count. The guard counts; it does
+//! not time, so host noise cannot make it flaky.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
 use uparc_repro::compress::xmatchpro::XMatchPro;
-use uparc_repro::compress::Codec;
+use uparc_repro::compress::{Algorithm, Codec};
 use uparc_repro::core::dyclogen::OutputClock;
 use uparc_repro::core::pipeline::PipelineRun;
 use uparc_repro::core::policy::{PlanQuery, PowerAwarePolicy, VfQuery};
@@ -32,24 +34,26 @@ use uparc_repro::sim::time::{Frequency, SimTime};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting every allocation and reallocation on
-/// the calling thread.
+/// the calling thread and keeping the largest size requested.
 struct Counting;
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // A const-initialised `Cell` has no destructor, so the slot is never
     // torn down; `try_with` keeps the allocator panic-free regardless.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(bytes)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter it bumps first
-// is a thread-local `Cell` that never allocates.
+// which upholds the `GlobalAlloc` contract; the counters it bumps first
+// are thread-local `Cell`s that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
@@ -58,12 +62,12 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -76,6 +80,13 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// The largest single block `f` requests on this thread, in bytes.
+fn largest_request_in(f: impl FnOnce()) -> usize {
+    LARGEST.with(|m| m.set(0));
+    f();
+    LARGEST.with(Cell::get)
 }
 
 /// Asserts that `call` makes exactly `expected` allocations per call
@@ -291,6 +302,28 @@ fn request_path_calls_do_not_allocate() {
             &format!("X-MatchPRO decode, 6,561 B, depth {depth}"),
             1,
             || codec.decompress(black_box(&packed)).expect("round-trips"),
+        );
+    }
+
+    // A corrupt length header does not size the output: each codec packs
+    // a 64-byte sample and the header then claims u32::MAX bytes (RLE has
+    // no length header, so its stream stays as packed). Whether the
+    // decode fails or not, it requests no block larger than its input
+    // could plausibly unpack to.
+    let sample: Vec<u8> = (0..64u32).map(|i| (i * 7 % 13) as u8).collect();
+    for alg in Algorithm::ALL {
+        let codec = alg.codec();
+        let mut stream = codec.compress(&sample);
+        if alg != Algorithm::Rle {
+            stream[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }
+        let largest = largest_request_in(|| {
+            let _ = black_box(codec.decompress(black_box(&stream)));
+        });
+        assert!(
+            largest <= 64 << 10,
+            "{alg}: a {largest} B request for a {} B stream",
+            stream.len()
         );
     }
 }

@@ -9,10 +9,8 @@
 //!   well-formed, corrupted, truncated and off-device streams, under any
 //!   chunking of the input;
 //! * the two-level-LUT Huffman decoder ≡ the bit-at-a-time reference;
-//! * every codec's incremental [`StreamDecoder`] ≡ one-shot `decompress`,
-//!   under arbitrary per-call budgets;
-//! * [`BlockCodec`] frames are byte-identical across worker counts, and
-//!   its streaming decoder matches its one-shot path.
+//! * [`BlockCodec`] frames are byte-identical across worker counts and
+//!   decode back to their input.
 
 use proptest::prelude::*;
 use uparc_repro::compress::bitio::{BitReader, BitWriter};
@@ -208,7 +206,7 @@ proptest! {
     }
 }
 
-// ----------------------------------------------------- streaming decode --
+// --------------------------------------------------------- block codec --
 
 fn codec_corpus_strategy() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
@@ -221,40 +219,9 @@ fn codec_corpus_strategy() -> impl Strategy<Value = Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every codec's incremental decoder must emit exactly the one-shot
-    /// decompression, no matter how the caller slices its budgets — the
-    /// contract the decode/ICAP overlap in `transfer_compressed` rests on.
-    #[test]
-    fn streaming_decode_equals_one_shot_for_every_codec(
-        data in codec_corpus_strategy(),
-        budgets in proptest::collection::vec(1usize..4096, 1..8),
-    ) {
-        for alg in Algorithm::ALL {
-            let codec = alg.codec();
-            let packed = codec.compress(&data);
-            let expect = codec.decompress(&packed).expect("one-shot decompress");
-            let mut dec = codec.stream_decoder(&packed).expect("open stream");
-            let mut out = Vec::new();
-            let mut i = 0usize;
-            while !dec.is_finished() {
-                let before = out.len();
-                dec.decode_into(&mut out, budgets[i % budgets.len()])
-                    .expect("streamed decode");
-                i += 1;
-                prop_assert!(
-                    out.len() > before || dec.is_finished(),
-                    "{}: decoder made no progress",
-                    codec.name()
-                );
-            }
-            prop_assert_eq!(&out, &expect, "{}: streamed bytes diverge", codec.name());
-            prop_assert_eq!(&expect, &data, "{}: round trip", codec.name());
-        }
-    }
-
     /// Block-parallel frames are deterministic: the same input compresses
     /// to the same bytes whether one, two or eight workers encode it, and
-    /// both decode paths (one-shot and lazy streaming) restore the input.
+    /// the frame decodes back to the input.
     #[test]
     fn block_codec_is_byte_identical_across_worker_counts(
         data in codec_corpus_strategy(),
@@ -271,12 +238,5 @@ proptest! {
         prop_assert_eq!(&frames[0], &frames[2], "1 vs 8 workers");
         let round = bc.decompress(&frames[0]).expect("block decompress");
         prop_assert_eq!(&round, &data, "block round trip");
-
-        let mut dec = bc.stream_decoder(&frames[0]).expect("open block stream");
-        let mut out = Vec::new();
-        while !dec.is_finished() {
-            dec.decode_into(&mut out, 777).expect("streamed block decode");
-        }
-        prop_assert_eq!(&out, &data, "streamed block bytes diverge");
     }
 }
