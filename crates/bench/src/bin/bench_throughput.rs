@@ -81,7 +81,7 @@ fn best_of<F: FnMut()>(reps: usize, items: u64, mut f: F) -> Measured {
 }
 
 fn main() {
-    let h = Harness::new("throughput", 4);
+    let h = Harness::new("throughput", 5);
     let smoke = h.smoke;
     let reps = if smoke { 2 } else { 5 };
     let device = Device::xc5vsx50t();
@@ -462,8 +462,22 @@ fn main() {
 
     // ---- JSON report --------------------------------------------------
     let queue_speedup = queue.per_sec() / QUEUE_BASELINE_OPS_PER_SEC;
+    // Host-time figures depend on the machine, so the report names it;
+    // the sim-time reports stay host-independent and carry no such block.
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
     let report = h
         .report()
+        .field(
+            "host",
+            Obj::new()
+                .field("available_parallelism", cores)
+                .field("profile", profile),
+        )
         .field(
             "icap",
             Obj::new()
@@ -611,10 +625,11 @@ fn main() {
         );
     }
 
-    // The v4 fields must exist in every variant, smoke included.
+    // The v4 and v5 fields must exist in every variant, smoke included.
     h.write(
         &report.render(),
         &[
+            "\"available_parallelism\"",
             "\"streaming_words_per_sec\"",
             "\"parallel_encode\"",
             "\"obs_overhead_raw\"",

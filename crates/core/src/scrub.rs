@@ -58,7 +58,7 @@ impl Scrubber {
     ///
     /// Frame-range or clock errors.
     pub fn capture(uparc: &mut UParc, far: u32, frames: u32) -> Result<Self, UparcError> {
-        let golden = uparc.readback(far, frames)?;
+        let golden = uparc.readback(far, frames)?.to_vec();
         Ok(Scrubber {
             far,
             frames,
@@ -82,7 +82,6 @@ impl Scrubber {
     pub fn scrub(&self, uparc: &mut UParc) -> Result<ScrubReport, UparcError> {
         let t0 = uparc.now();
         let current = uparc.readback(self.far, self.frames)?;
-        let scan_time = uparc.now() - t0;
         let dirty: Vec<u32> = (0..self.frames)
             .filter(|&i| {
                 let s = i as usize * self.frame_words;
@@ -90,6 +89,7 @@ impl Scrubber {
             })
             .map(|i| self.far + i)
             .collect();
+        let scan_time = uparc.now() - t0;
 
         let mut repairs = Vec::new();
         for range in contiguous_ranges(&dirty) {
@@ -101,7 +101,7 @@ impl Scrubber {
         if !repairs.is_empty() {
             // Verify the repair took.
             let after = uparc.readback(self.far, self.frames)?;
-            if after != self.golden {
+            if after != self.golden.as_slice() {
                 return Err(UparcError::Compression(
                     "scrub verification failed: partition still corrupt".into(),
                 ));
@@ -122,7 +122,9 @@ impl Scrubber {
 /// Unlike [`Scrubber`], no golden copy is stored: single-bit upsets are
 /// *located* by the Hamming syndrome and corrected in place; multi-bit
 /// upsets are detected but need a golden-copy repair (returned for
-/// escalation).
+/// escalation). The scan is paced by a timed readback and checks the
+/// frames in place; the recovery ladder runs it after every successful
+/// dispatch.
 #[derive(Debug, Clone, Copy)]
 pub struct EccScrubber {
     far: u32,
@@ -159,29 +161,30 @@ impl EccScrubber {
     }
 
     /// Scans by syndrome, corrects located single-bit upsets by rewriting
-    /// the corrected frames through a partial bitstream.
+    /// the corrected frames through a partial bitstream. The scan reads
+    /// the partition in place and copies only a frame it corrects, so a
+    /// clean pass allocates nothing of its own.
     ///
     /// # Errors
     ///
     /// Readback or reconfiguration errors.
     pub fn scrub(&self, uparc: &mut UParc) -> Result<EccScrubReport, UparcError> {
         use uparc_fpga::ecc::EccStatus;
-        // The syndrome is computed on the fly during readback.
+        // The readback paces the scan; the syndrome is checked on the
+        // frames in place, where no fault can land after the readback.
         let t0 = uparc.now();
-        let data = uparc.readback(self.far, self.frames)?;
+        uparc.readback(self.far, self.frames)?;
         let scan_time = uparc.now() - t0;
-        let fw = uparc.icap().config_memory().frame_words();
+        let memory = uparc.icap().config_memory();
 
         let mut corrected = Vec::new();
         let mut uncorrectable = Vec::new();
         let mut fixes: Vec<(u32, Vec<u32>)> = Vec::new();
-        for i in 0..self.frames {
-            let far = self.far + i;
-            match uparc.icap().config_memory().ecc_check(far)? {
+        for far in self.range() {
+            match memory.ecc_check(far)? {
                 EccStatus::Clean => {}
                 EccStatus::SingleBit { word, bit } => {
-                    let s = i as usize * fw;
-                    let mut frame = data[s..s + fw].to_vec();
+                    let mut frame = memory.read_frame(far)?.to_vec();
                     frame[word] ^= 1 << bit;
                     corrected.push((far, word, bit));
                     fixes.push((far, frame));

@@ -949,12 +949,14 @@ impl UParc {
 
     /// Reads back `frames` frames starting at `far` through the ICAP's
     /// readback path at CLK_2, advancing simulation time accordingly. Used
-    /// by the scrubbing support ([`crate::scrub`]).
+    /// by the scrubbing support ([`crate::scrub`]). The frames come back
+    /// in place, as a borrowed slice of the configuration plane; a caller
+    /// that keeps them copies them.
     ///
     /// # Errors
     ///
     /// Frame-range or clock errors.
-    pub fn readback(&mut self, far: u32, frames: u32) -> Result<Vec<u32>, UparcError> {
+    pub fn readback(&mut self, far: u32, frames: u32) -> Result<&[u32], UparcError> {
         self.apply_ambient_faults();
         let ready = self
             .dyclogen
@@ -966,10 +968,11 @@ impl UParc {
         let f2 = self
             .dyclogen
             .frequency(OutputClock::Reconfiguration, self.now)?;
+        // Readback keeps the path active like a (reverse) transfer.
+        let path_mw = self.path_power_mw(f2);
         let words = self.icap.readback(far, frames)?;
         let duration = f2.time_of_cycles(words.len() as u64 + 2);
-        // Readback keeps the path active like a (reverse) transfer.
-        self.trace.push(self.now, self.path_power_mw(f2));
+        self.trace.push(self.now, path_mw);
         self.now += duration;
         self.trace.push(self.now, calib::V6_IDLE_MW);
         Ok(words)
@@ -980,7 +983,11 @@ impl UParc {
     ///
     /// # Errors
     ///
-    /// Frame-range errors.
+    /// [`UparcError::Fpga`] carrying
+    /// [`FrameOutOfRange`](uparc_fpga::FpgaError::FrameOutOfRange) for an
+    /// address outside the device, or
+    /// [`UpsetOutOfRange`](uparc_fpga::FpgaError::UpsetOutOfRange) if
+    /// `word_idx` or `bit` exceed the frame geometry.
     pub fn inject_upset(&mut self, far: u32, word_idx: usize, bit: u32) -> Result<(), UparcError> {
         self.icap.inject_upset(far, word_idx, bit)?;
         Ok(())
@@ -1175,6 +1182,36 @@ mod tests {
 
     fn uparc() -> UParc {
         UParc::builder(Device::xc5vsx50t()).build().unwrap()
+    }
+
+    #[test]
+    fn upsets_outside_the_frame_geometry_are_typed_errors() {
+        use uparc_fpga::FpgaError;
+        let device = Device::xc5vsx50t();
+        let bs = bitstream(&device, 4, 3);
+        let mut sys = uparc();
+        sys.reconfigure_bitstream(&bs, Mode::Raw).unwrap();
+        // XC5VSX50T frames are 41 words: word 41 is the first past the end.
+        assert_eq!(
+            sys.inject_upset(51, 41, 0),
+            Err(UparcError::Fpga(FpgaError::UpsetOutOfRange {
+                far: Some(51),
+                word: Some(41),
+                bit: 0,
+            }))
+        );
+        assert!(matches!(
+            sys.inject_upset(51, 0, 32),
+            Err(UparcError::Fpga(FpgaError::UpsetOutOfRange { .. }))
+        ));
+        let frames = device.frames();
+        assert!(matches!(
+            sys.inject_upset(frames, 0, 0),
+            Err(UparcError::Fpga(FpgaError::FrameOutOfRange { .. }))
+        ));
+        assert_eq!(sys.readback(50, 4).unwrap(), bs.payload());
+        sys.inject_upset(51, 40, 31).unwrap();
+        assert_ne!(sys.readback(50, 4).unwrap(), bs.payload());
     }
 
     #[test]

@@ -245,18 +245,22 @@ impl Bram {
     ///
     /// # Errors
     ///
-    /// [`FpgaError::BramAddressOutOfRange`] for `addr` past the end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit` is not below 32.
+    /// [`FpgaError::BramAddressOutOfRange`] for `addr` past the end;
+    /// [`FpgaError::UpsetOutOfRange`] if `bit` is not below 32. Nothing
+    /// changes in either case.
     pub fn corrupt_bit(&mut self, addr: usize, bit: u32) -> Result<(), FpgaError> {
-        assert!(bit < 32, "bit index out of range");
         let words = self.data.len();
         let slot = self
             .data
             .get_mut(addr)
             .ok_or(FpgaError::BramAddressOutOfRange { addr, words })?;
+        if bit >= 32 {
+            return Err(FpgaError::UpsetOutOfRange {
+                far: None,
+                word: Some(addr),
+                bit,
+            });
+        }
         *slot ^= 1 << bit;
         Ok(())
     }
@@ -306,6 +310,28 @@ mod tests {
         let n = b.capacity_words();
         assert!(b.read_word(Port::A, n).is_err());
         assert!(b.write_word(Port::B, n, 0).is_err());
+    }
+
+    #[test]
+    fn upsets_outside_the_word_are_typed_errors() {
+        let mut b = bram();
+        b.write_word(Port::A, 9, 0x0F).unwrap();
+        assert_eq!(
+            b.corrupt_bit(9, 32),
+            Err(FpgaError::UpsetOutOfRange {
+                far: None,
+                word: Some(9),
+                bit: 32,
+            })
+        );
+        let n = b.capacity_words();
+        assert!(matches!(
+            b.corrupt_bit(n, 40),
+            Err(FpgaError::BramAddressOutOfRange { .. })
+        ));
+        assert_eq!(b.read_word(Port::B, 9).unwrap(), 0x0F, "nothing flipped");
+        b.corrupt_bit(9, 31).unwrap();
+        assert_eq!(b.read_word(Port::B, 9).unwrap(), 0x8000_000F);
     }
 
     #[test]

@@ -5,19 +5,29 @@
 //! the controllers actually produced the intended frame contents (not just
 //! plausible timing numbers).
 
+use std::collections::BTreeMap;
+
 use crate::device::Device;
 use crate::ecc::{self, EccStatus};
 use crate::error::FpgaError;
 
 /// The configuration memory plane of one device: `frames × frame_words`
 /// 32-bit words, addressed by a flat frame address (FAR).
+///
+/// Each frame has a stored ECC parity word. A legitimate write stores the
+/// parity of the data it writes and only an upset can make the two
+/// differ, so the plane keeps a stored parity only for the frames an
+/// upset struck since their last write: a clean write is a plain copy,
+/// and checking an unstruck frame reads nothing.
 #[derive(Debug, Clone)]
 pub struct ConfigMemory {
     frame_words: usize,
     frames: u32,
     data: Vec<u32>,
-    /// Per-frame ECC parity, updated on every (legitimate) frame write.
-    parity: Vec<u32>,
+    /// Stored parity of each frame struck since its last write, keyed by
+    /// frame address. Every other frame's stored parity is the parity of
+    /// its data.
+    struck: BTreeMap<u32, u32>,
     writes: u64,
 }
 
@@ -31,7 +41,7 @@ impl ConfigMemory {
             frame_words,
             frames,
             data: vec![0; frames as usize * frame_words],
-            parity: vec![0; frames as usize], // all-zero frames have parity 0
+            struck: BTreeMap::new(),
             writes: 0,
         }
     }
@@ -54,6 +64,20 @@ impl ConfigMemory {
         self.writes
     }
 
+    /// The offset of word 0 of frame `far` in the plane, if `n` frames
+    /// from `far` lie on the device; otherwise the first frame address
+    /// off the device, as [`FpgaError::FrameOutOfRange`].
+    fn span(&self, far: u32, n: usize) -> Result<usize, FpgaError> {
+        if far as usize + n > self.frames as usize {
+            let bad = if far >= self.frames { far } else { self.frames };
+            return Err(FpgaError::FrameOutOfRange {
+                far: bad,
+                frames: self.frames,
+            });
+        }
+        Ok(far as usize * self.frame_words)
+    }
+
     /// Writes one frame at `far`.
     ///
     /// # Errors
@@ -71,24 +95,16 @@ impl ConfigMemory {
             "frames are exactly {} words",
             self.frame_words
         );
-        if far >= self.frames {
-            return Err(FpgaError::FrameOutOfRange {
-                far,
-                frames: self.frames,
-            });
-        }
-        let start = far as usize * self.frame_words;
+        let start = self.span(far, 1)?;
         self.data[start..start + self.frame_words].copy_from_slice(frame);
-        self.parity[far as usize] = ecc::frame_parity(frame);
+        self.struck.remove(&far);
         self.writes += 1;
         Ok(())
     }
 
     /// Writes `data.len() / frame_words` consecutive whole frames starting
-    /// at `far` in one fused pass: a single bounds check, with the copy and
-    /// the ECC parity folded into one walk over the data. Equivalent to
-    /// calling [`ConfigMemory::write_frame`] per frame, but each word is
-    /// read once instead of twice.
+    /// at `far` with one bounds check and one copy. Equivalent to calling
+    /// [`ConfigMemory::write_frame`] per frame.
     ///
     /// # Errors
     ///
@@ -106,22 +122,41 @@ impl ConfigMemory {
             self.frame_words
         );
         let n = data.len() / self.frame_words;
-        if far as usize + n > self.frames as usize {
-            // Report the first frame address off the device.
-            let bad = if far >= self.frames { far } else { self.frames };
-            return Err(FpgaError::FrameOutOfRange {
-                far: bad,
-                frames: self.frames,
-            });
-        }
-        let start = far as usize * self.frame_words;
-        let dst = &mut self.data[start..start + data.len()];
-        for (k, frame) in data.chunks_exact(self.frame_words).enumerate() {
-            let d = &mut dst[k * self.frame_words..(k + 1) * self.frame_words];
-            self.parity[far as usize + k] = ecc::copy_with_parity(d, frame);
+        let start = self.span(far, n)?;
+        self.data[start..start + data.len()].copy_from_slice(data);
+        if !self.struck.is_empty() {
+            let written = far..far + n as u32;
+            self.struck.retain(|f, _| !written.contains(f));
         }
         self.writes += n as u64;
         Ok(())
+    }
+
+    /// Checks an upset of `bit` in word `word` of frame `far` (`None`: the
+    /// stored parity word) against the device and frame geometry, and
+    /// returns the frame's stored parity and data. An unstruck frame gets
+    /// its entry first: until this upset, its stored parity is the parity
+    /// of its data.
+    fn strike(
+        &mut self,
+        far: u32,
+        word: Option<usize>,
+        bit: u32,
+    ) -> Result<(&mut u32, &mut [u32]), FpgaError> {
+        let start = self.span(far, 1)?;
+        if bit >= 32 || word.is_some_and(|w| w >= self.frame_words) {
+            return Err(FpgaError::UpsetOutOfRange {
+                far: Some(far),
+                word,
+                bit,
+            });
+        }
+        let frame = &mut self.data[start..start + self.frame_words];
+        let stored = self
+            .struck
+            .entry(far)
+            .or_insert_with(|| ecc::frame_parity(frame));
+        Ok((stored, frame))
     }
 
     /// Flips one bit **without** updating the frame's ECC parity — the
@@ -130,21 +165,12 @@ impl ConfigMemory {
     ///
     /// # Errors
     ///
-    /// [`FpgaError::FrameOutOfRange`] if `far` is outside the device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word` or `bit` exceed the frame geometry.
+    /// [`FpgaError::FrameOutOfRange`] if `far` is outside the device;
+    /// [`FpgaError::UpsetOutOfRange`] if `word` or `bit` exceed the frame
+    /// geometry. Nothing changes in either case.
     pub fn corrupt_bit(&mut self, far: u32, word: usize, bit: u32) -> Result<(), FpgaError> {
-        if far >= self.frames {
-            return Err(FpgaError::FrameOutOfRange {
-                far,
-                frames: self.frames,
-            });
-        }
-        assert!(word < self.frame_words, "word index outside frame");
-        assert!(bit < 32, "bit index out of range");
-        self.data[far as usize * self.frame_words + word] ^= 1 << bit;
+        let (_, frame) = self.strike(far, Some(word), bit)?;
+        frame[word] ^= 1 << bit;
         Ok(())
     }
 
@@ -156,31 +182,28 @@ impl ConfigMemory {
     ///
     /// # Errors
     ///
-    /// [`FpgaError::FrameOutOfRange`] if `far` is outside the device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit` is not below 32.
+    /// [`FpgaError::FrameOutOfRange`] if `far` is outside the device;
+    /// [`FpgaError::UpsetOutOfRange`] if `bit` is not below 32. Nothing
+    /// changes in either case.
     pub fn corrupt_parity_bit(&mut self, far: u32, bit: u32) -> Result<(), FpgaError> {
-        if far >= self.frames {
-            return Err(FpgaError::FrameOutOfRange {
-                far,
-                frames: self.frames,
-            });
-        }
-        assert!(bit < 32, "bit index out of range");
-        self.parity[far as usize] ^= 1 << bit;
+        let (stored, _) = self.strike(far, None, bit)?;
+        *stored ^= 1 << bit;
         Ok(())
     }
 
-    /// ECC syndrome check of one frame (the FRAME_ECC primitive).
+    /// ECC syndrome check of one frame (the FRAME_ECC primitive). A frame
+    /// no upset struck since its last write checks clean without being
+    /// read.
     ///
     /// # Errors
     ///
     /// [`FpgaError::FrameOutOfRange`] if `far` is outside the device.
     pub fn ecc_check(&self, far: u32) -> Result<EccStatus, FpgaError> {
         let frame = self.read_frame(far)?;
-        Ok(ecc::check(frame, self.parity[far as usize]))
+        Ok(self
+            .struck
+            .get(&far)
+            .map_or(EccStatus::Clean, |&stored| ecc::check(frame, stored)))
     }
 
     /// Reads one frame at `far` (readback through FDRO).
@@ -189,14 +212,23 @@ impl ConfigMemory {
     ///
     /// [`FpgaError::FrameOutOfRange`] if `far` is outside the device.
     pub fn read_frame(&self, far: u32) -> Result<&[u32], FpgaError> {
-        if far >= self.frames {
-            return Err(FpgaError::FrameOutOfRange {
-                far,
-                frames: self.frames,
-            });
+        self.read_frames(far, 1)
+    }
+
+    /// Reads `frames` consecutive frames starting at `far` in place, as
+    /// one slice of `frames × frame_words` words. Zero frames read as an
+    /// empty slice wherever `far` is.
+    ///
+    /// # Errors
+    ///
+    /// [`FpgaError::FrameOutOfRange`], naming the first frame address off
+    /// the device, if the range leaves it.
+    pub fn read_frames(&self, far: u32, frames: u32) -> Result<&[u32], FpgaError> {
+        if frames == 0 {
+            return Ok(&[]);
         }
-        let start = far as usize * self.frame_words;
-        Ok(&self.data[start..start + self.frame_words])
+        let start = self.span(far, frames as usize)?;
+        Ok(&self.data[start..start + frames as usize * self.frame_words])
     }
 
     /// Number of frames whose contents differ between `self` and `other`.
@@ -222,7 +254,7 @@ impl ConfigMemory {
     /// including the ECC parity.
     pub fn clear(&mut self) {
         self.data.fill(0);
-        self.parity.fill(0);
+        self.struck.clear();
     }
 }
 
@@ -285,21 +317,81 @@ mod tests {
     }
 
     #[test]
+    fn upsets_outside_the_frame_geometry_are_typed_errors() {
+        let mut cm = tiny();
+        let frame: Vec<u32> = (0..41).map(|i| i * 3 + 5).collect();
+        cm.write_frame(7, &frame).unwrap();
+        let outside = |word, bit| FpgaError::UpsetOutOfRange {
+            far: Some(7),
+            word,
+            bit,
+        };
+        assert_eq!(cm.corrupt_bit(7, 41, 0), Err(outside(Some(41), 0)));
+        assert_eq!(cm.corrupt_bit(7, 0, 32), Err(outside(Some(0), 32)));
+        assert_eq!(cm.corrupt_parity_bit(7, 32), Err(outside(None, 32)));
+        // The device bound is checked first.
+        assert!(matches!(
+            cm.corrupt_bit(cm.frames(), 41, 0),
+            Err(FpgaError::FrameOutOfRange { .. })
+        ));
+        assert_eq!(cm.read_frame(7).unwrap(), frame.as_slice());
+        assert_eq!(cm.ecc_check(7).unwrap(), EccStatus::Clean);
+        assert!(cm.struck.is_empty(), "an invalid upset stores nothing");
+    }
+
+    #[test]
+    fn only_struck_frames_keep_a_stored_parity() {
+        let mut cm = tiny();
+        let fw = cm.frame_words();
+        let data: Vec<u32> = (0..(4 * fw) as u32).map(|i| i ^ 0x00FF_00FF).collect();
+        cm.write_frames(20, &data).unwrap();
+        assert!(cm.struck.is_empty(), "a clean write stores no parity");
+        cm.corrupt_bit(21, 4, 9).unwrap();
+        cm.corrupt_parity_bit(23, 2).unwrap();
+        cm.corrupt_bit(30, 0, 0).unwrap();
+        assert_eq!(cm.struck.len(), 3);
+        // The same bit flipped back: the entry stays and reads clean.
+        cm.corrupt_bit(30, 0, 0).unwrap();
+        assert_eq!(cm.ecc_check(30).unwrap(), EccStatus::Clean);
+        // A run over struck and unstruck frames drops exactly its own.
+        cm.write_frames(21, &data[..3 * fw]).unwrap();
+        assert_eq!(cm.struck.keys().copied().collect::<Vec<_>>(), vec![30]);
+        cm.clear();
+        assert!(cm.struck.is_empty());
+    }
+
+    #[test]
+    fn read_frames_is_one_slice_with_the_per_frame_error() {
+        let mut cm = tiny();
+        let fw = cm.frame_words();
+        let frames = cm.frames();
+        let data: Vec<u32> = (0..(3 * fw) as u32).collect();
+        cm.write_frames(frames - 3, &data).unwrap();
+        assert_eq!(cm.read_frames(frames - 3, 3).unwrap(), data.as_slice());
+        let off = |far| FpgaError::FrameOutOfRange { far, frames };
+        assert_eq!(cm.read_frames(frames - 3, 4), Err(off(frames)));
+        assert_eq!(cm.read_frames(frames + 5, 2), Err(off(frames + 5)));
+        assert_eq!(cm.read_frames(u32::MAX, 2), Err(off(u32::MAX)));
+        // Zero frames read as nothing, wherever they start.
+        assert!(cm.read_frames(u32::MAX, 0).unwrap().is_empty());
+    }
+
+    #[test]
     fn multi_frame_write_matches_per_frame_writes() {
-        let mut fused = tiny();
+        let mut batched = tiny();
         let mut loop_based = tiny();
-        let fw = fused.frame_words();
+        let fw = batched.frame_words();
         let data: Vec<u32> = (0..(3 * fw) as u32)
             .map(|i| i.wrapping_mul(0x9E37_79B9))
             .collect();
-        fused.write_frames(7, &data).unwrap();
+        batched.write_frames(7, &data).unwrap();
         for (k, frame) in data.chunks_exact(fw).enumerate() {
             loop_based.write_frame(7 + k as u32, frame).unwrap();
         }
-        assert_eq!(fused.diff_frames(&loop_based), 0);
-        assert_eq!(fused.write_count(), loop_based.write_count());
+        assert_eq!(batched.diff_frames(&loop_based), 0);
+        assert_eq!(batched.write_count(), loop_based.write_count());
         for far in 7..10 {
-            assert_eq!(fused.ecc_check(far).unwrap(), EccStatus::Clean);
+            assert_eq!(batched.ecc_check(far).unwrap(), EccStatus::Clean);
         }
     }
 

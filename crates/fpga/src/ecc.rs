@@ -3,10 +3,12 @@
 //! Virtex-5/-6 devices embed per-frame ECC (the `FRAME_ECC` primitive):
 //! each frame carries parity that lets configuration scrubbers detect and
 //! *locate* a single flipped bit without keeping a golden copy, and detect
-//! (but not correct) multi-bit upsets. The model stores the expected
-//! parity alongside each frame in [`crate::ConfigMemory`]; a radiation
-//! upset corrupts the data without updating the parity, which is exactly
-//! how the syndrome exposes it.
+//! (but not correct) multi-bit upsets. A legitimate frame write stores the
+//! parity of the data it writes; a radiation upset corrupts the data (or
+//! the stored parity) without that update, which is exactly how the
+//! syndrome exposes it. [`crate::ConfigMemory`] therefore keeps a stored
+//! parity only for frames an upset struck since their last write: every
+//! other frame's stored parity is, by construction, the parity of its data.
 //!
 //! Encoding: the syndrome's low bits are the XOR of `(bit index + 1)` over
 //! all set bits (a flipped bit at index *i* changes it by `i + 1`), and
@@ -41,21 +43,6 @@ const LANE: [[u8; 256]; 4] = {
     lane
 };
 
-/// 16-bit-lane parity tables derived from [`LANE`]: `WIDE[0]` covers bits
-/// `0..16`, `WIDE[1]` bits `16..32`. Two lookups per word instead of four;
-/// the 128 KB pair stays L2-resident, which on the streaming frame-write
-/// path beats the extra byte extraction µops.
-static WIDE: [[u8; 65536]; 2] = {
-    let mut wide = [[0u8; 65536]; 2];
-    let mut v = 0usize;
-    while v < 65536 {
-        wide[0][v] = LANE[0][v & 0xFF] ^ LANE[1][v >> 8];
-        wide[1][v] = LANE[2][v & 0xFF] ^ LANE[3][v >> 8];
-        v += 1;
-    }
-    wide
-};
-
 /// Parity word of a frame: `(position parity, overall parity)` packed as
 /// `pos | (overall << 31)`.
 ///
@@ -63,44 +50,28 @@ static WIDE: [[u8; 65536]; 2] = {
 /// `w·32 + b + 1 = (w + carry) << 5 | ((b + 1) & 31)` with `carry = 1`
 /// only for `b = 31`, so the high and low halves XOR independently. The
 /// low half and the word's popcount parity come from four byte-lane table
-/// lookups (the private `LANE` tables, 1 KB total); the high half is `w` taken popcount
-/// times plus the `b = 31` carry fix-up. No per-set-bit loop.
+/// lookups (the private `LANE` tables, 1 KB total); the high half is `w`
+/// taken popcount times plus the `b = 31` carry fix-up. No per-set-bit
+/// loop. The configuration memory runs it only when an upset strikes a
+/// frame and when it checks a struck frame, never on a frame write.
 #[must_use]
 pub fn frame_parity(frame: &[u32]) -> u32 {
     let mut pos = 0u32;
     let mut overall = 0u32;
     for (w, &word) in frame.iter().enumerate() {
         let w = w as u32;
-        let packed = u32::from(WIDE[0][(word & 0xFFFF) as usize] ^ WIDE[1][(word >> 16) as usize]);
+        let [b0, b1, b2, b3] = word.to_le_bytes();
+        let packed = u32::from(
+            LANE[0][usize::from(b0)]
+                ^ LANE[1][usize::from(b1)]
+                ^ LANE[2][usize::from(b2)]
+                ^ LANE[3][usize::from(b3)],
+        );
         let low = packed & 31;
         let par = packed >> 5;
         overall ^= par;
         // `w` XORed in once per set bit: survives iff popcount is odd.
         // Branchless fix-up: b = 31 contributes (w + 1) << 5, not w << 5.
-        let high = (par.wrapping_neg() & w) ^ ((word >> 31).wrapping_neg() & (w ^ (w + 1)));
-        pos ^= (high << 5) | low;
-    }
-    pos | (overall << 31)
-}
-
-/// Copies `src` into `dst` while computing [`frame_parity`] of the data
-/// in the same pass — the fused fast path for multi-frame writes, where a
-/// separate copy and parity walk would read every word twice.
-///
-/// # Panics
-///
-/// Panics if `dst` and `src` differ in length.
-pub fn copy_with_parity(dst: &mut [u32], src: &[u32]) -> u32 {
-    assert_eq!(dst.len(), src.len(), "copy_with_parity length mismatch");
-    let mut pos = 0u32;
-    let mut overall = 0u32;
-    for (w, (d, &word)) in dst.iter_mut().zip(src).enumerate() {
-        *d = word;
-        let w = w as u32;
-        let packed = u32::from(WIDE[0][(word & 0xFFFF) as usize] ^ WIDE[1][(word >> 16) as usize]);
-        let low = packed & 31;
-        let par = packed >> 5;
-        overall ^= par;
         let high = (par.wrapping_neg() & w) ^ ((word >> 31).wrapping_neg() & (w ^ (w + 1)));
         pos ^= (high << 5) | low;
     }
@@ -240,15 +211,6 @@ mod tests {
             }
             assert_eq!(frame_parity(&frame), frame_parity_reference(&frame));
         }
-    }
-
-    #[test]
-    fn fused_copy_matches_copy_then_parity() {
-        let src = frame();
-        let mut dst = vec![0u32; src.len()];
-        let p = copy_with_parity(&mut dst, &src);
-        assert_eq!(dst, src);
-        assert_eq!(p, frame_parity(&src));
     }
 
     #[test]

@@ -78,6 +78,18 @@ pub enum FpgaError {
         /// Number of words in the memory.
         words: usize,
     },
+    /// An upset named a word or bit outside the geometry it strikes: a
+    /// word past the end of its frame, or a bit at or above 32.
+    UpsetOutOfRange {
+        /// Frame address of a configuration-memory upset; `None` for a
+        /// BRAM word.
+        far: Option<u32>,
+        /// Word index within the frame, or the BRAM word address; `None`
+        /// for a frame's stored ECC parity word.
+        word: Option<usize>,
+        /// Bit index within the word.
+        bit: u32,
+    },
     /// Configuration data arrived before the sync word.
     NotSynced,
     /// A malformed packet was found in the configuration stream.
@@ -133,6 +145,17 @@ impl std::fmt::Display for FpgaError {
             ),
             FpgaError::BramAddressOutOfRange { addr, words } => {
                 write!(f, "bram word address {addr} out of range ({words} words)")
+            }
+            FpgaError::UpsetOutOfRange { far, word, bit } => {
+                write!(f, "upset outside the geometry: bit {bit} of ")?;
+                match word {
+                    Some(word) => write!(f, "word {word}")?,
+                    None => f.write_str("the parity word")?,
+                }
+                match far {
+                    Some(far) => write!(f, " of frame {far}"),
+                    None => f.write_str(" of the bram"),
+                }
             }
             FpgaError::NotSynced => write!(f, "configuration data before sync word"),
             FpgaError::MalformedPacket { word } => {

@@ -217,20 +217,18 @@ impl Icap {
         &self.cfg
     }
 
-    /// Reads back `frames` frames starting at `far` (the RCFG/FDRO path).
+    /// Reads back `frames` frames starting at `far` (the RCFG/FDRO path),
+    /// in place: the frames come back as one borrowed slice of the
+    /// configuration plane, and a caller that keeps them copies them.
     /// Readback consumes one port cycle per word, like configuration.
     ///
     /// # Errors
     ///
     /// [`FpgaError::FrameOutOfRange`] if the range leaves the device.
-    pub fn readback(&mut self, far: u32, frames: u32) -> Result<Vec<u32>, FpgaError> {
-        let fw = self.cfg.frame_words();
-        let mut out = Vec::with_capacity(frames as usize * fw);
-        for i in 0..frames {
-            out.extend_from_slice(self.cfg.read_frame(far + i)?);
-        }
-        self.words += out.len() as u64;
-        Ok(out)
+    pub fn readback(&mut self, far: u32, frames: u32) -> Result<&[u32], FpgaError> {
+        let words = self.cfg.read_frames(far, frames)?;
+        self.words += words.len() as u64;
+        Ok(words)
     }
 
     /// Injects a single-event upset: flips `bit` of word `word_idx` in
@@ -239,11 +237,9 @@ impl Icap {
     ///
     /// # Errors
     ///
-    /// [`FpgaError::FrameOutOfRange`] for an address outside the device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `word_idx` or `bit` exceed the frame geometry.
+    /// [`FpgaError::FrameOutOfRange`] for an address outside the device;
+    /// [`FpgaError::UpsetOutOfRange`] if `word_idx` or `bit` exceed the
+    /// frame geometry.
     pub fn inject_upset(&mut self, far: u32, word_idx: usize, bit: u32) -> Result<(), FpgaError> {
         // Radiation flips the bit but does not update the frame's ECC
         // parity — that asymmetry is what the syndrome check detects.
@@ -255,11 +251,8 @@ impl Icap {
     ///
     /// # Errors
     ///
-    /// [`FpgaError::FrameOutOfRange`] for an address outside the device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit` is not below 32.
+    /// [`FpgaError::FrameOutOfRange`] for an address outside the device;
+    /// [`FpgaError::UpsetOutOfRange`] if `bit` is not below 32.
     pub fn inject_parity_upset(&mut self, far: u32, bit: u32) -> Result<(), FpgaError> {
         self.cfg.corrupt_parity_bit(far, bit)
     }
@@ -346,8 +339,8 @@ impl Icap {
             }
         }
         // Whole frames straight from the slice, no buffering. The fully
-        // in-range prefix commits through the fused multi-frame path: one
-        // CRC run and one combined copy+parity pass over the whole block.
+        // in-range prefix commits through the multi-frame path: one CRC
+        // run and one copy of the whole block.
         let whole = (run.len() - i) / fw;
         let in_range = self.cfg.frames().saturating_sub(self.far) as usize;
         let fast = whole.min(in_range);
@@ -786,6 +779,66 @@ mod tests {
             icap.config_memory().ecc_check(8).unwrap(),
             EccStatus::MultiBit
         );
+    }
+
+    #[test]
+    fn upsets_outside_the_frame_geometry_are_typed_errors() {
+        let dev = Device::xc5vsx50t();
+        let mut icap = icap();
+        icap.write_words(&mini_stream(&dev, 8, 1)).unwrap();
+        assert_eq!(
+            icap.inject_upset(8, 41, 0),
+            Err(FpgaError::UpsetOutOfRange {
+                far: Some(8),
+                word: Some(41),
+                bit: 0,
+            })
+        );
+        assert_eq!(
+            icap.inject_upset(8, 3, 32),
+            Err(FpgaError::UpsetOutOfRange {
+                far: Some(8),
+                word: Some(3),
+                bit: 32,
+            })
+        );
+        assert_eq!(
+            icap.inject_parity_upset(8, 40),
+            Err(FpgaError::UpsetOutOfRange {
+                far: Some(8),
+                word: None,
+                bit: 40,
+            })
+        );
+        let frame = icap.config_memory().read_frame(8).unwrap();
+        assert!(frame.iter().all(|&w| w == 8), "nothing flipped");
+        assert_eq!(
+            icap.config_memory().ecc_check(8).unwrap(),
+            crate::ecc::EccStatus::Clean
+        );
+    }
+
+    #[test]
+    fn readback_borrows_the_frames_and_counts_their_words() {
+        let dev = Device::xc5vsx50t();
+        let mut icap = icap();
+        icap.write_words(&mini_stream(&dev, 700, 3)).unwrap();
+        let before = icap.words_consumed();
+        let words = icap.readback(700, 3).unwrap();
+        assert_eq!(words.len(), 3 * 41);
+        assert!(words[41..82].iter().all(|&w| w == 701));
+        assert_eq!(icap.words_consumed(), before + 3 * 41);
+        // A range off the device counts nothing; zero frames read nothing.
+        let frames = dev.frames();
+        assert_eq!(
+            icap.readback(frames - 1, 2),
+            Err(FpgaError::FrameOutOfRange {
+                far: frames,
+                frames,
+            })
+        );
+        assert!(icap.readback(frames + 1, 0).unwrap().is_empty());
+        assert_eq!(icap.words_consumed(), before + 3 * 41);
     }
 
     #[test]

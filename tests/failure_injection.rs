@@ -169,7 +169,7 @@ fn upsets_struck_mid_schedule_are_scrubbed_back_bit_identical() {
     let live = PartialBitstream::build(sys.device(), 400, &live_payload);
     sys.reconfigure_bitstream(&live, Mode::Raw).expect("live");
     let golden = Scrubber::capture(&mut sys, 400, 80).expect("capture");
-    let pristine = sys.readback(400, 80).expect("readback");
+    let pristine = sys.readback(400, 80).expect("readback").to_vec();
 
     // Schedule the upsets: three SEUs (two in one frame — beyond SECDED
     // correction, so the golden copy is genuinely needed) spread across

@@ -5,8 +5,9 @@
 //! edge stepper) allocate nothing, an X-MatchPRO decode, the fleet chip
 //! loop's miss path, allocates only its output, a preload of a packed
 //! catalog entry runs no encoder: it allocates the BRAM image and, now and
-//! then, the power trace's growth, and a warm packed reconfigure allocates
-//! only that growth. No codec sizes its output by a corrupt length header:
+//! then, the power trace's growth, and a warm packed reconfigure and a
+//! clean post-success ECC verification scan allocate only that growth.
+//! No codec sizes its output by a corrupt length header:
 //! a decode of a 64-byte sample whose header claims 4 GiB requests no
 //! block over 64 KiB.
 //!
@@ -24,6 +25,7 @@ use uparc_repro::compress::{Algorithm, Codec};
 use uparc_repro::core::dyclogen::OutputClock;
 use uparc_repro::core::pipeline::PipelineRun;
 use uparc_repro::core::policy::{PlanQuery, PowerAwarePolicy, VfQuery};
+use uparc_repro::core::scrub::EccScrubber;
 use uparc_repro::core::uparc::UParc;
 use uparc_repro::core::UparcError;
 use uparc_repro::fleet::fleet::synthetic_catalog;
@@ -293,6 +295,27 @@ fn request_path_calls_do_not_allocate() {
         grown += n;
     }
     assert!(grown <= 3, "the power trace grew on {grown} of 64 calls");
+    // The verification scan after a clean dispatch: the readback borrows
+    // the partition in place and no frame is struck, so the scan copies
+    // nothing and computes no parity; the readback's two power steps grow
+    // the trace now and then, at most once per call.
+    let bs = entry.bitstream();
+    assert_eq!(bs.frame_count(), 40);
+    let scrubber = EccScrubber::new(bs.far(), bs.frame_count());
+    let mut grown = 0;
+    for _ in 0..64 {
+        let n = allocations_in(|| {
+            let scan = scrubber.scrub(&mut lane).expect("scans");
+            assert!(scan.corrected.is_empty() && scan.uncorrectable.is_empty());
+            black_box(scan);
+        });
+        assert!(
+            n <= 1,
+            "clean ECC verification scan: {n} allocation(s) per call"
+        );
+        grown += n;
+    }
+    assert!(grown <= 3, "{grown} of 64 clean scans allocated");
     let ragged: Vec<u8> = (0..6_561u32).map(|i| (i % 7 * 37 + i / 97) as u8).collect();
     for depth in [16, 128] {
         let codec = XMatchPro::with_dictionary(depth);

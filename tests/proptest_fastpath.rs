@@ -7,7 +7,8 @@
 //!
 //! * batched [`Icap::write_words`] ≡ one [`Icap::write_word`] per word, on
 //!   well-formed, corrupted, truncated and off-device streams, under any
-//!   chunking of the input;
+//!   chunking of the input, with upsets struck into the plane first so
+//!   the frames' ECC state is compared too;
 //! * the two-level-LUT Huffman decoder ≡ the bit-at-a-time reference;
 //! * [`BlockCodec`] frames are byte-identical across worker counts and
 //!   decode back to their input.
@@ -53,8 +54,9 @@ fn stream(dev: &Device, far: u32, payload: &[u32]) -> Vec<u32> {
     v
 }
 
-/// Asserts the two ports ended in the same externally observable state.
-fn assert_same_state(fast: &Icap, slow: &Icap) {
+/// Asserts the two ports ended in the same externally observable state,
+/// including the ECC state of the frames `case` struck.
+fn assert_same_state(fast: &Icap, slow: &Icap, case: &IcapCase) {
     assert_eq!(fast.words_consumed(), slow.words_consumed(), "word counter");
     assert_eq!(
         fast.frames_committed(),
@@ -72,11 +74,57 @@ fn assert_same_state(fast: &Icap, slow: &Icap) {
         slow.config_memory().write_count(),
         "frame write count"
     );
+    for far in case.struck_frames() {
+        assert_eq!(
+            fast.config_memory().ecc_check(far),
+            slow.config_memory().ecc_check(far),
+            "ECC state of frame {far}"
+        );
+    }
+}
+
+/// A randomized stream and the upsets struck into a port before it
+/// streams: a data bit in a frame the stream writes, and a data bit and a
+/// parity bit in two frames it does not write. A written frame's upset is
+/// overwritten by the per-frame path (`write_frame`) or the multi-frame
+/// path (`write_frames`), whichever commits it; the others must survive
+/// both.
+#[derive(Debug, Clone)]
+struct IcapCase {
+    words: Vec<u32>,
+    /// `(far, word, bit)`: in a written frame, then in an unwritten one.
+    data_strikes: [(u32, usize, u32); 2],
+    /// `(far, bit)` of the stored parity word of an unwritten frame.
+    parity_strike: (u32, u32),
+}
+
+impl IcapCase {
+    /// A fresh port with this case's upsets struck.
+    fn port(&self) -> Icap {
+        let mut icap = Icap::new(Device::xc5vsx50t());
+        for (far, word, bit) in self.data_strikes {
+            icap.inject_upset(far, word, bit)
+                .expect("inside the geometry");
+        }
+        let (far, bit) = self.parity_strike;
+        icap.inject_parity_upset(far, bit)
+            .expect("inside the geometry");
+        icap
+    }
+
+    fn struck_frames(&self) -> [u32; 3] {
+        [
+            self.data_strikes[0].0,
+            self.data_strikes[1].0,
+            self.parity_strike.0,
+        ]
+    }
 }
 
 /// A randomized stream: a well-formed base, optionally mutated (bit flip,
-/// truncation, or an off-device FAR), for a handful of frames.
-fn icap_stream_strategy() -> impl Strategy<Value = Vec<u32>> {
+/// truncation, or an off-device FAR), for a handful of frames, with its
+/// upsets derived from the same draw.
+fn icap_stream_strategy() -> impl Strategy<Value = IcapCase> {
     let dev = Device::xc5vsx50t();
     let fw = dev.family().frame_words();
     let device_frames = dev.frames();
@@ -108,7 +156,26 @@ fn icap_stream_strategy() -> impl Strategy<Value = Vec<u32>> {
                 2 => s.truncate(r as usize % (s.len() + 1)),
                 _ => {}
             }
-            s
+            // The upsets: a frame of the payload (or `far` itself when
+            // there is none), then two frames at the other end of the
+            // device from it.
+            let h = r.wrapping_mul(0x9E37_79B9);
+            let written_frames = (payload.len() / fw).max(1) as u32;
+            let written = (far + h % written_frames).min(device_frames - 1);
+            let spare = if far < device_frames / 2 {
+                device_frames - 2 - h % 8
+            } else {
+                h % 8
+            };
+            let word = |x: u32| x as usize % fw;
+            IcapCase {
+                words: s,
+                data_strikes: [
+                    (written, word(h >> 3), (h >> 11) % 32),
+                    (spare, word(h >> 16), (h >> 24) % 32),
+                ],
+                parity_strike: (spare + 1, (h >> 27) % 32),
+            }
         })
 }
 
@@ -116,28 +183,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn batched_icap_equals_per_cycle_reference(words in icap_stream_strategy()) {
-        let dev = Device::xc5vsx50t();
-        let mut fast = Icap::new(dev.clone());
-        let mut slow = Icap::new(dev);
-        let fr = fast.write_words(&words);
+    fn batched_icap_equals_per_cycle_reference(case in icap_stream_strategy()) {
+        let words = &case.words;
+        let mut fast = case.port();
+        let mut slow = case.port();
+        let fr = fast.write_words(words);
         let sr = words.iter().try_for_each(|&w| slow.write_word(w));
         prop_assert_eq!(
             fr.map_err(|e| e.to_string()),
             sr.map_err(|e| e.to_string()),
             "result mismatch"
         );
-        assert_same_state(&fast, &slow);
+        assert_same_state(&fast, &slow, &case);
     }
 
     #[test]
     fn batched_icap_is_chunking_invariant(
-        words in icap_stream_strategy(),
+        case in icap_stream_strategy(),
         cuts in proptest::collection::vec(any::<u32>(), 0..6),
     ) {
-        let dev = Device::xc5vsx50t();
-        let mut whole = Icap::new(dev.clone());
-        let whole_result = whole.write_words(&words).map_err(|e| e.to_string());
+        let words = &case.words;
+        let mut whole = case.port();
+        let whole_result = whole.write_words(words).map_err(|e| e.to_string());
 
         // Feed the same stream in arbitrary pieces; stop at the first
         // error exactly like the single call does.
@@ -146,7 +213,7 @@ proptest! {
         bounds.push(0);
         bounds.push(words.len());
         bounds.sort_unstable();
-        let mut chunked = Icap::new(dev);
+        let mut chunked = case.port();
         let mut chunked_result = Ok(());
         for pair in bounds.windows(2) {
             let r = chunked.write_words(&words[pair[0]..pair[1]]);
@@ -156,7 +223,7 @@ proptest! {
             }
         }
         prop_assert_eq!(whole_result, chunked_result, "result mismatch");
-        assert_same_state(&chunked, &whole);
+        assert_same_state(&chunked, &whole, &case);
     }
 }
 
