@@ -3,8 +3,8 @@
 //! fast path vs the per-cycle reference), each compression codec (encode
 //! and decode), the end-to-end reconfiguration pipeline (raw and
 //! compressed mode), the simulator event queue, and a kernel section
-//! (event-loop dispatch rate on a relay ring, a sharded scenario grid, and
-//! the decompressed-bitstream cache).
+//! (event-loop dispatch rate on a relay ring and on a sharded scenario
+//! grid).
 //!
 //! Run with `cargo run --release -p uparc-bench --bin bench_throughput`;
 //! pass `--smoke` for a seconds-scale CI variant (small workloads, fewer
@@ -16,9 +16,7 @@ use uparc_bench::harness::Harness;
 use uparc_bench::report::{Obj, Value};
 use uparc_bitstream::builder::PartialBitstream;
 use uparc_bitstream::synth::SynthProfile;
-use uparc_compress::parallel::BlockCodec;
 use uparc_compress::{Algorithm, Ratio};
-use uparc_core::schedule::{run_schedule, ReconfigTask, Strategy};
 use uparc_core::uparc::{Mode, UParc};
 use uparc_fpga::{Device, Icap};
 use uparc_sim::queue::EventQueue;
@@ -81,7 +79,7 @@ fn best_of<F: FnMut()>(reps: usize, items: u64, mut f: F) -> Measured {
 }
 
 fn main() {
-    let h = Harness::new("throughput", 5);
+    let h = Harness::new("throughput", 6);
     let smoke = h.smoke;
     let reps = if smoke { 2 } else { 5 };
     let device = Device::xc5vsx50t();
@@ -224,43 +222,6 @@ fn main() {
         codec_rows.push((alg.to_string(), enc, dec, saved));
     }
 
-    // ---- Block-parallel encode: BlockCodec across worker counts ------
-    // The framed block codec encodes independent blocks on a worker pool;
-    // the frame bytes must be identical at every worker count (the frame
-    // layout is position-deterministic), so only the wall clock may move.
-    // The ~1 MB ICAP corpus gives the pool enough 64 KB blocks to spread.
-    let block_corpus = stream.to_bytes();
-    let block_codec = BlockCodec::new(Algorithm::XMatchPro);
-    let mut parallel_rows = Vec::new();
-    let mut first_frame: Option<Vec<u8>> = None;
-    for workers in [1usize, 2, 8] {
-        sweep::pin_workers(workers);
-        let frame = block_codec.compress(&block_corpus);
-        match &first_frame {
-            None => {
-                assert_eq!(
-                    block_codec.decompress(&frame).expect("block round trip"),
-                    block_corpus,
-                    "block frame must restore the input"
-                );
-                first_frame = Some(frame);
-            }
-            Some(first) => {
-                assert_eq!(first, &frame, "worker count changed the frame bytes");
-            }
-        }
-        let enc = best_of(reps, block_corpus.len() as u64, || {
-            std::hint::black_box(block_codec.compress(&block_corpus));
-        });
-        println!(
-            "parallel encode x{workers}: {:.1} MB/s",
-            enc.per_sec() / 1e6
-        );
-        parallel_rows.push((workers, enc));
-    }
-    sweep::unpin_workers();
-    let block_frame_bytes = first_frame.expect("one worker count ran").len();
-
     // ---- End-to-end pipeline: preload + reconfigure (raw mode) -------
     let e2e_bytes = if smoke { 64 * 1024 } else { 247 * 1024 };
     let e2e_frames = (e2e_bytes / device.family().frame_bytes()) as u32;
@@ -284,8 +245,8 @@ fn main() {
 
     // Compressed-mode end-to-end figure: same bitstream through the
     // decompressor datapath (CLK_2 capped at 255 MHz in this mode). A
-    // fresh system per pass keeps the decompression cache cold, so this
-    // tracks the full staging + decode path.
+    // fresh system per pass runs the whole staging decision (encode and
+    // the round-trip decode) before its transfer.
     let pipeline_compressed = best_of(reps, e2e_words, || {
         let mut sys = UParc::builder(device.clone()).build().expect("build");
         sys.set_reconfiguration_frequency(Frequency::from_mhz(200.0))
@@ -301,19 +262,18 @@ fn main() {
     );
 
     // Steady-state compressed transfer: what a controller that already
-    // holds a staged image pays per reconfiguration. Build, retune and
-    // preload happen untimed; the decompression cache is cleared before
-    // every timed pass, so each one runs the full cold path — one decode
-    // of the BRAM contents, the ICAP writes of the image, and the
-    // pipeline timing (answered in closed form at these clocks). The
-    // JSON key keeps its `streaming` name.
+    // holds a staged image pays per reconfiguration, the steady state the
+    // `streaming` key names. Build, retune and preload happen untimed;
+    // each timed pass runs one transfer: the BRAM fetch, its comparison
+    // with the staged payload, the ICAP writes of the payload's source
+    // words and the pipeline timing (answered in closed form at these
+    // clocks).
     let mut streaming_secs = f64::INFINITY;
     for _ in 0..if smoke { 3 } else { 9 } {
         let mut sys = UParc::builder(device.clone()).build().expect("build");
         sys.set_reconfiguration_frequency(Frequency::from_mhz(200.0))
             .expect("retune");
         sys.preload(&e2e_bs, Mode::Compressed).expect("preload");
-        sys.clear_decomp_cache();
         let t = Instant::now();
         let r = sys.reconfigure().expect("reconfigure");
         streaming_secs = streaming_secs.min(t.elapsed().as_secs_f64());
@@ -408,58 +368,6 @@ fn main() {
         scenario.per_sec() / 1e6
     );
 
-    // ---- Kernel: decompressed-bitstream cache -------------------------
-    // The schedule-test workload: a 3-module working set swapped over
-    // several rounds in compressed mode, with and without the cache.
-    let cache_frames = if smoke { 150 } else { 400 };
-    let cache_rounds = if smoke { 2 } else { 4 };
-    let cache_tasks: Vec<ReconfigTask> = {
-        let mut list = Vec::new();
-        for _round in 0..cache_rounds {
-            for (name, seed) in [("fir", 23u64), ("fft", 29), ("viterbi", 31)] {
-                let payload = profile.generate(&device, 0, cache_frames, seed);
-                let bs = PartialBitstream::build(&device, 0, &payload);
-                list.push(ReconfigTask::new(
-                    name,
-                    bs,
-                    Mode::Compressed,
-                    SimTime::from_us(500),
-                ));
-            }
-        }
-        list
-    };
-    let cache_system = |cache_bytes: usize| {
-        let mut sys = UParc::builder(device.clone())
-            .decompressed_cache_bytes(cache_bytes)
-            .build()
-            .expect("build");
-        sys.set_reconfiguration_frequency(Frequency::from_mhz(200.0))
-            .expect("retune");
-        sys
-    };
-    let mut cache_stats = None;
-    let cached = best_of(reps, cache_tasks.len() as u64, || {
-        let mut sys = cache_system(32 * 1024 * 1024);
-        let report = run_schedule(&mut sys, &cache_tasks, Strategy::OnDemand).expect("schedule");
-        cache_stats = Some((report.cache, report.total_downtime));
-    });
-    let (cache_run, cached_downtime) = cache_stats.expect("at least one pass");
-    let uncached = best_of(reps, cache_tasks.len() as u64, || {
-        let mut sys = cache_system(0);
-        let report = run_schedule(&mut sys, &cache_tasks, Strategy::OnDemand).expect("schedule");
-        assert_eq!(
-            report.total_downtime, cached_downtime,
-            "cache changed simulated results"
-        );
-    });
-    let cache_speedup = uncached.secs / cached.secs;
-    println!(
-        "decomp cache: {} swaps, hit rate {:.2}, host speedup {cache_speedup:.2}x",
-        cache_tasks.len(),
-        cache_run.hit_rate()
-    );
-
     // ---- JSON report --------------------------------------------------
     let queue_speedup = queue.per_sec() / QUEUE_BASELINE_OPS_PER_SEC;
     // Host-time figures depend on the machine, so the report names it;
@@ -528,27 +436,6 @@ fn main() {
                 ),
         )
         .field(
-            "parallel_encode",
-            Obj::new()
-                .field("algorithm", "xmatchpro")
-                .field("block_bytes", block_codec.block_size())
-                .field("input_bytes", block_corpus.len())
-                .field("frame_bytes", block_frame_bytes)
-                .field("byte_identical_across_workers", true)
-                .field(
-                    "workers",
-                    parallel_rows
-                        .iter()
-                        .map(|(workers, enc)| {
-                            Obj::new()
-                                .field("count", *workers)
-                                .field("encode_bytes_per_sec", Value::fixed(enc.per_sec(), 0))
-                                .into()
-                        })
-                        .collect::<Vec<Value>>(),
-                ),
-        )
-        .field(
             "event_queue",
             Obj::new()
                 .field("events", events)
@@ -562,12 +449,10 @@ fn main() {
         .field(
             "kernel",
             Obj::new()
-                // Stable report keys: `engine` is the relay ring and
-                // `processes` its relay count.
                 .field(
-                    "engine",
+                    "relay_ring",
                     Obj::new()
-                        .field("processes", relays)
+                        .field("relays", relays)
                         .field("events", ring_count)
                         .field("events_per_sec", Value::fixed(ring_m.per_sec(), 0)),
                 )
@@ -579,18 +464,6 @@ fn main() {
                         .field("events", grid_expected)
                         .field("wall_secs", Value::fixed(scenario.secs, 6))
                         .field("events_per_sec", Value::fixed(scenario.per_sec(), 0)),
-                )
-                .field(
-                    "cache",
-                    Obj::new()
-                        .field("swaps", cache_tasks.len())
-                        .field("hits", cache_run.hits)
-                        .field("misses", cache_run.misses)
-                        .field("evictions", cache_run.evictions)
-                        .field("hit_rate", Value::fixed(cache_run.hit_rate(), 4))
-                        .field("cached_secs", Value::fixed(cached.secs, 6))
-                        .field("uncached_secs", Value::fixed(uncached.secs, 6))
-                        .field("host_speedup", Value::fixed(cache_speedup, 2)),
                 ),
         );
 
@@ -625,13 +498,13 @@ fn main() {
         );
     }
 
-    // The v4 and v5 fields must exist in every variant, smoke included.
+    // The v4 to v6 fields must exist in every variant, smoke included.
     h.write(
         &report.render(),
         &[
             "\"available_parallelism\"",
             "\"streaming_words_per_sec\"",
-            "\"parallel_encode\"",
+            "\"relay_ring\"",
             "\"obs_overhead_raw\"",
         ],
     );

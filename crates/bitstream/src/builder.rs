@@ -7,6 +7,8 @@
 //! executes on [`uparc_fpga::Icap`] and is the byte payload that the
 //! compression codecs and BRAM images operate on.
 
+use std::sync::Arc;
+
 use crate::error::BitstreamError;
 use uparc_fpga::device::Device;
 use uparc_fpga::format::{
@@ -14,9 +16,12 @@ use uparc_fpga::format::{
 };
 
 /// A fully assembled partial bitstream (word stream + metadata).
+///
+/// The word stream is shared: a clone copies a pointer, so a catalog
+/// entry and the packed payload decided from it hold one stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialBitstream {
-    words: Vec<u32>,
+    words: Arc<[u32]>,
     far: u32,
     frame_count: u32,
     device_name: &'static str,
@@ -91,53 +96,35 @@ impl PartialBitstream {
             });
         }
 
-        let mut words = Vec::with_capacity(payload.len() + 24);
-        let mut crc = ConfigCrc::new();
-        let reg_write = |words: &mut Vec<u32>, crc: &mut ConfigCrc, reg, value| {
-            words.push(type1(Opcode::Write, reg, 1));
-            words.push(value);
-            crc.update(reg, value);
-        };
-
-        words.push(DUMMY_WORD);
-        words.push(SYNC_WORD);
-        words.push(NOOP);
-        reg_write(
-            &mut words,
-            &mut crc,
-            ConfigRegister::Cmd,
+        let write = |reg| type1(Opcode::Write, reg, 1);
+        // One exact-size collect: the stream is allocated once, already
+        // shared.
+        let words: Arc<[u32]> = [
+            DUMMY_WORD,
+            SYNC_WORD,
+            NOOP,
+            write(ConfigRegister::Cmd),
             Command::Rcrc as u32,
-        );
-        crc.reset();
-        words.push(NOOP);
-        reg_write(
-            &mut words,
-            &mut crc,
-            ConfigRegister::Idcode,
+            NOOP,
+            write(ConfigRegister::Idcode),
             device.idcode(),
-        );
-        reg_write(
-            &mut words,
-            &mut crc,
-            ConfigRegister::Cmd,
+            write(ConfigRegister::Cmd),
             Command::Wcfg as u32,
-        );
-        reg_write(&mut words, &mut crc, ConfigRegister::Far, far);
-        words.push(type1(Opcode::Write, ConfigRegister::Fdri, 0));
-        words.push(type2(Opcode::Write, payload.len() as u32));
-        for &w in payload {
-            words.push(w);
-            crc.update(ConfigRegister::Fdri, w);
-        }
-        words.push(type1(Opcode::Write, ConfigRegister::Crc, 1));
-        words.push(crc.value());
-        reg_write(
-            &mut words,
-            &mut crc,
-            ConfigRegister::Cmd,
+            write(ConfigRegister::Far),
+            far,
+            type1(Opcode::Write, ConfigRegister::Fdri, 0),
+            type2(Opcode::Write, payload.len() as u32),
+        ]
+        .into_iter()
+        .chain(payload.iter().copied())
+        .chain([
+            write(ConfigRegister::Crc),
+            check_word(device, far, payload),
+            write(ConfigRegister::Cmd),
             Command::Desync as u32,
-        );
-        words.push(NOOP);
+            NOOP,
+        ])
+        .collect();
 
         Ok(PartialBitstream {
             words,
@@ -153,9 +140,8 @@ impl PartialBitstream {
     /// new address.
     ///
     /// Only two words change: the FAR register value and the CRC check
-    /// word. The CRC is replayed from the post-RCRC register sequence
-    /// (IDCODE, WCFG, the new FAR, then the FDRI run through the
-    /// slicing kernel), so the result still passes ICAP verification.
+    /// word, replayed as [`PartialBitstream::try_build`] computes it, so
+    /// the result still passes ICAP verification.
     ///
     /// # Errors
     ///
@@ -181,20 +167,16 @@ impl PartialBitstream {
             });
         }
 
-        let mut words = self.words.clone();
+        let mut words: Arc<[u32]> = Arc::from(&self.words[..]);
+        let stream = Arc::get_mut(&mut words).expect("a fresh copy is unshared");
         debug_assert_eq!(
-            words[10],
+            stream[10],
             type1(Opcode::Write, ConfigRegister::Far, 1),
             "FAR header drifted from the builder layout"
         );
-        words[11] = new_far;
-        let crc_index = words.len() - 4;
-        let mut crc = ConfigCrc::new();
-        crc.update(ConfigRegister::Idcode, device.idcode());
-        crc.update(ConfigRegister::Cmd, Command::Wcfg as u32);
-        crc.update(ConfigRegister::Far, new_far);
-        crc.update_run(ConfigRegister::Fdri, self.payload());
-        words[crc_index] = crc.value();
+        stream[11] = new_far;
+        let crc_index = stream.len() - 4;
+        stream[crc_index] = check_word(device, new_far, self.payload());
 
         Ok(PartialBitstream {
             words,
@@ -231,6 +213,13 @@ impl PartialBitstream {
         &self.words[14..self.words.len() - 5]
     }
 
+    /// Whether `other` is the same word stream: the same shared words
+    /// (one pointer compare, as for a clone), or equal words.
+    #[must_use]
+    pub fn same_words(&self, other: &PartialBitstream) -> bool {
+        Arc::ptr_eq(&self.words, &other.words) || self.words == other.words
+    }
+
     /// Total size in bytes (the number the paper's bandwidth figures use).
     #[must_use]
     pub fn size_bytes(&self) -> usize {
@@ -250,7 +239,7 @@ impl PartialBitstream {
         bytes.len() == self.size_bytes()
             && bytes
                 .chunks_exact(4)
-                .zip(&self.words)
+                .zip(self.words.iter())
                 .all(|(b, w)| *b == w.to_be_bytes())
     }
 
@@ -265,6 +254,18 @@ impl PartialBitstream {
             data: self.to_bytes(),
         }
     }
+}
+
+/// The CRC check word of a stream writing `payload` at `far` on
+/// `device`: the running CRC the ICAP keeps from the RCRC command on,
+/// over the IDCODE, WCFG, FAR and FDRI writes before the check.
+fn check_word(device: &Device, far: u32, payload: &[u32]) -> u32 {
+    let mut crc = ConfigCrc::new();
+    crc.update(ConfigRegister::Idcode, device.idcode());
+    crc.update(ConfigRegister::Cmd, Command::Wcfg as u32);
+    crc.update(ConfigRegister::Far, far);
+    crc.update_run(ConfigRegister::Fdri, payload);
+    crc.value()
 }
 
 /// Serialises configuration words to big-endian bytes.
@@ -325,6 +326,18 @@ mod tests {
             flipped[i] ^= 1;
             assert!(!bs.eq_bytes(&flipped), "byte {i}");
         }
+    }
+
+    #[test]
+    fn same_words_compares_the_pointer_then_the_words() {
+        let device = Device::xc5vsx50t();
+        let bs = PartialBitstream::build(&device, 0, &payload(&device, 2, 0x1234_5678));
+        assert!(bs.same_words(&bs.clone()));
+        let rebuilt = PartialBitstream::build(&device, 0, &payload(&device, 2, 0x1234_5678));
+        assert!(bs.same_words(&rebuilt), "equal words, another allocation");
+        let other = PartialBitstream::build(&device, 0, &payload(&device, 2, 0x1234_5679));
+        assert!(!bs.same_words(&other));
+        assert!(!bs.same_words(&bs.relocate(&device, 1).unwrap()));
     }
 
     #[test]

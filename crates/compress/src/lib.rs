@@ -53,7 +53,6 @@ pub mod hw;
 pub mod lz77;
 pub mod lz78;
 pub mod lzma_like;
-pub mod parallel;
 pub mod rle;
 pub mod stats;
 pub mod xmatchpro;

@@ -1,22 +1,22 @@
 //! A byte-budgeted LRU cache of decompressed bitstreams.
 //!
-//! In compressed mode (`UPaRC_ii`) every reconfiguration runs the
-//! functional decompressor model over the staged payload, and every
-//! staging pass verifies the codec round-trip. For workloads that swap a
-//! small working set of modules repeatedly — the prefetch scheduler in
-//! [`crate::schedule`], controller farms, scrub rotations — that work is
-//! identical each time. [`DecompCache`] memoises it: decompressed images
-//! are kept under a byte budget, keyed by the *content* of the compressed
-//! payload, so a repeated swap skips redecompression entirely.
+//! The fleet's chip loop (`uparc_fleet::chip`) runs the host-side staging
+//! work of every dispatch for real: a chip keeps a working set of
+//! decompressed images under a byte budget, a miss decodes the staged
+//! payload with the actual codec, and a hit reuses the image.
+//! [`DecompCache`] is that working set, keyed by the *content* of the
+//! compressed payload. The controller itself ([`crate::uparc::UParc`])
+//! caches nothing: a clean packed transfer writes the bitstream the
+//! payload was packed from, which [`crate::uparc::Mode::decide`] checked
+//! once.
 //!
 //! # Cached values
 //!
-//! `DecompCache<T = Vec<u8>>` stores any `T: AsRef<[u8]>` behind an
-//! [`Arc`] and charges the budget by `as_ref().len()`, the decompressed
-//! image's size. [`crate::uparc::UParc`] caches the bare image (the
-//! default); a caller can keep what it derives from an image once per
-//! decode beside it — the fleet's chip loop stores the image with its
-//! fold — while the budget still models decompressed bytes alone.
+//! `DecompCache<T>` stores any `T: AsRef<[u8]>` behind an [`Arc`] and
+//! charges the budget by `as_ref().len()`, the decompressed image's size.
+//! A caller keeps what it derives from an image once per decode beside it
+//! — the chip loop stores the image with its fold — while the budget
+//! still models decompressed bytes alone.
 //!
 //! # Keying and soundness
 //!
@@ -26,17 +26,14 @@
 //! codecs are deterministic and lossless, so equal compressed bytes imply
 //! equal decompressed output — serving a cached image is observably
 //! identical to decompressing again. A 128-bit fingerprint collision is
-//! vanishingly unlikely (and bounded further by the length field); the
-//! cycle-accurate *timing* model is unaffected either way, since cache
-//! hits only skip host-side work, never simulated cycles.
+//! vanishingly unlikely (and bounded further by the length field).
 //!
 //! # Eviction
 //!
-//! Least-recently-used by a monotonic access tick. Entries are whole
-//! decompressed bitstreams (hundreds of KB), so the map holds at most a
-//! few dozen entries and eviction scans the map directly instead of
-//! maintaining an intrusive list. A budget of zero disables the cache
-//! (every lookup misses without being counted, nothing is stored).
+//! Least-recently-used by a monotonic access tick. The map is scanned
+//! directly for the victim instead of maintaining an intrusive list. A
+//! budget of zero disables the cache (every lookup misses without being
+//! counted, nothing is stored).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -99,33 +96,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Fraction of lookups served from the cache (0 when none happened).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-impl std::ops::Sub for CacheStats {
-    type Output = CacheStats;
-
-    /// Counter-wise difference — turns two absolute snapshots into the
-    /// stats of the run between them.
-    fn sub(self, earlier: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            evictions: self.evictions - earlier.evictions,
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct Entry<T> {
     data: Arc<T>,
@@ -134,7 +104,7 @@ struct Entry<T> {
 
 /// The byte-budgeted LRU cache (see the module docs).
 #[derive(Debug, Clone)]
-pub struct DecompCache<T = Vec<u8>> {
+pub struct DecompCache<T> {
     budget: usize,
     used: usize,
     tick: u64,
@@ -241,12 +211,6 @@ impl<T: AsRef<[u8]>> DecompCache<T> {
             },
         );
     }
-
-    /// Drops every entry (counters are kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.used = 0;
-    }
 }
 
 #[cfg(test)]
@@ -278,7 +242,6 @@ mod tests {
                 evictions: 0
             }
         );
-        assert_eq!(cache.stats().hit_rate(), 0.5);
     }
 
     #[test]
@@ -320,25 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_delta_via_sub() {
-        let mut cache = DecompCache::new(1024);
-        let key = CacheKey::of(1, &[1]);
-        cache.insert(key, image(1, 10));
-        let before = cache.stats();
-        assert!(cache.get(&key).is_some());
-        assert!(cache.get(&CacheKey::of(1, &[2])).is_none());
-        let delta = cache.stats() - before;
-        assert_eq!(
-            delta,
-            CacheStats {
-                hits: 1,
-                misses: 1,
-                evictions: 0
-            }
-        );
-    }
-
-    #[test]
     fn derived_values_are_charged_by_their_image_bytes() {
         /// An image with a value derived from it once, cached beside it.
         struct Folded {
@@ -366,18 +310,5 @@ mod tests {
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.get(&keys[0]).is_none(), "LRU entry was evicted");
         assert_eq!(cache.used(), 200);
-    }
-
-    #[test]
-    fn clear_keeps_counters() {
-        let mut cache = DecompCache::new(1024);
-        let key = CacheKey::of(1, &[1]);
-        cache.insert(key, image(1, 10));
-        assert!(cache.get(&key).is_some());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.used(), 0);
-        assert_eq!(cache.stats().hits, 1);
-        assert!(cache.get(&key).is_none());
     }
 }

@@ -30,8 +30,8 @@
 //!   FIFO pipeline across the CLK_2/CLK_3 domains.
 //! * [`schedule`] — a prefetch scheduler that overlaps preloading with idle
 //!   time (\[13\]-style), hiding preload latency from module downtime.
-//! * [`cache`] — a byte-budgeted LRU cache of decompressed bitstreams, so
-//!   repeated compressed-mode swaps skip host-side redecompression.
+//! * [`cache`] — a byte-budgeted LRU cache of decompressed bitstreams,
+//!   the fleet chip loop's working set of decoded images.
 //! * [`scrub`] — SEU scrubbing by readback + fast partial reconfiguration
 //!   (the fault-tolerance motivation of §I).
 //! * [`recovery`] — the self-healing layer: bounded retry with a

@@ -17,7 +17,6 @@
 //! the paper's Fig. 7 (see [`uparc_sim::power::calib`]), which is how the
 //! Figure 7 harness regenerates the measured curves.
 
-use crate::cache::{CacheKey, CacheStats, DecompCache};
 use crate::decompressor::DecompressorSlot;
 use crate::dyclogen::{DyCloGen, OutputClock};
 use crate::error::UparcError;
@@ -44,12 +43,13 @@ pub const COMPRESSED_MODE_MAX: f64 = 255.0;
 /// Staging mode of [`UParc::preload`]: a request (`Auto`, `Compressed`)
 /// or the decision it resolves to (`Raw`, `Packed`).
 ///
-/// [`Mode::decide`] is the one place the decision is made, and the only
-/// place the staging encoder runs. `preload` decides every mode it is
-/// given; a caller that stages the same bitstream again (the serving
-/// catalog, the recovery ladder's restages) keeps the decided mode, so
-/// the image is packed once, before reconfiguration, as in UPaRC_ii
-/// (§III-A1).
+/// [`Mode::decide`] is the one place the decision is made, the only
+/// place the staging encoder runs and the only place a [`Packed`] is
+/// built, checked once to decode back to its bitstream. `preload` decides
+/// every mode it is given; a caller that stages the same bitstream again
+/// (the serving catalog, the recovery ladder's restages) keeps the
+/// decided mode, so the image is packed and checked once, before
+/// reconfiguration, as in UPaRC_ii (§III-A1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Mode {
     /// Raw if it fits the BRAM, compressed otherwise (the paper's policy,
@@ -59,26 +59,49 @@ pub enum Mode {
     Raw,
     /// Force compressed staging (UPaRC_ii); decides into [`Mode::Packed`].
     Compressed,
-    /// Compressed staging of a payload packed already: what `Compressed`,
-    /// or `Auto` for an image over the BRAM, decides into.
-    Packed {
-        /// The codec that packed `bytes`; it must be the slot's.
-        algorithm: Algorithm,
-        /// The packed configuration stream, shared so that a clone copies
-        /// a pointer.
-        bytes: Arc<Vec<u8>>,
-    },
+    /// Compressed staging of a payload packed and checked already: what
+    /// `Compressed`, or `Auto` for an image over the BRAM, decides into.
+    Packed(Packed),
+}
+
+/// A payload [`Mode::decide`] packed from a bitstream and decoded back to
+/// it once. A clone copies pointers: the payload and the source's words
+/// are shared, so the source is not stored twice.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Packed {
+    algorithm: Algorithm,
+    /// Exactly the payload's bytes: the encoder's output buffer is sized
+    /// for its worst case, several times what a payload keeps.
+    bytes: Arc<[u8]>,
+    source: PartialBitstream,
+}
+
+impl Packed {
+    /// The packed configuration stream, exactly what the BRAM stages.
+    #[must_use]
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The bitstream the payload decodes to.
+    #[must_use]
+    pub fn source(&self) -> &PartialBitstream {
+        &self.source
+    }
 }
 
 impl Mode {
     /// Decides how `bs` stages in a `bram_bytes` BRAM whose decompressor
-    /// runs `algorithm`: `Raw`, or `Packed` by `algorithm`'s encoder. A
-    /// decided mode comes back as it is, `Raw` after its capacity check.
+    /// runs `algorithm`: `Raw`, or `Packed` by `algorithm`'s encoder,
+    /// after one decode of the payload is compared with `bs`. A decided
+    /// mode comes back as it is, `Raw` after its capacity check.
     ///
     /// # Errors
     ///
-    /// [`UparcError::RawTooLarge`] — `Mode::Raw` and the raw image (mode
-    /// word included) exceeds the BRAM.
+    /// * [`UparcError::RawTooLarge`] — `Mode::Raw` and the raw image
+    ///   (mode word included) exceeds the BRAM.
+    /// * [`UparcError::Compression`] — the packed payload does not decode
+    ///   back to `bs`.
     pub fn decide(
         self,
         bs: &PartialBitstream,
@@ -92,26 +115,30 @@ impl Mode {
                 available: bram_bytes,
             }),
             Mode::Auto if raw_image_bytes <= bram_bytes => Ok(Mode::Raw),
-            Mode::Auto | Mode::Compressed => Ok(Mode::Packed {
-                algorithm,
-                bytes: Arc::new(algorithm.codec().compress(&bs.to_bytes())),
-            }),
+            Mode::Auto | Mode::Compressed => {
+                let codec = algorithm.codec();
+                let bytes = codec.compress(&bs.to_bytes());
+                let unpacked = codec
+                    .decompress(&bytes)
+                    .map_err(|e| UparcError::Compression(e.to_string()))?;
+                if !bs.eq_bytes(&unpacked) {
+                    return Err(round_trip_mismatch());
+                }
+                Ok(Mode::Packed(Packed {
+                    algorithm,
+                    bytes: bytes.into(),
+                    source: bs.clone(),
+                }))
+            }
             decided => Ok(decided),
         }
     }
 }
 
-/// Reusable staging buffers of the compressed transfer path. Capacity
-/// survives across reconfigurations, so the steady state is allocation-free
-/// and zero-copy up to the decompressed image itself.
-#[derive(Debug, Default)]
-struct StagingArena {
-    /// Payload words fetched by UReC ([`Urec::run_burst`]).
-    fetched: Vec<u32>,
-    /// Compressed payload bytes, exact length (byte-count word applied).
-    payload: Vec<u8>,
-    /// One ICAP write window of configuration words.
-    window: Vec<u32>,
+/// The error of a packed payload that does not decode to the bitstream
+/// it is staged for.
+fn round_trip_mismatch() -> UparcError {
+    UparcError::Compression("staging round-trip mismatch".into())
 }
 
 /// Maps a fault-plan `StagedFlip` word index onto a BRAM address that is
@@ -233,7 +260,6 @@ pub struct UParcBuilder {
     bram_bytes: usize,
     manager: ManagerConfig,
     algorithm: Algorithm,
-    cache_bytes: usize,
     obs: Obs,
 }
 
@@ -247,7 +273,6 @@ impl UParcBuilder {
             bram_bytes: 256 * 1024,
             manager: ManagerConfig::default(),
             algorithm: Algorithm::XMatchPro,
-            cache_bytes: 32 * 1024 * 1024,
             obs: Obs::null(),
         }
     }
@@ -282,12 +307,12 @@ impl UParcBuilder {
         self
     }
 
-    /// Overrides the byte budget of the host-side decompressed-bitstream
-    /// cache (default 32 MiB; 0 disables it). The cache only skips
-    /// repeated host-side decompression — simulated timing is unaffected.
+    /// Has no effect: the system keeps no decompressed-image cache (a
+    /// clean packed transfer writes the staged payload's source words,
+    /// so there is no decode to memoise). Kept while the benchmark's
+    /// dispatch probe still builds its lanes through it.
     #[must_use]
-    pub fn decompressed_cache_bytes(mut self, bytes: usize) -> Self {
-        self.cache_bytes = bytes;
+    pub fn decompressed_cache_bytes(self, _bytes: usize) -> Self {
         self
     }
 
@@ -326,10 +351,10 @@ impl UParcBuilder {
             manager: Manager::with_config(self.manager),
             slot,
             staged: None,
+            packed: None,
             now: SimTime::ZERO,
             trace,
-            decomp_cache: DecompCache::new(self.cache_bytes),
-            arena: StagingArena::default(),
+            fetched: Vec::new(),
             injector: None,
             watchdog: None,
             clk2_target: None,
@@ -354,12 +379,14 @@ pub struct UParc {
     slot: DecompressorSlot,
     /// The last preload's report: what the BRAM holds.
     staged: Option<PreloadReport>,
+    /// The payload the last preload staged, when it staged packed.
+    packed: Option<Packed>,
     now: SimTime,
     trace: PowerTrace,
-    decomp_cache: DecompCache,
-    /// Reusable buffers for the compressed transfer path; steady-state
-    /// reconfiguration reuses their capacity instead of allocating.
-    arena: StagingArena,
+    /// Payload words UReC fetched for the decompressor
+    /// ([`Urec::run_burst`]); the capacity survives across
+    /// reconfigurations, so a steady-state transfer allocates nothing.
+    fetched: Vec<u32>,
     /// Attached fault injector (resilience campaigns); `None` = fault-free.
     injector: Option<FaultInjector>,
     /// Transfer watchdog limit in simulated time: a bus stall exceeding it
@@ -410,13 +437,6 @@ impl UParc {
     #[must_use]
     pub fn bram(&self) -> &Bram {
         &self.bram
-    }
-
-    /// Hit/miss/eviction counters of the host-side decompressed-bitstream
-    /// cache (cumulative since construction).
-    #[must_use]
-    pub fn decomp_cache_stats(&self) -> CacheStats {
-        self.decomp_cache.stats()
     }
 
     /// The decompressor slot.
@@ -649,10 +669,11 @@ impl UParc {
     /// Manager task and can overlap module execution; it advances the
     /// system clock but does not count as reconfiguration time.
     ///
-    /// The mode is resolved by [`Mode::decide`]; a [`Mode::Packed`]
-    /// payload stages as given, without re-encoding, once it is known to
-    /// decode to `bs` (decoded here on a decompressed-cache miss, compared
-    /// with the cached image on a hit).
+    /// The mode is resolved by [`Mode::decide`], which checked a
+    /// [`Mode::Packed`] payload once against the bitstream it was packed
+    /// from. The payload stages as given, neither encoded nor decoded,
+    /// once its codec is the slot's and `bs` is its source: the same
+    /// shared words (one pointer compare) or equal words.
     ///
     /// # Errors
     ///
@@ -662,7 +683,8 @@ impl UParc {
     ///   the BRAM.
     /// * [`UparcError::PackedCodec`] — a `Packed` payload of another codec
     ///   than the slot's.
-    /// * [`UparcError::Compression`] — the payload does not decode to `bs`.
+    /// * [`UparcError::Compression`] — the payload was packed from another
+    ///   bitstream than `bs`.
     pub fn preload(
         &mut self,
         bs: &PartialBitstream,
@@ -671,42 +693,25 @@ impl UParc {
         self.apply_ambient_faults();
         let raw_bytes = bs.size_bytes();
         let slot = self.slot.algorithm();
-        let (image, use_compression) = match mode.decide(bs, self.bram.capacity_bytes(), slot)? {
-            Mode::Packed { algorithm, bytes } => {
-                if algorithm != slot {
+        let (image, packed) = match mode.decide(bs, self.bram.capacity_bytes(), slot)? {
+            Mode::Packed(packed) => {
+                if packed.algorithm != slot {
                     return Err(UparcError::PackedCodec {
-                        packed: algorithm,
+                        packed: packed.algorithm,
                         slot,
                     });
                 }
-                // The codecs are deterministic and lossless, so a payload
-                // already decoded (and cached) needs no second decode:
-                // equal packed bytes imply equal images.
-                let key = CacheKey::of(codec_id(slot), &bytes);
-                let decodes_to_bs = match self.decomp_cache.get(&key) {
-                    Some(image) => bs.eq_bytes(&image),
-                    None => {
-                        let image = self
-                            .slot
-                            .codec()
-                            .decompress(&bytes)
-                            .map_err(|e| UparcError::Compression(e.to_string()))?;
-                        let ok = bs.eq_bytes(&image);
-                        if ok {
-                            self.decomp_cache.insert(key, Arc::new(image));
-                        }
-                        ok
-                    }
-                };
-                if !decodes_to_bs {
-                    return Err(UparcError::Compression(
-                        "staging round-trip mismatch".into(),
-                    ));
+                if !packed.source.same_words(bs) {
+                    return Err(round_trip_mismatch());
                 }
-                (BramImage::compressed(codec_id(slot), &bytes), true)
+                (
+                    BramImage::compressed(codec_id(slot), &packed.bytes),
+                    Some(packed),
+                )
             }
-            _ => (BramImage::uncompressed(bs.words()), false),
+            _ => (BramImage::uncompressed(bs.words()), None),
         };
+        let use_compression = packed.is_some();
         let stored_bytes = image.size_bytes();
         let duration = self.manager.preload(&mut self.bram, &image)?;
         let span = self.obs.begin(
@@ -735,6 +740,7 @@ impl UParc {
             duration,
         };
         self.staged = Some(report.clone());
+        self.packed = packed;
         Ok(report)
     }
 
@@ -999,7 +1005,7 @@ impl UParc {
     fn transfer_raw(&mut self) -> Result<u64, UparcError> {
         self.urec.start();
         self.urec
-            .run_burst(&mut self.bram, &mut self.icap, &mut self.arena.fetched)
+            .run_burst(&mut self.bram, &mut self.icap, &mut self.fetched)
     }
 
     /// Runs the compressed pipeline; returns (duration, CLK_3, power).
@@ -1013,67 +1019,68 @@ impl UParc {
             .frequency(OutputClock::Decompressor, self.now)?;
         // UReC fetches the image from BRAM in one burst, handing payload
         // words to the decompressor FIFO (cycle-exact with the per-edge
-        // loop). The fetch lands in the staging arena, so steady-state
+        // loop). The fetch reuses the lane's buffer, so steady-state
         // reconfiguration allocates nothing on this path.
         self.urec.start();
         let fetch_cycles =
             self.urec
-                .run_burst(&mut self.bram, &mut self.icap, &mut self.arena.fetched)?;
-        debug_assert!(self.arena.fetched.len() <= staged.stored_bytes / 4);
-        // Functional model of the hardware decompressor: decode the exact
-        // BRAM contents and push the output into the ICAP. The payload is
-        // parsed in place — same layout and validation as
-        // [`BramImage::compressed_payload`], without rebuilding the image.
+                .run_burst(&mut self.bram, &mut self.icap, &mut self.fetched)?;
+        debug_assert!(self.fetched.len() <= staged.stored_bytes / 4);
         let mode = self.urec.mode().expect("finished transfer has a mode");
         if !mode.compressed {
             return Err(UparcError::Bitstream(BitstreamError::BadModeWord {
                 detail: "image is uncompressed".to_owned(),
             }));
         }
-        let id = mode.codec_id;
-        debug_assert_eq!(id, codec_id(self.slot.algorithm()));
-        let fetched_words = self.arena.fetched.len();
-        let byte_count = *self.arena.fetched.first().ok_or_else(|| {
-            UparcError::Bitstream(BitstreamError::BadModeWord {
-                detail: "compressed image is missing its byte count".to_owned(),
-            })
-        })? as usize;
-        let available = (fetched_words - 1) * 4;
-        if byte_count > available {
-            return Err(UparcError::Bitstream(BitstreamError::BadModeWord {
-                detail: format!("byte count {byte_count} exceeds payload {available}"),
-            }));
-        }
-        self.arena.payload.clear();
-        self.arena.payload.reserve(available);
-        for &w in &self.arena.fetched[1..] {
-            self.arena.payload.extend_from_slice(&w.to_be_bytes());
-        }
-        self.arena.payload.truncate(byte_count);
-        let payload = &self.arena.payload;
-        // The image comes from the cache (host-side only: a payload
-        // already decompressed and verified) or from one decode of the
-        // BRAM contents, so a decode error fails the transfer before any
-        // word reaches the ICAP. The simulated pipeline timing below is
-        // the same either way: it, not the host decode, models the
-        // decompressor filling the output FIFO while the ICAP drains it.
-        let key = CacheKey::of(id, payload);
-        let (image, miss) = match self.decomp_cache.get(&key) {
-            Some(image) => (image, false),
-            None => {
-                let image = self
-                    .slot
-                    .codec()
-                    .decompress(payload)
-                    .map_err(|e| UparcError::Compression(e.to_string()))?;
-                (Arc::new(image), true)
+        debug_assert_eq!(mode.codec_id, codec_id(self.slot.algorithm()));
+        let fetched_words = self.fetched.len();
+        // Functional model of the hardware decompressor: it reproduces the
+        // bitstream the staged payload was packed from. A BRAM that still
+        // holds exactly the image the last preload staged, for the slot's
+        // codec, decodes to that payload's source (`Mode::decide` checked
+        // the round trip once), so the source words go to the ICAP as they
+        // are. A BRAM that differs (a staged flip) is decoded once, so a
+        // decode error fails the transfer before any word reaches the
+        // ICAP. The simulated pipeline timing below is the same either
+        // way: it, not the host decode, models the decompressor filling
+        // the output FIFO while the ICAP drains it.
+        let slot = self.slot.algorithm();
+        let clean = self
+            .packed
+            .as_ref()
+            .filter(|p| p.algorithm == slot && holds_staged(&self.fetched, &p.bytes));
+        let (raw_len, words_len) = if let Some(packed) = clean {
+            let words = packed.source.words();
+            self.icap.write_words(words)?;
+            (packed.source.size_bytes(), words.len() as u64)
+        } else {
+            // The payload is parsed in place — same layout and validation
+            // as [`BramImage::compressed_payload`], without rebuilding the
+            // image.
+            let byte_count = *self.fetched.first().ok_or_else(|| {
+                UparcError::Bitstream(BitstreamError::BadModeWord {
+                    detail: "compressed image is missing its byte count".to_owned(),
+                })
+            })? as usize;
+            let available = (fetched_words - 1) * 4;
+            if byte_count > available {
+                return Err(UparcError::Bitstream(BitstreamError::BadModeWord {
+                    detail: format!("byte count {byte_count} exceeds payload {available}"),
+                }));
             }
+            let payload: Vec<u8> = self.fetched[1..]
+                .iter()
+                .flat_map(|w| w.to_be_bytes())
+                .take(byte_count)
+                .collect();
+            let image = self
+                .slot
+                .codec()
+                .decompress(&payload)
+                .map_err(|e| UparcError::Compression(e.to_string()))?;
+            let words_len = write_image(&mut self.icap, &image)?;
+            (image.len(), words_len)
         };
-        let raw_len = image.len();
-        let words_len = stream_to_icap(&mut self.icap, &mut self.arena.window, &image)?;
-        if miss {
-            self.decomp_cache.insert(key, image);
-        }
 
         // Pipeline pacing: BRAM fetch at CLK_2, decompressor at CLK_3,
         // ICAP intake at CLK_2. When the decompressor's output rate is a
@@ -1106,47 +1113,47 @@ impl UParc {
         let power = self.path_power_mw(f2) + power::decompressor_power_mw(self.core_volts, f3);
         Ok((transfer, Some(f3), power))
     }
-
-    /// Drops every cached decompressed image (the hit/miss counters keep
-    /// counting). Lets benchmarks and tests measure the cold, full
-    /// decode-and-stream transfer path on a warmed-up system.
-    pub fn clear_decomp_cache(&mut self) {
-        self.decomp_cache.clear();
-    }
 }
 
-/// Image bytes converted per ICAP write window: a few FIFO depths and far
-/// smaller than an image, so the arena's word buffer stays small and
-/// resident in cache.
-const ICAP_WINDOW_BYTES: usize = 16 * 1024;
+/// Whether the payload words UReC fetched (the byte-count word first)
+/// hold exactly the compressed image a preload of `bytes` staged: the
+/// byte count, then `bytes` as big-endian words, the last one zero-padded.
+fn holds_staged(fetched: &[u32], bytes: &[u8]) -> bool {
+    let Some((&count, words)) = fetched.split_first() else {
+        return false;
+    };
+    let whole = bytes.chunks_exact(4);
+    let tail = whole.remainder();
+    count as usize == bytes.len()
+        && words.len() == bytes.len().div_ceil(4)
+        && words
+            .iter()
+            .zip(whole)
+            .all(|(&w, b)| w == u32::from_be_bytes(b.try_into().expect("4 bytes")))
+        && (tail.is_empty() || {
+            let mut pad = [0; 4];
+            pad[..tail.len()].copy_from_slice(tail);
+            words.last() == Some(&u32::from_be_bytes(pad))
+        })
+}
 
-/// Writes the whole words of `image` (big-endian configuration words)
-/// into the ICAP in [`ICAP_WINDOW_BYTES`] windows through the arena's
-/// word buffer; returns the number of words written. The ICAP parser is
-/// stateful across calls, so the windowed writes are frame-exact with
-/// one call.
+/// Writes the whole words of a decoded `image` (big-endian configuration
+/// words) to the ICAP in one burst; returns the number of words written.
 ///
 /// # Errors
 ///
 /// ICAP protocol errors, and [`BitstreamError::Truncated`] when `image`
 /// is not word-aligned, raised after its aligned part is written.
-fn stream_to_icap(icap: &mut Icap, window: &mut Vec<u32>, image: &[u8]) -> Result<u64, UparcError> {
-    let aligned = image.len() & !3;
-    let mut written = 0u64;
-    for chunk in image[..aligned].chunks(ICAP_WINDOW_BYTES) {
-        window.clear();
-        window.extend(
-            chunk
-                .chunks_exact(4)
-                .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]])),
-        );
-        icap.write_words(window)?;
-        written += window.len() as u64;
-    }
-    if aligned < image.len() {
+fn write_image(icap: &mut Icap, image: &[u8]) -> Result<u64, UparcError> {
+    let words: Vec<u32> = image
+        .chunks_exact(4)
+        .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    icap.write_words(&words)?;
+    if !image.len().is_multiple_of(4) {
         return Err(UparcError::Bitstream(BitstreamError::Truncated));
     }
-    Ok(written)
+    Ok(words.len() as u64)
 }
 
 /// Frames occupied by the decompressor partition on `device` (~2 frames
@@ -1312,39 +1319,87 @@ mod tests {
     }
 
     #[test]
-    fn decompression_cache_preserves_reports_and_counts_hits() {
+    fn decide_checks_the_round_trip_and_shares_the_source() {
+        let device = Device::xc5vsx50t();
+        let bs = bitstream(&device, 40, 11);
+        let Ok(Mode::Packed(packed)) = Mode::Compressed.decide(&bs, 1 << 18, Algorithm::XMatchPro)
+        else {
+            panic!("Compressed decides into Packed");
+        };
+        assert_eq!(packed.algorithm, Algorithm::XMatchPro);
+        assert!(bs.eq_bytes(
+            &Algorithm::XMatchPro
+                .codec()
+                .decompress(packed.bytes())
+                .unwrap()
+        ));
+        // The source is the caller's stream, shared, not a copy.
+        assert_eq!(packed.source().words().as_ptr(), bs.words().as_ptr());
+        // A decided mode comes back as it is.
+        let again = Mode::Packed(packed.clone())
+            .decide(&bs, 1 << 18, Algorithm::Rle)
+            .unwrap();
+        assert_eq!(again, Mode::Packed(packed));
+    }
+
+    #[test]
+    fn a_bram_that_differs_from_the_staged_image_is_decoded_alike() {
+        // Two lanes stage the same payload; one then forgets it, as if its
+        // BRAM no longer held the staged image, so its transfer decodes
+        // the BRAM contents instead of writing the source words. Both
+        // configure, time and count exactly alike, for every codec with a
+        // hardware decoder, word-aligned payload or not.
         let device = Device::xc5vsx50t();
         let bs = bitstream(&device, 400, 11);
-        let mut cached = uparc();
-        cached
-            .set_reconfiguration_frequency(Frequency::from_mhz(200.0))
-            .unwrap();
-        let mut uncached = UParc::builder(device)
-            .decompressed_cache_bytes(0)
-            .build()
-            .unwrap();
-        uncached
-            .set_reconfiguration_frequency(Frequency::from_mhz(200.0))
-            .unwrap();
-        for round in 0..3 {
-            let a = cached.reconfigure_bitstream(&bs, Mode::Compressed).unwrap();
-            let b = uncached
-                .reconfigure_bitstream(&bs, Mode::Compressed)
-                .unwrap();
-            // Cache hits skip host work only; simulated results match the
-            // uncached system exactly, round after round.
-            assert_eq!(a.elapsed(), b.elapsed(), "round {round}");
-            assert_eq!(a.bytes, b.bytes, "round {round}");
-            assert_eq!(a.transfer_time, b.transfer_time, "round {round}");
+        for alg in [
+            Algorithm::XMatchPro,
+            Algorithm::Rle,
+            Algorithm::Lz77,
+            Algorithm::Huffman,
+        ] {
+            let lane = || {
+                let mut sys = UParc::builder(device.clone())
+                    .decompressor(alg)
+                    .build()
+                    .unwrap();
+                sys.set_reconfiguration_frequency(Frequency::from_mhz(200.0))
+                    .unwrap();
+                sys.preload(&bs, Mode::Compressed).unwrap();
+                sys
+            };
+            let (mut clean, mut decoded) = (lane(), lane());
+            assert!(clean.packed.is_some(), "{alg}");
+            decoded.packed = None;
+            for round in 0..2 {
+                let a = clean.reconfigure().unwrap();
+                let b = decoded.reconfigure().unwrap();
+                assert!(a.compressed, "{alg}");
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{alg} round {round}");
+                let (c, d) = (clean.icap(), decoded.icap());
+                assert_eq!(c.config_memory().diff_frames(d.config_memory()), 0);
+                assert_eq!(c.words_consumed(), d.words_consumed(), "{alg}");
+                assert_eq!(c.frames_committed(), d.frames_committed(), "{alg}");
+            }
         }
-        let stats = cached.decomp_cache_stats();
-        // Round 1: preload misses, reconfigure hits. Rounds 2-3: both hit.
-        assert_eq!(stats.misses, 1, "{stats:?}");
-        assert_eq!(stats.hits, 5, "{stats:?}");
-        assert_eq!(
-            uncached.decomp_cache_stats(),
-            crate::cache::CacheStats::default()
-        );
+    }
+
+    #[test]
+    fn holds_staged_reads_the_byte_count_and_the_padded_tail() {
+        for len in [0usize, 1, 3, 4, 5, 8, 13] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 1) as u8).collect();
+            let image = BramImage::compressed(4, &bytes);
+            let fetched = &image.words()[1..];
+            assert!(holds_staged(fetched, &bytes), "len {len}");
+            for word in 0..fetched.len() {
+                for bit in [0, 7, 31] {
+                    let mut flipped = fetched.to_vec();
+                    flipped[word] ^= 1 << bit;
+                    assert!(!holds_staged(&flipped, &bytes), "len {len} {word}:{bit}");
+                }
+            }
+            assert!(!holds_staged(&fetched[..fetched.len() - 1], &bytes));
+        }
+        assert!(!holds_staged(&[], &[]));
     }
 
     #[test]

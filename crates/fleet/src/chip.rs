@@ -422,7 +422,7 @@ fn dispatch_faulted(
     // exactly one readback scan (`frames × frame_words + 2` CLK_2 cycles)
     // after the table latency; the rest of the difference is the recovery
     // detour.
-    let mut scratch = env.catalog.lane(0);
+    let mut scratch = env.catalog.lane();
     scratch
         .set_reconfiguration_frequency(env.tables.frequency(idx))
         .expect("grid frequency is synthesizable");

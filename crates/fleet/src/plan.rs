@@ -134,8 +134,8 @@ impl PlanTables {
                     for i in 0..admissible {
                         let f = tables.grid[i];
                         // A fresh scratch controller per point: no DCM
-                        // relock residue, no warm decompressed cache.
-                        let mut scratch = catalog.lane(0);
+                        // relock residue.
+                        let mut scratch = catalog.lane();
                         scratch
                             .set_reconfiguration_frequency(f)
                             .expect("grid frequency is synthesizable");

@@ -7,11 +7,12 @@
 //! Registration resolves each bitstream's frame window to the one region
 //! that holds it entirely and decides its staging once, with
 //! [`Mode::decide`] under [`Mode::Auto`]: raw if the image fits the BRAM,
-//! otherwise packed, with the payload checked to fit and to round-trip.
-//! The entry keeps only the decided mode. Admission and scheduling size
+//! otherwise packed and checked by `decide` to round-trip, and here to
+//! fit the BRAM. The entry keeps only the decided mode, whose packed
+//! payload shares the entry's bitstream. Admission and scheduling size
 //! transfers from it without touching a controller, and a controller
 //! handed [`CatalogEntry::mode`] stages the packed payload without
-//! encoding it again.
+//! encoding or decoding it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -21,6 +22,7 @@ use uparc_bitstream::builder::PartialBitstream;
 use uparc_compress::Algorithm;
 use uparc_core::policy::PowerAwarePolicy;
 use uparc_core::uparc::{Mode, UParc, COMPRESSED_MODE_MAX};
+use uparc_core::UparcError;
 use uparc_fpga::alloc::{AllocError, FrameAllocator};
 use uparc_fpga::Device;
 use uparc_sim::sweep;
@@ -103,9 +105,9 @@ impl std::error::Error for CatalogError {}
 pub struct CatalogEntry {
     bitstream: PartialBitstream,
     region: RegionId,
-    /// [`Mode::Raw`] or [`Mode::Packed`]; a packed payload is shared, so
-    /// cloning the catalog or handing the mode to a controller copies a
-    /// pointer, not the payload.
+    /// [`Mode::Raw`] or [`Mode::Packed`]; a packed payload and its source
+    /// are shared with `bitstream`, so cloning the catalog or handing the
+    /// mode to a controller copies pointers, not the payload or the image.
     mode: Mode,
 }
 
@@ -131,7 +133,7 @@ impl CatalogEntry {
     /// Whether the image is staged compressed.
     #[must_use]
     pub fn compressed(&self) -> bool {
-        matches!(self.mode, Mode::Packed { .. })
+        matches!(self.mode, Mode::Packed(_))
     }
 
     /// Staged image size in words, mode word included (and, packed, the
@@ -159,7 +161,7 @@ impl CatalogEntry {
     #[must_use]
     pub fn packed_bytes(&self) -> Option<&[u8]> {
         match &self.mode {
-            Mode::Packed { bytes, .. } => Some(bytes),
+            Mode::Packed(packed) => Some(packed.bytes()),
             _ => None,
         }
     }
@@ -186,30 +188,27 @@ impl CatalogEntry {
 }
 
 /// Decides how `bitstream` stages in a `bram_bytes` BRAM
-/// ([`Mode::decide`] under [`Mode::Auto`]) and checks a packed payload
-/// once, where it is made: it must fit the BRAM and decode back to the
-/// image, so every packed payload in a catalog is known to round-trip.
+/// ([`Mode::decide`] under [`Mode::Auto`], which checks that a packed
+/// payload decodes back to the image) and checks that a packed payload
+/// fits the BRAM, so every packed payload in a catalog round-trips and
+/// stages.
 fn decide_staging(bram_bytes: usize, bitstream: &PartialBitstream) -> Result<Mode, CatalogError> {
     let mode = Mode::Auto
         .decide(bitstream, bram_bytes, STAGING_ALGORITHM)
-        .expect("Mode::Auto always decides");
-    if let Mode::Packed { bytes, .. } = &mode {
+        .map_err(|e| {
+            CatalogError::Compression(match e {
+                UparcError::Compression(e) => e,
+                e => e.to_string(),
+            })
+        })?;
+    if let Mode::Packed(packed) = &mode {
         // Mode word + byte-count word + packed payload.
-        let required = (2 + bytes.len().div_ceil(4)) * 4;
+        let required = (2 + packed.bytes().len().div_ceil(4)) * 4;
         if required > bram_bytes {
             return Err(CatalogError::TooLarge {
                 required,
                 bram: bram_bytes,
             });
-        }
-        let unpacked = STAGING_ALGORITHM
-            .codec()
-            .decompress(bytes)
-            .map_err(|e| CatalogError::Compression(e.to_string()))?;
-        if !bitstream.eq_bytes(&unpacked) {
-            return Err(CatalogError::Compression(
-                "staging round-trip mismatch".into(),
-            ));
         }
     }
     Ok(mode)
@@ -415,14 +414,13 @@ impl Catalog {
     }
 
     /// Builds a controller lane with the catalog's staging setup (device,
-    /// BRAM, decompressor) and a `cache_bytes` decompressed-image cache;
-    /// it stages every entry's [`CatalogEntry::mode`] without encoding.
+    /// BRAM, decompressor); it stages every entry's [`CatalogEntry::mode`]
+    /// without encoding or decoding.
     #[must_use]
-    pub fn lane(&self, cache_bytes: usize) -> UParc {
+    pub fn lane(&self) -> UParc {
         UParc::builder(self.device.clone())
             .bram_bytes(self.bram_bytes)
             .decompressor(STAGING_ALGORITHM)
-            .decompressed_cache_bytes(cache_bytes)
             .build()
             .expect("catalog algorithm has a hardware decompressor")
     }
@@ -583,7 +581,14 @@ mod tests {
         let entry = cat.entry(BitstreamId(1)).unwrap();
         assert!(entry.compressed());
         assert!(entry.staged_words() * 4 <= 8 * 1024);
-        assert!(matches!(entry.mode(), Mode::Packed { .. }));
+        let Mode::Packed(packed) = entry.mode() else {
+            panic!("a packed entry decides into Mode::Packed");
+        };
+        // The packed payload shares the entry's bitstream.
+        assert_eq!(
+            packed.source().words().as_ptr(),
+            entry.bitstream().words().as_ptr()
+        );
     }
 
     #[test]

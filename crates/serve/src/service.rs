@@ -49,7 +49,9 @@ pub struct ServiceConfig {
     /// Per-region run-queue capacity; arrivals beyond it are rejected
     /// with [`AdmissionError::QueueFull`].
     pub queue_capacity: usize,
-    /// Host-side decompressed-bitstream cache per lane, in bytes.
+    /// Has no effect: no lane keeps a decompressed-image cache (a clean
+    /// packed dispatch writes the staged payload's source words). Kept
+    /// while the benchmark's dispatch probe still reads it.
     pub decompressed_cache_bytes: usize,
     /// (V, f) operating-point table for DVFS dispatch. `None` (the
     /// default) plans on [`VfTable::nominal_only`] — the nominal rail and
@@ -170,7 +172,7 @@ impl Service {
     /// service time. Returns `(with_relock, pure)`.
     fn measure_dispatch(&self, id: BitstreamId, f: Frequency) -> (SimTime, SimTime) {
         let entry = self.catalog.entry(id).expect("measure of unknown id");
-        let mut scratch = self.catalog.lane(self.config.decompressed_cache_bytes);
+        let mut scratch = self.catalog.lane();
         scratch
             .set_reconfiguration_frequency(f)
             .expect("grid frequency is synthesizable");
@@ -235,7 +237,7 @@ impl Service {
         // Run lanes report through region-tagged handles.
         let lanes: Vec<UParc> = (0..self.catalog.region_count())
             .map(|region| {
-                let mut lane = self.catalog.lane(self.config.decompressed_cache_bytes);
+                let mut lane = self.catalog.lane();
                 lane.set_observer(self.config.obs.with_lane(region as u32));
                 lane
             })

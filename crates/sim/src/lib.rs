@@ -35,8 +35,8 @@
 //!   record into, and the exact sorted-vector percentile it is checked
 //!   against.
 //! * [`sweep`] — a std-only scoped-thread parallel map and deterministic
-//!   positional sharding, shared by the experiment harnesses and the
-//!   block-parallel encoders.
+//!   positional sharding, shared by the experiment harnesses, catalog
+//!   registration and the fleet.
 //!
 //! # Architecture
 //!

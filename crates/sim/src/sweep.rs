@@ -1,9 +1,9 @@
 //! Std-only parallel map and deterministic sharding.
 //!
 //! The experiment harnesses evaluate grids of independent configurations
-//! (size × frequency, algorithm × workload), and the block-parallel
-//! encoders shard one input across cores. Each work item touches no
-//! shared state, so both split trivially. This module is a minimal
+//! (size × frequency, algorithm × workload), the serving catalog stages
+//! its bitstreams and the fleet simulates its chips across cores. Each
+//! work item touches no shared state, so all of them split trivially. This module is a minimal
 //! std-only pool: scoped threads pull work items off an atomic index, so
 //! there are no external dependencies and no `'static` bounds on the
 //! closures.
@@ -55,8 +55,8 @@ fn parse_env_override() -> Option<usize> {
 ///
 /// The environment variable is parsed (and, if malformed, warned about)
 /// **once per process**, not on every sweep — every consumer of the
-/// override ([`worker_count`], and through it `parallel_map`, the
-/// block-parallel codecs, and fleet sharding) reads this one cached
+/// override ([`worker_count`], and through it `parallel_map`, catalog
+/// registration and fleet sharding) reads this one cached
 /// accessor. Call [`unpin_workers`] to force a re-read after mutating the
 /// variable at runtime (tests do this; production code should prefer
 /// [`pin_workers`]).

@@ -1,7 +1,8 @@
 //! Compressed-mode integration across every hardware-decodable algorithm:
 //! each slot stages, decompresses and configures identically to the raw
-//! path, from a cached or a cold image alike, at its own characteristic
-//! throughput.
+//! path, whether its transfer writes the staged payload's source words or
+//! decodes a BRAM that differs from the staged image, at its own
+//! characteristic throughput.
 
 use uparc_repro::bitstream::builder::PartialBitstream;
 use uparc_repro::bitstream::synth::SynthProfile;
@@ -36,12 +37,10 @@ const HW_ALGS: [Algorithm; 4] = [
     Algorithm::Huffman,
 ];
 
-/// A lane with `alg` in the decompressor slot, `cache_bytes` of
-/// decompressed-image cache and CLK_2 at 200 MHz.
-fn lane(device: &Device, alg: Algorithm, cache_bytes: usize) -> UParc {
+/// A lane with `alg` in the decompressor slot and CLK_2 at 200 MHz.
+fn lane(device: &Device, alg: Algorithm) -> UParc {
     let mut sys = UParc::builder(device.clone())
         .decompressor(alg)
-        .decompressed_cache_bytes(cache_bytes)
         .build()
         .expect("build");
     sys.set_reconfiguration_frequency(Frequency::from_mhz(200.0))
@@ -52,6 +51,7 @@ fn lane(device: &Device, alg: Algorithm, cache_bytes: usize) -> UParc {
 #[test]
 fn every_hw_algorithm_configures_identically_to_raw() {
     let device = Device::xc5vsx50t();
+    let mut decoded_lanes = 0;
     for (bs, packs_smaller) in [
         (bitstream(&device, 250), true),
         (incompressible(&device), false),
@@ -62,12 +62,10 @@ fn every_hw_algorithm_configures_identically_to_raw() {
             .expect("raw");
 
         for alg in HW_ALGS {
-            // The warm lane transfers the image its preload decoded and
-            // cached; the cold lane, with no cache, decodes the BRAM
-            // contents during the transfer. Both must configure, time and
-            // count exactly alike.
-            let mut warm = lane(&device, alg, 32 << 20);
-            let r = warm
+            // The clean lane's BRAM holds the staged image, so its
+            // transfer writes the payload's source words.
+            let mut clean = lane(&device, alg);
+            let r = clean
                 .reconfigure_bitstream(&bs, Mode::Compressed)
                 .expect("compressed");
             assert!(r.compressed, "{alg}");
@@ -76,30 +74,57 @@ fn every_hw_algorithm_configures_identically_to_raw() {
                 reference
                     .icap()
                     .config_memory()
-                    .diff_frames(warm.icap().config_memory()),
+                    .diff_frames(clean.icap().config_memory()),
                 0,
                 "{alg} must configure the same frames"
             );
-            assert_eq!(warm.decomp_cache_stats().hits, 1, "{alg}: warm transfer");
 
-            let mut cold = lane(&device, alg, 0);
-            let c = cold
-                .reconfigure_bitstream(&bs, Mode::Compressed)
-                .expect("cold compressed");
-            assert_eq!(
-                warm.icap()
-                    .config_memory()
-                    .diff_frames(cold.icap().config_memory()),
-                0,
-                "{alg}: cold ≡ warm frames"
+            // A staged flip of bit 0 of the last BRAM word, when that word
+            // ends in zero padding, leaves the packed payload intact but
+            // the BRAM unlike the staged image, so this lane's transfer
+            // decodes the BRAM contents. Both paths must configure, time
+            // and count exactly alike.
+            let Ok(Mode::Packed(packed)) = Mode::Compressed.decide(&bs, 256 << 10, alg) else {
+                panic!("{alg}: Compressed decides into Packed");
+            };
+            let packed_bytes = packed.bytes().len();
+            if packed_bytes.is_multiple_of(4) {
+                continue;
+            }
+            let mut decoded = lane(&device, alg);
+            let mut inj = FaultInjector::empty();
+            inj.schedule(
+                decoded.now(),
+                FaultKind::StagedFlip {
+                    // Word `w` lands on BRAM word `1 + w`: the last one.
+                    word: packed_bytes.div_ceil(4) as u32,
+                    bit: 0,
+                },
             );
-            assert_eq!(c.transfer_time, r.transfer_time, "{alg}: cold ≡ warm time");
-            assert_eq!(c.energy_uj, r.energy_uj, "{alg}: cold ≡ warm energy");
-            let (w, k) = (warm.icap(), cold.icap());
+            decoded.attach_fault_injector(inj);
+            let c = decoded
+                .reconfigure_bitstream(&bs, Mode::Compressed)
+                .expect("a flip in the padding is harmless");
+            assert_eq!(
+                clean
+                    .icap()
+                    .config_memory()
+                    .diff_frames(decoded.icap().config_memory()),
+                0,
+                "{alg}: decoded ≡ clean frames"
+            );
+            assert_eq!(
+                c.transfer_time, r.transfer_time,
+                "{alg}: decoded ≡ clean time"
+            );
+            assert_eq!(c.energy_uj, r.energy_uj, "{alg}: decoded ≡ clean energy");
+            let (w, k) = (clean.icap(), decoded.icap());
             assert_eq!(k.words_consumed(), w.words_consumed(), "{alg}");
             assert_eq!(k.frames_committed(), w.frames_committed(), "{alg}");
+            decoded_lanes += 1;
         }
     }
+    assert!(decoded_lanes > 0, "no packed payload ended in padding");
 
     // A decode error fails the transfer before any configuration word
     // reaches the ICAP. The flip lands in the last quarter of the packed
@@ -109,14 +134,14 @@ fn every_hw_algorithm_configures_identically_to_raw() {
     // whose decode fails is taken, scanning from the image's end.
     let bs = bitstream(&device, 250);
     let alg = Algorithm::XMatchPro;
-    let image_words = lane(&device, alg, 0)
+    let image_words = lane(&device, alg)
         .preload(&bs, Mode::Compressed)
         .expect("stages")
         .stored_bytes as u32
         / 4;
     assert!(bs.size_bytes() > 2 * 16 * 1024, "{} B", bs.size_bytes());
     let run = |word: u32, policy: RecoveryPolicy| {
-        let mut sys = lane(&device, alg, 32 << 20);
+        let mut sys = lane(&device, alg);
         let mut inj = FaultInjector::empty();
         inj.schedule(sys.now(), FaultKind::StagedFlip { word, bit: 31 });
         sys.attach_fault_injector(inj);

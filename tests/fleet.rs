@@ -256,7 +256,7 @@ fn faulted_path_pays_one_verification_scan_over_the_table_latency() {
         let scan_cycles = u64::from(frames) * catalog.device().family().frame_words() as u64 + 2;
         for idx in 0..=tables.select(facts, f64::INFINITY).unwrap() {
             let f = tables.frequency(idx);
-            let mut scratch = catalog.lane(0);
+            let mut scratch = catalog.lane();
             scratch.set_reconfiguration_frequency(f).unwrap();
             scratch.attach_fault_injector(FaultInjector::empty());
             RecoveryPolicy::default()

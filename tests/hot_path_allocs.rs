@@ -3,10 +3,12 @@
 //! retune to the clock a lane is already locked at and a retune that
 //! relocks it, the compressed pipeline's timing in closed form and by the
 //! edge stepper) allocate nothing, an X-MatchPRO decode, the fleet chip
-//! loop's miss path, allocates only its output, a preload of a packed
-//! catalog entry runs no encoder: it allocates the BRAM image and, now and
-//! then, the power trace's growth, and a warm packed reconfigure and a
-//! clean post-success ECC verification scan allocate only that growth.
+//! loop's miss path, allocates only its output, the first preload and
+//! reconfigure of a packed catalog entry on a fresh lane decode nothing
+//! (no request is as large as the image), a preload of a packed catalog
+//! entry runs no encoder: it allocates the BRAM image and, now and then,
+//! the power trace's growth, and a warm packed reconfigure and a clean
+//! post-success ECC verification scan allocate only that growth.
 //! No codec sizes its output by a corrupt length header:
 //! a decode of a 64-byte sample whose header claims 4 GiB requests no
 //! block over 64 KiB.
@@ -260,14 +262,29 @@ fn request_path_calls_do_not_allocate() {
             .expect("round-trips")
     });
 
+    // The first preload and reconfigure of the entry on a fresh lane:
+    // `Mode::decide` checked the round trip once, at registration, so the
+    // preload stages the payload without decoding it, and the transfer,
+    // whose BRAM holds the staged image, writes the payload's source
+    // words without decoding the BRAM. Neither requests a block as large
+    // as the decoded image; the largest holds the packed payload.
+    let entry = catalog.entry(BitstreamId(1)).expect("registered");
+    let mut lane = catalog.lane();
+    let image_bytes = entry.raw_bytes();
+    let largest = largest_request_in(|| {
+        let staged = lane
+            .preload(entry.bitstream(), entry.mode())
+            .expect("stages");
+        assert!(staged.compressed);
+        black_box(lane.reconfigure().expect("configures"));
+    });
+    assert!(
+        largest < image_bytes,
+        "first packed preload and reconfigure: a {largest} B request \
+         for a {image_bytes} B image"
+    );
     // A warm preload of the entry's decided mode stages the packed
     // payload as it is: no encoder, no boxed codec, no decode.
-    let entry = catalog.entry(BitstreamId(1)).expect("registered");
-    let mut lane = catalog.lane(32 << 20);
-    let staged = lane
-        .preload(entry.bitstream(), entry.mode())
-        .expect("stages");
-    assert!(staged.compressed);
     for _ in 0..16 {
         let n = allocations_in(|| {
             black_box(
@@ -277,11 +294,11 @@ fn request_path_calls_do_not_allocate() {
         });
         assert!(n <= 2, "warm packed preload: {n} allocation(s) per call");
     }
-    // A warm reconfigure of the packed entry: the decoded image comes
-    // from the lane's cache and the fetch, the payload and the ICAP
-    // windows reuse the staging arena, so the only allocation is the
-    // power trace's growth: a call adds three steps to it, so its buffer
-    // doubles now and then, at most once per call.
+    // A warm reconfigure of the packed entry: the fetch reuses the
+    // staging arena and the BRAM holds the staged image, so the payload's
+    // source words go to the ICAP as they are. The only allocation is
+    // the power trace's growth: a call adds three steps to it, so its
+    // buffer doubles now and then, at most once per call.
     lane.reconfigure().expect("configures");
     let mut grown = 0;
     for _ in 0..64 {

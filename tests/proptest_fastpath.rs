@@ -9,15 +9,11 @@
 //!   well-formed, corrupted, truncated and off-device streams, under any
 //!   chunking of the input, with upsets struck into the plane first so
 //!   the frames' ECC state is compared too;
-//! * the two-level-LUT Huffman decoder ≡ the bit-at-a-time reference;
-//! * [`BlockCodec`] frames are byte-identical across worker counts and
-//!   decode back to their input.
+//! * the two-level-LUT Huffman decoder ≡ the bit-at-a-time reference.
 
 use proptest::prelude::*;
 use uparc_repro::compress::bitio::{BitReader, BitWriter};
 use uparc_repro::compress::huffman::{canonical_codes, code_lengths, CanonicalDecoder};
-use uparc_repro::compress::parallel::BlockCodec;
-use uparc_repro::compress::Algorithm;
 use uparc_repro::fpga::format::{
     type1, type2, Command, ConfigCrc, ConfigRegister, Opcode, DUMMY_WORD, NOOP, SYNC_WORD,
 };
@@ -270,40 +266,5 @@ proptest! {
             prop_assert_eq!(f, expect, "fast path wrong at {}", i);
             prop_assert_eq!(slow.remaining(), fast.remaining(), "cursor split at {}", i);
         }
-    }
-}
-
-// --------------------------------------------------------- block codec --
-
-fn codec_corpus_strategy() -> impl Strategy<Value = Vec<u8>> {
-    prop_oneof![
-        proptest::collection::vec(any::<u8>(), 0..4096),
-        // Low-entropy, match-rich data (bitstream-like).
-        proptest::collection::vec(prop_oneof![Just(0u8), 1u8..6], 0..6144),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Block-parallel frames are deterministic: the same input compresses
-    /// to the same bytes whether one, two or eight workers encode it, and
-    /// the frame decodes back to the input.
-    #[test]
-    fn block_codec_is_byte_identical_across_worker_counts(
-        data in codec_corpus_strategy(),
-        block_shift in 9u32..13, // 512 B .. 4 KB blocks
-    ) {
-        let bc = BlockCodec::with_block_size(Algorithm::XMatchPro, 1 << block_shift);
-        let mut frames = Vec::new();
-        for threads in ["1", "2", "8"] {
-            std::env::set_var("UPARC_SWEEP_THREADS", threads);
-            frames.push(bc.compress(&data));
-        }
-        std::env::remove_var("UPARC_SWEEP_THREADS");
-        prop_assert_eq!(&frames[0], &frames[1], "1 vs 2 workers");
-        prop_assert_eq!(&frames[0], &frames[2], "1 vs 8 workers");
-        let round = bc.decompress(&frames[0]).expect("block decompress");
-        prop_assert_eq!(&round, &data, "block round trip");
     }
 }

@@ -1,7 +1,8 @@
 //! One staging decision: a catalog entry's decided mode stages exactly
 //! like `Mode::Auto` on a twin lane, through `UParc::preload` and through
 //! the recovery ladder, and a packed payload that belongs to another
-//! codec or another bitstream is a typed error on every path.
+//! codec or another bitstream is a typed error on every path, while one
+//! staged for its own bitstream, shared or rebuilt, stages.
 
 use uparc_repro::bitstream::builder::PartialBitstream;
 use uparc_repro::bitstream::synth::SynthProfile;
@@ -15,7 +16,6 @@ use uparc_repro::serve::request::BitstreamId;
 use uparc_repro::sim::fault::{FaultInjector, FaultPlan, FaultRates, FaultSpace};
 use uparc_repro::sim::time::{Frequency, SimTime};
 
-const CACHE_BYTES: usize = 1 << 20;
 /// The boundary bitstream's frame count: its raw image sets the BRAM.
 const BOUNDARY_FRAMES: u32 = 40;
 
@@ -52,9 +52,8 @@ fn entries(cat: &Catalog) -> impl Iterator<Item = &CatalogEntry> {
 fn lane_state(lane: &UParc) -> String {
     let bram = lane.bram();
     format!(
-        "{:?} {:?} {:?}",
+        "{:?} {:?}",
         lane.now(),
-        lane.decomp_cache_stats(),
         bram.word_range(0, bram.capacity_words()).unwrap()
     )
 }
@@ -68,9 +67,9 @@ fn catalog_modes_stage_like_auto() {
     for cat in [&exact, &over] {
         let kinds: Vec<bool> = entries(cat).map(CatalogEntry::compressed).collect();
         assert!(kinds.contains(&true) && kinds.contains(&false), "{kinds:?}");
-        let mut decided = cat.lane(CACHE_BYTES);
-        let mut auto = cat.lane(CACHE_BYTES);
-        // Twice round, so the second pass stages from a warm cache.
+        let mut decided = cat.lane();
+        let mut auto = cat.lane();
+        // Twice round, so the second pass restages over the first.
         for pass in 0..2 {
             for entry in entries(cat) {
                 let bs = entry.bitstream();
@@ -82,7 +81,6 @@ fn catalog_modes_stage_like_auto() {
                 assert_eq!(lane_state(&decided), lane_state(&auto), "pass {pass}");
             }
         }
-        assert!(decided.decomp_cache_stats().hits > 0);
     }
 }
 
@@ -109,7 +107,7 @@ fn recovery_ladder_reports_match_for_decided_and_requested_modes() {
                 let packed = Mode::Compressed
                     .decide(bs, cat.bram_bytes(), cat.algorithm())
                     .unwrap();
-                assert!(matches!(packed, Mode::Packed { .. }));
+                assert!(matches!(packed, Mode::Packed(_)));
                 pairs.push((packed, Mode::Compressed));
             }
             for (decided, requested) in pairs {
@@ -122,7 +120,7 @@ fn recovery_ladder_reports_match_for_decided_and_requested_modes() {
                 };
                 let plan = FaultPlan::generate(seed, &space, &rates, SimTime::from_us(1));
                 let run = |mode: Mode| {
-                    let mut lane = cat.lane(CACHE_BYTES);
+                    let mut lane = cat.lane();
                     lane.set_reconfiguration_frequency(Frequency::from_mhz(200.0))
                         .unwrap();
                     lane.attach_fault_injector(FaultInjector::new(&plan));
@@ -158,15 +156,22 @@ fn foreign_packed_payloads_are_typed_errors() {
             })
     }
 
-    // Another bitstream's payload: decoded and compared on a cache miss,
-    // compared with the cached image on a hit.
-    let mut lane = cat.lane(CACHE_BYTES);
+    // Another bitstream's payload, on a fresh lane and on one that
+    // staged the payload for its own bitstream before.
+    let mut lane = cat.lane();
     assert!(mismatch(lane.preload(other.bitstream(), one.mode())));
-    let stats = lane.decomp_cache_stats();
-    assert_eq!((stats.hits, stats.misses), (0, 1), "{stats:?}");
     lane.preload(one.bitstream(), one.mode()).unwrap();
     assert!(mismatch(lane.preload(other.bitstream(), one.mode())));
-    assert_eq!(lane.decomp_cache_stats().hits, 1);
+    // Its own bitstream rebuilt, equal words in another allocation,
+    // stages exactly like the shared one.
+    let own = one.bitstream();
+    let rebuilt = PartialBitstream::build(cat.device(), own.far(), own.payload());
+    assert_ne!(rebuilt.words().as_ptr(), own.words().as_ptr());
+    let (mut shared, mut copied) = (cat.lane(), cat.lane());
+    let a = shared.preload(own, one.mode()).unwrap();
+    let b = copied.preload(&rebuilt, one.mode()).unwrap();
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    assert_eq!(lane_state(&shared), lane_state(&copied));
 
     // Another codec's payload, on a slot that has never seen it and on
     // one whose cache holds its image from before a decompressor swap.
@@ -200,10 +205,7 @@ fn foreign_packed_payloads_are_typed_errors() {
         if warm {
             lane.preload(one.bitstream(), one.mode()).unwrap();
         }
-        let before = lane.decomp_cache_stats();
         let r = ladder.reconfigure(&mut lane, other.bitstream(), one.mode());
         assert!(mismatch(r), "warm {warm}");
-        let after = lane.decomp_cache_stats();
-        assert_eq!(after.hits - before.hits, u64::from(warm), "warm {warm}");
     }
 }
