@@ -153,21 +153,6 @@ impl BramImage {
         Ok(mode)
     }
 
-    /// The raw payload words of an uncompressed image.
-    ///
-    /// # Errors
-    ///
-    /// [`BitstreamError::BadModeWord`] if the image is compressed.
-    pub fn uncompressed_payload(&self) -> Result<&[u32], BitstreamError> {
-        let mode = self.mode()?;
-        if mode.compressed {
-            return Err(BitstreamError::BadModeWord {
-                detail: "image is compressed".to_owned(),
-            });
-        }
-        Ok(&self.words[1..])
-    }
-
     /// The codec id and exact compressed bytes of a compressed image.
     ///
     /// # Errors
@@ -239,7 +224,7 @@ mod tests {
         let mode = img.mode().unwrap();
         assert!(!mode.compressed);
         assert_eq!(mode.size_words, 100);
-        assert_eq!(img.uncompressed_payload().unwrap(), stream.as_slice());
+        assert_eq!(&img.words()[1..], stream.as_slice());
         assert_eq!(img.size_bytes(), 101 * 4);
         assert!(img.compressed_payload().is_err());
     }
@@ -252,7 +237,6 @@ mod tests {
             let (codec, back) = img.compressed_payload().unwrap();
             assert_eq!(codec, 9);
             assert_eq!(back, bytes, "n={n}");
-            assert!(img.uncompressed_payload().is_err());
         }
     }
 

@@ -85,12 +85,6 @@ impl BitWriter {
         }
     }
 
-    /// Total bits written so far.
-    #[must_use]
-    pub fn bit_len(&self) -> usize {
-        self.bytes.len() * 8 + self.nbits as usize
-    }
-
     /// Pads the final partial byte with zeros and returns the buffer.
     #[must_use]
     pub fn finish(mut self) -> Vec<u8> {
@@ -254,7 +248,6 @@ mod tests {
         for &b in &pattern {
             w.write_bit(b);
         }
-        assert_eq!(w.bit_len(), 9);
         let bytes = w.finish();
         assert_eq!(bytes.len(), 2);
         let mut r = BitReader::new(&bytes);
@@ -299,7 +292,6 @@ mod tests {
     fn zero_bit_write_is_noop() {
         let mut w = BitWriter::new();
         w.write_bits(123, 0);
-        assert_eq!(w.bit_len(), 0);
         assert!(w.finish().is_empty());
     }
 
@@ -410,8 +402,8 @@ mod proptests {
                 w.write_bits(v, n);
             }
             let total: usize = values.iter().map(|&(_, n)| n as usize).sum();
-            prop_assert_eq!(w.bit_len(), total);
             let bytes = w.finish();
+            prop_assert_eq!(bytes.len(), total.div_ceil(8));
             let mut r = BitReader::new(&bytes);
             for &(v, n) in &values {
                 let mask = if n == 32 { u32::MAX } else { (1 << n) - 1 };

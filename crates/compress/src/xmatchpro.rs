@@ -91,12 +91,6 @@ impl XMatchPro {
         }
     }
 
-    /// The configured dictionary depth.
-    #[must_use]
-    pub fn dictionary_size(&self) -> usize {
-        self.dict_size
-    }
-
     /// Reference encoder: the original token-at-a-time loop with
     /// per-field bit writes. Exists to pin the fused-write fast path in
     /// [`Codec::compress`] byte-for-byte (see the tests below).
@@ -916,7 +910,6 @@ mod tests {
         }
         for size in [2usize, 4, 8, 16, 32, 64, 128] {
             let codec = XMatchPro::with_dictionary(size);
-            assert_eq!(codec.dictionary_size(), size);
             let packed = codec.compress(&data);
             assert_eq!(codec.decompress(&packed).unwrap(), data, "dict {size}");
         }

@@ -1,20 +1,19 @@
-//! FaRM \[10\] — Fast Reconfiguration Manager with optional RLE compression.
+//! FaRM \[10\] — Fast Reconfiguration Manager.
 //!
-//! FaRM preloads the bitstream (optionally RLE-compressed) into BRAM and
-//! streams it through a FIFO into the ICAP at one word per cycle. It was
-//! the fastest controller in the literature before UPaRC: its vendor
-//! DMA/FIFO front-end closes timing at 200 MHz ⇒ 800 MB/s (Table III).
+//! FaRM preloads the bitstream into BRAM and streams it through a FIFO
+//! into the ICAP at one word per cycle. It was the fastest controller in
+//! the literature before UPaRC: its vendor DMA/FIFO front-end closes
+//! timing at 200 MHz ⇒ 800 MB/s (Table III).
 //! The paper's critique (§II): the frequency is *fixed*, the effective
 //! throughput in compressed mode varies with the bitstream's regularity,
 //! and RLE saves much less storage than X-MatchPRO (Table I: 63% vs 74.2%).
+//! This model stages the bitstream uncompressed.
 
 use crate::store::BramStore;
 use crate::{
     energy_uj, ControllerError, ControllerSpec, LargeBitstream, ReconfigController, ReconfigReport,
 };
 use uparc_bitstream::builder::{bytes_to_words, PartialBitstream};
-use uparc_compress::rle::Rle;
-use uparc_compress::Codec;
 use uparc_fpga::{Device, Icap};
 use uparc_sim::fault::{FaultInjector, FaultKind};
 use uparc_sim::power::calib;
@@ -29,38 +28,21 @@ pub struct Farm {
     icap: Icap,
     store: BramStore,
     clock: Frequency,
-    compression: bool,
     setup_cycles: u64,
     injector: Option<FaultInjector>,
 }
 
 impl Farm {
-    /// Uncompressed mode at the design's 200 MHz ceiling with 128 KB of
-    /// staging BRAM.
+    /// The design's 200 MHz ceiling with 128 KB of staging BRAM.
     #[must_use]
     pub fn new(device: Device) -> Self {
         Farm {
             icap: Icap::new(device),
             store: BramStore::new(128 * 1024),
             clock: Frequency::from_mhz(200.0),
-            compression: false,
             setup_cycles: 240,
             injector: None,
         }
-    }
-
-    /// Enables RLE-compressed staging (capacity stretches by the achieved
-    /// ratio; the inline decoder sustains one output word per cycle).
-    #[must_use]
-    pub fn with_compression(mut self) -> Self {
-        self.compression = true;
-        self
-    }
-
-    /// Whether compressed staging is enabled.
-    #[must_use]
-    pub fn compression(&self) -> bool {
-        self.compression
     }
 
     /// Attaches a fault injector. FaRM has no simulated clock of its own,
@@ -90,23 +72,7 @@ impl ReconfigController for Farm {
 
     fn reconfigure(&mut self, bs: &PartialBitstream) -> Result<ReconfigReport, ControllerError> {
         let raw = bs.to_bytes();
-        let stored_bytes = if self.compression {
-            let rle = Rle::new();
-            let packed = rle.compress(&raw);
-            // The hardware decoder's output is what reaches the ICAP —
-            // model it faithfully by actually decompressing.
-            let unpacked = rle
-                .decompress(&packed)
-                .map_err(|e| ControllerError::Compression(e.to_string()))?;
-            if unpacked != raw {
-                return Err(ControllerError::Compression(
-                    "rle round-trip mismatch".into(),
-                ));
-            }
-            packed.len()
-        } else {
-            raw.len()
-        };
+        let stored_bytes = raw.len();
         if !self.store.fits(stored_bytes) {
             return Err(ControllerError::CapacityExceeded {
                 required: stored_bytes,
@@ -135,8 +101,6 @@ impl ReconfigController for Farm {
         self.icap.set_frequency(self.clock)?;
         self.icap.write_words(&words)?;
 
-        // The RLE decoder emits one word per cycle (repeats are free), so
-        // transfer time is set by the *output* word count either way.
         let transfer = self.clock.time_of_cycles(words.len() as u64);
         let setup = self.clock.time_of_cycles(self.setup_cycles);
         let elapsed = setup + transfer;
@@ -184,23 +148,15 @@ mod tests {
     }
 
     #[test]
-    fn compression_stretches_capacity_without_slowing_down() {
+    fn a_bitstream_past_the_staging_bram_is_refused() {
         let device = Device::xc5vsx50t();
-        // ~197 KB raw: does not fit 128 KB raw, fits RLE-compressed.
+        // ~197 KB raw does not fit the 128 KB staging BRAM.
         let bs = bitstream(&device, 1200);
-        let mut raw = Farm::new(device.clone());
+        let mut ctrl = Farm::new(device);
         assert!(matches!(
-            raw.reconfigure(&bs),
+            ctrl.reconfigure(&bs),
             Err(ControllerError::CapacityExceeded { .. })
         ));
-        let mut comp = Farm::new(device).with_compression();
-        let r = comp.reconfigure(&bs).unwrap();
-        assert!(
-            r.stored_bytes < r.bytes / 2,
-            "rle stored {}",
-            r.stored_bytes
-        );
-        assert!((r.bandwidth_mb_s() - 800.0).abs() < 10.0);
     }
 
     #[test]
@@ -237,7 +193,7 @@ mod tests {
     fn frames_land_in_config_memory() {
         let device = Device::xc5vsx50t();
         let bs = bitstream(&device, 40);
-        let mut ctrl = Farm::new(device).with_compression();
+        let mut ctrl = Farm::new(device);
         ctrl.reconfigure(&bs).unwrap();
         assert_eq!(ctrl.icap().frames_committed(), 40);
     }

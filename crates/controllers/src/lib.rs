@@ -6,7 +6,7 @@
 //!
 //! | Controller | Bottleneck | Paper BW | Max freq |
 //! |---|---|---|---|
-//! | [`xps_hwicap::XpsHwicap`] | processor-driven word copy (per-word driver cycles) | 14.5 MB/s (cache) / ~180 KB/s (CompactFlash) | 120 MHz |
+//! | [`xps_hwicap::XpsHwicap`] | processor-driven word copy (per-word driver cycles) | 14.5 MB/s (cache) | 120 MHz |
 //! | [`mst_icap::MstIcap`] | DDR2 fetch efficiency | 235 MB/s | 120 MHz |
 //! | [`flashcap::FlashCap`] | streaming X-MatchPRO decompressor | 358 MB/s | 120 MHz |
 //! | [`bram_hwicap::BramHwicap`] | vendor DMA burst overhead | 371 MB/s | 120 MHz |

@@ -1,19 +1,16 @@
 //! xps_hwicap \[6\] — the vendor's processor-driven reconfiguration
 //! controller.
 //!
-//! A MicroBlaze copies the bitstream word by word from its bitstream source
-//! into the HWICAP write FIFO over the peripheral bus, polling status along
-//! the way. Per-word driver cycles are the bottleneck:
+//! A MicroBlaze copies the bitstream word by word from processor-cached
+//! memory into the HWICAP write FIFO over the peripheral bus, polling
+//! status along the way. Per-word driver cycles are the bottleneck:
 //!
 //! * **unoptimized driver** (~267 cycles/word at 100 MHz): ≈1.5 MB/s — the
 //!   configuration the paper measures for its §V energy comparison
 //!   (30 µJ/KB);
 //! * **cache-resident, optimized driver** (~28 cycles/word): ≈14.5 MB/s —
-//!   the best published figure \[9\], used in Table III;
-//! * **CompactFlash source**: the card+driver read path (~180 KB/s)
-//!   dominates everything — but capacity is effectively unlimited (`+++`).
+//!   the best published figure \[9\], used in Table III.
 
-use crate::store::CompactFlash;
 use crate::{
     energy_uj, ControllerError, ControllerSpec, LargeBitstream, ReconfigController, ReconfigReport,
 };
@@ -22,25 +19,14 @@ use uparc_fpga::{Device, Icap};
 use uparc_sim::power::calib;
 use uparc_sim::time::{Frequency, SimTime};
 
-/// Where xps_hwicap reads the bitstream from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Source {
-    /// Bitstream resident in processor-cached memory.
-    CachedMemory,
-    /// Bitstream on a CompactFlash card (SystemACE path).
-    CompactFlash,
-}
-
 /// The xps_hwicap controller model.
 #[derive(Debug, Clone)]
 pub struct XpsHwicap {
     icap: Icap,
-    source: Source,
     /// MicroBlaze driver cost per 32-bit word.
     cycles_per_word: u64,
     /// Processor clock.
     mgr_clock: Frequency,
-    cf: CompactFlash,
 }
 
 impl XpsHwicap {
@@ -50,10 +36,8 @@ impl XpsHwicap {
     pub fn new(device: Device) -> Self {
         XpsHwicap {
             icap: Icap::new(device),
-            source: Source::CachedMemory,
             cycles_per_word: 28,
             mgr_clock: Frequency::from_mhz(100.0),
-            cf: CompactFlash::ml506(),
         }
     }
 
@@ -67,25 +51,10 @@ impl XpsHwicap {
         }
     }
 
-    /// CompactFlash-resident bitstreams (≈180 KB/s, unlimited capacity).
-    #[must_use]
-    pub fn with_compact_flash(device: Device) -> Self {
-        XpsHwicap {
-            source: Source::CompactFlash,
-            ..XpsHwicap::new(device)
-        }
-    }
-
     /// The driver cost per word currently modeled.
     #[must_use]
     pub fn cycles_per_word(&self) -> u64 {
         self.cycles_per_word
-    }
-
-    /// The configured bitstream source.
-    #[must_use]
-    pub fn source(&self) -> Source {
-        self.source
     }
 }
 
@@ -103,15 +72,9 @@ impl ReconfigController for XpsHwicap {
         self.icap.set_frequency(self.mgr_clock)?;
         self.icap.write_words(words)?;
 
-        let copy_time = self
+        let elapsed = self
             .mgr_clock
             .time_of_cycles(words.len() as u64 * self.cycles_per_word);
-        let fetch_time = match self.source {
-            Source::CachedMemory => SimTime::ZERO,
-            // File read and FIFO copy are serialised in the driver.
-            Source::CompactFlash => self.cf.fetch_time(bs.size_bytes()),
-        };
-        let elapsed = fetch_time + copy_time;
         // The MicroBlaze runs the copy loop for the whole duration; the
         // ICAP itself is active only one cycle in `cycles_per_word`.
         let icap_duty = 1.0 / self.cycles_per_word as f64;
@@ -119,7 +82,7 @@ impl ReconfigController for XpsHwicap {
             (calib::MANAGER_COPY_MW, elapsed),
             (
                 calib::RECONFIG_PATH_MW_PER_MHZ * self.mgr_clock.as_mhz() * icap_duty,
-                copy_time,
+                elapsed,
             ),
         ]);
         Ok(ReconfigReport {
@@ -127,7 +90,7 @@ impl ReconfigController for XpsHwicap {
             bytes: bs.size_bytes(),
             stored_bytes: bs.size_bytes(),
             elapsed,
-            control_overhead: fetch_time,
+            control_overhead: SimTime::ZERO,
             frequency: self.mgr_clock,
             energy_uj: energy,
         })
@@ -179,15 +142,6 @@ mod tests {
             "{:.2} µJ/KB",
             r.uj_per_kb()
         );
-    }
-
-    #[test]
-    fn compact_flash_source_crawls_at_180_kb_s() {
-        let (device, bs) = bitstream(600);
-        let mut ctrl = XpsHwicap::with_compact_flash(device);
-        let r = ctrl.reconfigure(&bs).unwrap();
-        let kb_s = r.bandwidth_mb_s() * 1000.0;
-        assert!(kb_s > 150.0 && kb_s < 190.0, "{kb_s:.0} KB/s");
     }
 
     #[test]

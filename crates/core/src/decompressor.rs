@@ -11,7 +11,6 @@
 
 use uparc_compress::hw::HwDecompressor;
 use uparc_compress::{Algorithm, Codec};
-use uparc_sim::time::Frequency;
 
 /// A decompressor instance occupying the reconfigurable slot.
 #[derive(Debug, Clone)]
@@ -64,12 +63,6 @@ impl DecompressorSlot {
     pub fn codec(&self) -> Box<dyn Codec> {
         self.algorithm.codec()
     }
-
-    /// Sustained output rate in words/second at decompressor clock `f3`.
-    #[must_use]
-    pub fn output_words_per_s(&self, f3: Frequency) -> f64 {
-        self.hw.output_bandwidth(f3) / 4.0
-    }
 }
 
 impl Default for DecompressorSlot {
@@ -81,6 +74,7 @@ impl Default for DecompressorSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uparc_sim::time::Frequency;
 
     #[test]
     fn default_slot_is_the_paper_decompressor() {
@@ -107,15 +101,5 @@ mod tests {
         let codec = slot.codec();
         let data = vec![0u8; 4096];
         assert_eq!(codec.decompress(&codec.compress(&data)).unwrap(), data);
-    }
-
-    #[test]
-    fn output_rate_scales_with_clock_up_to_max() {
-        let slot = DecompressorSlot::xmatchpro();
-        let r100 = slot.output_words_per_s(Frequency::from_mhz(100.0));
-        let r126 = slot.output_words_per_s(Frequency::from_mhz(126.0));
-        let r200 = slot.output_words_per_s(Frequency::from_mhz(200.0));
-        assert!(r100 < r126);
-        assert!((r126 - r200).abs() < 1e-9, "capped at 126 MHz");
     }
 }

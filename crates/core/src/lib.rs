@@ -30,8 +30,6 @@
 //!   FIFO pipeline across the CLK_2/CLK_3 domains.
 //! * [`schedule`] — a prefetch scheduler that overlaps preloading with idle
 //!   time (\[13\]-style), hiding preload latency from module downtime.
-//! * [`cache`] — a byte-budgeted LRU cache of decompressed bitstreams,
-//!   the fleet chip loop's working set of decoded images.
 //! * [`scrub`] — SEU scrubbing by readback + fast partial reconfiguration
 //!   (the fault-tolerance motivation of §I).
 //! * [`recovery`] — the self-healing layer: bounded retry with a
@@ -90,7 +88,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod decompressor;
 pub mod dyclogen;
 pub mod error;
@@ -105,7 +102,6 @@ pub mod scrub;
 pub mod uparc;
 pub mod urec;
 
-pub use cache::{CacheStats, DecompCache};
 pub use error::UparcError;
 pub use recovery::{RecoveryAction, RecoveryPolicy, RecoveryReport};
 pub use uparc::UParc;

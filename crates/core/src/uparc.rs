@@ -28,7 +28,7 @@ use uparc_bitstream::builder::PartialBitstream;
 use uparc_bitstream::synth::SynthProfile;
 use uparc_bitstream::BitstreamError;
 use uparc_compress::Algorithm;
-use uparc_fpga::bram::{Bram, Port};
+use uparc_fpga::bram::Bram;
 use uparc_fpga::{Device, Icap};
 use uparc_sim::fault::{FaultInjector, FaultKind};
 use uparc_sim::obs::{EventKind, Obs};
@@ -599,12 +599,6 @@ impl UParc {
         Ok(f)
     }
 
-    /// The current core-rail voltage, volts.
-    #[must_use]
-    pub fn core_voltage(&self) -> f64 {
-        self.core_volts
-    }
-
     /// Ramps the core rail to `volts` (VolTune-style runtime voltage
     /// control). The regulator settle — [`calib::VRAIL_SETTLE_US_PER_100MV`]
     /// per 100 mV of swing — is accounted at the next reconfiguration,
@@ -776,7 +770,7 @@ impl UParc {
             });
         }
         self.icap.set_frequency(f2)?;
-        self.bram.set_port_frequency(Port::B, f2)?;
+        self.bram.classify_frequency(f2)?;
 
         // Transfer-window faults: staged-stream flips land in the BRAM,
         // a transient CRC glitch arms only in the marginal overclocked
@@ -1165,8 +1159,7 @@ pub fn decompressor_partition_frames(device: &Device) -> u32 {
 }
 
 /// Stable codec identifiers for the BRAM-image mode word.
-#[must_use]
-pub fn codec_id(algorithm: Algorithm) -> u8 {
+fn codec_id(algorithm: Algorithm) -> u8 {
     match algorithm {
         Algorithm::Rle => 1,
         Algorithm::Lz77 => 2,
@@ -1231,14 +1224,12 @@ mod tests {
         let base = nominal.reconfigure().unwrap();
 
         let mut undervolted = uparc();
-        assert_eq!(undervolted.core_voltage(), calib::V_NOM_V);
         // Re-requesting the current rail is free.
         assert_eq!(undervolted.set_core_voltage(calib::V_NOM_V), SimTime::ZERO);
         let settle = undervolted.set_core_voltage(0.9);
         // 100 mV of swing at the calibrated slew.
         let expected = SimTime::from_secs_f64(calib::VRAIL_SETTLE_US_PER_100MV * 1e-6);
         assert_eq!(settle, expected);
-        assert_eq!(undervolted.core_voltage(), 0.9);
         undervolted.preload(&bs, Mode::Raw).unwrap();
         let started = undervolted.now();
         let r = undervolted.reconfigure().unwrap();

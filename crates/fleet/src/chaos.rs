@@ -242,14 +242,6 @@ impl ChaosPlan {
         let cs = substream(self.seed, LANE_CHIP, chip as u64);
         substream(substream(cs, LANE_REQUEST, index), LANE_REQUEST, k)
     }
-
-    /// Whether the plan injects nothing at all.
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.ambient_fault_ppm == 0
-            && self.emergencies.is_empty()
-            && self.chips.iter().all(|c| c == &ChipChaos::default())
-    }
 }
 
 #[cfg(test)]
@@ -343,11 +335,9 @@ mod tests {
     #[test]
     fn quiet_plan_is_quiet() {
         let plan = ChaosPlan::quiet(16);
-        assert!(plan.is_quiet());
         assert_eq!(plan.chips(), 16);
         for c in 0..16 {
             assert_eq!(plan.chip(c), &ChipChaos::default());
         }
-        assert!(!ChaosPlan::generate(&spicy_spec(1), 16).is_quiet());
     }
 }

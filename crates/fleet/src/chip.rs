@@ -3,10 +3,10 @@
 //! Each chip serves its routed queue FIFO on one reconfigurable region:
 //! pick the fastest operating point the chip's epoch cap admits (from
 //! the calibrated [`PlanTables`]), run the host-side staging work for
-//! real — a miss in the chip's [`DecompCache`] decompresses the staged
-//! payload with the actual codec and folds the fresh image once, a hit
-//! reuses the image and the fold cached beside it — and advance simulated
-//! time by the *measured* dispatch latency. Chips share nothing, so the
+//! real — a miss in the chip's working set (an `Lru`) decompresses the
+//! staged payload with the actual codec and folds the fresh image once,
+//! a hit reuses the fold kept for it — and advance simulated time by the
+//! *measured* dispatch latency. Chips share nothing, so the
 //! fleet can fan them out across the worker pool and still merge
 //! byte-identical results in chip order.
 //!
@@ -23,9 +23,6 @@
 //! and stops the clock. Every request leaves the loop in exactly one
 //! ledger: `served`, `failed`, or `orphans`.
 
-use std::sync::Arc;
-
-use uparc_core::cache::{fnv1a, DecompCache, FNV_OFFSET_BASIS};
 use uparc_core::recovery::RecoveryPolicy;
 use uparc_serve::catalog::Catalog;
 use uparc_sim::fault::{FaultInjector, FaultKind, MAX_STALL_CYCLES};
@@ -35,6 +32,7 @@ use uparc_sim::time::SimTime;
 
 use crate::budget::CapSchedule;
 use crate::chaos::ChaosPlan;
+use crate::lru::Lru;
 use crate::plan::PlanTables;
 use crate::workload::FleetRequest;
 
@@ -122,10 +120,9 @@ pub struct ChipOutcome {
     /// the fleet's independent rack-cap verification sweep.
     pub intervals: Vec<(u64, u64, f64)>,
     /// XOR of every served image's fold. The fold of an image's bytes is
-    /// computed once per decode and cached with the image, so it checks
-    /// every decode the chip runs (and byte-identity across worker
-    /// counts); a hit reuses the stored fold without re-reading the
-    /// image.
+    /// computed once per decode and kept in the chip's working set, so it
+    /// checks every decode the chip runs (and byte-identity across worker
+    /// counts); a hit reuses the kept fold.
     pub checksum: u64,
     /// Stream indices of requests served to completion, ascending.
     pub served: Vec<u64>,
@@ -146,18 +143,22 @@ pub struct ChipOutcome {
     pub recovery_extra_energy_uj: f64,
 }
 
-/// A decompressed image as the chip cache holds it: the bytes, which the
-/// cache budget charges, and their fold, computed once per decode.
-#[derive(Debug)]
-struct Staged {
-    image: Vec<u8>,
-    fold: u64,
-}
-
-impl AsRef<[u8]> for Staged {
-    fn as_ref(&self) -> &[u8] {
-        &self.image
+/// The image fold behind [`ChipOutcome::checksum`]: 64-bit FNV-1a over
+/// `image`, eight bytes mixed per multiply and the ragged tail byte by
+/// byte.
+fn fold_image(image: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let mut h = 0xCBF2_9CE4_8422_2325;
+    let mut lanes = image.chunks_exact(8);
+    for lane in &mut lanes {
+        h ^= u64::from_le_bytes(lane.try_into().expect("8-byte lane"));
+        h = h.wrapping_mul(PRIME);
     }
+    for &b in lanes.remainder() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(PRIME);
+    }
+    h
 }
 
 /// Runs one chip's queue to completion (or to the chip's death).
@@ -173,7 +174,7 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
     let tables = env.tables;
     let chaos = env.plan.chip(input.chip);
     let codec = catalog.algorithm().codec();
-    let mut cache = DecompCache::<Staged>::new(env.cache_budget);
+    let mut working_set = Lru::<u64>::new(env.cache_budget);
     let mut out = ChipOutcome {
         chip: input.chip,
         completed: 0,
@@ -278,11 +279,11 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
             .select(facts, cap)
             .expect("epoch caps always fund the floor");
         // Host-side staging: the real work locality routing saves.
-        if let Some(key) = &facts.key {
-            let fold = match cache.get(key) {
-                Some(staged) => {
+        if facts.packed {
+            let fold = match working_set.get(req.bitstream) {
+                Some(&fold) => {
                     out.hits += 1;
-                    staged.fold
+                    fold
                 }
                 None => {
                     out.misses += 1;
@@ -292,8 +293,8 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
                         .decompress(packed)
                         .expect("staged payload round-trips");
                     out.decompressed_bytes += image.len() as u64;
-                    let fold = fnv1a(FNV_OFFSET_BASIS, &image);
-                    cache.insert(*key, Arc::new(Staged { image, fold }));
+                    let fold = fold_image(&image);
+                    working_set.insert(req.bitstream, image.len(), fold, |_| out.evictions += 1);
                     fold
                 }
             };
@@ -357,10 +358,6 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
         clock = finish;
         out.finish = out.finish.max(finish);
     }
-    let stats = cache.stats();
-    debug_assert_eq!(stats.hits, out.hits);
-    debug_assert_eq!(stats.misses, out.misses);
-    out.evictions = stats.evictions;
     out
 }
 

@@ -173,15 +173,6 @@ impl HealthTimeline {
             .filter(|&&(_, s)| s == ChipState::Quarantined)
             .count() as u64
     }
-
-    /// Death instant, if the chip goes Down.
-    #[must_use]
-    pub fn down_at(&self) -> Option<SimTime> {
-        self.transitions
-            .iter()
-            .find(|&&(_, s)| s == ChipState::Down)
-            .map(|&(f, _)| SimTime::from_fs(f))
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +204,6 @@ mod tests {
         // Decay = wedge end (150) + 200.
         assert_eq!(h.state_at(us(350).as_fs()), ChipState::Healthy);
         assert_eq!(h.quarantine_count(), 0);
-        assert!(h.down_at().is_none());
     }
 
     #[test]
@@ -259,7 +249,6 @@ mod tests {
         assert_eq!(h.state_at(us(220).as_fs()), ChipState::Down);
         // The repair transitions scheduled after the loss are gone.
         assert_eq!(h.state_at(us(10_000).as_fs()), ChipState::Down);
-        assert_eq!(h.down_at(), Some(us(220)));
         assert!(!ChipState::Down.routable());
     }
 

@@ -9,8 +9,8 @@
 //!   pure function of `(seed, i)`, so any sharding of the index space
 //!   reproduces the exact same per-request stream;
 //! * [`router`] — the cross-chip request router: locality-aware (send a
-//!   request to a chip whose decompressed-bitstream LRU already holds
-//!   the image, with a load-aware spill fallback) or seeded-random
+//!   request to a chip whose working set of decompressed images already
+//!   holds the image, with a load-aware spill fallback) or seeded-random
 //!   baseline, with deterministic lowest-chip-id tie-breaks;
 //! * [`budget`] — the hierarchical power budget: the rack cap is
 //!   decomposed per rebalance epoch into per-chip caps proportional to
@@ -21,9 +21,12 @@
 //!   per grid frequency on a real cycle-accurate [`uparc_core::UParc`]
 //!   dispatch, then reused table-driven for millions of requests;
 //! * [`chip`] — the per-chip simulation loop: FIFO service, table
-//!   lookup under the epoch cap, a real [`uparc_core::cache::DecompCache`]
-//!   per chip (misses run the actual codec), mergeable latency
-//!   histograms;
+//!   lookup under the epoch cap, a byte-budgeted working set of
+//!   decompressed images per chip (misses run the actual codec),
+//!   mergeable latency histograms;
+//! * `lru` — the one LRU behind both the router's model of each chip's
+//!   working set and the chip's own, keyed by bitstream id and charged
+//!   by decompressed bytes, so the two agree by construction;
 //! * [`fleet`] — the orchestrator: sequential deterministic routing,
 //!   cap scheduling, chip simulation fanned out over
 //!   [`uparc_sim::sweep::parallel_map`], and an independent sweep over
@@ -40,7 +43,7 @@
 //!                 per-epoch demand ────┘        │             bytes)
 //!                        │                      v
 //!                 rack cap ──> per-chip     table-driven dispatch
-//!                 (budget)     epoch caps   + per-chip DecompCache
+//!                 (budget)     epoch caps   + per-chip Lru (decodes)
 //!                                  │            │
 //!                                  v            v
 //!                           independent rack-cap verification sweep,
@@ -61,6 +64,7 @@ pub mod chaos;
 pub mod chip;
 pub mod fleet;
 pub mod health;
+mod lru;
 pub mod plan;
 pub mod router;
 pub mod workload;

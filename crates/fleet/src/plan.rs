@@ -13,9 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use uparc_core::cache::CacheKey;
 use uparc_core::policy::PowerAwarePolicy;
-use uparc_core::uparc::codec_id;
 use uparc_serve::catalog::Catalog;
 use uparc_serve::request::BitstreamId;
 use uparc_sim::power::calib;
@@ -30,10 +28,10 @@ use crate::FleetError;
 pub struct EntryFacts {
     /// Index into the group tables.
     group: usize,
-    /// Cache key of the staged compressed payload (None = raw staging,
-    /// which bypasses the decompressed-image cache entirely).
-    pub key: Option<CacheKey>,
-    /// Decompressed image size in bytes (what the cache stores).
+    /// Whether the entry stages a packed payload. Raw staging needs no
+    /// decode, so it bypasses the chip's working set entirely.
+    pub packed: bool,
+    /// Decompressed image size in bytes (what the working set charges).
     pub image_bytes: usize,
     /// Transfer size in 32-bit words (mode word included), for
     /// throughput accounting.
@@ -106,7 +104,6 @@ impl PlanTables {
             .iter()
             .map(|&f| planner.predicted_power_mw(f))
             .collect();
-        let codec = codec_id(catalog.algorithm());
 
         let mut tables = PlanTables {
             grid,
@@ -166,7 +163,7 @@ impl PlanTables {
                 id.0,
                 EntryFacts {
                     group,
-                    key: entry.packed_bytes().map(|p| CacheKey::of(codec, p)),
+                    packed: entry.compressed(),
                     image_bytes: entry.raw_bytes(),
                     words: (entry.raw_bytes() as u64).div_ceil(4) + 1,
                 },

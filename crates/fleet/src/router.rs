@@ -1,12 +1,12 @@
 //! Cross-chip request routing, failure-aware.
 //!
-//! The router is the fleet's locality engine: it keeps a byte-budgeted
-//! model of each chip's decompressed-bitstream LRU (the same budget and
-//! eviction order as the real `uparc_core::cache::DecompCache` the chip
-//! simulation runs) and sends each request to a chip that already holds
-//! the image. When every holder is overloaded the request *spills* to
-//! the least-loaded chip instead — locality never wins at the price of a
-//! hot chip's queue growing without bound.
+//! The router is the fleet's locality engine: it models each chip's
+//! working set of decompressed images with the same `Lru` the chip
+//! simulation runs (same byte budget, same victims) and sends each
+//! request to a chip that already holds the image. When every holder is
+//! overloaded the request *spills* to the least-loaded chip instead —
+//! locality never wins at the price of a hot chip's queue growing
+//! without bound.
 //!
 //! Under a chaos campaign the router additionally consumes per-chip
 //! [`HealthTimeline`]s: chips that go [`ChipState::Down`] are removed
@@ -33,6 +33,7 @@ use uparc_sim::rng::{splitmix64, GOLDEN};
 use uparc_sim::time::SimTime;
 
 use crate::health::{ChipState, HealthTimeline};
+use crate::lru::Lru;
 use crate::workload::FleetRequest;
 
 /// How the fleet assigns requests to chips.
@@ -106,71 +107,6 @@ pub struct RouteStats {
     pub shed: u64,
 }
 
-/// Modeled per-chip LRU of decompressed images. Mirrors the byte-budget
-/// semantics of `DecompCache`: inserting past the budget evicts
-/// least-recently-used entries first; an entry larger than the whole
-/// budget is not admitted.
-#[derive(Debug, Clone)]
-struct ModelLru {
-    budget: usize,
-    used: usize,
-    tick: u64,
-    /// `(id, bytes, last-touch tick)`; small (a handful of images per
-    /// chip), so linear scans beat pointer-chasing.
-    entries: Vec<(BitstreamId, usize, u64)>,
-}
-
-impl ModelLru {
-    fn new(budget: usize) -> Self {
-        ModelLru {
-            budget,
-            used: 0,
-            tick: 0,
-            entries: Vec::new(),
-        }
-    }
-
-    fn touch(&mut self, id: BitstreamId) -> bool {
-        self.tick += 1;
-        for e in &mut self.entries {
-            if e.0 == id {
-                e.2 = self.tick;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Inserts `id`, returning the ids evicted to make room.
-    fn insert(&mut self, id: BitstreamId, bytes: usize) -> Vec<BitstreamId> {
-        self.tick += 1;
-        let mut evicted = Vec::new();
-        if bytes > self.budget || self.budget == 0 {
-            return evicted;
-        }
-        while self.used + bytes > self.budget {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.2)
-                .map(|(i, _)| i)
-                .expect("over budget implies a resident entry");
-            let (gone, gone_bytes, _) = self.entries.swap_remove(lru);
-            self.used -= gone_bytes;
-            evicted.push(gone);
-        }
-        self.used += bytes;
-        self.entries.push((id, bytes, self.tick));
-        evicted
-    }
-
-    fn forget_all(&mut self) {
-        self.entries.clear();
-        self.used = 0;
-    }
-}
-
 /// The sequential, deterministic cross-chip router.
 ///
 /// (No `Debug` impl: the embedded [`Obs`] handle is deliberately opaque.)
@@ -178,8 +114,8 @@ pub struct Router {
     policy: RoutePolicy,
     /// Modeled finish horizon per chip, fs.
     horizons: Vec<u64>,
-    /// Modeled cache content per chip (locality policy only).
-    models: Vec<ModelLru>,
+    /// Modeled working set per chip (locality policy only).
+    models: Vec<Lru<()>>,
     /// Which chips currently hold each image (ascending chip ids).
     holders: BTreeMap<BitstreamId, Vec<usize>>,
     /// Lazy min-heap over `(horizon, chip)`; stale entries are skipped.
@@ -243,7 +179,7 @@ impl Router {
         let router = Router {
             policy,
             horizons: vec![0; chips],
-            models: (0..chips).map(|_| ModelLru::new(cache_budget)).collect(),
+            models: (0..chips).map(|_| Lru::new(cache_budget)).collect(),
             holders: BTreeMap::new(),
             heap: (0..chips)
                 .filter(|&c| routable[c])
@@ -310,7 +246,7 @@ impl Router {
                         held.retain(|&h| h != c);
                         !held.is_empty()
                     });
-                    self.models[c].forget_all();
+                    self.models[c].clear();
                     self.obs
                         .instant(SimTime::from_fs(at), EventKind::ChipDown { chip: c as u32 });
                 }
@@ -430,20 +366,20 @@ impl Router {
         self.horizons[target] = start + self.est_service_fs;
         self.heap.push(Reverse((self.horizons[target], target)));
         if matches!(self.policy, RoutePolicy::Locality { .. })
-            && !self.models[target].touch(req.bitstream)
+            && self.models[target].get(req.bitstream).is_none()
         {
-            for gone in self.models[target].insert(req.bitstream, image_bytes) {
-                let held = self.holders.get_mut(&gone).expect("evictee was held");
+            let holders = &mut self.holders;
+            let admitted = self.models[target].insert(req.bitstream, image_bytes, (), |gone| {
+                let held = holders.get_mut(&gone).expect("evictee was held");
                 held.retain(|&c| c != target);
                 if held.is_empty() {
-                    self.holders.remove(&gone);
+                    holders.remove(&gone);
                 }
-            }
-            if self.models[target].touch(req.bitstream) {
-                let held = self.holders.entry(req.bitstream).or_default();
-                match held.binary_search(&target) {
-                    Ok(_) => {}
-                    Err(pos) => held.insert(pos, target),
+            });
+            if admitted {
+                let held = holders.entry(req.bitstream).or_default();
+                if let Err(pos) = held.binary_search(&target) {
+                    held.insert(pos, target);
                 }
             }
         }

@@ -304,16 +304,6 @@ impl FrameAllocator {
         self.free.iter().map(|b| b.end - b.start).max().unwrap_or(0)
     }
 
-    /// The lowest-addressed free block strictly below any live
-    /// allocation, if fragmentation has opened one — the hole a sliding
-    /// compactor fills next.
-    #[must_use]
-    pub fn lowest_gap(&self) -> Option<Range<u32>> {
-        let gap = self.free.first()?;
-        let above = self.live.iter().any(|l| l.start >= gap.end);
-        above.then(|| gap.clone())
-    }
-
     /// Snapshot of the fragmentation state.
     #[must_use]
     pub fn frag_stats(&self) -> FragStats {
@@ -529,18 +519,6 @@ mod tests {
         a.free(30..40).unwrap();
         assert_eq!(a.free_blocks(), std::slice::from_ref(&(0..100)));
         a.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn lowest_gap_finds_compaction_holes() {
-        let mut a = FrameAllocator::new(100);
-        let w0 = a.alloc(10, FitPolicy::FirstFit).unwrap();
-        let _w1 = a.alloc(10, FitPolicy::FirstFit).unwrap();
-        // Tail free space only: no hole below a live block.
-        assert_eq!(a.lowest_gap(), None);
-        a.free(w0).unwrap();
-        // 0..10 is free with 10..20 live above it.
-        assert_eq!(a.lowest_gap(), Some(0..10));
     }
 
     #[test]

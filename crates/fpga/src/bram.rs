@@ -48,14 +48,13 @@ pub enum Port {
 pub struct Bram {
     family: Family,
     data: Vec<u32>,
-    clocks: [Frequency; 2],
     reads: [u64; 2],
     writes: [u64; 2],
 }
 
 impl Bram {
     /// Creates a zeroed BRAM of `capacity_bytes` (rounded down to whole
-    /// 32-bit words), with both ports at the guaranteed frequency.
+    /// 32-bit words).
     ///
     /// # Panics
     ///
@@ -63,11 +62,9 @@ impl Bram {
     #[must_use]
     pub fn new(family: Family, capacity_bytes: usize) -> Self {
         assert!(capacity_bytes >= 4, "bram must hold at least one word");
-        let f = family.bram_guaranteed_frequency();
         Bram {
             family,
             data: vec![0; capacity_bytes / 4],
-            clocks: [f, f],
             reads: [0, 0],
             writes: [0, 0],
         }
@@ -85,13 +82,9 @@ impl Bram {
         self.data.len()
     }
 
-    /// Number of 36 Kb BRAM blocks this memory occupies (4 KB of data each).
-    #[must_use]
-    pub fn blocks_used(&self) -> u32 {
-        (self.capacity_bytes() as u32).div_ceil(4096)
-    }
-
-    /// Classifies a port clock against the family limits.
+    /// Classifies a port clock against the family limits. The two ports
+    /// clock independently: the overlap of UPaRC's preload and
+    /// reconfiguration relies on it.
     ///
     /// # Errors
     ///
@@ -107,28 +100,6 @@ impl Bram {
                 max: self.family.bram_overclock_limit(),
             })
         }
-    }
-
-    /// Sets a port clock (ports are independent — the defining feature the
-    /// UPaRC preload/reconfigure overlap relies on).
-    ///
-    /// # Errors
-    ///
-    /// [`FpgaError::FrequencyTooHigh`] beyond the overclock ceiling.
-    pub fn set_port_frequency(
-        &mut self,
-        port: Port,
-        freq: Frequency,
-    ) -> Result<FrequencyRegime, FpgaError> {
-        let regime = self.classify_frequency(freq)?;
-        self.clocks[port as usize] = freq;
-        Ok(regime)
-    }
-
-    /// A port's current clock.
-    #[must_use]
-    pub fn port_frequency(&self, port: Port) -> Frequency {
-        self.clocks[port as usize]
     }
 
     /// Reads one word (one cycle on `port`).
@@ -291,7 +262,6 @@ mod tests {
         let b = bram();
         assert_eq!(b.capacity_bytes(), 262_144);
         assert_eq!(b.capacity_words(), 65_536);
-        assert_eq!(b.blocks_used(), 64);
     }
 
     #[test]
@@ -382,31 +352,16 @@ mod tests {
 
     #[test]
     fn frequency_regimes_match_paper() {
-        let mut b = bram();
+        let b = bram();
         assert_eq!(
-            b.set_port_frequency(Port::B, Frequency::from_mhz(300.0))
-                .unwrap(),
+            b.classify_frequency(Frequency::from_mhz(300.0)).unwrap(),
             FrequencyRegime::Guaranteed
         );
         // UReC drives the read port beyond the 300 MHz guarantee (§III-B).
         assert_eq!(
-            b.set_port_frequency(Port::B, Frequency::from_mhz(362.5))
-                .unwrap(),
+            b.classify_frequency(Frequency::from_mhz(362.5)).unwrap(),
             FrequencyRegime::Overclocked
         );
-        assert!(b
-            .set_port_frequency(Port::B, Frequency::from_mhz(400.0))
-            .is_err());
-    }
-
-    #[test]
-    fn independent_port_clocks() {
-        let mut b = bram();
-        b.set_port_frequency(Port::A, Frequency::from_mhz(100.0))
-            .unwrap();
-        b.set_port_frequency(Port::B, Frequency::from_mhz(362.5))
-            .unwrap();
-        assert_eq!(b.port_frequency(Port::A), Frequency::from_mhz(100.0));
-        assert_eq!(b.port_frequency(Port::B), Frequency::from_mhz(362.5));
+        assert!(b.classify_frequency(Frequency::from_mhz(400.0)).is_err());
     }
 }

@@ -180,13 +180,6 @@ impl Icap {
         Ok(())
     }
 
-    /// Theoretical reconfiguration bandwidth at the current clock, in
-    /// bytes/second (`4 × f` — the "Theoretical Bandwidth" plane of Fig. 5).
-    #[must_use]
-    pub fn theoretical_bandwidth(&self) -> f64 {
-        4.0 * self.freq.as_hz() as f64
-    }
-
     /// Synchronisation status.
     #[must_use]
     pub fn status(&self) -> IcapStatus {
@@ -660,15 +653,6 @@ mod tests {
         let mut v6 = Icap::new(Device::xc6vlx240t());
         assert!(v6.set_frequency(Frequency::from_mhz(362.5)).is_err());
         assert!(v6.set_frequency(Frequency::from_mhz(355.0)).is_ok());
-    }
-
-    #[test]
-    fn theoretical_bandwidth_is_4_bytes_per_cycle() {
-        let mut icap = icap();
-        icap.set_frequency(Frequency::from_mhz(362.5)).unwrap();
-        assert!((icap.theoretical_bandwidth() - 1.45e9).abs() < 1.0);
-        icap.set_frequency(Frequency::from_mhz(100.0)).unwrap();
-        assert!((icap.theoretical_bandwidth() - 400e6).abs() < 1.0);
     }
 
     #[test]

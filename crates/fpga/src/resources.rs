@@ -1,4 +1,4 @@
-//! Resource accounting: primitive inventories, slice packing, utilization.
+//! Resource accounting: primitive inventories and slice packing.
 //!
 //! Table II of the paper reports the slice cost of each UPaRC block on
 //! Virtex-5 and Virtex-6. Since we cannot run the Xilinx mapper, the
@@ -66,32 +66,13 @@ impl PrimitiveInventory {
 #[derive(Debug, Clone, Copy)]
 pub struct AreaEstimator {
     family: Family,
-    packing_efficiency: f64,
 }
 
 impl AreaEstimator {
-    /// Creates an estimator with the default packing efficiency.
+    /// Creates an estimator packing at [`DEFAULT_PACKING_EFFICIENCY`].
     #[must_use]
     pub fn new(family: Family) -> Self {
-        AreaEstimator {
-            family,
-            packing_efficiency: DEFAULT_PACKING_EFFICIENCY,
-        }
-    }
-
-    /// Overrides the packing efficiency.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < eff <= 1`.
-    #[must_use]
-    pub fn with_packing_efficiency(mut self, eff: f64) -> Self {
-        assert!(
-            eff > 0.0 && eff <= 1.0,
-            "packing efficiency must be in (0, 1]"
-        );
-        self.packing_efficiency = eff;
-        self
+        AreaEstimator { family }
     }
 
     /// The family this estimator targets.
@@ -107,33 +88,7 @@ impl AreaEstimator {
         let lut_slices = inv.luts as f64 / self.family.luts_per_slice() as f64;
         let ff_slices = inv.ffs as f64 / self.family.ffs_per_slice() as f64;
         let ideal = lut_slices.max(ff_slices);
-        (ideal / self.packing_efficiency).ceil() as u32
-    }
-}
-
-/// Utilization of a device or partition by one or more modules.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Utilization {
-    /// Occupied slices.
-    pub slices: u32,
-    /// Available slices.
-    pub total_slices: u32,
-    /// Occupied 36 Kb BRAM blocks.
-    pub bram36: u32,
-    /// Available 36 Kb BRAM blocks.
-    pub total_bram36: u32,
-}
-
-impl Utilization {
-    /// Slice utilization as a fraction in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `total_slices` is zero.
-    #[must_use]
-    pub fn slice_ratio(&self) -> f64 {
-        assert!(self.total_slices > 0, "utilization needs a denominator");
-        f64::from(self.slices) / f64::from(self.total_slices)
+        (ideal / DEFAULT_PACKING_EFFICIENCY).ceil() as u32
     }
 }
 
@@ -173,16 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn packing_efficiency_monotone() {
-        let inv = PrimitiveInventory::logic(100, 100);
-        let tight = AreaEstimator::new(Family::Virtex5).with_packing_efficiency(1.0);
-        let loose = AreaEstimator::new(Family::Virtex5).with_packing_efficiency(0.5);
-        assert!(loose.slices(&inv) > tight.slices(&inv));
-        assert_eq!(tight.slices(&inv), 25);
-        assert_eq!(loose.slices(&inv), 50);
-    }
-
-    #[test]
     fn inventory_plus_sums_fields() {
         let a = PrimitiveInventory {
             luts: 1,
@@ -206,22 +151,5 @@ mod tests {
                 dsp: 44
             }
         );
-    }
-
-    #[test]
-    fn utilization_ratio() {
-        let u = Utilization {
-            slices: 2040,
-            total_slices: 8160,
-            bram36: 64,
-            total_bram36: 132,
-        };
-        assert!((u.slice_ratio() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "(0, 1]")]
-    fn zero_packing_efficiency_rejected() {
-        let _ = AreaEstimator::new(Family::Virtex5).with_packing_efficiency(0.0);
     }
 }

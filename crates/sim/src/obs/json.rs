@@ -75,15 +75,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The value of a boolean node.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// A parse failure: what went wrong and the byte offset it happened at.
@@ -381,7 +372,7 @@ mod tests {
         let doc = parse(r#"{"a":[1,{"b":false}],"c":"x"}"#).unwrap();
         let a = doc.get("a").unwrap().as_array().unwrap();
         assert_eq!(a[0].as_f64(), Some(1.0));
-        assert_eq!(a[1].get("b").unwrap().as_bool(), Some(false));
+        assert_eq!(a[1].get("b"), Some(&JsonValue::Bool(false)));
         assert_eq!(doc.get("c").unwrap().as_str(), Some("x"));
     }
 

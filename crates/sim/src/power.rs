@@ -118,16 +118,6 @@ pub mod calib {
         }
         unreachable!("the anchors cover the measured span")
     }
-
-    /// Measured per-transfer reconfiguration-power overhead at `f_mhz`, mW:
-    /// the residual of the measured curve above the analytic
-    /// `P_base + c·f` regression (−16.5 mW at 50 MHz, +5 at 100, +31 at
-    /// 200, −19 at 300). Per Nafkha & Louet, this is carried as a measured
-    /// quantity rather than folded into the fit.
-    #[must_use]
-    pub fn reconfig_overhead_mw(f_mhz: f64) -> f64 {
-        fig7_measured_mw(f_mhz) - (analytic_base_mw() + RECONFIG_PATH_MW_PER_MHZ * f_mhz)
-    }
 }
 
 /// One discrete core-voltage operating rail.
@@ -273,17 +263,6 @@ impl VfTable {
         let dv = (self.rails[from].volts - self.rails[to].volts).abs();
         SimTime::from_secs_f64(dv / 0.1 * self.settle_us_per_100mv * 1e-6)
     }
-
-    /// The worst-case settle across the table (the full rail swing) —
-    /// what a conservative admission estimate charges when the dispatch
-    /// rail is not yet known.
-    #[must_use]
-    pub fn max_settle(&self) -> SimTime {
-        let lo = self.rails.first().map_or(calib::V_NOM_V, |r| r.volts);
-        let hi = self.rails.last().map_or(calib::V_NOM_V, |r| r.volts);
-        let dv = (hi - lo).abs();
-        SimTime::from_secs_f64(dv / 0.1 * self.settle_us_per_100mv * 1e-6)
-    }
 }
 
 /// Total core power while the reconfiguration path is clocked at `freq`
@@ -390,20 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn overhead_residual_matches_measured_minus_analytic() {
-        for (mhz, mw) in calib::FIG7_POINTS {
-            let analytic = calib::analytic_base_mw() + calib::RECONFIG_PATH_MW_PER_MHZ * mhz;
-            let r = calib::reconfig_overhead_mw(mhz);
-            assert!((r - (mw - analytic)).abs() < 1e-9, "{mhz} MHz: {r}");
-        }
-        // The residual alternates in sign across the span — it is a
-        // measurement structure, not a fit bias.
-        assert!(calib::reconfig_overhead_mw(50.0) < 0.0);
-        assert!(calib::reconfig_overhead_mw(200.0) > 0.0);
-        assert!(calib::reconfig_overhead_mw(300.0) < 0.0);
-    }
-
-    #[test]
     fn vf_power_scales_the_path_term_quadratically() {
         let f = Frequency::from_mhz(150.0);
         let base = calib::analytic_base_mw();
@@ -432,7 +397,8 @@ mod tests {
                     assert_eq!(t.settle(a, b), SimTime::ZERO);
                 } else {
                     assert!(t.settle(a, b) > SimTime::ZERO);
-                    assert!(t.settle(a, b) <= t.max_settle());
+                    // No ramp is longer than the full rail swing.
+                    assert!(t.settle(a, b) <= t.settle(0, n - 1));
                 }
             }
         }
@@ -448,7 +414,6 @@ mod tests {
         assert_eq!(t.nominal_index(), 0);
         assert!(!t.measured_overhead());
         assert_eq!(t.scale(0), 1.0);
-        assert_eq!(t.max_settle(), SimTime::ZERO);
     }
 
     #[test]

@@ -303,9 +303,10 @@ impl Frequency {
         SimTime::from_fs(fs as u64)
     }
 
-    /// Number of *complete* cycles inside `window`.
-    #[must_use]
-    pub fn cycles_in(self, window: SimTime) -> u64 {
+    /// Number of *complete* cycles inside `window`: the floor inverse the
+    /// tests check [`Frequency::time_of_cycles`] against.
+    #[cfg(test)]
+    fn cycles_in(self, window: SimTime) -> u64 {
         let c = (window.as_fs() as u128 * self.0 as u128) / FS_PER_SEC as u128;
         c as u64
     }

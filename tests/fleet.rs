@@ -2,10 +2,11 @@
 //! workload sharding determinism, router tie-breaks, worker-count
 //! identity of a full fleet run, equivalence of the calibrated
 //! operating-point tables against the frequency-only
-//! `PowerAwarePolicy::plan_vf`, the router's cache model against the
-//! chips' real caches, the faulted path's latency against the tables, the
-//! empty-workload error, and the chaos layer (chip loss, failover
-//! accounting, power emergencies, graceful degradation).
+//! `PowerAwarePolicy::plan_vf`, the router's model of the chips' working
+//! sets against the chips' own (and a zero budget), the faulted path's
+//! latency against the tables, the empty-workload error, and the chaos
+//! layer (chip loss, failover accounting, power emergencies, graceful
+//! degradation).
 
 use uparc_repro::core::policy::{PlanQuery, PowerAwarePolicy, VfQuery};
 use uparc_repro::core::recovery::RecoveryPolicy;
@@ -143,21 +144,33 @@ fn locality_routing_beats_random_on_hit_rate() {
     assert_eq!(random.cap_violations, 0);
 }
 
-/// The router's modeled per-chip LRU must agree with the chips' real
-/// decompressed-image caches request for request: on a quiet locality
-/// run every warm route is a chip-cache hit, and every cold or spilled
-/// route a miss. The shapes evict heavily (a small catalog on few chips,
-/// and a large one on many chips with a tight spill window), and the last
-/// chip cache is smaller than one image, so neither side may admit it.
+/// The router's model of each chip's working set must agree with the
+/// chips' own request for request: on a quiet locality run every warm
+/// route is a chip hit, and every cold or spilled route a miss. The
+/// shapes evict heavily (a small catalog on few chips, and a large one on
+/// many chips with a tight spill window), and the last chip budget is
+/// smaller than one image, so neither side may admit it. Both sides run
+/// one `Lru`, so the exact counts and image-fold checksum pin its
+/// eviction rule: a change of victim moves them.
 #[test]
 fn router_cache_model_matches_the_chip_caches() {
-    // (images, frames per image, chips, chip cache bytes, spill window)
+    // ((images, frames per image, chips, chip cache bytes, spill window),
+    //  (hits, misses, evictions, image-fold checksum))
     let shapes = [
-        (64, 12, 4, 32 * 1024, SimTime::from_us(5)),
-        (256, 40, 16, 56 * 1024, SimTime::from_us(1)),
-        (16, 40, 4, 4 * 1024, SimTime::from_us(5)),
+        (
+            (64, 12, 4, 32 * 1024, SimTime::from_us(5)),
+            (2547, 2453, 2389, 0xbf90_faa7_cf62_0c20),
+        ),
+        (
+            (256, 40, 16, 56 * 1024, SimTime::from_us(1)),
+            (391, 4609, 4481, 0x55f2_6279_8116_5fb1),
+        ),
+        (
+            (16, 40, 4, 4 * 1024, SimTime::from_us(5)),
+            (0, 5000, 0, 0x2dce_6b7a_aad4_3770),
+        ),
     ];
-    for (images, frames, chips, cache_bytes, spill_window) in shapes {
+    for ((images, frames, chips, cache_bytes, spill_window), pinned) in shapes {
         let catalog = synthetic_catalog(images, frames, 71);
         let image_bytes = catalog.entry(BitstreamId(1)).unwrap().raw_bytes();
         let mut config = small_config(chips, RoutePolicy::Locality { spill_window });
@@ -182,7 +195,36 @@ fn router_cache_model_matches_the_chip_caches() {
         } else {
             assert!(out.evictions > 0, "{shape}: the caches never evicted");
         }
+        assert_eq!(
+            (out.hits, out.misses, out.evictions, out.checksum),
+            pinned,
+            "{shape}: hits, misses, evictions, checksum"
+        );
     }
+}
+
+/// A zero chip-cache budget admits nothing on either side: every request
+/// still completes, each one a miss that runs a real decode, and no route
+/// is warm.
+#[test]
+fn a_zero_chip_cache_budget_serves_every_request_cold() {
+    let catalog = synthetic_catalog(16, 12, 11);
+    let mut config = small_config(
+        4,
+        RoutePolicy::Locality {
+            spill_window: SimTime::from_us(5),
+        },
+    );
+    config.chip_cache_bytes = 0;
+    let out = Fleet::new(catalog, config)
+        .unwrap()
+        .run(&small_spec(500))
+        .unwrap();
+    assert_eq!(out.completed, 500);
+    assert_eq!(out.hits, 0);
+    assert_eq!(out.misses, out.completed);
+    assert_eq!(out.evictions, 0);
+    assert_eq!(out.route.warm, 0);
 }
 
 /// The calibrated table's cap-constrained selection picks the same
@@ -197,7 +239,7 @@ fn plan_tables_match_plan_constrained() {
     let id = BitstreamId(1);
     let entry = catalog.entry(id).unwrap();
     let facts = tables.facts(id);
-    let extra = if facts.key.is_some() {
+    let extra = if facts.packed {
         calib::DECOMPRESSOR_MW_PER_MHZ * 100.0
     } else {
         0.0
@@ -214,7 +256,7 @@ fn plan_tables_match_plan_constrained() {
         let picked = tables.select(facts, cap);
         let reference = planner.plan_vf(&VfQuery::frequency_only(PlanQuery {
             bytes: entry.raw_bytes(),
-            max_frequency: facts.key.is_some().then(|| Frequency::from_mhz(255.0)),
+            max_frequency: facts.packed.then(|| Frequency::from_mhz(255.0)),
             power_cap_mw: Some(cap - extra),
             ..PlanQuery::default()
         }));
