@@ -3,25 +3,28 @@
 //! The builder emits exactly the packet sequence a vendor tool produces for
 //! a partial bitstream: dummy/sync preamble, CRC reset, IDCODE check, WCFG,
 //! the starting frame address, one large type-1+type-2 FDRI write carrying
-//! all frame payloads, a CRC check word and the DESYNC trailer. The result
-//! executes on [`uparc_fpga::Icap`] and is the byte payload that the
-//! compression codecs and BRAM images operate on.
+//! all frame payloads, a CRC check word and the DESYNC trailer. The stream
+//! is built sealed ([`Sealed`]): its check word is signed, and its FDRI
+//! run's CRC contribution computed, once, here. The result executes on
+//! [`uparc_fpga::Icap`] and is the byte payload that the compression codecs
+//! and BRAM images operate on.
 
 use std::sync::Arc;
 
 use crate::error::BitstreamError;
 use uparc_fpga::device::Device;
 use uparc_fpga::format::{
-    type1, type2, Command, ConfigCrc, ConfigRegister, Opcode, DUMMY_WORD, NOOP, SYNC_WORD,
+    type1, type2, Command, ConfigRegister, Opcode, DUMMY_WORD, NOOP, SYNC_WORD,
 };
+use uparc_fpga::Sealed;
 
-/// A fully assembled partial bitstream (word stream + metadata).
+/// A fully assembled partial bitstream (sealed word stream + metadata).
 ///
-/// The word stream is shared: a clone copies a pointer, so a catalog
+/// The sealed stream is shared: a clone copies pointers, so a catalog
 /// entry and the packed payload decided from it hold one stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialBitstream {
-    words: Arc<[u32]>,
+    sealed: Sealed,
     far: u32,
     frame_count: u32,
     device_name: &'static str,
@@ -98,7 +101,8 @@ impl PartialBitstream {
 
         let write = |reg| type1(Opcode::Write, reg, 1);
         // One exact-size collect: the stream is allocated once, already
-        // shared.
+        // shared, and signed in place (the check word is a placeholder
+        // until then).
         let words: Arc<[u32]> = [
             DUMMY_WORD,
             SYNC_WORD,
@@ -119,7 +123,7 @@ impl PartialBitstream {
         .chain(payload.iter().copied())
         .chain([
             write(ConfigRegister::Crc),
-            check_word(device, far, payload),
+            0,
             write(ConfigRegister::Cmd),
             Command::Desync as u32,
             NOOP,
@@ -127,21 +131,21 @@ impl PartialBitstream {
         .collect();
 
         Ok(PartialBitstream {
-            words,
+            sealed: Sealed::sign(words),
             far,
             frame_count,
             device_name: device.name(),
         })
     }
 
-    /// Rewrites the stream's frame address to `new_far` and recomputes
-    /// the running CRC, so the relocated image is byte-identical to a
-    /// fresh [`PartialBitstream::try_build`] of the same payload at the
-    /// new address.
+    /// Rewrites the stream's frame address to `new_far` and re-signs it,
+    /// so the relocated image is byte-identical to a fresh
+    /// [`PartialBitstream::try_build`] of the same payload at the new
+    /// address.
     ///
     /// Only two words change: the FAR register value and the CRC check
-    /// word, replayed as [`PartialBitstream::try_build`] computes it, so
-    /// the result still passes ICAP verification.
+    /// word, which the seal writes as [`PartialBitstream::try_build`]'s
+    /// does, so the result still passes ICAP verification.
     ///
     /// # Errors
     ///
@@ -167,7 +171,7 @@ impl PartialBitstream {
             });
         }
 
-        let mut words: Arc<[u32]> = Arc::from(&self.words[..]);
+        let mut words: Arc<[u32]> = Arc::from(self.words());
         let stream = Arc::get_mut(&mut words).expect("a fresh copy is unshared");
         debug_assert_eq!(
             stream[10],
@@ -175,11 +179,9 @@ impl PartialBitstream {
             "FAR header drifted from the builder layout"
         );
         stream[11] = new_far;
-        let crc_index = stream.len() - 4;
-        stream[crc_index] = check_word(device, new_far, self.payload());
 
         Ok(PartialBitstream {
-            words,
+            sealed: Sealed::sign(words),
             far: new_far,
             frame_count: self.frame_count,
             device_name: self.device_name,
@@ -189,7 +191,13 @@ impl PartialBitstream {
     /// The executable word stream.
     #[must_use]
     pub fn words(&self) -> &[u32] {
-        &self.words
+        self.sealed.words()
+    }
+
+    /// The sealed stream, for [`uparc_fpga::Icap::write_sealed`].
+    #[must_use]
+    pub fn sealed(&self) -> &Sealed {
+        &self.sealed
     }
 
     /// Starting frame address.
@@ -210,26 +218,27 @@ impl PartialBitstream {
     /// single-frame bitstream from.
     #[must_use]
     pub fn payload(&self) -> &[u32] {
-        &self.words[14..self.words.len() - 5]
+        let words = self.words();
+        &words[14..words.len() - 5]
     }
 
     /// Whether `other` is the same word stream: the same shared words
     /// (one pointer compare, as for a clone), or equal words.
     #[must_use]
     pub fn same_words(&self, other: &PartialBitstream) -> bool {
-        Arc::ptr_eq(&self.words, &other.words) || self.words == other.words
+        self.sealed.same_words(&other.sealed)
     }
 
     /// Total size in bytes (the number the paper's bandwidth figures use).
     #[must_use]
     pub fn size_bytes(&self) -> usize {
-        self.words.len() * 4
+        self.words().len() * 4
     }
 
     /// Serialises to big-endian bytes (the on-disk/.bit byte order).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        words_to_bytes(&self.words)
+        words_to_bytes(self.words())
     }
 
     /// Whether `bytes` equals [`PartialBitstream::to_bytes`], compared in
@@ -239,7 +248,7 @@ impl PartialBitstream {
         bytes.len() == self.size_bytes()
             && bytes
                 .chunks_exact(4)
-                .zip(self.words.iter())
+                .zip(self.words())
                 .all(|(b, w)| *b == w.to_be_bytes())
     }
 
@@ -254,18 +263,6 @@ impl PartialBitstream {
             data: self.to_bytes(),
         }
     }
-}
-
-/// The CRC check word of a stream writing `payload` at `far` on
-/// `device`: the running CRC the ICAP keeps from the RCRC command on,
-/// over the IDCODE, WCFG, FAR and FDRI writes before the check.
-fn check_word(device: &Device, far: u32, payload: &[u32]) -> u32 {
-    let mut crc = ConfigCrc::new();
-    crc.update(ConfigRegister::Idcode, device.idcode());
-    crc.update(ConfigRegister::Cmd, Command::Wcfg as u32);
-    crc.update(ConfigRegister::Far, far);
-    crc.update_run(ConfigRegister::Fdri, payload);
-    crc.value()
 }
 
 /// Serialises configuration words to big-endian bytes.
@@ -438,6 +435,39 @@ mod tests {
         let mut icap = Icap::new(device);
         icap.write_words(moved.words()).unwrap();
         assert_eq!(icap.frames_committed(), 7);
+    }
+
+    #[test]
+    fn the_signed_check_word_is_the_running_crc_the_port_keeps() {
+        use uparc_fpga::format::ConfigCrc;
+        // The replay the builder ran before it sealed its streams: the
+        // CRC from the RCRC command on, over the IDCODE, WCFG, FAR and
+        // FDRI writes before the check.
+        let replay = |device: &Device, far: u32, payload: &[u32]| {
+            let mut crc = ConfigCrc::new();
+            crc.update(ConfigRegister::Idcode, device.idcode());
+            crc.update(ConfigRegister::Cmd, Command::Wcfg as u32);
+            crc.update(ConfigRegister::Far, far);
+            crc.update_run(ConfigRegister::Fdri, payload);
+            crc.value()
+        };
+        for device in [Device::xc5vsx50t(), Device::xc6vlx240t()] {
+            for (far, frames, seed) in [(0, 1u32, 1u32), (200, 5, 0xA5A5_5A5A), (37, 40, 7)] {
+                let words = device.family().frame_words() * frames as usize;
+                let data: Vec<u32> = (0..words as u32).map(|i| i.wrapping_mul(seed)).collect();
+                let bs = PartialBitstream::build(&device, far, &data);
+                let moved = bs.relocate(&device, far + 3).unwrap();
+                for (bs, far) in [(&bs, far), (&moved, far + 3)] {
+                    let stream = bs.words();
+                    assert_eq!(stream[stream.len() - 4], replay(&device, far, &data));
+                    assert_eq!(bs.sealed().words(), stream);
+                    let mut icap = Icap::new(device.clone());
+                    icap.write_sealed(bs.sealed()).unwrap();
+                    assert_eq!(icap.frames_committed(), u64::from(frames));
+                    assert_eq!(icap.config_memory().read_frame(far).unwrap()[1], seed);
+                }
+            }
+        }
     }
 
     #[test]

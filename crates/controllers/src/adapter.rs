@@ -10,16 +10,24 @@
 
 use crate::{ControllerError, ControllerSpec, LargeBitstream, ReconfigController, ReconfigReport};
 use uparc_bitstream::builder::PartialBitstream;
-use uparc_core::uparc::{Mode, UParc, COMPRESSED_MODE_MAX};
+use uparc_core::uparc::{Mode, Packed, UParc, COMPRESSED_MODE_MAX};
 use uparc_core::UparcError;
 use uparc_fpga::{Device, Icap};
 use uparc_sim::time::Frequency;
 
 /// UPaRC wrapped as a [`ReconfigController`] with a fixed operating mode.
+///
+/// The controller decides a bitstream's staging once ([`Mode::decide`])
+/// and keeps a packed decision: reconfiguring the same words again stages
+/// the kept payload, with no encode and no round-trip decode.
 #[derive(Debug)]
 pub struct UparcController {
     system: UParc,
+    /// The requested staging mode.
     mode: Mode,
+    /// The last packed decision, reused while its source is the
+    /// bitstream reconfigured.
+    packed: Option<Packed>,
     name: &'static str,
     max_frequency: Frequency,
     large: LargeBitstream,
@@ -42,6 +50,7 @@ impl UparcController {
         Ok(UparcController {
             system,
             mode: Mode::Raw,
+            packed: None,
             name: "UPaRC_i",
             max_frequency: f,
             large: LargeBitstream::Limited,
@@ -60,6 +69,7 @@ impl UparcController {
         Ok(UparcController {
             system,
             mode: Mode::Compressed,
+            packed: None,
             name: "UPaRC_ii",
             max_frequency: f,
             large: LargeBitstream::Extended,
@@ -106,7 +116,21 @@ impl ReconfigController for UparcController {
     }
 
     fn reconfigure(&mut self, bs: &PartialBitstream) -> Result<ReconfigReport, ControllerError> {
-        let report = self.system.reconfigure_bitstream(bs, self.mode.clone())?;
+        let mode = match &self.packed {
+            Some(packed) if packed.source().same_words(bs) => Mode::Packed(packed.clone()),
+            _ => {
+                let mode = self.mode.clone().decide(
+                    bs,
+                    self.system.bram().capacity_bytes(),
+                    self.system.decompressor().algorithm(),
+                )?;
+                if let Mode::Packed(packed) = &mode {
+                    self.packed = Some(packed.clone());
+                }
+                mode
+            }
+        };
+        let report = self.system.reconfigure_bitstream(bs, mode)?;
         Ok(ReconfigReport {
             controller: self.name,
             bytes: report.bytes,
@@ -156,6 +180,39 @@ mod tests {
         assert!(r.stored_bytes < r.bytes / 2);
         assert!(r.bandwidth_mb_s() > 900.0, "{:.0}", r.bandwidth_mb_s());
         assert_eq!(ctrl.spec().large_bitstream, LargeBitstream::Extended);
+    }
+
+    #[test]
+    fn uparc_ii_decides_a_bitstream_once() {
+        let device = Device::xc5vsx50t();
+        let a = bitstream(&device, 40);
+        let b = PartialBitstream::build(
+            &device,
+            0,
+            &SynthProfile::dense().generate(&device, 0, 40, 4),
+        );
+        let mut ctrl = UparcController::uparc_ii(device.clone()).unwrap();
+        let payload = |ctrl: &UparcController| ctrl.packed.as_ref().map(|p| p.bytes().as_ptr());
+        let first = ctrl.reconfigure(&a).unwrap();
+        let kept = payload(&ctrl).expect("UPaRC_ii keeps its packed decision");
+        // The same words again, from another allocation too: the kept
+        // payload stages, not a fresh encoding of it.
+        let rebuilt = PartialBitstream::build(&device, 0, a.payload());
+        for bs in [&a, &rebuilt] {
+            let again = ctrl.reconfigure(bs).unwrap();
+            assert_eq!(payload(&ctrl), Some(kept));
+            assert_eq!(again.stored_bytes, first.stored_bytes);
+            assert_eq!(again.elapsed, first.elapsed);
+            assert_eq!(again.energy_uj.to_bits(), first.energy_uj.to_bits());
+        }
+        // Another bitstream replaces the decision.
+        ctrl.reconfigure(&b).unwrap();
+        let replaced = ctrl.packed.as_ref().expect("decided");
+        assert!(replaced.source().same_words(&b));
+        // UPaRC_i stages raw and keeps nothing.
+        let mut raw = UparcController::uparc_i(device).unwrap();
+        raw.reconfigure(&a).unwrap();
+        assert!(raw.packed.is_none());
     }
 
     #[test]

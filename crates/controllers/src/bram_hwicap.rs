@@ -83,7 +83,7 @@ impl ReconfigController for BramHwicap {
         }
         let words = bs.words();
         self.icap.set_frequency(self.clock)?;
-        self.icap.write_words(words)?;
+        self.icap.write_sealed(bs.sealed())?;
 
         let n = words.len() as u64;
         let bursts = n.div_ceil(self.burst_words);

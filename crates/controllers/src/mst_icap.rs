@@ -68,7 +68,7 @@ impl ReconfigController for MstIcap {
     fn reconfigure(&mut self, bs: &PartialBitstream) -> Result<ReconfigReport, ControllerError> {
         let words = bs.words();
         self.icap.set_frequency(self.clock)?;
-        self.icap.write_words(words)?;
+        self.icap.write_sealed(bs.sealed())?;
 
         // The ICAP write is pipelined behind the DDR2 fetch; the fetch is
         // strictly slower, so it sets the pace.

@@ -70,7 +70,7 @@ impl ReconfigController for XpsHwicap {
     fn reconfigure(&mut self, bs: &PartialBitstream) -> Result<ReconfigReport, ControllerError> {
         let words = bs.words();
         self.icap.set_frequency(self.mgr_clock)?;
-        self.icap.write_words(words)?;
+        self.icap.write_sealed(bs.sealed())?;
 
         let elapsed = self
             .mgr_clock

@@ -81,6 +81,10 @@ pub enum Strategy {
 /// reconfiguration latency (plus any preload overrun beyond the available
 /// execution time).
 ///
+/// Each distinct bitstream and requested mode is decided
+/// ([`Mode::decide`]) once per call: a swap schedule of A, B, A, B packs
+/// each module once.
+///
 /// # Errors
 ///
 /// Propagates preload/reconfigure failures; the schedule stops at the
@@ -92,10 +96,12 @@ pub fn run_schedule(
 ) -> Result<ScheduleReport, UparcError> {
     let mut outcomes = Vec::with_capacity(tasks.len());
     let mut total_downtime = SimTime::ZERO;
+    let mut decided = Vec::new();
     match strategy {
         Strategy::OnDemand => {
             for task in tasks {
-                let preload = uparc.preload(&task.bitstream, task.mode.clone())?;
+                let mode = decide(uparc, task, &mut decided)?;
+                let preload = uparc.preload(&task.bitstream, mode)?;
                 let reconfiguration = uparc.reconfigure()?;
                 let downtime = preload.duration + reconfiguration.elapsed();
                 total_downtime += downtime;
@@ -118,7 +124,8 @@ pub fn run_schedule(
                         (report, overrun)
                     }
                     None => {
-                        let report = uparc.preload(&task.bitstream, task.mode.clone())?;
+                        let mode = decide(uparc, task, &mut decided)?;
+                        let report = uparc.preload(&task.bitstream, mode)?;
                         let d = report.duration;
                         (report, d)
                     }
@@ -128,7 +135,8 @@ pub fn run_schedule(
                 total_downtime += downtime;
                 // Overlap the next task's preload with this execution.
                 if let Some(next) = tasks.get(i + 1) {
-                    let report = uparc.preload(&next.bitstream, next.mode.clone())?;
+                    let mode = decide(uparc, next, &mut decided)?;
+                    let report = uparc.preload(&next.bitstream, mode)?;
                     let overrun = report.duration.saturating_sub(task.execution);
                     let slack = task.execution.saturating_sub(report.duration);
                     uparc.advance_idle(slack);
@@ -150,6 +158,28 @@ pub fn run_schedule(
         total_downtime,
         makespan: uparc.now(),
     })
+}
+
+/// `task`'s staging mode on `uparc`, reusing the decision of an earlier
+/// task in `decided` that stages the same words the same way.
+fn decide<'t>(
+    uparc: &UParc,
+    task: &'t ReconfigTask,
+    decided: &mut Vec<(&'t ReconfigTask, Mode)>,
+) -> Result<Mode, UparcError> {
+    let earlier = decided
+        .iter()
+        .find(|(t, _)| t.mode == task.mode && t.bitstream.same_words(&task.bitstream));
+    if let Some((_, mode)) = earlier {
+        return Ok(mode.clone());
+    }
+    let mode = task.mode.clone().decide(
+        &task.bitstream,
+        uparc.bram().capacity_bytes(),
+        uparc.decompressor().algorithm(),
+    )?;
+    decided.push((task, mode.clone()));
+    Ok(mode)
 }
 
 #[cfg(test)]
@@ -250,6 +280,45 @@ mod tests {
             assert!(t.preload.compressed && t.reconfiguration.compressed);
             let first = &report.tasks[i % 3];
             assert_eq!(t.downtime, first.downtime, "{} round {}", t.name, i / 3);
+        }
+    }
+
+    #[test]
+    fn a_swap_schedule_decides_each_module_once() {
+        let device = Device::xc5vsx50t();
+        let mut sys = UParc::builder(device.clone()).build().unwrap();
+        sys.set_reconfiguration_frequency(Frequency::from_mhz(200.0))
+            .unwrap();
+        let module = |seed| {
+            let payload = SynthProfile::dense().generate(&device, 0, 100, seed);
+            PartialBitstream::build(&device, 0, &payload)
+        };
+        let (a, b) = (module(1), module(2));
+        let list: Vec<ReconfigTask> = [&a, &b, &a, &b]
+            .into_iter()
+            .map(|bs| ReconfigTask::new("m", bs.clone(), Mode::Compressed, SimTime::from_us(50)))
+            .collect();
+        let mut decided = Vec::new();
+        let modes: Vec<Mode> = list
+            .iter()
+            .map(|t| decide(&sys, t, &mut decided).unwrap())
+            .collect();
+        assert_eq!(decided.len(), 2, "A and B are decided once each");
+        for (i, mode) in modes.iter().enumerate() {
+            let (Mode::Packed(p), Mode::Packed(q)) = (mode, &modes[i % 2]) else {
+                panic!("Compressed decides into Packed");
+            };
+            assert_eq!(p.bytes().as_ptr(), q.bytes().as_ptr(), "task {i}");
+        }
+        // The same words requested raw are another decision.
+        let raw = ReconfigTask::new("m", a.clone(), Mode::Raw, SimTime::ZERO);
+        assert_eq!(decide(&sys, &raw, &mut decided).unwrap(), Mode::Raw);
+        assert_eq!(decided.len(), 3);
+        // And the schedule runs on the decided modes as before.
+        for strategy in [Strategy::OnDemand, Strategy::Prefetch] {
+            let report = run_schedule(&mut sys, &list, strategy).unwrap();
+            assert!(report.tasks.iter().all(|t| t.reconfiguration.compressed));
+            assert_eq!(report.tasks[3].downtime, report.tasks[1].downtime);
         }
     }
 

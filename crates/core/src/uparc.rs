@@ -351,6 +351,7 @@ impl UParcBuilder {
             manager: Manager::with_config(self.manager),
             slot,
             staged: None,
+            raw: None,
             packed: None,
             now: SimTime::ZERO,
             trace,
@@ -379,6 +380,10 @@ pub struct UParc {
     slot: DecompressorSlot,
     /// The last preload's report: what the BRAM holds.
     staged: Option<PreloadReport>,
+    /// The bitstream the last preload staged, when it staged raw (a
+    /// pointer): a transfer whose BRAM still holds its words writes it
+    /// sealed.
+    raw: Option<PartialBitstream>,
     /// The payload the last preload staged, when it staged packed.
     packed: Option<Packed>,
     now: SimTime,
@@ -734,6 +739,7 @@ impl UParc {
             duration,
         };
         self.staged = Some(report.clone());
+        self.raw = packed.is_none().then(|| bs.clone());
         self.packed = packed;
         Ok(report)
     }
@@ -995,11 +1001,17 @@ impl UParc {
 
     /// Streams the raw image through UReC; returns CLK_2 cycles consumed.
     /// Uses the batched burst path ([`Urec::run_burst`]), which is
-    /// cycle-exact with the per-edge loop.
+    /// cycle-exact with the per-edge loop. A BRAM that still holds the
+    /// words the last preload staged streams them sealed; one that
+    /// differs (a staged flip) streams its own words.
     fn transfer_raw(&mut self) -> Result<u64, UparcError> {
         self.urec.start();
-        self.urec
-            .run_burst(&mut self.bram, &mut self.icap, &mut self.fetched)
+        self.urec.run_burst(
+            &mut self.bram,
+            &mut self.icap,
+            &mut self.fetched,
+            self.raw.as_ref().map(PartialBitstream::sealed),
+        )
     }
 
     /// Runs the compressed pipeline; returns (duration, CLK_3, power).
@@ -1018,7 +1030,7 @@ impl UParc {
         self.urec.start();
         let fetch_cycles =
             self.urec
-                .run_burst(&mut self.bram, &mut self.icap, &mut self.fetched)?;
+                .run_burst(&mut self.bram, &mut self.icap, &mut self.fetched, None)?;
         debug_assert!(self.fetched.len() <= staged.stored_bytes / 4);
         let mode = self.urec.mode().expect("finished transfer has a mode");
         if !mode.compressed {
@@ -1032,8 +1044,8 @@ impl UParc {
         // bitstream the staged payload was packed from. A BRAM that still
         // holds exactly the image the last preload staged, for the slot's
         // codec, decodes to that payload's source (`Mode::decide` checked
-        // the round trip once), so the source words go to the ICAP as they
-        // are. A BRAM that differs (a staged flip) is decoded once, so a
+        // the round trip once), so the source goes to the ICAP as it is,
+        // sealed. A BRAM that differs (a staged flip) is decoded once, so a
         // decode error fails the transfer before any word reaches the
         // ICAP. The simulated pipeline timing below is the same either
         // way: it, not the host decode, models the decompressor filling
@@ -1044,9 +1056,11 @@ impl UParc {
             .as_ref()
             .filter(|p| p.algorithm == slot && holds_staged(&self.fetched, &p.bytes));
         let (raw_len, words_len) = if let Some(packed) = clean {
-            let words = packed.source.words();
-            self.icap.write_words(words)?;
-            (packed.source.size_bytes(), words.len() as u64)
+            self.icap.write_sealed(packed.source.sealed())?;
+            (
+                packed.source.size_bytes(),
+                packed.source.words().len() as u64,
+            )
         } else {
             // The payload is parsed in place — same layout and validation
             // as [`BramImage::compressed_payload`], without rebuilding the
@@ -1372,6 +1386,54 @@ mod tests {
                 assert_eq!(c.frames_committed(), d.frames_committed(), "{alg}");
             }
         }
+    }
+
+    #[test]
+    fn a_raw_transfer_writes_sealed_only_while_the_bram_holds_the_stream() {
+        // Two lanes stage the same raw stream; one then forgets it, so its
+        // transfers parse the BRAM words. Both configure, time and count
+        // alike, and after the same staged flip both fail alike.
+        let device = Device::xc5vsx50t();
+        let bs = bitstream(&device, 40, 13);
+        let lane = || {
+            let mut sys = uparc();
+            sys.preload(&bs, Mode::Raw).unwrap();
+            sys
+        };
+        let (mut sealed, mut parsed) = (lane(), lane());
+        assert!(sealed.raw.as_ref().is_some_and(|r| r.same_words(&bs)));
+        parsed.raw = None;
+        for round in 0..2 {
+            let a = sealed.reconfigure().unwrap();
+            let b = parsed.reconfigure().unwrap();
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "round {round}");
+            let (c, d) = (sealed.icap(), parsed.icap());
+            assert_eq!(c.config_memory().diff_frames(d.config_memory()), 0);
+            assert_eq!(c.words_consumed(), d.words_consumed());
+            assert_eq!(c.frames_committed(), d.frames_committed());
+        }
+        for sys in [&mut sealed, &mut parsed] {
+            sys.bram.corrupt_bit(100, 7).unwrap();
+        }
+        let a = sealed.reconfigure().unwrap_err();
+        assert!(
+            matches!(
+                a,
+                UparcError::Fpga(uparc_fpga::FpgaError::CrcMismatch { .. })
+            ),
+            "{a}"
+        );
+        assert_eq!(a, parsed.reconfigure().unwrap_err());
+        assert_eq!(
+            sealed.icap().words_consumed(),
+            parsed.icap().words_consumed()
+        );
+        // A packed preload forgets the raw stream.
+        sealed
+            .set_reconfiguration_frequency(Frequency::from_mhz(200.0))
+            .unwrap();
+        sealed.preload(&bs, Mode::Compressed).unwrap();
+        assert!(sealed.raw.is_none() && sealed.packed.is_some());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::error::UparcError;
 use uparc_bitstream::bramimg::ModeWord;
 use uparc_fpga::bram::{Bram, Port};
-use uparc_fpga::Icap;
+use uparc_fpga::{Icap, Sealed};
 
 /// FSM state (Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,6 +174,12 @@ impl Urec {
     /// `to_decompressor` (cleared first, so its capacity is reused); in
     /// raw mode it is left empty.
     ///
+    /// In raw mode, when the BRAM words streamed are exactly `staged`'s
+    /// (one compare, the rule a packed image's transfer applies too), the
+    /// ICAP takes them sealed ([`Icap::write_sealed`]); otherwise, as after
+    /// a staged flip, it parses the BRAM words ([`Icap::write_words`]).
+    /// Either way the ICAP's result and state are the same.
+    ///
     /// # Errors
     ///
     /// Same failure modes as [`Urec::rising_edge`]; the FSM parks in `Done`
@@ -183,6 +189,7 @@ impl Urec {
         bram: &mut Bram,
         icap: &mut Icap,
         to_decompressor: &mut Vec<u32>,
+        staged: Option<&Sealed>,
     ) -> Result<u64, UparcError> {
         let mut cycles = 0u64;
         to_decompressor.clear();
@@ -208,7 +215,10 @@ impl Urec {
         } else {
             let before = icap.words_consumed();
             let result = match bram.word_range(self.addr, avail) {
-                Ok(words) => icap.write_words(words),
+                Ok(words) => match staged.filter(|s| s.words() == words) {
+                    Some(sealed) => icap.write_sealed(sealed),
+                    None => icap.write_words(words),
+                },
                 Err(e) => return Err(self.fault(e.into())),
             };
             // The ICAP counts every word it consumed — including the one a
@@ -393,31 +403,46 @@ mod tests {
         urec: &mut Urec,
         bram: &mut Bram,
         icap: &mut Icap,
+        staged: Option<&Sealed>,
     ) -> Result<(u64, Vec<u32>), UparcError> {
         let mut to_decompressor = vec![0xDEAD_BEEF];
-        let cycles = urec.run_burst(bram, icap, &mut to_decompressor)?;
+        let cycles = urec.run_burst(bram, icap, &mut to_decompressor, staged)?;
         Ok((cycles, to_decompressor))
     }
 
     #[test]
     fn burst_matches_per_edge_raw_transfer() {
-        let (mut bram_a, mut icap_a, _) = setup(5);
-        let (mut bram_b, mut icap_b, _) = setup(5);
-        let mut edge = Urec::new();
-        edge.start();
-        let by_edge = run_edges(&mut edge, &mut bram_a, &mut icap_a).unwrap();
-        let mut burst = Urec::new();
-        burst.start();
-        let by_burst = run_burst(&mut burst, &mut bram_b, &mut icap_b).unwrap();
-        assert_eq!(by_edge, by_burst);
-        assert_eq!(edge.state(), burst.state());
-        assert_eq!(icap_a.words_consumed(), icap_b.words_consumed());
-        assert_eq!(icap_a.frames_committed(), icap_b.frames_committed());
-        assert_eq!(bram_a.read_count(Port::B), bram_b.read_count(Port::B));
-        assert_eq!(
-            icap_a.config_memory().diff_frames(icap_b.config_memory()),
-            0
-        );
+        // A plain burst, and a burst handed the staged stream, which it
+        // writes sealed while the BRAM holds exactly those words: both
+        // match the per-edge run, on a clean BRAM and after a flip in the
+        // payload (which the CRC then catches).
+        for flip in [false, true] {
+            for sealed in [false, true] {
+                let (mut bram_a, mut icap_a, _) = setup(5);
+                let (mut bram_b, mut icap_b, bs) = setup(5);
+                if flip {
+                    bram_a.corrupt_bit(40, 3).unwrap();
+                    bram_b.corrupt_bit(40, 3).unwrap();
+                }
+                let mut edge = Urec::new();
+                edge.start();
+                let by_edge = run_edges(&mut edge, &mut bram_a, &mut icap_a);
+                let mut burst = Urec::new();
+                burst.start();
+                let staged = sealed.then(|| bs.sealed());
+                let by_burst = run_burst(&mut burst, &mut bram_b, &mut icap_b, staged);
+                assert_eq!(by_edge, by_burst, "flip {flip}, sealed {sealed}");
+                assert_eq!(by_edge.is_err(), flip);
+                assert_eq!(edge.state(), burst.state());
+                assert_eq!(icap_a.words_consumed(), icap_b.words_consumed());
+                assert_eq!(icap_a.frames_committed(), icap_b.frames_committed());
+                assert_eq!(bram_a.read_count(Port::B), bram_b.read_count(Port::B));
+                assert_eq!(
+                    icap_a.config_memory().diff_frames(icap_b.config_memory()),
+                    0
+                );
+            }
+        }
     }
 
     #[test]
@@ -436,7 +461,7 @@ mod tests {
         let by_edge = run_edges(&mut edge, &mut bram_a, &mut icap_a).unwrap();
         let mut burst = Urec::new();
         burst.start();
-        let by_burst = run_burst(&mut burst, &mut bram_b, &mut icap_b).unwrap();
+        let by_burst = run_burst(&mut burst, &mut bram_b, &mut icap_b, None).unwrap();
         assert_eq!(by_edge, by_burst);
         assert_eq!(bram_a.read_count(Port::B), bram_b.read_count(Port::B));
         assert_eq!(
@@ -471,7 +496,7 @@ mod tests {
         let err_edge = run_edges(&mut edge, &mut bram_a, &mut icap_a).unwrap_err();
         let mut burst = Urec::new();
         burst.start();
-        let err_burst = run_burst(&mut burst, &mut bram_b, &mut icap_b).unwrap_err();
+        let err_burst = run_burst(&mut burst, &mut bram_b, &mut icap_b, None).unwrap_err();
         assert_eq!(format!("{err_edge}"), format!("{err_burst}"));
         assert!(burst.is_finished() && !burst.en());
         assert_eq!(bram_a.read_count(Port::B), bram_b.read_count(Port::B));
@@ -487,7 +512,7 @@ mod tests {
         let mut urec = Urec::new();
         urec.start();
         assert_eq!(
-            run_burst(&mut urec, &mut bram, &mut icap).unwrap(),
+            run_burst(&mut urec, &mut bram, &mut icap, None).unwrap(),
             (1, vec![])
         );
         assert!(urec.is_finished());

@@ -19,7 +19,7 @@ use crate::error::FpgaError;
 /// differ, so the plane keeps a stored parity only for the frames an
 /// upset struck since their last write: a clean write is a plain copy,
 /// and checking an unstruck frame reads nothing.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigMemory {
     frame_words: usize,
     frames: u32,

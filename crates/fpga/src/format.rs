@@ -387,11 +387,86 @@ impl ConfigCrc {
         self.state = s;
     }
 
+    /// Absorbs a run whose contribution [`RunCrc::of`] computed: the
+    /// same state as [`Self::update_run`] over the run's words, from one
+    /// GF(2) multiply instead of a table lookup per byte.
+    #[inline]
+    pub(crate) fn fold(&mut self, run: RunCrc) {
+        self.state = multiply(run.shift, self.state) ^ run.crc;
+    }
+
     /// The value a CRC-register write is compared against.
     #[must_use]
     pub fn value(&self) -> u32 {
         !self.state
     }
+}
+
+/// What a run of writes to one register does to the CRC register, from
+/// whatever state it starts. The register is linear over GF(2): a run of
+/// n words (5n bytes) that starts from state `s` leaves `s · x^(40n) mod
+/// P ⊕ c`, where `c` is the state the run leaves from a zero register
+/// (zlib's `crc32_combine` identity).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RunCrc {
+    /// `x^(40n) mod P`: advances a start state past the run's bytes.
+    shift: u32,
+    /// The state the run leaves from a zero register.
+    crc: u32,
+}
+
+impl RunCrc {
+    /// The contribution of writing `words` to `reg`: one CRC pass.
+    pub(crate) fn of(reg: ConfigRegister, words: &[u32]) -> RunCrc {
+        let mut zero = ConfigCrc { state: 0 };
+        zero.update_run(reg, words);
+        RunCrc {
+            shift: x_pow(40 * words.len() as u64),
+            crc: zero.state,
+        }
+    }
+}
+
+/// `x^(2^k) mod P` for k = 0..64, reflected like the register (bit 31
+/// holds the coefficient of x^0): the squares every power is built from.
+static X2N: [u32; 64] = {
+    let mut table = [0u32; 64];
+    let mut p = 1 << 30; // x^1
+    let mut k = 0;
+    while k < 64 {
+        table[k] = p;
+        p = multiply(p, p);
+        k += 1;
+    }
+    table
+};
+
+/// `a · b mod P` over GF(2) in the reflected representation (zlib's
+/// `multmodp`): 32 shift-and-add steps, one per coefficient of `a`.
+const fn multiply(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut i = 0;
+    while i < 32 {
+        product ^= b & ((a >> (31 - i)) & 1).wrapping_neg();
+        b = (b >> 1) ^ (CRC32C_POLY & (b & 1).wrapping_neg());
+        i += 1;
+    }
+    product
+}
+
+/// `x^n mod P`, reflected: one multiply per set bit of `n`.
+fn x_pow(n: u64) -> u32 {
+    let mut p = 1 << 31; // x^0
+    let mut bits = n;
+    let mut k = 0;
+    while bits != 0 {
+        if bits & 1 == 1 {
+            p = multiply(X2N[k], p);
+        }
+        bits >>= 1;
+        k += 1;
+    }
+    p
 }
 
 #[cfg(test)]
@@ -553,5 +628,48 @@ mod tests {
         let before = run.value();
         run.update_run(ConfigRegister::Fdri, &[]);
         assert_eq!(run.value(), before);
+    }
+
+    #[test]
+    fn powers_of_x_match_zero_bit_steps() {
+        // x^n mod P is the state n zero-bit steps leave from x^0.
+        let mut stepped = 1u32 << 31;
+        for n in 0..=200u64 {
+            assert_eq!(x_pow(n), stepped, "x^{n}");
+            let mask = (stepped & 1).wrapping_neg();
+            stepped = (stepped >> 1) ^ (CRC32C_POLY & mask);
+        }
+        // And the squares compose: x^(a+b) = x^a · x^b.
+        for (a, b) in [(40, 1 << 20), (12_345, 67_890), (1 << 33, 40 * 626_000)] {
+            assert_eq!(x_pow(a + b), multiply(x_pow(a), x_pow(b)), "{a} + {b}");
+        }
+    }
+
+    #[test]
+    fn folded_runs_match_update_run_from_any_state() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..2_000 {
+            let len = match case % 4 {
+                0 => (next() % 8) as usize,
+                1 => (next() % 100) as usize,
+                _ => (next() % 2_000) as usize,
+            };
+            let words: Vec<u32> = (0..len).map(|_| next() as u32).collect();
+            let reg = ConfigRegister::from_addr((next() % 14) as u32).unwrap();
+            let start = ConfigCrc {
+                state: next() as u32,
+            };
+            let mut folded = start.clone();
+            folded.fold(RunCrc::of(reg, &words));
+            let mut replayed = start;
+            replayed.update_run(reg, &words);
+            assert_eq!(folded, replayed, "case {case}: {len} words to {reg:?}");
+        }
     }
 }

@@ -15,7 +15,10 @@
 use crate::config_mem::ConfigMemory;
 use crate::device::Device;
 use crate::error::FpgaError;
-use crate::format::{decode, Command, ConfigCrc, ConfigRegister, Opcode, Packet, SYNC_WORD};
+use crate::format::{
+    decode, Command, ConfigCrc, ConfigRegister, Opcode, Packet, RunCrc, SYNC_WORD,
+};
+use crate::seal::{Sealed, SealedRun};
 use uparc_sim::obs::Obs;
 use uparc_sim::time::{Frequency, SimTime};
 
@@ -261,11 +264,12 @@ impl Icap {
 
     /// Consumes the whole `words` slice, one word per cycle.
     ///
-    /// This is the batched fast path: pre-sync dummy words are skipped with
-    /// a single scan for the sync word, and FDRI payload runs are committed
-    /// frame-at-a-time straight from the input slice (slicing-by-5 CRC, no
-    /// per-word buffering). Packet headers and non-FDRI payloads take the
-    /// exact per-word path. State evolution — including the state left
+    /// This is the batched path and the reference for
+    /// [`Icap::write_sealed`]: pre-sync dummy words are skipped with a
+    /// single scan for the sync word, and FDRI payload runs are committed
+    /// frame-at-a-time straight from the input slice (slicing-by-40 CRC,
+    /// no per-word buffering). Packet headers and non-FDRI payloads take
+    /// the exact per-word path. State evolution — including the state left
     /// behind by the first error — is bit-exact with calling
     /// [`Icap::write_word`] once per word (pinned by this module's unit
     /// tests and `tests/proptest_fastpath.rs`).
@@ -274,6 +278,33 @@ impl Icap {
     ///
     /// Propagates the first protocol error (see [`Icap::write_word`]).
     pub fn write_words(&mut self, words: &[u32]) -> Result<(), FpgaError> {
+        self.write_stream(words, &[])
+    }
+
+    /// Consumes a sealed stream's words, one word per cycle, exactly as
+    /// [`Icap::write_words`] does, except at the start of an FDRI run the
+    /// seal computed: when the whole run is pending, WCFG is on, no
+    /// partial frame is buffered and the run's whole frames all lie on the
+    /// device, the run commits in one multi-frame write and its CRC
+    /// contribution folds into the register with one GF(2) multiply,
+    /// instead of five table lookups per word. Any other run, every header,
+    /// IDCODE, RCRC, the CRC comparison and an armed transient glitch go
+    /// the way `write_words` takes them, so the result and the state left
+    /// behind, errors included, are those of `write_words` on
+    /// [`Sealed::words`] (pinned by this module's unit tests and
+    /// `tests/proptest_fastpath.rs`). The CRC is still computed and
+    /// compared, not assumed.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first protocol error (see [`Icap::write_word`]).
+    pub fn write_sealed(&mut self, sealed: &Sealed) -> Result<(), FpgaError> {
+        self.write_stream(sealed.words(), sealed.runs())
+    }
+
+    /// The parser loop of [`Icap::write_words`] and [`Icap::write_sealed`]:
+    /// `runs` are the sealed FDRI runs of `words`, in stream order.
+    fn write_stream(&mut self, words: &[u32], mut runs: &[SealedRun]) -> Result<(), FpgaError> {
         self.obs.count("icap.bursts", 1);
         self.obs.count("icap.words", words.len() as u64);
         let mut i = 0;
@@ -297,6 +328,15 @@ impl Icap {
                 && self.pending_reg == Some(ConfigRegister::Fdri)
                 && self.wcfg_enabled
             {
+                while runs.first().is_some_and(|run| run.offset < i) {
+                    runs = &runs[1..];
+                }
+                if let Some(run) = runs.first().filter(|run| run.offset == i) {
+                    if self.fold_run(&words[i..i + run.len], run.crc) {
+                        i += run.len;
+                        continue;
+                    }
+                }
                 let n = (self.pending_count as usize).min(words.len() - i);
                 self.write_fdri_run(&words[i..i + n])?;
                 i += n;
@@ -306,6 +346,38 @@ impl Icap {
             i += 1;
         }
         Ok(())
+    }
+
+    /// The sealed fast path: commits `run`, a whole pending FDRI run of
+    /// whole frames that all lie on the device, in one multi-frame write,
+    /// and folds `crc`, its contribution, into the register. Returns
+    /// `false`, with nothing touched, for a run that does not qualify.
+    fn fold_run(&mut self, run: &[u32], crc: RunCrc) -> bool {
+        let fw = self.cfg.frame_words();
+        if run.len() != self.pending_count as usize
+            || !self.frame_buf.is_empty()
+            || !run.len().is_multiple_of(fw)
+        {
+            return false;
+        }
+        // The run is the whole pending count, so its frames fit a u32.
+        let frames = self.pending_count / fw as u32;
+        if self
+            .far
+            .checked_add(frames)
+            .is_none_or(|end| end > self.cfg.frames())
+        {
+            return false;
+        }
+        self.cfg
+            .write_frames(self.far, run)
+            .expect("the run's frames lie on the device");
+        self.crc.fold(crc);
+        self.words += run.len() as u64;
+        self.pending_count = 0;
+        self.frames_committed += u64::from(frames);
+        self.far += frames;
+        true
     }
 
     /// Consumes an FDRI payload run (WCFG already enabled, `run.len()` not
@@ -518,6 +590,7 @@ impl Icap {
 mod tests {
     use super::*;
     use crate::format::{type1, type2, DUMMY_WORD, NOOP};
+    use crate::seal::Sealed;
 
     fn icap() -> Icap {
         Icap::new(Device::xc5vsx50t())
@@ -856,6 +929,161 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Asserts that every field of the two ports is equal: the CRC
+    /// register, the parser state, the counters and the whole plane with
+    /// its stored parities.
+    fn assert_identical(a: &Icap, b: &Icap) {
+        let Icap {
+            device,
+            cfg,
+            freq,
+            status,
+            crc,
+            last_reg,
+            pending_count,
+            pending_reg,
+            frame_buf,
+            far,
+            wcfg_enabled,
+            idcode_ok,
+            words,
+            frames_committed,
+            regs,
+            crc_glitch,
+            obs: _,
+        } = a;
+        assert_eq!(*device, b.device);
+        assert!(*cfg == b.cfg, "configuration planes differ");
+        assert_eq!(*freq, b.freq);
+        assert_eq!(*status, b.status);
+        assert_eq!(*crc, b.crc, "CRC register");
+        assert_eq!(*last_reg, b.last_reg);
+        assert_eq!(*pending_count, b.pending_count);
+        assert_eq!(*pending_reg, b.pending_reg);
+        assert_eq!(*frame_buf, b.frame_buf);
+        assert_eq!(*far, b.far);
+        assert_eq!(*wcfg_enabled, b.wcfg_enabled);
+        assert_eq!(*idcode_ok, b.idcode_ok);
+        assert_eq!(*words, b.words);
+        assert_eq!(*frames_committed, b.frames_committed);
+        assert_eq!(*regs, b.regs);
+        assert_eq!(*crc_glitch, b.crc_glitch);
+    }
+
+    /// A stream whose FDRI run is `extra` words longer than `frames`
+    /// whole frames, so its tail is a partial frame.
+    fn ragged_stream(dev: &Device, far: u32, frames: u32, extra: u32) -> Vec<u32> {
+        let fw = dev.family().frame_words() as u32;
+        let mut v = mini_stream(dev, far, frames);
+        let run = frames * fw;
+        let at = v
+            .iter()
+            .position(|&w| w == type2(Opcode::Write, run))
+            .unwrap();
+        v[at] = type2(Opcode::Write, run + extra);
+        let tail = at + 1 + run as usize;
+        v.splice(tail..tail, (0..extra).map(|k| k ^ 0x5A5A));
+        v
+    }
+
+    #[test]
+    fn sealed_write_matches_write_words_field_for_field() {
+        let dev = Device::xc5vsx50t();
+        let frames = dev.frames();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n.max(1)
+        };
+        for case in 0..160 {
+            let n = 1 + next(6) as u32;
+            let far = match next(4) {
+                0 => frames - 1, // runs off the device
+                1 => frames - n, // ends on the last frame
+                _ => next(u64::from(frames - n)) as u32,
+            };
+            let mut words = match next(3) {
+                0 => ragged_stream(&dev, far, n, 1 + next(40) as u32),
+                1 => [mini_stream(&dev, far, n), mini_stream(&dev, 0, 1)].concat(),
+                _ => mini_stream(&dev, far, n),
+            };
+            match next(4) {
+                0 => {
+                    let i = next(words.len() as u64) as usize;
+                    words[i] ^= 1 << next(32);
+                }
+                1 => words.truncate(next(words.len() as u64 + 1) as usize),
+                _ => {}
+            }
+            let sealed = Sealed::sign(words);
+            // A prefix leaves the port in any register and parser state:
+            // mid-header, mid-run, synced or not.
+            let mut port = icap();
+            let prefix = mini_stream(&dev, 600, 2);
+            let _ = port.write_words(&prefix[..next(prefix.len() as u64 + 1) as usize]);
+            if next(2) == 0 {
+                port.arm_transient_crc();
+            }
+            let mut sealed_port = port.clone();
+            let reference = port.write_words(sealed.words());
+            assert_eq!(sealed_port.write_sealed(&sealed), reference, "case {case}");
+            assert_identical(&sealed_port, &port);
+        }
+    }
+
+    #[test]
+    fn only_a_whole_pending_run_of_frames_on_the_device_folds() {
+        let dev = Device::xc5vsx50t();
+        let fw = dev.family().frame_words();
+        // Each case: the sealed stream, and whether its run folds on a
+        // port that reaches the run having parsed the stream before it.
+        let last = dev.frames() - 1;
+        let mut partial = mini_stream(&dev, 0, 2);
+        let fdri = partial
+            .iter()
+            .position(|&w| w == type2(Opcode::Write, 82))
+            .unwrap();
+        partial[fdri] = type2(Opcode::Write, 81); // a frame and 40 words
+        let cases = [
+            (mini_stream(&dev, 700, 3), true),
+            (mini_stream(&dev, last - 2, 3), true),
+            (mini_stream(&dev, last, 2), false),
+            (ragged_stream(&dev, 10, 2, 7), false),
+            (partial, false),
+        ];
+        for (k, (words, folds)) in cases.into_iter().enumerate() {
+            let sealed = Sealed::sign(words);
+            let run = sealed.runs()[0];
+            let mut port = icap();
+            port.write_words(&sealed.words()[..run.offset]).unwrap();
+            let mut reference = port.clone();
+            let block = &sealed.words()[run.offset..run.offset + run.len];
+            assert_eq!(port.fold_run(block, run.crc), folds, "case {k}");
+            if folds {
+                reference.write_fdri_run(block).unwrap();
+            }
+            assert_identical(&port, &reference);
+        }
+        // A port with a partial frame buffered, or owed more words than
+        // the run holds, does not fold a run that would otherwise.
+        let sealed = Sealed::sign(mini_stream(&dev, 100, 2));
+        let run = sealed.runs()[0];
+        let block = &sealed.words()[run.offset..run.offset + run.len];
+        let mut port = icap();
+        port.write_words(&sealed.words()[..run.offset]).unwrap();
+        port.frame_buf.push(0);
+        assert!(!port.fold_run(block, run.crc));
+        port.frame_buf.clear();
+        port.pending_count += 1;
+        assert!(!port.fold_run(block, run.crc));
+        port.pending_count -= 1;
+        assert!(port.fold_run(block, run.crc));
+        assert_eq!(port.frames_committed(), 2);
+        assert_eq!(run.len, 2 * fw);
     }
 
     #[test]

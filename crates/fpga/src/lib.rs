@@ -13,6 +13,9 @@
 //!   that consumes one 32-bit word per clock cycle and commits frames to the
 //!   configuration memory, with per-family maximum-frequency limits
 //!   (V5: 362.5 MHz demonstrated; V6: a few MHz lower, §IV).
+//! * [`seal`] — sealed streams: a stream's CRC check words written and
+//!   each FDRI run's CRC contribution computed once, where it is built,
+//!   so the ICAP folds a run's CRC with one GF(2) multiply.
 //! * [`config_mem`] — frame-addressed configuration memory (FAR/FDRI), used
 //!   by tests to verify that a reconfiguration actually landed.
 //! * [`bram`] — dual-port block RAM with guaranteed (300 MHz) and
@@ -78,6 +81,7 @@ pub mod family;
 pub mod format;
 pub mod icap;
 pub mod resources;
+pub mod seal;
 pub mod variation;
 
 pub use alloc::{AllocError, FitPolicy, FragStats, FrameAllocator};
@@ -88,3 +92,4 @@ pub use device::Device;
 pub use error::{DcmConstraintError, FpgaError};
 pub use family::Family;
 pub use icap::Icap;
+pub use seal::Sealed;

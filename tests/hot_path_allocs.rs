@@ -8,7 +8,9 @@
 //! (no request is as large as the image), a preload of a packed catalog
 //! entry runs no encoder: it allocates the BRAM image and, now and then,
 //! the power trace's growth, and a warm packed reconfigure and a clean
-//! post-success ECC verification scan allocate only that growth.
+//! post-success ECC verification scan allocate only that growth. So do a
+//! warm preload of a raw-staged entry (its BRAM image, and the growth) and
+//! a warm raw reconfigure, which streams the staged words sealed.
 //! No codec sizes its output by a corrupt length header:
 //! a decode of a 64-byte sample whose header claims 4 GiB requests no
 //! block over 64 KiB.
@@ -22,17 +24,20 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use uparc_repro::bitstream::builder::PartialBitstream;
+use uparc_repro::bitstream::synth::SynthProfile;
 use uparc_repro::compress::xmatchpro::XMatchPro;
 use uparc_repro::compress::{Algorithm, Codec};
 use uparc_repro::core::dyclogen::OutputClock;
 use uparc_repro::core::pipeline::PipelineRun;
 use uparc_repro::core::policy::{PlanQuery, PowerAwarePolicy, VfQuery};
 use uparc_repro::core::scrub::EccScrubber;
-use uparc_repro::core::uparc::UParc;
+use uparc_repro::core::uparc::{Mode, UParc};
 use uparc_repro::core::UparcError;
 use uparc_repro::fleet::fleet::synthetic_catalog;
 use uparc_repro::fpga::dcm::DcmConstraints;
 use uparc_repro::fpga::{Device, Family};
+use uparc_repro::serve::catalog::Catalog;
 use uparc_repro::serve::request::BitstreamId;
 use uparc_repro::sim::time::{Frequency, SimTime};
 
@@ -333,6 +338,54 @@ fn request_path_calls_do_not_allocate() {
         grown += n;
     }
     assert!(grown <= 3, "{grown} of 64 clean scans allocated");
+
+    // A raw-staged entry (40 frames in the default 256 KB BRAM): a warm
+    // preload allocates its BRAM image and, now and then, the power
+    // trace's growth; a warm reconfigure, whose BRAM holds the staged
+    // words, streams them sealed and allocates only that growth.
+    let device = Device::xc5vsx50t();
+    let mut raw_catalog = Catalog::new(device.clone());
+    raw_catalog
+        .add_region("rp", 100..140)
+        .expect("region fits the device");
+    let payload = SynthProfile::dense().generate(&device, 100, 40, 7);
+    raw_catalog
+        .register(
+            BitstreamId(1),
+            PartialBitstream::build(&device, 100, &payload),
+        )
+        .expect("registers");
+    let entry = raw_catalog.entry(BitstreamId(1)).expect("registered");
+    assert_eq!(entry.mode(), Mode::Raw);
+    let mut lane = raw_catalog.lane();
+    lane.preload(entry.bitstream(), entry.mode())
+        .expect("stages");
+    lane.reconfigure().expect("configures");
+    let mut grown = 0;
+    for _ in 0..16 {
+        let n = allocations_in(|| {
+            let staged = lane
+                .preload(entry.bitstream(), entry.mode())
+                .expect("stages");
+            assert!(!staged.compressed);
+            black_box(staged);
+        });
+        assert!(
+            (1..=2).contains(&n),
+            "warm raw preload: {n} allocation(s) per call"
+        );
+        grown += n - 1;
+    }
+    assert!(grown <= 3, "the power trace grew on {grown} of 16 preloads");
+    let mut grown = 0;
+    for _ in 0..64 {
+        let n = allocations_in(|| {
+            black_box(lane.reconfigure().expect("configures"));
+        });
+        assert!(n <= 1, "warm raw reconfigure: {n} allocation(s) per call");
+        grown += n;
+    }
+    assert!(grown <= 3, "the power trace grew on {grown} of 64 calls");
     let ragged: Vec<u8> = (0..6_561u32).map(|i| (i % 7 * 37 + i / 97) as u8).collect();
     for depth in [16, 128] {
         let codec = XMatchPro::with_dictionary(depth);

@@ -1,16 +1,19 @@
 //! Property-based tests on the compression substrate: exact losslessness
 //! on arbitrary inputs (a configuration bitstream tolerates no loss), and
 //! robustness of every decoder and of the bitstream parsers (the `.bit`
-//! container, the packet scan and the ICAP) against arbitrary (corrupt)
-//! inputs.
+//! container, the packet scan, the seal pass and the ICAP) and of
+//! relocation against arbitrary (corrupt) inputs.
 
 use proptest::prelude::*;
 use uparc_repro::bitstream::bitfile::{BitFile, MAGIC};
 use uparc_repro::bitstream::bramimg::{BramImage, ModeWord};
+use uparc_repro::bitstream::builder::PartialBitstream;
 use uparc_repro::bitstream::parser::StreamInfo;
 use uparc_repro::compress::Algorithm;
-use uparc_repro::fpga::format::{type1, type2, ConfigRegister, Opcode, NOOP, SYNC_WORD};
-use uparc_repro::fpga::{Device, Icap};
+use uparc_repro::fpga::format::{
+    type1, type2, ConfigRegister, Opcode, NOOP, SYNC_WORD, TYPE2_MAX_COUNT,
+};
+use uparc_repro::fpga::{Device, Icap, Sealed};
 
 fn input_strategy() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
@@ -26,8 +29,8 @@ fn input_strategy() -> impl Strategy<Value = Vec<u8>> {
 
 /// One configuration word: arbitrary, or one that gets the packet
 /// parsers past it (a sync word, a NOOP, a type-1 read or write header of
-/// any register, a type-2 write header, a command value or the test
-/// device's IDCODE).
+/// any register, a type-2 write header, the largest one included, a
+/// command value or the test device's IDCODE).
 fn config_word() -> impl Strategy<Value = u32> {
     let idcode = Device::xc5vsx50t().idcode();
     prop_oneof![
@@ -40,6 +43,7 @@ fn config_word() -> impl Strategy<Value = u32> {
             type1(op, reg, count)
         }),
         (0u32..64).prop_map(|count| type2(Opcode::Write, count)),
+        Just(type2(Opcode::Write, TYPE2_MAX_COUNT)),
         0u32..16,
         Just(idcode),
     ]
@@ -87,20 +91,42 @@ proptest! {
         // The `.bit` container, bare and behind its magic.
         let _ = BitFile::parse(&garbage);
         let _ = BitFile::parse(&[&MAGIC[..], &garbage].concat());
-        // The configuration words: the structural scan, and the ICAP
-        // parser whole and, after a sync word, in small chunks.
+        // The configuration words: the structural scan, the seal pass,
+        // and the ICAP parser whole and, after a sync word, in small
+        // chunks, and sealed, whole and after a sync word.
         let device = Device::xc5vsx50t();
         let words: Vec<u32> = garbage
             .chunks_exact(4)
             .map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
             .collect();
         let _ = StreamInfo::scan(device.family(), &words);
-        let mut icap = Icap::new(device);
+        let sealed = Sealed::sign(&words[..]);
+        let mut icap = Icap::new(device.clone());
         let _ = icap.write_words(&words);
         icap.reset();
         let _ = icap.write_words(&[SYNC_WORD]);
         for part in words.chunks(chunk) {
             let _ = icap.write_words(part);
+        }
+        icap.reset();
+        let _ = icap.write_sealed(&sealed);
+        icap.reset();
+        let _ = icap.write_words(&[SYNC_WORD]);
+        let _ = icap.write_sealed(&sealed);
+        // Relocation of a stream of the words' whole frames to an
+        // arbitrary FAR: a stream or a typed error, exactly what building
+        // there gives, and a typed error onto another device.
+        let fw = device.family().frame_words();
+        let frames = &words[..words.len() / fw * fw];
+        if let Ok(bs) = PartialBitstream::try_build(&device, 0, frames) {
+            let far = words[0];
+            for target in [far, far % device.frames(), u32::MAX - 1] {
+                prop_assert_eq!(
+                    bs.relocate(&device, target),
+                    PartialBitstream::try_build(&device, target, frames)
+                );
+            }
+            prop_assert!(bs.relocate(&Device::xc6vlx240t(), far).is_err());
         }
     }
 

@@ -9,6 +9,11 @@
 //!   well-formed, corrupted, truncated and off-device streams, under any
 //!   chunking of the input, with upsets struck into the plane first so
 //!   the frames' ECC state is compared too;
+//! * [`Icap::write_sealed`] of a [`Sealed`] stream ≡ [`Icap::write_words`]
+//!   of its signed words, on the same streams and on reshaped ones whose
+//!   runs must not fold, with and without an armed CRC glitch and after an
+//!   arbitrary prefix, so a sealed run's CRC folds into any register and
+//!   parser state;
 //! * the two-level-LUT Huffman decoder ≡ the bit-at-a-time reference.
 
 use proptest::prelude::*;
@@ -17,7 +22,7 @@ use uparc_repro::compress::huffman::{canonical_codes, code_lengths, CanonicalDec
 use uparc_repro::fpga::format::{
     type1, type2, Command, ConfigCrc, ConfigRegister, Opcode, DUMMY_WORD, NOOP, SYNC_WORD,
 };
-use uparc_repro::fpga::{Device, Icap};
+use uparc_repro::fpga::{Device, Icap, Sealed};
 
 // ---------------------------------------------------------------- ICAP --
 
@@ -220,6 +225,106 @@ proptest! {
         }
         prop_assert_eq!(whole_result, chunked_result, "result mismatch");
         assert_same_state(&chunked, &whole, &case);
+    }
+}
+
+/// Reshapes the FDRI write of a [`stream`]-built case that still holds it
+/// whole, so that one of the conditions a sealed run must meet to fold
+/// fails alone: 1 puts a ragged packet of `k` (1..frame) words before it
+/// (the run starts with a partial frame buffered), 2 cuts the stream at a
+/// frame boundary inside it (the port is owed more words than the run
+/// holds), 3 appends `k` words to it (its tail is a partial frame).
+fn reshape(words: &mut Vec<u32>, shape: u8, k: usize, fw: usize) {
+    let fdri = type1(Opcode::Write, ConfigRegister::Fdri, 0);
+    let n = words.get(12).map_or(0, |&w| w & 0x07FF_FFFF) as usize;
+    let whole = words.len() > 13 + n
+        && words[11] == fdri
+        && words[12] == type2(Opcode::Write, n as u32)
+        && n > 0;
+    if !whole {
+        return;
+    }
+    let k = 1 + k % (fw - 1);
+    match shape {
+        1 => {
+            let ragged = std::iter::once(type1(Opcode::Write, ConfigRegister::Fdri, k as u32))
+                .chain((0..k as u32).map(|j| j.wrapping_mul(0x0101_0101)));
+            words.splice(11..11, ragged);
+        }
+        2 if n > fw => words.truncate(13 + (1 + k % (n / fw - 1)) * fw),
+        3 => {
+            words[12] = type2(Opcode::Write, (n + k) as u32);
+            words.splice(13 + n..13 + n, (0..k as u32).map(|j| !j));
+        }
+        _ => {}
+    }
+}
+
+/// A prefix to stream before the case: nothing, a whole well-formed stream
+/// (the port ends desynced, its CRC register wherever that stream left
+/// it), or a cut of one (the port may end mid-header, mid-run or synced).
+fn prefix_strategy() -> impl Strategy<Value = Vec<u32>> {
+    let dev = Device::xc5vsx50t();
+    let fw = dev.family().frame_words();
+    (0u8..3, any::<u32>()).prop_map(move |(kind, r)| {
+        let payload: Vec<u32> = (0..(r % 3) as usize * fw)
+            .map(|i| (i as u32).wrapping_mul(r | 1))
+            .collect();
+        let whole = stream(&dev, r % 900, &payload);
+        match kind {
+            0 => Vec::new(),
+            1 => whole,
+            _ => whole[..r as usize % (whole.len() + 1)].to_vec(),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn sealed_icap_equals_batched_words(
+        case in icap_stream_strategy(),
+        prefix in prefix_strategy(),
+        shape in 0u8..6,
+        k in any::<usize>(),
+        glitch in any::<bool>(),
+        keep_rcrc in any::<bool>(),
+    ) {
+        let fw = case.port().config_memory().frame_words();
+        // Without its RCRC the stream's runs fold into whatever register
+        // the prefix left, and its check word is foreign to that register.
+        let mut words = case.words.clone();
+        if !keep_rcrc && words.get(4) == Some(&(Command::Rcrc as u32)) {
+            words[4] = Command::Null as u32;
+        }
+        reshape(&mut words, shape, k, fw);
+        let sealed = Sealed::sign(words);
+        let mut port = case.port();
+        let _ = port.write_words(&prefix);
+        if glitch {
+            port.arm_transient_crc();
+        }
+        let mut sealed_port = port.clone();
+        let reference = port.write_words(sealed.words());
+        prop_assert_eq!(sealed_port.write_sealed(&sealed), reference, "result mismatch");
+        assert_same_state(&sealed_port, &port, &case);
+        // A probe after a fresh sync reads out what the counters do not:
+        // a frame written without a FAR write lands where the port's FAR
+        // points, and the CRC check reports the register in its mismatch
+        // (or both ports fail the same way).
+        let probe: Vec<u32> = [
+            SYNC_WORD,
+            type1(Opcode::Write, ConfigRegister::Cmd, 1),
+            Command::Wcfg as u32,
+            type1(Opcode::Write, ConfigRegister::Fdri, fw as u32),
+        ]
+        .into_iter()
+        .chain(std::iter::repeat_n(0xFACE_0FF5, fw))
+        .chain([type1(Opcode::Write, ConfigRegister::Crc, 1), 0])
+        .collect();
+        prop_assert_eq!(sealed_port.write_words(&probe), port.write_words(&probe), "probe");
+        assert_same_state(&sealed_port, &port, &case);
     }
 }
 
